@@ -1231,31 +1231,50 @@ def _complement_functionals(vecs: List[List[Scalar]], n: int):
     return kernel_basis(PolyMatrix(vecs))
 
 
-def omega_wedge_pairing_scale() -> dict:
-    """Fit (omega ^ omega) against the pairing expression
-    -(1/2)(<om20,om20>_{1,0} + <om02,om02>_{0,1}) componentwise; the
-    fitted scale resolves the sign/scale convention left open by the
-    identification of the algebra with V00 + V20 + V02."""
+def omega_wedge_and_pairing() -> Tuple[list, list]:
+    """The seven components of omega ^ omega (om00 first, then om20 and
+    om02) beside the paired expression
+    -(1/2)(<om20,om20>_{1,0} + <om02,om02>_{0,1}), whose om00 component
+    is 0."""
     cf = _base_coframe()
     om00, om20, om02 = _omega_gens(cf, include_om00=True)
     om_list = [om00] + list(om20.comps) + list(om02.comps)
     ww = omega_wedge_omega(cf, om_list)
     p20 = pair_vforms(om20, om20, 1, 0)
     p02 = pair_vforms(om02, om02, 0, 1)
-    cand20 = [c.scale(Fraction(-1, 2)) for c in p20.comps]
-    cand02 = [c.scale(Fraction(-1, 2)) for c in p02.comps]
-    matches = all((ww[1 + k] - cand20[k]).is_zero() for k in range(3)) and \
-        all((ww[4 + k] - cand02[k]).is_zero() for k in range(3)) and \
-        ww[0].is_zero()
+    cand = [FormExpr.zero(cf)] + [c.scale(Fraction(-1, 2))
+                                  for c in list(p20.comps) + list(p02.comps)]
+    return ww, cand
+
+
+def fit_pairing_scale(ww: list, cand: list) -> dict:
+    """Fit ww = s * cand componentwise.
+
+    The scale is read from the first nonzero coefficient ratio and then
+    checked on every component, the om00 one included, so a fit that
+    holds on one coefficient only does not count.  s = 1 is reported as
+    `matches_minus_half_pairing`, any other fitted s as `fitted_scale`.
+    """
+    matches = all((w - c).is_zero() for w, c in zip(ww, cand))
     scale = None
     if not matches:
-        # fit: ww = s * candidate
-        for k in range(3):
-            for mono, coeff in ww[1 + k].terms.items():
-                ref = cand20[k].coefficient(mono)
+        for w, c in zip(ww[1:], cand[1:]):
+            for mono, coeff in w.terms.items():
+                ref = c.coefficient(mono)
                 if not ref.is_zero():
                     scale = (coeff / ref).constant_value()
                     break
             if scale is not None:
                 break
-    return {"matches_minus_half_pairing": matches, "fitted_scale": scale}
+    fits = matches or (scale is not None and all(
+        (w - c.scale(scale)).is_zero() for w, c in zip(ww, cand)))
+    return {"matches_minus_half_pairing": matches, "fitted_scale": scale,
+            "fits_every_component": fits}
+
+
+def omega_wedge_pairing_scale() -> dict:
+    """Fit (omega ^ omega) against the pairing expression
+    -(1/2)(<om20,om20>_{1,0} + <om02,om02>_{0,1}) componentwise; the
+    fitted scale resolves the sign/scale convention left open by the
+    identification of the algebra with V00 + V20 + V02."""
+    return fit_pairing_scale(*omega_wedge_and_pairing())

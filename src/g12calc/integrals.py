@@ -194,21 +194,26 @@ def gradient(f: Poly) -> List[Poly]:
     return [f.diff(s) for s in K_SYMS]
 
 
+def row_times_j(row: List[Poly]) -> List[Poly]:
+    """The row vector `row` times J, one polynomial per column."""
+    j = _jmatrix_symbolic()
+    out = []
+    for col in range(12):
+        acc = Poly.zero()
+        for i in range(12):
+            if row[i].is_zero() or j[i, col].is_zero():
+                continue
+            acc = acc + row[i] * j[i, col]
+        out.append(acc)
+    return out
+
+
 def conservation_identity(coeff_72=Fraction(72)) -> dict:
     """grad(f_i) . J = 0 as a row-vector polynomial identity, i = 1, 2."""
     f1, f2 = first_integrals(coeff_72=coeff_72)
-    j = _jmatrix_symbolic()
     out = {}
     for name, f in (("f1", f1), ("f2", f2)):
-        grad = gradient(f)
-        residuals = []
-        for col in range(12):
-            acc = Poly.zero()
-            for i in range(12):
-                if grad[i].is_zero() or j[i, col].is_zero():
-                    continue
-                acc = acc + grad[i] * j[i, col]
-            residuals.append(acc)
+        residuals = row_times_j(gradient(f))
         out[name] = all(r.is_zero() for r in residuals)
         out[f"{name}_residuals"] = residuals
     out["both"] = out["f1"] and out["f2"]
@@ -311,13 +316,14 @@ def kernel_membership() -> bool:
 
 
 def det_vanishes_symbolically() -> dict:
-    """det(J) = 0 identically: certified by the nonzero left-kernel row
-    (the conservation identity) and cross-checked by a fraction-free
-    determinant on the rank-simplifying specialization a20 = t xy,
-    a02 = t' xy."""
+    """det(J) = 0 identically: certified by grad f1, a nonzero row that
+    is checked here to be a left-kernel row (grad f1 . J = 0 exactly), and
+    cross-checked by a fraction-free determinant on the rank-simplifying
+    specialization a20 = t xy, a02 = t' xy."""
     f1, _f2 = first_integrals()
     grad = gradient(f1)
     nonzero_left_kernel = any(not g.is_zero() for g in grad)
+    annihilates = all(r.is_zero() for r in row_times_j(grad))
     xy_family = {A20_SYMS[0]: Poly.const(0), A20_SYMS[1]: Poly.var("t"),
                  A20_SYMS[2]: Poly.const(0),
                  A02_SYMS[0]: Poly.const(0), A02_SYMS[1]: Poly.var("tp"),
@@ -325,8 +331,10 @@ def det_vanishes_symbolically() -> dict:
     jspec = _jmatrix_symbolic().subs(xy_family)
     det = matrix_det(jspec)
     return {"left_kernel_nonzero": nonzero_left_kernel,
+            "left_kernel_row_annihilates_J": annihilates,
             "specialized_det_zero": det.is_zero(),
-            "det_identically_zero": nonzero_left_kernel and det.is_zero()}
+            "det_identically_zero": (nonzero_left_kernel and annihilates
+                                     and det.is_zero())}
 
 
 def sigma_c_membership(assignment: Dict[str, Scalar]) -> bool:

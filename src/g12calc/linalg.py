@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals and over polynomial rings.
 
 Rank, kernel and solving are done for matrices with constant (rational)
-entries using fraction-free integer elimination; determinants also accept
-polynomial entries and use Bareiss one-step elimination, whose pivots
-divide exactly.  Everything is deterministic and exact.
+entries using fraction-free integer elimination, with one integer
+back-substitution shared by kernel and solve; a Fraction appears only
+when a solution vector is written out.  Determinants also accept
+polynomial entries and use Bareiss one-step elimination over Z[x], whose
+pivots divide exactly.  Everything is deterministic and exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence
 
 from .poly import Poly, Scalar, divexact
@@ -86,17 +88,26 @@ class PolyMatrix:
 
 
 def matrix_det(m: PolyMatrix) -> Poly:
-    """Exact determinant by Bareiss fraction-free elimination.
+    """Exact determinant by Bareiss fraction-free elimination in Z[x].
 
-    Works over any polynomial ring: the divisions performed are exact by
-    the Sylvester identity.
+    Each row is first scaled to integer coefficients by the lcm of its
+    coefficient denominators.  The Bareiss divisions are then exact in
+    Z[x] by the Sylvester identity, and the product of the row scales is
+    divided out once at the end.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return Poly.const(1)
-    a = [row[:] for row in m.entries]
+    a = []
+    scale = 1
+    for row in m.entries:
+        den = lcm(*(c.denominator for e in row for c in e.terms.values()))
+        if den != 1:
+            scale *= den
+            row = [e * den for e in row]
+        a.append(list(row))
     sign = 1
     prev = Poly.const(1)
     for k in range(n - 1):
@@ -115,27 +126,44 @@ def matrix_det(m: PolyMatrix) -> Poly:
             a[i][k] = Poly.zero()
         prev = a[k][k]
     det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    if sign != 1:
+        det = -det
+    return det if scale == 1 else det * Fraction(1, scale)
 
 
 # -- exact elimination over the rationals --------------------------------
 
 
-def _int_rows(rows: List[List[Scalar]]):
+def _stored_rows(m: PolyMatrix) -> List[list]:
+    """The stored int-or-Fraction values of a constant matrix."""
+    for row in m.entries:
+        for e in row:
+            if e.vars:
+                raise ValueError(f"not a constant: {e}")
+    return [[e.terms.get((), 0) for e in row] for row in m.entries]
+
+
+def _int_rows(rows: List[list]):
     """Scale each row to coprime integers (fraction-free working form)."""
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
+        den = lcm(*(x.denominator for x in row))
+        out.append(_primitive([x.numerator * (den // x.denominator)
+                               for x in row]))
     return out
+
+
+def _primitive(row: List[int]) -> List[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(pivot_row: List[int], row: List[int], c: int) -> List[int]:
+    """Primitive integer combination of `row` and `pivot_row` that is zero
+    in column c."""
+    g = gcd(pivot_row[c], row[c])
+    f1, f2 = pivot_row[c] // g, row[c] // g
+    return _primitive([f1 * a - f2 * b for a, b in zip(row, pivot_row)])
 
 
 def _row_echelon(int_rows: List[List[int]]):
@@ -156,17 +184,8 @@ def _row_echelon(int_rows: List[List[int]]):
         rows[r], rows[piv] = rows[piv], rows[r]
         pr = rows[r]
         for i in range(r + 1, nr):
-            ri = rows[i]
-            if ri[c]:
-                g = gcd(pr[c], ri[c])
-                f1, f2 = pr[c] // g, ri[c] // g
-                new = [f1 * a - f2 * b for a, b in zip(ri, pr)]
-                g2 = 0
-                for x in new:
-                    g2 = gcd(g2, x)
-                if g2 > 1:
-                    new = [x // g2 for x in new]
-                rows[i] = new
+            if rows[i][c]:
+                rows[i] = _eliminate(pr, rows[i], c)
         pivots.append(c)
         r += 1
         if r == nr:
@@ -174,9 +193,27 @@ def _row_echelon(int_rows: List[List[int]]):
     return pivots
 
 
+def _reduced_echelon(int_rows: List[List[int]]):
+    """In-place integer reduced row echelon; returns the pivot columns.
+
+    Afterwards pivot row r is nonzero in column pivots[r] and zero in
+    every other pivot column, so with d = row[pivots[r]] the solved
+    variable is x[pivots[r]] = (rhs - sum of free terms) / d.  Only the
+    caller's final read-out divides.
+    """
+    rows = int_rows
+    pivots = _row_echelon(rows)
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        for r2 in range(r):
+            if rows[r2][c]:
+                rows[r2] = _eliminate(rows[r], rows[r2], c)
+    return pivots
+
+
 def rank(m: PolyMatrix) -> int:
     """Exact rank of a constant matrix."""
-    rows = _int_rows(m.constant_rows())
+    rows = _int_rows(_stored_rows(m))
     if not rows:
         return 0
     return len(_row_echelon(rows))
@@ -190,25 +227,18 @@ def kernel_basis(m: PolyMatrix) -> List[List[Scalar]]:
     if m.rows == 0:
         return [[Fraction(1) if j == i else Fraction(0) for j in range(m.cols)]
                 for i in range(m.cols)]
-    rows = _int_rows(m.constant_rows())
-    pivots = _row_echelon(rows)
+    rows = _int_rows(_stored_rows(m))
+    pivots = _reduced_echelon(rows)
     nc = m.cols
-    # reduced echelon over Q for clean back-substitution
-    red = []
-    for r, c in enumerate(pivots):
-        red.append([Fraction(x, rows[r][c]) for x in rows[r]])
-    for r in range(len(pivots) - 1, -1, -1):
-        for r2 in range(r):
-            f = red[r2][pivots[r]]
-            if f:
-                red[r2] = [a - f * b for a, b in zip(red[r2], red[r])]
-    free = [c for c in range(nc) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(nc):
+        if fc in pivot_set:
+            continue
         v = [Fraction(0)] * nc
         v[fc] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -red[r][fc]
+            v[c] = Fraction(-rows[r][fc], rows[r][c])
         basis.append(v)
     return basis
 
@@ -227,22 +257,14 @@ def linsolve(m: PolyMatrix, rhs: Sequence[Scalar]):
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
     aug_rows = [row + [Fraction(rhs[i])]
-                for i, row in enumerate(m.constant_rows())]
+                for i, row in enumerate(_stored_rows(m))]
     ints = _int_rows(aug_rows)
-    pivots = _row_echelon(ints)
+    pivots = _reduced_echelon(ints)
     if m.cols in pivots:
         return None
-    red = []
-    for r, c in enumerate(pivots):
-        red.append([Fraction(x, ints[r][c]) for x in ints[r]])
-    for r in range(len(pivots) - 1, -1, -1):
-        for r2 in range(r):
-            f = red[r2][pivots[r]]
-            if f:
-                red[r2] = [a - f * b for a, b in zip(red[r2], red[r])]
     x = [Fraction(0)] * m.cols
     for r, c in enumerate(pivots):
-        x[c] = red[r][m.cols]
+        x[c] = Fraction(ints[r][m.cols], ints[r][c])
     return x, kernel_basis(m)
 
 

@@ -1,12 +1,19 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is stored as a map from exponent tuples to nonzero Fraction
-coefficients, together with an ordered tuple of variable names.  The
-representation is canonical: variables that appear in no term are dropped,
-zero coefficients are never stored, and the variable order is the fixed
-global one (form variables x1, y1, x2, y2 first, then parameter names
-sorted).  Two polynomials are equal iff their canonical forms are equal,
-so identity testing is a dict comparison.
+A polynomial is stored as a map from exponent tuples to nonzero exact
+coefficients, together with an ordered tuple of variable names.  A
+coefficient is an `int` whenever it is integral and a `Fraction`
+otherwise, so polynomials over Z (the common case) run on machine-speed
+integer arithmetic.  `float` is rejected at construction: no inexact
+value can enter.  The scalar accessors `constant_value()` and `eval()`
+always return a `Fraction`.
+
+The representation is canonical: variables that appear in no term are
+dropped, zero coefficients are never stored, integral coefficients are
+`int`, and the variable order is the fixed global one (form variables
+x1, y1, x2, y2 first, then parameter names sorted).  Two polynomials are
+equal iff their canonical forms are equal, so identity testing is a dict
+comparison.
 
 The zero polynomial has no variables and no terms.
 """
@@ -14,6 +21,7 @@ The zero polynomial has no variables and no terms.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add, sub as _sub
 from typing import Iterable, Mapping, Union
 
 Scalar = Fraction
@@ -29,14 +37,30 @@ def _var_key(name: str):
     return (1, 0, name)
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _exact(c):
+    """Canonical stored coefficient: `int` when integral, else `Fraction`."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
-        return Fraction(c)
+        return _exact(Fraction(c))
     raise TypeError(f"not an exact scalar: {c!r}")
+
+
+def _as_fraction(c) -> Fraction:
+    return Fraction(_exact(c))
+
+
+def _div(a, b):
+    """Exact quotient of two stored coefficients, canonical."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 class Poly:
@@ -46,18 +70,21 @@ class Poly:
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple, Scalar] = None):
         vs = tuple(vars)
-        tm = {} if terms is None else dict(terms)
-        # drop zero coefficients
-        tm = {e: _as_fraction(c) for e, c in tm.items() if c != 0}
+        tm = {}
+        if terms:
+            for e, c in terms.items():
+                c = _exact(c)
+                if c:
+                    tm[e] = c
         # drop unused variables and sort the rest into the global order
         if vs:
             used = [i for i in range(len(vs)) if any(e[i] for e in tm)]
             order = sorted(used, key=lambda i: _var_key(vs[i]))
-            vs2 = tuple(vs[i] for i in order)
-            tm = {tuple(e[i] for i in order): c for e, c in tm.items()}
-            vs, tm = vs2, tm
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", tm)
+            if order != list(range(len(vs))):
+                vs = tuple(vs[i] for i in order)
+                tm = {tuple(e[i] for i in order): c for e, c in tm.items()}
+        _set_vars(self, vs)
+        _set_terms(self, tm)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -70,10 +97,10 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = _as_fraction(c)
+        c = _exact(c)
         if c == 0:
             return Poly()
-        return Poly((), {(): c})
+        return _trusted((), {(): c})
 
     @staticmethod
     def var(name: str, power: int = 1, coeff=1) -> "Poly":
@@ -81,13 +108,13 @@ class Poly:
             raise ValueError("negative power")
         if power == 0:
             return Poly.const(coeff)
-        return Poly((name,), {(power,): _as_fraction(coeff)})
+        return Poly((name,), {(power,): coeff})
 
     @staticmethod
     def monomial(assignment: Mapping[str, int], coeff=1) -> "Poly":
         names = tuple(assignment)
         exps = tuple(assignment[n] for n in names)
-        return Poly(names, {exps: _as_fraction(coeff)})
+        return Poly(names, {exps: coeff})
 
     # -- basic queries -------------------------------------------------
 
@@ -95,14 +122,14 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
+        return not self.vars
 
     def constant_value(self) -> Scalar:
         if not self.terms:
             return Fraction(0)
-        if not self.is_constant():
+        if self.vars:
             raise ValueError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(self.terms[()])
 
     def degree(self, var: str = None) -> int:
         """Total degree, or degree in one variable; zero poly has degree 0."""
@@ -138,20 +165,33 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         vs, a, b = self._aligned(other)
         out = dict(a)
+        cancelled = False
         for e, c in b.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s += c
+            if not s:
+                del out[e]
+                cancelled = True
+            elif type(s) is int or s.denominator != 1:
                 out[e] = s
-        return Poly(vs, out)
+            else:
+                out[e] = s.numerator
+        # a cancelled term may take the last occurrence of a variable
+        return Poly(vs, out) if cancelled else _trusted(vs, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce(other))
@@ -161,22 +201,30 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _exact(other)
             if c == 0:
                 return Poly()
-            return Poly(self.vars, {e: k * c for e, k in self.terms.items()})
+            out = {}
+            for e, k in self.terms.items():
+                v = k * c
+                out[e] = v if type(v) is int or v.denominator != 1 \
+                    else v.numerator
+            return _trusted(self.vars, out)
         other = _coerce(other)
+        if not self.terms or not other.terms:
+            return Poly()
         vs, a, b = self._aligned(other)
         out = {}
+        get = out.get
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(vs, out)
+                e = tuple(map(_add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        # over an integral domain every variable of either factor stays
+        # in the product; only coefficients can cancel
+        return _trusted(vs, {
+            e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -194,7 +242,7 @@ class Poly:
 
     def __truediv__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _exact(other)
             if c == 0:
                 raise ZeroDivisionError("division by zero scalar")
             return self * (Fraction(1) / c)
@@ -226,33 +274,76 @@ class Poly:
                 if e[i] == 0:
                     continue
                 ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[ne] = out.get(ne, Fraction(0)) + c * e[i]
+                out[ne] = c * e[i]
             p = Poly(p.vars, out)
         return p
 
     def subs(self, assignment: Mapping[str, Union["Poly", Scalar, int]]) -> "Poly":
-        """Simultaneous substitution; unassigned variables stay."""
-        if not any(v in self.vars for v in assignment):
-            return self
-        repl = {}
-        for v, val in assignment.items():
-            repl[v] = val if isinstance(val, Poly) else Poly.const(val)
-        total = Poly()
-        pow_cache = {}
-        for e, c in self.terms.items():
-            factor = Poly.const(c)
-            for v, k in zip(self.vars, e):
-                if k == 0:
+        """Simultaneous substitution; unassigned variables stay.
+
+        Scalar and constant-Poly values are folded into the coefficients
+        in one pass over the terms, keyed by the exponents that remain;
+        the fold runs on integer numerators and denominators and makes one
+        canonical coefficient per key.  Only non-constant Poly values are
+        expanded through their powers.
+        """
+        vs = self.vars
+        scalars = []  # (position in vs, numerator, denominator)
+        polys = {}    # position in vs -> non-constant Poly value
+        keep = []     # positions of unassigned variables
+        for i, v in enumerate(vs):
+            if v not in assignment:
+                keep.append(i)
+                continue
+            val = assignment[v]
+            if isinstance(val, Poly):
+                if val.vars:
+                    polys[i] = val
                     continue
-                if v in repl:
-                    key = (v, k)
-                    if key not in pow_cache:
-                        pow_cache[key] = repl[v] ** k
-                    factor = factor * pow_cache[key]
-                else:
-                    factor = factor * Poly.var(v, k)
-            total = total + factor
-        return total
+                val = val.terms.get((), 0)
+            else:
+                val = _exact(val)
+            scalars.append((i, val.numerator, val.denominator))
+        if len(keep) == len(vs):
+            return self
+        ppos = list(polys)
+        groups = {}  # exponents of the Poly-valued vars -> {kept exps: [n, d]}
+        for e, c in self.terms.items():
+            n, d = c.numerator, c.denominator
+            for i, xn, xd in scalars:
+                k = e[i]
+                if k == 1:
+                    n *= xn
+                    d *= xd
+                elif k:
+                    n *= xn ** k
+                    d *= xd ** k
+            if not n:
+                continue
+            part = groups.setdefault(tuple([e[i] for i in ppos]), {})
+            ke = tuple([e[i] for i in keep])
+            acc = part.get(ke)
+            if acc is None:
+                part[ke] = [n, d]
+            elif acc[1] == d:
+                acc[0] += n
+            else:
+                acc[0] = acc[0] * d + n * acc[1]
+                acc[1] *= d
+        kept_vars = tuple([vs[i] for i in keep])
+        total = None
+        pows = {}
+        for pe, part in groups.items():
+            term = Poly(kept_vars, {ke: Fraction(n, d) if d != 1 else n
+                                    for ke, (n, d) in part.items()})
+            for i, k in zip(ppos, pe):
+                if k:
+                    f = pows.get((i, k))
+                    if f is None:
+                        f = pows[(i, k)] = polys[i] ** k
+                    term = term * f
+            total = term if total is None else total + term
+        return Poly() if total is None else total
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at a full rational point."""
@@ -289,7 +380,7 @@ class Poly:
             key = tuple(key)
             part = out.setdefault(key, {})
             re = tuple(rexp)
-            part[re] = part.get(re, Fraction(0)) + c
+            part[re] = part.get(re, 0) + c
         return {k: Poly(rest, tm) for k, tm in out.items()}
 
     # -- presentation ---------------------------------------------------
@@ -334,6 +425,20 @@ class Poly:
         return Poly(vs, tm)
 
 
+_set_vars = Poly.vars.__set__
+_set_terms = Poly.terms.__set__
+
+
+def _trusted(vs: tuple, tm: dict) -> Poly:
+    """Wrap data that is already canonical, without checking it: every
+    variable of `vs` occurs, in the global order, and every value of `tm`
+    is a nonzero canonical coefficient."""
+    p = object.__new__(Poly)
+    _set_vars(p, vs)
+    _set_terms(p, tm)
+    return p
+
+
 def _coerce(x) -> Poly:
     if isinstance(x, Poly):
         return x
@@ -346,33 +451,40 @@ def divexact(p: Poly, q: Poly) -> Poly:
     """Exact polynomial division; raises if q does not divide p.
 
     Leading-term elimination in lexicographic order.  Used by the
-    fraction-free determinant, where divisibility is guaranteed.
+    fraction-free determinant, where divisibility is guaranteed; with
+    integer coefficients on both sides each step is an exact `//`.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return Poly()
-    if q.is_constant():
-        return p * (Fraction(1) / q.constant_value())
+    if not q.vars:
+        qc = q.terms[()]
+        if qc == 1:
+            return p
+        return _trusted(p.vars, {e: _div(c, qc) for e, c in p.terms.items()})
     vs, a, b = p._aligned(q)
     qlead = max(b)
     qc = b[qlead]
+    qrest = [(eb, cb) for eb, cb in b.items() if eb != qlead]
     quot = {}
     rem = dict(a)
     while rem:
         lead = max(rem)
-        e = tuple(x - y for x, y in zip(lead, qlead))
+        e = tuple(map(_sub, lead, qlead))
         if any(x < 0 for x in e):
             raise ValueError("inexact polynomial division")
-        c = rem[lead] / qc
+        c = _div(rem.pop(lead), qc)
         quot[e] = c
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(e, eb))
-            s = rem.get(key, Fraction(0)) - c * cb
-            if s == 0:
+        for eb, cb in qrest:
+            key = tuple(map(_add, e, eb))
+            s = rem.get(key, 0) - c * cb
+            if not s:
                 rem.pop(key, None)
-            else:
+            elif type(s) is int or s.denominator != 1:
                 rem[key] = s
+            else:
+                rem[key] = s.numerator
     return Poly(vs, quot)
 
 

@@ -177,3 +177,47 @@ def test_verify_writes_report(tmp_path):
     assert main(["verify", "--suites", "frobenius", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["summary"]["fail"] == 0
+
+
+def test_json_safe_rejects_float_with_key_path():
+    with pytest.raises(TypeError, match=r"0\.5 at \$\.a\.b\[1\]"):
+        cli._json_safe({"a": {"b": [Fraction(1, 3), 0.5]}})
+    assert cli._json_safe({"a": [Fraction(2), 3, True, None, "s"]}) == \
+        {"a": ["2/1", 3, True, None, "s"]}
+
+
+def test_check_with_float_certificate_fails_and_names_the_path():
+    rec = cli._check("inexact", "a float in a certificate",
+                     lambda: {"_ok": True, "scale": [Fraction(1), -1.0]})
+    assert rec["status"] == "fail"
+    assert rec["certificate"] == {
+        "error": "TypeError: inexact value -1.0 at certificate.scale[1]"}
+
+
+def _bianchi_record(name):
+    report = run_suites(SuiteConfig(["bianchi"]))
+    return next(c for c in report["checks"] if c["check"] == name)
+
+
+def test_connection_square_gate_rejects_perturbed_wedge(monkeypatch):
+    ww, cand = cli.ex.omega_wedge_and_pairing()
+    fit = cli.ex.fit_pairing_scale
+    good = fit(ww, cand)
+    assert good["fits_every_component"]
+    assert good["fitted_scale"] == -1
+    # one component off the fitted scale, and a nonzero om00 component:
+    # the scale is still read from the first ratio, the gate must fail
+    off_scale = list(ww)
+    off_scale[5] = off_scale[5] + cand[5]
+    om00_hit = list(ww)
+    om00_hit[0] = cand[1]
+    for bad in (off_scale, om00_hit):
+        rep = fit(bad, cand)
+        assert rep["fitted_scale"] == -1
+        assert not rep["fits_every_component"]
+        monkeypatch.setattr(cli.ex, "omega_wedge_pairing_scale",
+                            lambda bad=bad: fit(bad, cand))
+        rec = _bianchi_record("connection_square_scale")
+        assert rec["status"] == "fail"
+        assert rec["certificate"] == {"matches_minus_half_pairing": False,
+                                      "fitted_scale": "-1/1"}

@@ -1,0 +1,193 @@
+"""Property tests of the exact core, and differential tests against sympy.
+
+`Poly` is checked for the ring axioms over mixed int/Fraction
+coefficients, for its canonical int-when-integral storage, for divexact
+round trips and for one-pass `subs` against a term-by-term expansion.
+`matrix_det`, rank and kernel are checked against sympy on random
+polynomial matrices and on the curvature Jacobian J at seeded points.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, strategies as st  # noqa: E402
+
+from g12calc.excalc import C_SYM  # noqa: E402
+from g12calc.integrals import K_SYMS, _jmatrix_symbolic  # noqa: E402
+from g12calc.linalg import (PolyMatrix, matrix_det,  # noqa: E402
+                            matrix_rank_kernel, random_rational_point)
+from g12calc.poly import Poly, _var_key, divexact  # noqa: E402
+
+VARS = ("x1", "y1", "t")
+
+coeffs = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    # integral values held as Fraction must come out as int
+    st.integers(-30, 30).map(Fraction))
+exponents = st.tuples(*[st.integers(0, 3)] * len(VARS))
+polys = st.dictionaries(exponents, coeffs, max_size=5).map(
+    lambda terms: Poly(VARS, terms))
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+
+def canonical(p: Poly) -> bool:
+    """Every stored coefficient nonzero and int exactly when integral,
+    every variable used, variables in the global order."""
+    for c in p.terms.values():
+        if type(c) is int:
+            ok = c != 0
+        else:
+            ok = type(c) is Fraction and c.denominator != 1
+        if not ok:
+            return False
+    used = all(any(e[i] for e in p.terms) for i in range(len(p.vars)))
+    return used and list(p.vars) == sorted(p.vars, key=_var_key)
+
+
+@given(polys, polys, polys)
+def test_ring_axioms_mixed_coefficients(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + Poly.zero() == a and a * Poly.const(1) == a
+    assert (a - a).is_zero() and (a * Poly.zero()).is_zero()
+
+
+@given(polys, polys, coeffs)
+def test_results_are_canonical(a, b, k):
+    for p in (a, a + b, a - b, -a, a * b, a * k, a.diff("x1"), a ** 2,
+              a.subs({"t": k}), a.subs({"x1": b})):
+        assert canonical(p)
+
+
+@given(polys, nonzero_polys)
+def test_divexact_round_trip(p, q):
+    assert divexact(p * q, q) == p
+
+
+@given(polys, coeffs.filter(lambda k: k != 0))
+def test_divexact_by_constant(p, k):
+    assert divexact(p * k, Poly.const(k)) == p
+    assert p * k / k == p
+
+
+def reference_subs(p: Poly, assignment: dict) -> Poly:
+    """Simultaneous substitution expanded term by term."""
+    total = Poly.zero()
+    for e, c in p.terms.items():
+        factor = Poly.const(c)
+        for v, k in zip(p.vars, e):
+            val = assignment.get(v, Poly.var(v))
+            factor = factor * (val if isinstance(val, Poly)
+                               else Poly.const(val)) ** k
+        total = total + factor
+    return total
+
+
+values = st.one_of(coeffs, coeffs.map(Poly.const), polys,
+                   st.sampled_from(VARS + ("s",)).map(Poly.var))
+
+
+@given(polys, st.dictionaries(st.sampled_from(VARS + ("s",)), values))
+def test_one_pass_subs_matches_reference(p, assignment):
+    assert p.subs(assignment) == reference_subs(p, assignment)
+
+
+# -- differential tests against sympy -----------------------------------------
+
+
+def to_sympy(p: Poly):
+    syms = [sympy.Symbol(v) for v in p.vars]
+    expr = sympy.Integer(0)
+    for e, c in p.terms.items():
+        c = Fraction(c)
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, k in zip(syms, e):
+            term *= s ** k
+        expr += term
+    return expr
+
+
+def sympy_matrix(m: PolyMatrix):
+    return sympy.Matrix([[to_sympy(e) for e in row] for row in m.entries])
+
+
+small_entries = st.dictionaries(st.tuples(st.integers(0, 2),
+                                          st.integers(0, 1)),
+                                coeffs, max_size=3).map(
+    lambda terms: Poly(("x1", "t"), terms))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_det_of_polynomial_matrices_against_sympy(rows):
+    m = PolyMatrix(rows)
+    want = sympy.expand(sympy_matrix(m).det(method="berkowitz"))
+    assert sympy.expand(to_sympy(matrix_det(m)) - want) == 0
+
+
+def checked_rank_kernel(m: PolyMatrix):
+    """(rank, kernel) with every kernel vector multiplied back to zero."""
+    rank, ker = matrix_rank_kernel(m)
+    rows = m.constant_rows()
+    for v in ker:
+        assert all(type(x) is Fraction for x in v)
+        assert all(sum(r[j] * v[j] for j in range(m.cols)) == 0
+                   for r in rows)
+    assert rank + len(ker) == m.cols
+    return rank, ker
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(coeffs, min_size=n + 1, max_size=n + 1),
+                       min_size=n, max_size=n)))
+def test_rank_and_kernel_of_constant_matrices_against_sympy(rows):
+    m = PolyMatrix(rows)
+    rank, _ker = checked_rank_kernel(m)
+    assert rank == sympy_matrix(m).rank()
+
+
+def jacobian_point(seed: int, free=()):
+    point = random_rational_point(list(K_SYMS) + [C_SYM], seed)
+    for s in free:
+        del point[s]
+    return point
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29, 101])
+def test_jacobian_rank_and_kernel_against_sympy(seed):
+    j = _jmatrix_symbolic().subs(jacobian_point(seed))
+    rank, ker = checked_rank_kernel(j)
+    sj = sympy_matrix(j)
+    assert rank == sj.rank() == 10
+    # the two kernels span the same space
+    theirs = [list(v) for v in sj.nullspace()]
+    stacked = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                             for x in v] for v in ker] + theirs)
+    assert stacked.rank() == len(ker) == len(theirs)
+    assert matrix_det(j).is_zero() and sj.det() == 0
+
+
+@pytest.mark.parametrize("seed,free", [(7, ("c", "a20_1")),
+                                       (11, ("b_2", "a02_0"))])
+def test_jacobian_minor_det_against_sympy(seed, free):
+    """det J vanishes identically, so compare a 6 x 6 minor with two
+    symbols left free instead."""
+    j = _jmatrix_symbolic().subs(jacobian_point(seed, free))
+    rng = random.Random(seed)
+    rows = sorted(rng.sample(range(12), 6))
+    cols = sorted(rng.sample(range(12), 6))
+    minor = PolyMatrix([[j[r, c] for c in cols] for r in rows])
+    want = sympy.expand(sympy_matrix(minor).det(method="berkowitz"))
+    got = matrix_det(minor)
+    assert not got.is_zero()
+    assert sympy.expand(to_sympy(got) - want) == 0

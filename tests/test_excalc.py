@@ -202,6 +202,7 @@ def test_omega_wedge_scale_reported():
     rep = omega_wedge_pairing_scale()
     assert rep["matches_minus_half_pairing"] or \
         rep["fitted_scale"] is not None
+    assert rep["fits_every_component"]
 
 
 def test_curvature_expansion_idempotent():

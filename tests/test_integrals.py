@@ -116,7 +116,21 @@ def test_kernel_columns_span_pointwise_kernel():
 
 def test_det_vanishes():
     rep = det_vanishes_symbolically()
+    assert rep["left_kernel_row_annihilates_J"]
     assert rep["det_identically_zero"]
+
+
+def test_det_certificate_rejects_a_row_outside_the_left_kernel(monkeypatch):
+    """With the mutated coefficient 71 grad f1 is still nonzero but no
+    longer a left-kernel row; the specialized det stays 0, so only the
+    grad f1 . J check can fail the certificate."""
+    import g12calc.integrals as ig
+    mutated = first_integrals(coeff_72=Fraction(71))
+    monkeypatch.setattr(ig, "first_integrals", lambda: mutated)
+    rep = det_vanishes_symbolically()
+    assert rep["left_kernel_nonzero"] and rep["specialized_det_zero"]
+    assert not rep["left_kernel_row_annihilates_J"]
+    assert not rep["det_identically_zero"]
 
 
 def test_rank_certificate_and_replay():

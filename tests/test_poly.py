@@ -114,3 +114,45 @@ def test_coefficients_in_collects_remaining_vars():
     parts = p.coefficients_in(("x1", "y1"))
     assert parts[(2, 0)] == parse_poly("a + b")
     assert parts[(0, 1)] == Poly.var("a")
+
+
+def test_integral_coefficients_stored_as_int():
+    p = parse_poly("3/2*x1 + 4/2*y1") * 2
+    assert all(type(c) is int for c in p.terms.values())
+    half = Poly.var("x1", 1, Fraction(1, 2))
+    assert type(half.terms[(1,)]) is Fraction
+    assert type((half * 2).terms[(1,)]) is int
+    assert type(divexact(parse_poly("2*x1^2 + 4*x1"),
+                         parse_poly("2*x1")).terms[(0,)]) is int
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly.const(0.5),
+    lambda: Poly.const(0.0),
+    lambda: Poly(("x1",), {(1,): 2.0}),
+    lambda: Poly(("x1",), {(1,): 0.0}),
+    lambda: Poly.var("x1", 1, 1.5),
+    lambda: Poly.monomial({"x1": 2}, 3.0),
+    lambda: Poly.var("x1") + 0.5,
+    lambda: Poly.var("x1") - 0.5,
+    lambda: Poly.var("x1") * 2.0,
+    lambda: 2.0 * Poly.var("x1"),
+    lambda: Poly.var("x1") / 2.0,
+    lambda: -Poly.var("x1") + 1.0,
+    lambda: Poly.var("x1").subs({"x1": 0.5}),
+    lambda: parse_poly("x1*y1").subs({"x1": 0.5, "y1": Poly.var("t")}),
+    lambda: Poly.var("x1").eval({"x1": 0.5}),
+])
+def test_float_rejected_on_every_constructor_path(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_scalar_accessors_return_fraction():
+    assert type(Poly.const(3).constant_value()) is Fraction
+    assert type(Poly.zero().constant_value()) is Fraction
+    assert type((Poly.var("x1") * 2).subs({"x1": 3}).constant_value()) \
+        is Fraction
+    value = parse_poly("x1*y1 + 1").eval({"x1": 2, "y1": Fraction(3)})
+    assert type(value) is Fraction and value == 7
+    assert type(Poly.zero().eval({})) is Fraction
