@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import PolyMatrix, _Lcg, matrix_rank_kernel
+from .linalg import PolyMatrix, _Lcg, matrix_rank_kernel, rank
 from .poly import Poly, Scalar
 
 SLOT_VARS = (("x1", "y1"), ("x2", "y2"))
@@ -384,10 +384,7 @@ def isotypic_decompose(rep: Rep) -> Dict[Tuple[int, int], int]:
                 row = [e[r][c] for c in idxs]
                 if any(row):
                     rows.append(row)
-        if rows:
-            mult = len(idxs) - matrix_rank_kernel(PolyMatrix(rows))[0]
-        else:
-            mult = len(idxs)
+        mult = len(idxs) - rank(PolyMatrix(rows))
         if mult:
             out[w] = mult
     total = sum(mult * dim_v(*w) for w, mult in out.items())

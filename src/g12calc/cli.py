@@ -56,8 +56,7 @@ def _json_safe(value, path: str = "$"):
 
 class SuiteConfig:
     def __init__(self, suites: List[str], seed: int = 7, c_value="symbolic",
-                 out: Optional[str] = None, fmt: str = "json",
-                 workers: int = 1):
+                 out: Optional[str] = None, fmt: str = "json"):
         unknown = [s for s in suites if s not in SUITE_ORDER + ("all",)]
         if unknown:
             raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
@@ -69,7 +68,6 @@ class SuiteConfig:
         self.c_value = c_value
         self.out = out
         self.fmt = fmt
-        self.workers = max(1, workers)
 
     def numeric_c(self) -> Fraction:
         if self.c_value == "symbolic":
@@ -541,20 +539,9 @@ SUITES: Dict[str, Callable[[SuiteConfig], List[dict]]] = {
 
 def run_suites(cfg: SuiteConfig) -> dict:
     started = time.monotonic()
-    results: Dict[str, List[dict]] = {}
-    if cfg.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {name: pool.submit(SUITES[name], cfg)
-                       for name in cfg.suites}
-            for name in cfg.suites:
-                results[name] = futures[name].result()
-    else:
-        for name in cfg.suites:
-            results[name] = SUITES[name](cfg)
     checks = []
-    for name in cfg.suites:   # deterministic order
-        for record in results[name]:
+    for name in cfg.suites:
+        for record in SUITES[name](cfg):
             record["suite"] = name
             checks.append(record)
     summary = {"pass": sum(1 for c in checks if c["status"] == "pass"),
@@ -784,8 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=_env_default("out", None))
     pv.add_argument("--format", choices=("json", "text"),
                     default=_env_default("format", "json"))
-    pv.add_argument("--workers", type=int,
-                    default=int(_env_default("workers", 1)))
 
     pd = sub.add_parser("decompose", help="isotypic decomposition")
     pd.add_argument("expr")
@@ -829,7 +814,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             try:
                 cfg = SuiteConfig(args.suites, args.seed, args.c,
-                                  args.out, args.format, args.workers)
+                                  args.out, args.format)
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2

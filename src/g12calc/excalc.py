@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import binforms as bf
 from .binforms import BiForm, basis, dim_v, from_coords, pairing_table
-from .linalg import (PolyMatrix, kernel_basis, linsolve, matrix_rank_kernel,
-                     solve_sparse)
-from .poly import Poly, Scalar
+from .linalg import (PolyMatrix, kernel_basis, linsolve, rank,
+                     reduced_echelon, solve_sparse)
+from .poly import Poly
 
 # -- coframe ----------------------------------------------------------------
 
@@ -430,12 +430,9 @@ def bianchi_solve() -> dict:
         a02c = [1 if slot - 3 == t else 0 for t in range(3)]
         unit_vecs.append(ansatz_vector(a20c, a02c, display))
     # is span(unit_vecs) == kernel?
-    kmat = PolyMatrix([list(v) for v in kernel])
-    both = PolyMatrix([list(v) for v in kernel] + [list(v) for v in unit_vecs])
-    ansmat = PolyMatrix([list(v) for v in unit_vecs])
-    rk_kernel = matrix_rank_kernel(kmat.transpose())[0]
-    rk_ansatz = matrix_rank_kernel(ansmat.transpose())[0]
-    rk_both = matrix_rank_kernel(both.transpose())[0]
+    rk_kernel = rank(PolyMatrix(kernel))
+    rk_ansatz = rank(PolyMatrix(unit_vecs))
+    rk_both = rank(PolyMatrix(kernel + unit_vecs))
     return {
         "solution_dim": len(kernel),
         "ansatz_rank": rk_ansatz,
@@ -599,10 +596,9 @@ def derive_da() -> dict:
                     {s: 0 for s in B_SYMS if s != B_SYMS[j]}).constant_value()
         disp_vecs.append(vec)
     ker_u = [v[4:] for v in kernel]
-    rk_ker = matrix_rank_kernel(PolyMatrix(ker_u).transpose())[0]
-    rk_disp = matrix_rank_kernel(PolyMatrix(disp_vecs).transpose())[0]
-    rk_both = matrix_rank_kernel(
-        PolyMatrix(ker_u + disp_vecs).transpose())[0]
+    rk_ker = rank(PolyMatrix(ker_u))
+    rk_disp = rank(PolyMatrix(disp_vecs))
+    rk_both = rank(PolyMatrix(ker_u + disp_vecs))
     return {
         "alphas": alphas,
         "freedom_dim": len(kernel),
@@ -993,7 +989,7 @@ def ideal_substitution(cf: Coframe,
     n = len(cf)
     rows = []
     for g in ideal_forms:
-        row = [Fraction(0)] * n
+        row = [0] * n
         for mono, coeff in g.terms.items():
             if len(mono) != 1:
                 raise ValueError("ideal generators must be 1-forms")
@@ -1002,33 +998,14 @@ def ideal_substitution(cf: Coframe,
                                  "coefficients")
             row[mono[0]] = coeff.constant_value()
         rows.append(row)
-    # reduced row echelon
-    pivots = []
-    r = 0
-    work = [row[:] for row in rows]
-    for c in range(n):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pc = work[r][c]
-        work[r] = [x / pc for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
+    pivots, work = reduced_echelon(rows)
     subs = {}
     for r, c in enumerate(pivots):
         repl = FormExpr.zero(cf)
         for j in range(n):
             if j != c and work[r][j]:
-                repl = repl + FormExpr.gen(cf, j).scale(-work[r][j])
+                repl = repl + FormExpr.gen(cf, j).scale(
+                    Fraction(-work[r][j], work[r][c]))
         subs[c] = repl
     return subs
 
@@ -1163,11 +1140,9 @@ def restriction_chain() -> dict:
         gb = BiForm(1, 2, Poly.var("x1") * u.poly.diff("x2")
                     + Poly.var("y1") * u.poly.diff("y2"))
         grad_vecs.append([c.constant_value() for c in gb.coords()])
-    rk_ker = matrix_rank_kernel(PolyMatrix(b_kernel).transpose())[0] \
-        if b_kernel else 0
-    rk_grad = matrix_rank_kernel(PolyMatrix(grad_vecs).transpose())[0]
-    rk_both = matrix_rank_kernel(
-        PolyMatrix(b_kernel + grad_vecs).transpose())[0]
+    rk_ker = rank(PolyMatrix(b_kernel))
+    rk_grad = rank(PolyMatrix(grad_vecs))
+    rk_both = rank(PolyMatrix(b_kernel + grad_vecs))
     b_matches_gradient = (rk_ker == rk_grad == rk_both == 4)
 
     # step 3: rank of the five constraint differentials at an admissible
@@ -1185,8 +1160,7 @@ def restriction_chain() -> dict:
     for j, cval in enumerate(bgrad.coords()):
         assignment[B_SYMS[j]] = cval.constant_value()
     # two functionals cutting the gradient subspace out of b-space
-    cut = kernel_rows = [list(v) for v in
-                         _complement_functionals(grad_vecs, 6)]
+    cut = kernel_basis(PolyMatrix(grad_vecs))
     diffs = []
     for k in range(3):
         diffs.append(sys.param_rules[A20_SYMS[k]].scale(2)
@@ -1204,9 +1178,9 @@ def restriction_chain() -> dict:
         for gidx in live:
             row.append(fe.coefficient((gidx,)).subs(assignment))
         mat.append(row)
-    rank_all = matrix_rank_kernel(PolyMatrix(mat))[0]
-    rank_a = matrix_rank_kernel(PolyMatrix(mat[:3]))[0]
-    rank_b = matrix_rank_kernel(PolyMatrix(mat[3:]))[0]
+    rank_all = rank(PolyMatrix(mat))
+    rank_a = rank(PolyMatrix(mat[:3]))
+    rank_b = rank(PolyMatrix(mat[3:]))
     # the five differentials satisfy exactly one relation on the locus:
     # the conserved first integral vanishes identically there, so its
     # (identically zero) differential ties the blocks together; rank 4
@@ -1224,11 +1198,6 @@ def restriction_chain() -> dict:
         "blocks_independent": rank_a == 3 and rank_b == 2,
         "admissible_submanifold_dim": 12 - rank_all,
     }
-
-
-def _complement_functionals(vecs: List[List[Scalar]], n: int):
-    """Basis of linear functionals vanishing on the span of vecs."""
-    return kernel_basis(PolyMatrix(vecs))
 
 
 def omega_wedge_and_pairing() -> Tuple[list, list]:

@@ -19,8 +19,8 @@ from .binforms import BiForm, basis, dim_v, from_coords, transvectant2
 from .excalc import (A02_SYMS, A20_SYMS, B_SYMS, C_SYM, OM02_NAMES,
                      OM20_NAMES, THETA_NAMES, FormExpr, StructureSystem,
                      build_system, contract, exterior_d)
-from .linalg import (PolyMatrix, invert_rational, matrix_det,
-                     matrix_rank_kernel, random_rational_point)
+from .linalg import (PolyMatrix, invert_rational, matrix_det, rank,
+                     random_rational_point)
 from .poly import Poly, Scalar
 
 K_SYMS = A20_SYMS + A02_SYMS + B_SYMS
@@ -364,17 +364,17 @@ def rank_certificate(c_value: Scalar, seed: int, retries: int = 10) -> dict:
     else:
         raise ValueError("could not find a point off the singular locus")
     j = _jmatrix_symbolic().subs(assignment)
-    rank, _ker = matrix_rank_kernel(j)
+    rank_j = rank(j)
     flat = dict.fromkeys(K_SYMS, Fraction(0))
     flat[C_SYM] = Fraction(c_value)
     jflat = _jmatrix_symbolic().subs(flat)
-    rank_flat, _ = matrix_rank_kernel(jflat)
+    rank_flat = rank(jflat)
     return {
         "seed": used_seed,
         "c": str(Fraction(c_value)),
         "point": {k: str(v) for k, v in assignment.items()},
-        "rank_at_point": rank,
-        "rank_is_10": rank == 10,
+        "rank_at_point": rank_j,
+        "rank_is_10": rank_j == 10,
         "flat_point_rank": rank_flat,
         "flat_point_rank_below_10": rank_flat < 10,
         "flat_point_on_sigma": sigma_c_membership(flat),
@@ -389,9 +389,9 @@ def rank_dichotomy_samples(c_value: Scalar, seeds: Sequence[int]) -> dict:
         assignment = random_rational_point(list(K_SYMS), seed)
         assignment[C_SYM] = Fraction(c_value)
         on_sigma = sigma_c_membership(assignment)
-        rank, _ = matrix_rank_kernel(_jmatrix_symbolic().subs(assignment))
-        results.append({"seed": seed, "on_sigma": on_sigma, "rank": rank,
-                        "consistent": (rank == 10) == (not on_sigma)})
+        rk = rank(_jmatrix_symbolic().subs(assignment))
+        results.append({"seed": seed, "on_sigma": on_sigma, "rank": rk,
+                        "consistent": (rk == 10) == (not on_sigma)})
     # engineered singular points: a = b = 0 and a20-only points
     specials = [dict.fromkeys(K_SYMS, Fraction(0))]
     sp2 = dict.fromkeys(K_SYMS, Fraction(0))
@@ -400,9 +400,9 @@ def rank_dichotomy_samples(c_value: Scalar, seeds: Sequence[int]) -> dict:
     for assignment in specials:
         assignment[C_SYM] = Fraction(c_value)
         on_sigma = sigma_c_membership(assignment)
-        rank, _ = matrix_rank_kernel(_jmatrix_symbolic().subs(assignment))
-        results.append({"seed": None, "on_sigma": on_sigma, "rank": rank,
-                        "consistent": (rank == 10) == (not on_sigma)})
+        rk = rank(_jmatrix_symbolic().subs(assignment))
+        results.append({"seed": None, "on_sigma": on_sigma, "rank": rk,
+                        "consistent": (rk == 10) == (not on_sigma)})
     return {"samples": results,
             "all_consistent": all(r["consistent"] for r in results)}
 

@@ -1,11 +1,22 @@
 """Exact linear algebra over the rationals and over polynomial rings.
 
-Rank, kernel and solving are done for matrices with constant (rational)
-entries using fraction-free integer elimination, with one integer
-back-substitution shared by kernel and solve; a Fraction appears only
-when a solution vector is written out.  Determinants also accept
-polynomial entries and use Bareiss one-step elimination over Z[x], whose
-pivots divide exactly.  Everything is deterministic and exact.
+Every elimination over Q goes through one integer core: each row is
+scaled to coprime integers (the one place values enter, and where
+`float` is rejected), then `reduced_echelon` reduces the rows
+fraction-free, forward and back, and returns the pivot columns with the
+reduced integer rows.  The public operations are views of it:
+
+- `rank` runs the forward pass only and counts pivots;
+- `kernel_basis`, `linsolve` and `solve_sparse` share one read-out of
+  (particular solution, kernel basis) from the reduced rows of [A | b];
+- `invert_rational` reduces [A | I] and divides the right half by the
+  pivots;
+- `excalc.ideal_substitution` reads its pivot generators from it.
+
+A Fraction appears only when a result is written out.  Determinants also
+accept polynomial entries and use Bareiss one-step elimination over
+Z[x], whose pivots divide exactly.  Everything is deterministic and
+exact.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence
 
-from .poly import Poly, Scalar, divexact
+from .poly import Poly, Scalar, _exact, divexact
 
 
 class PolyMatrix:
@@ -143,14 +154,17 @@ def _stored_rows(m: PolyMatrix) -> List[list]:
     return [[e.terms.get((), 0) for e in row] for row in m.entries]
 
 
-def _int_rows(rows: List[list]):
-    """Scale each row to coprime integers (fraction-free working form)."""
-    out = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        out.append(_primitive([x.numerator * (den // x.denominator)
-                               for x in row]))
-    return out
+def _int_row(values) -> List[int]:
+    """Scale one row of exact scalars to coprime integers.
+
+    This is the only way values enter the integer core, so the `poly`
+    exactness guard here is what rejects a float at every entry point.
+    """
+    row = list(map(_exact, values))
+    den = lcm(*[x.denominator for x in row])
+    if den != 1:
+        row = [x.numerator * (den // x.denominator) for x in row]
+    return _primitive(row)
 
 
 def _primitive(row: List[int]) -> List[int]:
@@ -193,30 +207,54 @@ def _row_echelon(int_rows: List[List[int]]):
     return pivots
 
 
-def _reduced_echelon(int_rows: List[List[int]]):
-    """In-place integer reduced row echelon; returns the pivot columns.
+def reduced_echelon(rows: Sequence[Sequence[Scalar]]):
+    """(pivot columns, reduced integer rows) of a matrix of exact scalars.
 
-    Afterwards pivot row r is nonzero in column pivots[r] and zero in
-    every other pivot column, so with d = row[pivots[r]] the solved
-    variable is x[pivots[r]] = (rhs - sum of free terms) / d.  Only the
-    caller's final read-out divides.
+    Each row is scaled to coprime integers, then reduced fraction-free,
+    forward and back.  Afterwards row r is nonzero in column pivots[r] and
+    zero in every other pivot column; rows past len(pivots) are zero.
+    The rational reduced echelon form is row r divided by
+    rows[r][pivots[r]], so a caller divides only in its final read-out.
     """
-    rows = int_rows
-    pivots = _row_echelon(rows)
+    ints = [_int_row(row) for row in rows]
+    pivots = _row_echelon(ints)
     for r in range(len(pivots) - 1, 0, -1):
         c = pivots[r]
         for r2 in range(r):
-            if rows[r2][c]:
-                rows[r2] = _eliminate(rows[r], rows[r2], c)
-    return pivots
+            if ints[r2][c]:
+                ints[r2] = _eliminate(ints[r], ints[r2], c)
+    return pivots, ints
+
+
+def _solution(pivots: List[int], rows: List[List[int]], n: int):
+    """(particular, kernel basis) of A x = b in n unknowns, read off the
+    reduced integer rows of [A | b]; None when b holds a pivot.
+
+    Rows of width n (no b column) give the particular solution 0.  Each
+    kernel vector has a 1 in one free column and 0 in the others.
+    """
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [Fraction(0)] * n
+    if rows and len(rows[0]) > n:
+        for r, c in enumerate(pivots):
+            x[c] = Fraction(rows[r][n], rows[r][c])
+    pivot_set = set(pivots)
+    kernel = []
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = Fraction(-rows[r][fc], rows[r][c])
+        kernel.append(v)
+    return x, kernel
 
 
 def rank(m: PolyMatrix) -> int:
-    """Exact rank of a constant matrix."""
-    rows = _int_rows(_stored_rows(m))
-    if not rows:
-        return 0
-    return len(_row_echelon(rows))
+    """Exact rank of a constant matrix (forward elimination only)."""
+    return len(_row_echelon([_int_row(row) for row in _stored_rows(m)]))
 
 
 def kernel_basis(m: PolyMatrix) -> List[List[Scalar]]:
@@ -224,23 +262,7 @@ def kernel_basis(m: PolyMatrix) -> List[List[Scalar]]:
 
     Each basis vector has a 1 in one free column and 0 in the others.
     """
-    if m.rows == 0:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(m.cols)]
-                for i in range(m.cols)]
-    rows = _int_rows(_stored_rows(m))
-    pivots = _reduced_echelon(rows)
-    nc = m.cols
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(nc):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = Fraction(-rows[r][fc], rows[r][c])
-        basis.append(v)
-    return basis
+    return _solution(*reduced_echelon(_stored_rows(m)), m.cols)[1]
 
 
 def matrix_rank_kernel(m: PolyMatrix):
@@ -256,16 +278,8 @@ def linsolve(m: PolyMatrix, rhs: Sequence[Scalar]):
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug_rows = [row + [Fraction(rhs[i])]
-                for i, row in enumerate(_stored_rows(m))]
-    ints = _int_rows(aug_rows)
-    pivots = _reduced_echelon(ints)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = Fraction(ints[r][m.cols], ints[r][c])
-    return x, kernel_basis(m)
+    aug = [row + [rhs[i]] for i, row in enumerate(_stored_rows(m))]
+    return _solution(*reduced_echelon(aug), m.cols)
 
 
 def solve_sparse(rows: List[dict], ncols: int):
@@ -275,92 +289,31 @@ def solve_sparse(rows: List[dict], ncols: int):
         sum_{c < ncols} coeff[c] * x_c + coeff[ncols] = 0,
     i.e. column `ncols` holds the constant term.  Returns
     (particular solution, kernel basis) over the x's, or None if
-    inconsistent.  Used for the large structure-equation solves where
-    dense matrices would be wasteful.
+    inconsistent.  Each row is written into a dense row of the shared
+    integer elimination.
     """
-    pivots = {}  # pivot col -> integer row dict
+    dense = []
     for row in rows:
-        den = 1
-        for v in row.values():
-            fv = Fraction(v)
-            den = den * fv.denominator // gcd(den, fv.denominator)
-        r = {c: int(Fraction(v) * den) for c, v in row.items() if v}
-        while r:
-            g = 0
-            for v in r.values():
-                g = gcd(g, v)
-            if g > 1:
-                r = {c: v // g for c, v in r.items()}
-            c = min(r)
-            if c not in pivots:
-                pivots[c] = r
-                break
-            p = pivots[c]
-            g = gcd(abs(p[c]), abs(r[c]))
-            f1, f2 = p[c] // g, r[c] // g
-            new = {}
-            for cc in set(p) | set(r):
-                v = f1 * r.get(cc, 0) - f2 * p.get(cc, 0)
-                if v:
-                    new[cc] = v
-            r = new
-    if ncols in pivots:
-        return None  # a row reduced to constant = 0 with nonzero constant
-    solved = {}  # col -> (const, {free col: coeff}): x_c = const + sum coeff*x_free
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        const = Fraction(-row.get(ncols, 0))
-        lin = {}
-        for cc, v in row.items():
-            if cc == c or cc == ncols:
-                continue
-            fv = Fraction(v)
-            if cc in solved:
-                sc, sl = solved[cc]
-                const -= fv * sc
-                for fc, fcv in sl.items():
-                    lin[fc] = lin.get(fc, Fraction(0)) - fv * fcv
-            else:
-                lin[cc] = lin.get(cc, Fraction(0)) - fv
-        pc = Fraction(row[c])
-        solved[c] = (const / pc, {fc: v / pc for fc, v in lin.items() if v})
-    particular = [Fraction(0)] * ncols
-    for c, (const, _lin) in solved.items():
-        particular[c] = const
-    kernel = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for c, (_const, lin) in solved.items():
-            if fc in lin:
-                v[c] = lin[fc]
-        kernel.append(v)
-    return particular, kernel
+        d = [0] * (ncols + 1)
+        for c, v in row.items():
+            d[c] = v
+        dense.append(d)
+    pivots, ints = reduced_echelon(dense)
+    for r in ints:  # the constant term moves to the right-hand side
+        r[ncols] = -r[ncols]
+    return _solution(pivots, ints, ncols)
 
 
 def invert_rational(rows: List[List[Scalar]]) -> List[List[Scalar]]:
-    """Exact inverse of a square rational matrix by Gauss-Jordan."""
+    """Exact inverse of a square rational matrix: reduce [A | I] once."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0)
-                                       for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if a[r][c]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        pc = a[c][c]
-        a[c] = [x / pc for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
+    pivots, ints = reduced_echelon(
+        [list(row) + [1 if j == i else 0 for j in range(n)]
+         for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(ints[r][n + j], ints[r][r]) for j in range(n)]
+            for r in range(n)]
 
 
 # -- deterministic random rational points --------------------------------

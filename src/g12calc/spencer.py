@@ -26,7 +26,7 @@ from .binforms import (BiForm, LieElt, Rep, basis, dim_v, from_coords,
                        isotypic_decompose, rep_matrices, symbolic,
                        transvectant2)
 from .linalg import (PolyMatrix, invert_rational, linsolve,
-                     matrix_rank_kernel, solve_sparse)
+                     matrix_rank_kernel, rank, solve_sparse)
 from .poly import Poly
 
 
@@ -52,15 +52,13 @@ class LinearLieAlgebra:
         n = self.n
         span_rows = [[m[i][j] for i in range(n) for j in range(n)]
                      for m in self.basis_mats]
+        span_rank = rank(PolyMatrix(span_rows))
         for a in range(self.dim):
             for b in range(a + 1, self.dim):
                 ab = self._mat_mul(self.basis_mats[a], self.basis_mats[b])
                 ba = self._mat_mul(self.basis_mats[b], self.basis_mats[a])
                 comm = [ab[i][j] - ba[i][j] for i in range(n) for j in range(n)]
-                mat = PolyMatrix([list(col) for col in
-                                  zip(*(span_rows + [comm]))])
-                if matrix_rank_kernel(mat)[0] != matrix_rank_kernel(
-                        PolyMatrix(list(zip(*span_rows))))[0]:
+                if rank(PolyMatrix(span_rows + [comm])) != span_rank:
                     raise ValueError(
                         f"{self.name}: basis is not closed under brackets")
 
@@ -426,8 +424,7 @@ def decode_torsion(values: Sequence[Poly]) -> TorsionCoords:
 
 
 def torsion_encode_rank() -> int:
-    return matrix_rank_kernel(
-        PolyMatrix([list(r) for r in _torsion_encode_matrix()]))[0]
+    return rank(PolyMatrix(_torsion_encode_matrix()))
 
 
 def spencer_of_phi(phi: PhiCoords) -> Callable[[BiForm, BiForm], BiForm]:

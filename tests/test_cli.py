@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import g12calc
 from g12calc import cli
 from g12calc.cli import (SuiteConfig, main, run_suites, strip_timings)
 
@@ -57,13 +61,23 @@ def test_determinism_of_reports():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
-def test_workers_do_not_change_report():
-    base = strip_timings(run_suites(SuiteConfig(["frobenius", "bianchi"],
-                                                seed=7)))
-    threaded = strip_timings(run_suites(SuiteConfig(["frobenius", "bianchi"],
-                                                    seed=7, workers=3)))
-    assert json.dumps(base, sort_keys=True) == \
-        json.dumps(threaded, sort_keys=True)
+def test_cold_reports_agree_across_hash_seeds():
+    """Two fresh processes with different string hashing give the same
+    stripped report, so no result depends on hash order or on caches
+    warmed by an earlier run in the same process."""
+    src = os.path.dirname(os.path.dirname(g12calc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "g12calc", "verify", "--suites",
+             "bianchi", "restriction", "frobenius", "--seed", "7"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.dumps(strip_timings(json.loads(proc.stdout)),
+                                  sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 def test_decompose_product(capsys):

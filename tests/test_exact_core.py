@@ -4,7 +4,9 @@
 coefficients, for its canonical int-when-integral storage, for divexact
 round trips and for one-pass `subs` against a term-by-term expansion.
 `matrix_det`, rank and kernel are checked against sympy on random
-polynomial matrices and on the curvature Jacobian J at seeded points.
+polynomial matrices and on the curvature Jacobian J at seeded points;
+`solve_sparse` and `invert_rational` against sympy on random sparse
+rational systems.
 """
 
 import random
@@ -19,8 +21,9 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from g12calc.excalc import C_SYM  # noqa: E402
 from g12calc.integrals import K_SYMS, _jmatrix_symbolic  # noqa: E402
-from g12calc.linalg import (PolyMatrix, matrix_det,  # noqa: E402
-                            matrix_rank_kernel, random_rational_point)
+from g12calc.linalg import (PolyMatrix, invert_rational,  # noqa: E402
+                            matrix_det, matrix_rank_kernel,
+                            random_rational_point, solve_sparse)
 from g12calc.poly import Poly, _var_key, divexact  # noqa: E402
 
 VARS = ("x1", "y1", "t")
@@ -154,6 +157,56 @@ def test_rank_and_kernel_of_constant_matrices_against_sympy(rows):
     m = PolyMatrix(rows)
     rank, _ker = checked_rank_kernel(m)
     assert rank == sympy_matrix(m).rank()
+
+
+def rational(x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+sparse_systems = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.dictionaries(st.integers(0, n), coeffs, max_size=3),
+             min_size=1, max_size=6)))
+
+
+@given(sparse_systems)
+def test_solve_sparse_against_sympy(system):
+    """Row {col: coeff} means sum coeff * x_col + coeff[n] = 0.  With the
+    free unknowns set to 0 the particular solution is sympy's, and the
+    kernel basis is sympy's nullspace (a 1 in one free column)."""
+    n, rows = system
+    a = sympy.Matrix([[rational(r.get(j, 0)) for j in range(n)]
+                      for r in rows])
+    b = sympy.Matrix([-rational(r.get(n, 0)) for r in rows])
+    got = solve_sparse(rows, n)
+    try:
+        sol, params = a.gauss_jordan_solve(b)
+    except ValueError:  # sympy: the system is inconsistent
+        assert got is None
+        return
+    part, ker = got
+    assert [rational(x) for x in part] == \
+        list(sol.subs({p: 0 for p in params}))
+    assert [[rational(x) for x in v] for v in ker] == \
+        [list(v) for v in a.nullspace()]
+
+
+sparse_coeffs = st.one_of(st.just(0), coeffs)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(sparse_coeffs, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_invert_rational_against_sympy(rows):
+    m = sympy.Matrix([[rational(x) for x in row] for row in rows])
+    if m.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            invert_rational(rows)
+        return
+    inv = invert_rational(rows)
+    assert all(type(x) is Fraction for row in inv for x in row)
+    assert [[rational(x) for x in row] for row in inv] == m.inv().tolist()
 
 
 def jacobian_point(seed: int, free=()):

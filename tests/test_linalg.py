@@ -102,11 +102,24 @@ def test_solve_sparse_matches_dense():
         for i in range(4):
             assert sum(rows_d[i][j] * part[j] for j in range(4)) == rhs[i]
         rank, dense_ker = matrix_rank_kernel(m)
-        assert len(ker) == len(dense_ker)
+        assert ker == dense_ker
+        assert (part, ker) == linsolve(m, rhs)
+
+
+def test_solve_sparse_edge_rows():
+    zero = [Fraction(0)] * 2
+    unit = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert solve_sparse([], 2) == (zero, unit)
+    assert solve_sparse([{}, {0: 0, 1: 0}], 2) == (zero, unit)
+    assert solve_sparse([{2: 0}], 2) == (zero, unit)
+    assert solve_sparse([{0: 2, 2: -3}, {2: 0}], 2) == \
+        ([Fraction(3, 2), Fraction(0)], [[Fraction(0), Fraction(1)]])
 
 
 def test_solve_sparse_inconsistent():
     assert solve_sparse([{0: 1, 2: -1}, {0: 1, 2: -2}], 2) is None
+    assert solve_sparse([{2: 5}], 2) is None
+    assert solve_sparse([{0: 1}, {2: Fraction(1, 3)}], 2) is None
 
 
 def test_invert_rational():
@@ -120,6 +133,18 @@ def test_invert_rational():
              for j in range(4)] for i in range(4)]
     assert prod == [[Fraction(1 if i == j else 0) for j in range(4)]
                     for i in range(4)]
+    for singular in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0]]):
+        with pytest.raises(ValueError, match="singular"):
+            invert_rational(singular)
+
+
+def test_float_rejected_at_every_entry_point():
+    with pytest.raises(TypeError):
+        linsolve(PolyMatrix([[1, 0], [0, 2]]), [0.5, 1.5])
+    with pytest.raises(TypeError):
+        solve_sparse([{0: 0.5, 1: 1}], 1)
+    with pytest.raises(TypeError):
+        invert_rational([[0.5]])
 
 
 def test_random_point_determinism_and_bounds():
