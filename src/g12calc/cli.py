@@ -754,6 +754,19 @@ def _env_default(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name.upper(), fallback)
 
 
+def _c_text(text: str) -> str:
+    """argparse type of --c: 'symbolic' or an exact rational literal,
+    kept as given so the report records it unchanged."""
+    if text != "symbolic":
+        try:
+            Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"expected 'symbolic' or a rational number, got {text!r}"
+            ) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="g12calc",
@@ -764,9 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("--suites", nargs="+", default=["all"],
                     help=f"subset of {', '.join(SUITE_ORDER)} or 'all'")
-    pv.add_argument("--seed", type=int,
-                    default=int(_env_default("seed", 7)))
-    pv.add_argument("--c", default=_env_default("c", "symbolic"),
+    pv.add_argument("--seed", type=int, default=_env_default("seed", "7"))
+    pv.add_argument("--c", type=_c_text,
+                    default=_env_default("c", "symbolic"),
                     help="rational value for the constant, or 'symbolic'")
     pv.add_argument("--out", default=_env_default("out", None))
     pv.add_argument("--format", choices=("json", "text"),
@@ -786,12 +799,12 @@ def build_parser() -> argparse.ArgumentParser:
                     default="h12")
 
     pj = sub.add_parser("jmatrix", help="emit the curvature Jacobian")
-    pj.add_argument("--c", default="symbolic")
+    pj.add_argument("--c", type=_c_text, default="symbolic")
     pj.add_argument("--emit", choices=("json", "text"), default="json")
 
     pr = sub.add_parser("rank", help="rank certificate at a seeded point")
-    pr.add_argument("--seed", type=int, default=int(_env_default("seed", 7)))
-    pr.add_argument("--c", default="1")
+    pr.add_argument("--seed", type=int, default=_env_default("seed", "7"))
+    pr.add_argument("--c", type=_c_text, default="1")
 
     pi = sub.add_parser("integrals", help="conservation identity check")
     pi.add_argument("--check", action="store_true")

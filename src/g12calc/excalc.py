@@ -10,9 +10,13 @@ Coefficients are exact polynomials in the 13 curvature parameters
 Nothing here is transcribed blind: the curvature ansatz is the exact
 kernel of the algebraic Bianchi operator, and the parameter differential
 rules (da, db, dc) are solved for as exact linear systems in unknown
-ansatz coefficients.  The solved constants are then compared against the
-expected displays; a mismatch would surface as a solver inconsistency or
-a reported delta, never a silently wrong rule.
+ansatz coefficients.  One rule solver, `_solve_rules`, serves all three
+stages: the unknown coefficients are polynomial variables inside the
+trial rules, one exterior_d pass over the targets gives d^2 = 0 affine
+in them, and `linalg.linear_rows` turns it into the sparse system.  The
+solved constants are then compared against the expected displays; a
+mismatch would surface as a solver inconsistency or a reported delta,
+never a silently wrong rule.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import binforms as bf
 from .binforms import BiForm, basis, dim_v, from_coords, pairing_table
-from .linalg import (PolyMatrix, kernel_basis, linsolve, rank,
+from .linalg import (PolyMatrix, kernel_basis, linear_rows, linsolve, rank,
                      reduced_echelon, solve_sparse)
 from .poly import Poly
 
@@ -370,6 +375,10 @@ def _g12_apply(k: int, q: VForm) -> VForm:
     return out
 
 
+CURVATURE_DISPLAY = (Fraction(-4), Fraction(3), Fraction(1), Fraction(1),
+                     Fraction(-7))
+
+
 def bianchi_solve() -> dict:
     """Exact solution space of <<W, theta>>_1 = 0 for algebra-valued
     2-forms W built on theta ^ theta, and its match against the
@@ -380,55 +389,31 @@ def bianchi_solve() -> dict:
     cf = Coframe(COFRAME_NAMES)
     theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
     pairs = list(combinations(range(6), 2))
-    # unknown index: pair_idx * 7 + k
-    ncols = len(pairs) * 7
-    triples = list(combinations(range(6), 3))
-    tindex = {t: i for i, t in enumerate(triples)}
-    rows_map: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for pi, (p, q) in enumerate(pairs):
-        wform = FormExpr.gen(cf, p).wedge(FormExpr.gen(cf, q))
-        for k in range(7):
-            col = pi * 7 + k
-            acted = _g12_apply(k, theta)
-            res = VForm(1, 2, [wform.wedge(c) for c in acted.comps])
-            for comp_idx, fe in enumerate(res.comps):
-                for mono, coeff in fe.terms.items():
-                    key = (tindex[mono], comp_idx)
-                    rows_map.setdefault(key, {})[col] = \
-                        rows_map.setdefault(key, {}).get(col, Fraction(0)) + \
-                        coeff.constant_value()
-    rows = [r for r in rows_map.values() if r]
-    sol = solve_sparse(rows, ncols)
-    _part, kernel = sol
-    # the displayed ansatz, coefficients (c1..c5) on the five pairing terms
-    def ansatz_vector(a20_coords, a02_coords, coeffs):
-        c1, c2, c3, c4, c5 = coeffs
-        a20 = VForm(2, 0, [FormExpr.scalar(cf, Fraction(x)) for x in a20_coords])
-        a02 = VForm(0, 2, [FormExpr.scalar(cf, Fraction(x)) for x in a02_coords])
-        th12 = pair_vforms(theta, theta, 1, 2)
-        th01 = pair_vforms(theta, theta, 0, 1)
-        th10 = pair_vforms(theta, theta, 1, 0)
-        om20part = (pair_vforms(a20, th12, 0, 0).scale(c1)
-                    + pair_vforms(a02, th01, 0, 2).scale(c2))
-        om02part = (pair_vforms(a20, th01, 2, 0).scale(c3)
-                    + pair_vforms(a02, th10, 0, 2).scale(c4)
-                    + pair_vforms(a02, th12, 0, 0).scale(c5))
-        vec = [Fraction(0)] * ncols
-        comp_of = {}
-        for gk, vf in ((1, om20part), (4, om02part)):
-            for widx in range(3):
-                fe = vf.comps[widx]
-                for mono, coeff in fe.terms.items():
-                    pi = pairs.index(mono)
-                    vec[pi * 7 + gk + widx] += coeff.constant_value()
-        return vec
-
-    display = (Fraction(-4), Fraction(3), Fraction(1), Fraction(1), Fraction(-7))
+    # unknown pair_idx * 7 + k: coefficient of theta_p ^ theta_q in the
+    # k-th algebra component of W
+    syms, ws = _unknowns([f"w{pi}_{k}" for pi in range(len(pairs))
+                          for k in range(7)])
+    res = VForm.zero(cf, 1, 2)
+    for k in range(7):
+        wk = FormExpr(cf, {pq: ws[pi * 7 + k] for pi, pq in enumerate(pairs)})
+        acted = _g12_apply(k, theta)
+        res = res + VForm(1, 2, [wk.wedge(c) for c in acted.comps])
+    rows = linear_rows([coeff for fe in res.comps
+                        for coeff in fe.terms.values()], syms)
+    _part, kernel = solve_sparse(rows, len(syms))
+    # the displayed ansatz for each unit curvature parameter, in the same
+    # coordinates
     unit_vecs = []
     for slot in range(6):
-        a20c = [1 if slot == t else 0 for t in range(3)]
-        a02c = [1 if slot - 3 == t else 0 for t in range(3)]
-        unit_vecs.append(ansatz_vector(a20c, a02c, display))
+        a20 = VForm(2, 0, [FormExpr.scalar(cf, int(slot == t))
+                           for t in range(3)])
+        a02 = VForm(0, 2, [FormExpr.scalar(cf, int(slot == 3 + t))
+                           for t in range(3)])
+        o00, o20, o02 = curvature_vform(cf, theta, CURVATURE_DISPLAY,
+                                        a20, a02)
+        comps = [o00] + o20.comps + o02.comps
+        unit_vecs.append([comps[k].coefficient(pq).constant_value()
+                          for pq in pairs for k in range(7)])
     # is span(unit_vecs) == kernel?
     rk_kernel = rank(PolyMatrix(kernel))
     rk_ansatz = rank(PolyMatrix(unit_vecs))
@@ -437,14 +422,12 @@ def bianchi_solve() -> dict:
         "solution_dim": len(kernel),
         "ansatz_rank": rk_ansatz,
         "ansatz_spans_solutions": (rk_kernel == rk_both == rk_ansatz == 6),
-        "display_coefficients": [str(x) for x in display],
+        "display_coefficients": [str(x) for x in CURVATURE_DISPLAY],
         "kernel": kernel,
     }
 
 
-def curvature_vform(cf: Coframe, theta: VForm,
-                    coeffs=(Fraction(-4), Fraction(3), Fraction(1),
-                            Fraction(1), Fraction(-7)),
+def curvature_vform(cf: Coframe, theta: VForm, coeffs=CURVATURE_DISPLAY,
                     a20: Optional[VForm] = None,
                     a02: Optional[VForm] = None) -> Tuple[FormExpr, VForm, VForm]:
     """The curvature 2-form in algebra components (om00, V20, V02 parts),
@@ -466,10 +449,6 @@ def curvature_vform(cf: Coframe, theta: VForm,
 
 
 # -- derivation of the parameter differential rules -------------------------
-
-
-def _base_coframe() -> Coframe:
-    return Coframe(COFRAME_NAMES)
 
 
 def _omega_gens(cf: Coframe, include_om00: bool):
@@ -497,36 +476,81 @@ def _domega_rules(cf: Coframe, om00, om20, om02, omega_parts) -> Dict[int, FormE
     return rules
 
 
-def _collect_rows(bases: List[FormExpr],
-                  contribs: List[Tuple[int, List[FormExpr]]],
-                  ncols: int) -> List[dict]:
-    """Linear equations `base + sum x_col contrib = 0`, one row per
-    (component, exterior monomial, parameter monomial)."""
-    rows: Dict[tuple, dict] = {}
-
-    def add(comp: int, fe: FormExpr, col):
-        for mono, coeff in fe.terms.items():
-            for pexp, val in coeff.terms.items():
-                pm = tuple(sorted((v, e) for v, e in zip(coeff.vars, pexp) if e))
-                key = (comp, mono, pm)
-                row = rows.setdefault(key, {})
-                row[col] = row.get(col, Fraction(0)) + val
-
-    for comp, fe in enumerate(bases):
-        add(comp, fe, ncols)
-    for col, fes in contribs:
-        for comp, fe in enumerate(fes):
-            add(comp, fe, col)
-    return [r for r in rows.values() if r]
+class _Frame(NamedTuple):
+    """Coframe generators and their differential rules."""
+    cf: Coframe
+    om00: FormExpr
+    om20: VForm
+    om02: VForm
+    theta: VForm
+    gen_rules: Dict[int, FormExpr]
 
 
-def _d_with(expr: FormExpr, cf: Coframe, gen_rules, param_rules) -> FormExpr:
-    sys = StructureSystem("tmp", cf, gen_rules, param_rules)
-    return exterior_d(expr, sys)
+def _frame(names: Sequence[str] = COFRAME_NAMES, include_om00: bool = True,
+           curvature_coeffs=None) -> _Frame:
+    """The coframe, the connection and theta generators, and the dtheta and
+    domega rules with the curvature ansatz (the display unless
+    `curvature_coeffs` is given)."""
+    cf = Coframe(names)
+    om00, om20, om02 = _omega_gens(cf, include_om00)
+    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
+    omega_parts = curvature_vform(cf, theta, CURVATURE_DISPLAY
+                                  if curvature_coeffs is None
+                                  else curvature_coeffs)
+    gen_rules = _dtheta_rules(cf, om00, om20, om02, theta)
+    gen_rules.update(_domega_rules(cf, om00, om20, om02, omega_parts))
+    return _Frame(cf, om00, om20, om02, theta, gen_rules)
+
+
+def _unknowns(names: Sequence[str]) -> Tuple[Tuple[str, ...], List[Poly]]:
+    """Fresh Poly variables, one per unknown coefficient: (names, vars)."""
+    syms = tuple(f"k_{n}" for n in names)
+    return syms, [Poly.var(s) for s in syms]
+
+
+def _solve_rules(targets: Sequence[FormExpr], gen_rules, param_rules,
+                 unknowns: Sequence[str]):
+    """Solve d(target) = 0 for every target, in the unknown coefficients
+    (the Poly variables named by `unknowns`) that the rules carry.
+
+    One exterior_d pass over the targets; every coefficient of the result
+    is affine in the unknowns and gives one row per monomial in the
+    curvature parameters.  Returns solve_sparse's (particular, kernel),
+    or None when no choice of the unknowns closes.
+    """
+    sys = StructureSystem("solve", targets[0].cf, gen_rules, param_rules)
+    polys = [c for t in targets for c in exterior_d(t, sys).terms.values()]
+    return solve_sparse(linear_rows(polys, unknowns), len(unknowns))
+
+
+def _a_rules(fr: _Frame, alphas, theta_part) -> Dict[str, FormExpr]:
+    """Differential rule for the six a-parameters: `alphas` on the
+    equivariant connection terms om00 a20, <om20,a20>_{1,0}, om00 a02,
+    <om02,a02>_{0,1}, plus theta_part[w] for the w-th parameter."""
+    al1, al2, al3, al4 = alphas
+    a20 = VForm.from_params(fr.cf, 2, 0, A20_SYMS)
+    a02 = VForm.from_params(fr.cf, 0, 2, A02_SYMS)
+    p20 = pair_vforms(fr.om20, a20, 1, 0)
+    p02 = pair_vforms(fr.om02, a02, 0, 1)
+    rules = {}
+    for w in range(3):
+        rules[A20_SYMS[w]] = (fr.om00.scale(Poly.var(A20_SYMS[w]) * al1)
+                              + p20.comps[w].scale(al2) + theta_part[w])
+        rules[A02_SYMS[w]] = (fr.om00.scale(Poly.var(A02_SYMS[w]) * al3)
+                              + p02.comps[w].scale(al4) + theta_part[3 + w])
+    return rules
+
+
+def _b_theta_part(fr: _Frame) -> List[FormExpr]:
+    """The displayed theta-part of the a-rule, parametrized by b:
+    3<b,theta>_{0,2} for a20, <b,theta>_{1,1} for a02."""
+    b = VForm.from_params(fr.cf, 1, 2, B_SYMS)
+    return (pair_vforms(b, fr.theta, 0, 2).scale(3).comps
+            + pair_vforms(b, fr.theta, 1, 1).comps)
 
 
 @lru_cache(maxsize=None)
-def derive_da() -> dict:
+def derive_da() -> Mapping:
     """Solve for the differential rule of the curvature parameters.
 
     Unknowns: 4 coefficients on the equivariant connection terms and a
@@ -535,168 +559,105 @@ def derive_da() -> dict:
     in the theta-part, which is exactly the image of the displayed
     parametrization (3<b,theta>_{0,2}, <b,theta>_{1,1}).
     """
-    cf = _base_coframe()
-    om00, om20, om02 = _omega_gens(cf, include_om00=True)
-    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
-    omega_parts = curvature_vform(cf, theta)
-    gen_rules = {}
-    gen_rules.update(_dtheta_rules(cf, om00, om20, om02, theta))
-    gen_rules.update(_domega_rules(cf, om00, om20, om02, omega_parts))
-    dom_targets = [gen_rules[cf.index[n]] for n in OM20_NAMES + OM02_NAMES]
-    dom_targets = dom_targets + [gen_rules[cf.index["om00"]]]
-
-    # candidate rule sets for the six a-parameters
-    a20 = VForm.from_params(cf, 2, 0, A20_SYMS)
-    a02 = VForm.from_params(cf, 0, 2, A02_SYMS)
-    candidates: List[Dict[str, FormExpr]] = []
-    # 0..3: equivariant parts
-    c_omega00_a20 = {A20_SYMS[w]: om00.scale(Poly.var(A20_SYMS[w]))
-                     for w in range(3)}
-    pam = pair_vforms(om20, a20, 1, 0)
-    c_pair_a20 = {A20_SYMS[w]: pam.comps[w] for w in range(3)}
-    c_omega00_a02 = {A02_SYMS[w]: om00.scale(Poly.var(A02_SYMS[w]))
-                     for w in range(3)}
-    pam2 = pair_vforms(om02, a02, 0, 1)
-    c_pair_a02 = {A02_SYMS[w]: pam2.comps[w] for w in range(3)}
-    candidates.extend([c_omega00_a20, c_pair_a20, c_omega00_a02, c_pair_a02])
-    # 4..39: theta-parts, parameter component w gets theta_t
-    all_a = A20_SYMS + A02_SYMS
-    for w in range(6):
-        for t in range(6):
-            candidates.append({all_a[w]: FormExpr.gen(cf, THETA_NAMES[t])})
-
-    bases = [_d_with(r, cf, gen_rules, {}) for r in dom_targets]
-    contribs = []
-    for col, cand in enumerate(candidates):
-        contribs.append((col, [_d_with(r, cf, {}, cand) for r in dom_targets]))
-    rows = _collect_rows(bases, contribs, len(candidates))
-    sol = solve_sparse(rows, len(candidates))
+    fr = _frame()
+    th = [(fr.cf.index[n],) for n in THETA_NAMES]
+    syms, ks = _unknowns(("om00_a20", "om20_a20", "om00_a02", "om02_a02")
+                         + tuple(f"{a}_{n}" for a in A20_SYMS + A02_SYMS
+                                 for n in THETA_NAMES))
+    theta_part = [FormExpr(fr.cf, {th[t]: ks[4 + 6 * w + t] for t in range(6)})
+                  for w in range(6)]
+    targets = [fr.gen_rules[fr.cf.index[n]]
+               for n in OM20_NAMES + OM02_NAMES + ("om00",)]
+    sol = _solve_rules(targets, fr.gen_rules,
+                       _a_rules(fr, ks[:4], theta_part), syms)
     if sol is None:
         raise ValueError("no consistent differential rule for the curvature "
                          "parameters (transcription error)")
     part, kernel = sol
-    alphas = part[:4]
-    if any(any(v[i] for i in range(4)) for v in kernel):
+    if any(any(v[:4]) for v in kernel):
         raise ValueError("unexpected freedom in the connection part")
     # match the kernel with the displayed parametrization by b
-    b = VForm.from_params(cf, 1, 2, B_SYMS)
-    disp20 = pair_vforms(b, theta, 0, 2).scale(3)
-    disp02 = pair_vforms(b, theta, 1, 1)
-    disp_vecs = []
-    for j in range(6):
-        unit = {B_SYMS[j]: Fraction(1)}
-        vec = [Fraction(0)] * 36
-        for w in range(3):
-            for t in range(6):
-                c20 = disp20.comps[w].coefficient((cf.index[THETA_NAMES[t]],))
-                c02 = disp02.comps[w].coefficient((cf.index[THETA_NAMES[t]],))
-                vec[w * 6 + t] += c20.subs(unit).subs(
-                    {s: 0 for s in B_SYMS if s != B_SYMS[j]}).constant_value()
-                vec[(w + 3) * 6 + t] += c02.subs(unit).subs(
-                    {s: 0 for s in B_SYMS if s != B_SYMS[j]}).constant_value()
-        disp_vecs.append(vec)
+    disp = _b_theta_part(fr)
+    disp_vecs = [[disp[w].coefficient(th[t]).diff(s).constant_value()
+                  for w in range(6) for t in range(6)] for s in B_SYMS]
     ker_u = [v[4:] for v in kernel]
     rk_ker = rank(PolyMatrix(ker_u))
     rk_disp = rank(PolyMatrix(disp_vecs))
     rk_both = rank(PolyMatrix(ker_u + disp_vecs))
-    return {
-        "alphas": alphas,
+    return MappingProxyType({
+        "alphas": tuple(part[:4]),
         "freedom_dim": len(kernel),
         "display_matches_freedom": rk_ker == rk_disp == rk_both == 6,
-    }
+    })
 
 
-def _da_rules(cf: Coframe, om00, om20, om02, theta) -> Dict[str, FormExpr]:
-    """Differential rule for the six a-parameters with the connection
-    coefficients taken from the exact solve and the theta-part in the
-    displayed b-parametrization (3<b,th>_{0,2}, <b,th>_{1,1})."""
-    al1, al2, al3, al4 = derive_da()["alphas"]
+# the shapes of the b-rule, in _b_rules order; the last three are built on
+# even self-pairings of theta, invisible to d^2(a) = 0
+B_SHAPES = ("om00b", "om20b", "om02b", "prod_11", "sq02_02",
+            "d1_theta", "d2_theta", "theta")
+UNDETERMINED_B_SHAPES = B_SHAPES[5:]
+
+
+def _b_rules(fr: _Frame, coeffs: Mapping) -> Dict[str, FormExpr]:
+    """Differential rule for b: the sum of coeffs[name] * shape over
+    B_SHAPES.
+
+    The shapes are the three equivariant connection terms on b and every
+    equivariant theta-shape quadratic in the a-parameters paired into
+    V_{1,2}: <a20 a02, theta>_{1,1}, <a02^2, theta>_{0,2}, d1 theta and
+    d2 theta with the scalar invariants d1 = <a20,a20>_{2,0},
+    d2 = <a02,a02>_{0,2}, and the bare theta, whose coefficient is the
+    parameter c.  A coefficient is a scalar or a Poly.
+    """
+    cf, theta = fr.cf, fr.theta
     a20 = VForm.from_params(cf, 2, 0, A20_SYMS)
     a02 = VForm.from_params(cf, 0, 2, A02_SYMS)
     b = VForm.from_params(cf, 1, 2, B_SYMS)
-    da20 = (pair_vforms(om20, a20, 1, 0).scale(al2)
-            + pair_vforms(b, theta, 0, 2).scale(3))
-    da02 = (pair_vforms(om02, a02, 0, 1).scale(al4)
-            + pair_vforms(b, theta, 1, 1))
+    d1 = pair_vforms(a20, a20, 2, 0).comps[0].coefficient(())
+    d2 = pair_vforms(a02, a02, 0, 2).comps[0].coefficient(())
+    shapes = {
+        "om00b": VForm(1, 2, [fr.om00.scale(Poly.var(s)) for s in B_SYMS]),
+        "om20b": pair_vforms(fr.om20, b, 1, 0),
+        "om02b": pair_vforms(fr.om02, b, 0, 1),
+        "prod_11": pair_vforms(pair_vforms(a20, a02, 0, 0), theta, 1, 1),
+        "sq02_02": pair_vforms(pair_vforms(a02, a02, 0, 0), theta, 0, 2),
+        "d1_theta": theta.scale(d1),
+        "d2_theta": theta.scale(d2),
+        "theta": theta,
+    }
     rules = {}
-    for w in range(3):
-        rules[A20_SYMS[w]] = da20.comps[w] + om00.scale(
-            Poly.var(A20_SYMS[w]) * al1)
-        rules[A02_SYMS[w]] = da02.comps[w] + om00.scale(
-            Poly.var(A02_SYMS[w]) * al3)
+    for w, s in enumerate(B_SYMS):
+        r = FormExpr.zero(cf)
+        for name in B_SHAPES:
+            if coeffs[name]:
+                r = r + shapes[name].comps[w].scale(coeffs[name])
+        rules[s] = r
     return rules
 
 
-def _db_theta_catalog(cf: Coframe, theta: VForm) -> List[Tuple[str, VForm]]:
-    """All equivariant shapes a V_{1,2}-valued theta-part of the b-rule
-    can take: quadratics in the a-parameters paired into V_{1,2} against
-    theta, plus the bare theta direction (whose coefficient is the new
-    parameter c)."""
-    a20 = VForm.from_params(cf, 2, 0, A20_SYMS)
-    a02 = VForm.from_params(cf, 0, 2, A02_SYMS)
-    prod = pair_vforms(a20, a02, 0, 0)       # V_{2,2}
-    sq02 = pair_vforms(a02, a02, 0, 0)       # V_{0,4}
-    d1 = pair_vforms(a20, a20, 2, 0).comps[0].terms.get((), Poly.zero())
-    d2 = pair_vforms(a02, a02, 0, 2).comps[0].terms.get((), Poly.zero())
-    theta_d1 = VForm(1, 2, [c.scale(d1) for c in theta.comps])
-    theta_d2 = VForm(1, 2, [c.scale(d2) for c in theta.comps])
-    return [
-        ("prod_11", pair_vforms(prod, theta, 1, 1)),
-        ("sq02_02", pair_vforms(sq02, theta, 0, 2)),
-        ("d1_theta", theta_d1),
-        ("d2_theta", theta_d2),
-        ("theta", theta),
-    ]
-
-
 @lru_cache(maxsize=None)
-def derive_db() -> dict:
+def derive_db() -> Mapping:
     """Solve for the differential rule of the b-parameter from
     d^2(a) = 0.
 
-    Candidates: the three equivariant connection terms and the
-    equivariant theta-shapes quadratic in the a-parameters.  The solve
-    leaves exactly one free direction, the bare theta-shape, whose
-    coefficient is the new parameter c.
+    Unknowns: the coefficients of the three equivariant connection terms
+    and of the equivariant theta-shapes quadratic in the a-parameters.
+    The solve leaves exactly the shapes invisible to d^2(a) = 0 free:
+    d1 theta and d2 theta, fixed at the next stage, and the bare theta,
+    whose coefficient is the new parameter c.
     """
-    cf = _base_coframe()
-    om00, om20, om02 = _omega_gens(cf, include_om00=True)
-    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
-    omega_parts = curvature_vform(cf, theta)
-    gen_rules = {}
-    gen_rules.update(_dtheta_rules(cf, om00, om20, om02, theta))
-    gen_rules.update(_domega_rules(cf, om00, om20, om02, omega_parts))
-    param_rules = _da_rules(cf, om00, om20, om02, theta)
-
-    b = VForm.from_params(cf, 1, 2, B_SYMS)
-    candidates: List[Dict[str, FormExpr]] = []
-    candidates.append({B_SYMS[w]: om00.scale(Poly.var(B_SYMS[w]))
-                       for w in range(6)})
-    pb20 = pair_vforms(om20, b, 1, 0)
-    candidates.append({B_SYMS[w]: pb20.comps[w] for w in range(6)})
-    pb02 = pair_vforms(om02, b, 0, 1)
-    candidates.append({B_SYMS[w]: pb02.comps[w] for w in range(6)})
-    catalog = _db_theta_catalog(cf, theta)
-    names = ["om00b", "om20b", "om02b"]
-    for cname, vf in catalog:
-        candidates.append({B_SYMS[w]: vf.comps[w] for w in range(6)})
-        names.append(cname)
-
-    da_targets = [param_rules[s] for s in A20_SYMS + A02_SYMS]
-    bases = [_d_with(r, cf, gen_rules, param_rules) for r in da_targets]
-    contribs = []
-    for col, cand in enumerate(candidates):
-        contribs.append((col, [_d_with(r, cf, {}, cand) for r in da_targets]))
-    rows = _collect_rows(bases, contribs, len(candidates))
-    sol = solve_sparse(rows, len(candidates))
+    fr = _frame()
+    a_rules = _a_rules(fr, derive_da()["alphas"], _b_theta_part(fr))
+    syms, ks = _unknowns(B_SHAPES)
+    param_rules = {**a_rules, **_b_rules(fr, dict(zip(B_SHAPES, ks)))}
+    sol = _solve_rules([a_rules[s] for s in A20_SYMS + A02_SYMS],
+                       fr.gen_rules, param_rules, syms)
     if sol is None:
         raise ValueError("no consistent differential rule for b "
                          "(transcription error)")
     part, kernel = sol
-    # the shapes built on even self-pairings of theta are invisible to
-    # d^2(a) = 0 and get determined at the next stage; the kernel must be
-    # exactly their span
-    invisible = {names.index(n) for n in ("d1_theta", "d2_theta", "theta")}
+    # the kernel must be exactly the span of the invisible shapes
+    invisible = {B_SHAPES.index(n) for n in UNDETERMINED_B_SHAPES}
     if len(kernel) != len(invisible):
         raise ValueError(f"unexpected freedom solving for the b-rule: "
                          f"{len(kernel)}")
@@ -707,49 +668,23 @@ def derive_db() -> dict:
         if part[i]:
             raise ValueError("particular solution touched an undetermined "
                              "shape")
-    coeffs = dict(zip(names, part))
-    gammas = [coeffs["om00b"], coeffs["om20b"], coeffs["om02b"]]
-    return {"gammas": gammas,
-            "shape_coefficients": coeffs,
-            "undetermined_shapes": ("d1_theta", "d2_theta", "theta")}
+    return MappingProxyType({
+        "gammas": tuple(part[:3]),
+        "shape_coefficients": MappingProxyType(dict(zip(B_SHAPES, part))),
+        "undetermined_shapes": UNDETERMINED_B_SHAPES,
+    })
 
 
-def _db_rules_partial(cf: Coframe, om00, om20, om02, theta) -> Dict[str, FormExpr]:
-    """The b-rule with the shapes visible to d^2(a) = 0, plus c theta;
-    the d1/d2-shape coefficients are attached by the next stage."""
-    derived = derive_db()
-    g1, g2, g3 = derived["gammas"]
-    coeffs = derived["shape_coefficients"]
-    b = VForm.from_params(cf, 1, 2, B_SYMS)
-    pb20 = pair_vforms(om20, b, 1, 0)
-    pb02 = pair_vforms(om02, b, 0, 1)
-    catalog = dict(_db_theta_catalog(cf, theta))
-    rules = {}
-    for w in range(6):
-        r = (om00.scale(Poly.var(B_SYMS[w]) * g1)
-             + pb20.comps[w].scale(g2) + pb02.comps[w].scale(g3))
-        r = r + catalog["prod_11"].comps[w].scale(coeffs["prod_11"])
-        r = r + catalog["sq02_02"].comps[w].scale(coeffs["sq02_02"])
-        r = r + FormExpr.gen(cf, THETA_NAMES[w]).scale(Poly.var(C_SYM))
-        rules[B_SYMS[w]] = r
-    return rules
-
-
-def _db_rules(cf: Coframe, om00, om20, om02, theta) -> Dict[str, FormExpr]:
-    """Full differential rule for b: the partial rule plus the d1/d2
-    theta-shapes solved for by derive_dc."""
-    rules = _db_rules_partial(cf, om00, om20, om02, theta)
-    dc = derive_dc()
-    catalog = dict(_db_theta_catalog(cf, theta))
-    for w in range(6):
-        rules[B_SYMS[w]] = (rules[B_SYMS[w]]
-                            + catalog["d1_theta"].comps[w].scale(dc["q_d1"])
-                            + catalog["d2_theta"].comps[w].scale(dc["q_d2"]))
-    return rules
+def _solved_b_rules(fr: _Frame, q_d1, q_d2) -> Dict[str, FormExpr]:
+    """The b-rule with the coefficients solved by derive_db, q_d1 and q_d2
+    on the d1/d2 theta-shapes and c on the bare theta."""
+    return _b_rules(fr, {**derive_db()["shape_coefficients"],
+                         "d1_theta": q_d1, "d2_theta": q_d2,
+                         "theta": Poly.var(C_SYM)})
 
 
 @lru_cache(maxsize=None)
-def derive_dc() -> dict:
+def derive_dc() -> Mapping:
     """Solve jointly for the two remaining b-rule coefficients (the
     d1 theta and d2 theta shapes) and the differential rule of c, from
     d^2(b) = 0.
@@ -758,52 +693,31 @@ def derive_dc() -> dict:
     d2 shows up as a 2-dimensional kernel; it is fixed by requiring dc to
     be a pure multiple of c om00.
     """
-    cf = _base_coframe()
-    om00, om20, om02 = _omega_gens(cf, include_om00=True)
-    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
-    omega_parts = curvature_vform(cf, theta)
-    gen_rules = {}
-    gen_rules.update(_dtheta_rules(cf, om00, om20, om02, theta))
-    gen_rules.update(_domega_rules(cf, om00, om20, om02, omega_parts))
-    param_rules = dict(_da_rules(cf, om00, om20, om02, theta))
-    param_rules.update(_db_rules_partial(cf, om00, om20, om02, theta))
-
-    a20 = VForm.from_params(cf, 2, 0, A20_SYMS)
-    a02 = VForm.from_params(cf, 0, 2, A02_SYMS)
-    b = VForm.from_params(cf, 1, 2, B_SYMS)
-    catalog = dict(_db_theta_catalog(cf, theta))
-    db_targets = [param_rules[s] for s in B_SYMS]
-    bases = [_d_with(r, cf, gen_rules, param_rules) for r in db_targets]
-
+    fr = _frame()
+    cf, theta = fr.cf, fr.theta
     names = ["q_d1", "q_d2",
              "c_om00", "a20_om20", "a02_om02",
              "b_theta", "a20b_theta", "a02b_theta"]
-    contribs = []
-    # the two undetermined b-rule shapes: adding q*shape to the b-rule
-    # contributes d(shape) plus the insertion of the shape wherever the
-    # existing rule differentiates b
-    for nm in ("d1_theta", "d2_theta"):
-        vf = catalog[nm]
-        col = names.index({"d1_theta": "q_d1", "d2_theta": "q_d2"}[nm])
-        insertion = {B_SYMS[j]: vf.comps[j] for j in range(6)}
-        contribs.append((col, [
-            _d_with(vf.comps[w], cf, gen_rules, param_rules)
-            + _d_with(db_targets[w], cf, {}, insertion)
-            for w in range(6)]))
+    syms, ks = _unknowns(names)
+    a20 = VForm.from_params(cf, 2, 0, A20_SYMS)
+    a02 = VForm.from_params(cf, 0, 2, A02_SYMS)
+    b = VForm.from_params(cf, 1, 2, B_SYMS)
     dc_shapes = [
-        om00.scale(Poly.var(C_SYM)),
-        pair_vforms(a20, om20, 2, 0).comps[0],
-        pair_vforms(a02, om02, 0, 2).comps[0],
+        fr.om00.scale(Poly.var(C_SYM)),
+        pair_vforms(a20, fr.om20, 2, 0).comps[0],
+        pair_vforms(a02, fr.om02, 0, 2).comps[0],
         pair_vforms(b, theta, 1, 2).comps[0],
         pair_vforms(pair_vforms(a20, b, 1, 0), theta, 1, 2).comps[0],
         pair_vforms(pair_vforms(a02, b, 0, 1), theta, 1, 2).comps[0],
     ]
-    for k, shape in enumerate(dc_shapes):
-        col = 2 + k
-        contribs.append((col, [_d_with(r, cf, {}, {C_SYM: shape})
-                               for r in db_targets]))
-    rows = _collect_rows(bases, contribs, len(names))
-    sol = solve_sparse(rows, len(names))
+    c_rule = FormExpr.zero(cf)
+    for k, shape in zip(ks[2:], dc_shapes):
+        c_rule = c_rule + shape.scale(k)
+    b_rules = _solved_b_rules(fr, ks[0], ks[1])
+    param_rules = {**_a_rules(fr, derive_da()["alphas"], _b_theta_part(fr)),
+                   **b_rules, C_SYM: c_rule}
+    sol = _solve_rules([b_rules[s] for s in B_SYMS], fr.gen_rules,
+                       param_rules, syms)
     if sol is None:
         raise ValueError("no consistent differential rule for c")
     part, kernel = sol
@@ -825,10 +739,11 @@ def derive_dc() -> dict:
     if any(coeffs[n] for n in ("a20_om20", "a02_om02", "b_theta",
                                "a20b_theta", "a02b_theta")):
         raise ValueError("normalization failed")
-    return {"q_d1": coeffs["q_d1"], "q_d2": coeffs["q_d2"],
-            "c_om00_coefficient": coeffs["c_om00"],
-            "theta_part_vanishes": True,
-            "redefinition_freedom": len(kernel)}
+    return MappingProxyType({
+        "q_d1": coeffs["q_d1"], "q_d2": coeffs["q_d2"],
+        "c_om00_coefficient": coeffs["c_om00"],
+        "theta_part_vanishes": True,
+        "redefinition_freedom": len(kernel)})
 
 
 def build_system(mode: str = "g12", curvature_coeffs=None) -> StructureSystem:
@@ -841,18 +756,9 @@ def build_system(mode: str = "g12", curvature_coeffs=None) -> StructureSystem:
     """
     if mode not in ("g12", "h12", "torsion-s30"):
         raise ValueError(f"unknown mode: {mode}")
-    names = COFRAME_NAMES + (DS30_NAMES if mode == "torsion-s30" else ())
-    cf = Coframe(names)
-    include_om00 = mode != "h12"
-    om00, om20, om02 = _omega_gens(cf, include_om00)
-    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
-    if curvature_coeffs is not None:
-        omega_parts = curvature_vform(cf, theta, coeffs=curvature_coeffs)
-    else:
-        omega_parts = curvature_vform(cf, theta)
-    gen_rules = {}
-    gen_rules.update(_dtheta_rules(cf, om00, om20, om02, theta))
-    gen_rules.update(_domega_rules(cf, om00, om20, om02, omega_parts))
+    fr = _frame(COFRAME_NAMES + (DS30_NAMES if mode == "torsion-s30" else ()),
+                mode != "h12", curvature_coeffs)
+    cf, gen_rules = fr.cf, fr.gen_rules
     da = derive_da()
     if not da["display_matches_freedom"]:
         raise ValueError("theta-part of the a-rule does not match the "
@@ -860,16 +766,14 @@ def build_system(mode: str = "g12", curvature_coeffs=None) -> StructureSystem:
     dc = derive_dc()
     if not dc["theta_part_vanishes"]:
         raise ValueError("unexpected theta terms in the c-rule")
-    param_rules = dict(_da_rules(cf, om00, om20, om02, theta))
-    param_rules.update(_db_rules(cf, om00, om20, om02, theta))
-    if include_om00:
-        param_rules[C_SYM] = om00.scale(
-            Poly.var(C_SYM) * dc["c_om00_coefficient"])
-    else:
-        param_rules[C_SYM] = FormExpr.zero(cf)
+    param_rules = _a_rules(fr, da["alphas"], _b_theta_part(fr))
+    param_rules.update(_solved_b_rules(fr, dc["q_d1"], dc["q_d2"]))
+    # om00 is zero in h12 mode, and so is this rule
+    param_rules[C_SYM] = fr.om00.scale(
+        Poly.var(C_SYM) * dc["c_om00_coefficient"])
     if mode == "torsion-s30":
         s30 = VForm.from_params(cf, 3, 0, S30_SYMS)
-        tor = pair_vforms(s30, pair_vforms(theta, theta, 0, 1), 2, 0)
+        tor = pair_vforms(s30, pair_vforms(fr.theta, fr.theta, 0, 1), 2, 0)
         for k in range(6):
             idx = cf.index[THETA_NAMES[k]]
             gen_rules[idx] = gen_rules[idx] + tor.comps[k]
@@ -1069,6 +973,19 @@ def local_symmetry_obstruction() -> dict:
     }
 
 
+def _homogeneous_rows(polys: Sequence[Poly], unknowns: Sequence[str],
+                      message: str) -> List[dict]:
+    """Rows of the conditions p = 0, each homogeneous linear in the
+    unknowns and free of every other variable; anything else raises
+    ValueError(message)."""
+    allowed = set(unknowns)
+    for p in polys:
+        if not allowed.issuperset(p.vars) or any(sum(e) != 1
+                                                 for e in p.terms):
+            raise ValueError(message)
+    return linear_rows(polys, unknowns)
+
+
 def restriction_chain() -> dict:
     """The submanifold-compatibility ideal: Frobenius residual conditions,
     the induced constraint on b, and the independence of the combined
@@ -1091,20 +1008,8 @@ def restriction_chain() -> dict:
         FormExpr.gen(cf, "om02_m2") - FormExpr.gen(cf, "om20_m2"),
     ]
     frob = frobenius_residual(gens, sys)
-    # conditions are linear in the curvature parameters
-    cond_rows = []
-    for cond in frob["conditions"]:
-        if cond.is_zero():
-            continue
-        row = {}
-        for e, cval in cond.terms.items():
-            picked = [(v, k) for v, k in zip(cond.vars, e) if k]
-            if len(picked) != 1 or picked[0][1] != 1:
-                raise ValueError("Frobenius conditions are not linear")
-            row[PARAM_SYMS.index(picked[0][0])] = \
-                row.get(PARAM_SYMS.index(picked[0][0]), Fraction(0)) + cval
-        if row:
-            cond_rows.append(row)
+    cond_rows = _homogeneous_rows(frob["conditions"], PARAM_SYMS,
+                                  "Frobenius conditions are not linear")
     sol = solve_sparse(cond_rows, len(PARAM_SYMS))
     _p, kernel = sol
     # expected: 2 a20_k = 3 a02_k for k = 0, 1, 2 (weight-aligned), with
@@ -1117,22 +1022,14 @@ def restriction_chain() -> dict:
     subs = ideal_substitution(cf, gens)
     fivedashone = {A02_SYMS[k]: Poly.var(A20_SYMS[k]) * Fraction(2, 3)
                    for k in range(3)}
-    b_rows = []
+    b_conds = []
     for k in range(3):
         dg = (sys.param_rules[A20_SYMS[k]].scale(2)
               - sys.param_rules[A02_SYMS[k]].scale(3))
         red = reduce_mod_ideal(dg, subs).subs_params(fivedashone)
-        for _mono, coeff in red.terms.items():
-            row = {}
-            for e, cval in coeff.terms.items():
-                picked = [(v, kk) for v, kk in zip(coeff.vars, e) if kk]
-                if len(picked) != 1 or picked[0][1] != 1 or \
-                        picked[0][0] not in B_SYMS:
-                    raise ValueError("b-conditions are not linear in b")
-                j = B_SYMS.index(picked[0][0])
-                row[j] = row.get(j, Fraction(0)) + cval
-            if row:
-                b_rows.append(row)
+        b_conds.extend(red.terms.values())
+    b_rows = _homogeneous_rows(b_conds, B_SYMS,
+                               "b-conditions are not linear in b")
     _pb, b_kernel = solve_sparse(b_rows, 6)
     # gradient subspace: b = x (x) u_x + y (x) u_y for u in V_3 (slot 2)
     grad_vecs = []
@@ -1205,7 +1102,7 @@ def omega_wedge_and_pairing() -> Tuple[list, list]:
     om02) beside the paired expression
     -(1/2)(<om20,om20>_{1,0} + <om02,om02>_{0,1}), whose om00 component
     is 0."""
-    cf = _base_coframe()
+    cf = Coframe(COFRAME_NAMES)
     om00, om20, om02 = _omega_gens(cf, include_om00=True)
     om_list = [om00] + list(om20.comps) + list(om02.comps)
     ww = omega_wedge_omega(cf, om_list)

@@ -13,6 +13,10 @@ reduced integer rows.  The public operations are views of it:
   pivots;
 - `excalc.ideal_substitution` reads its pivot generators from it.
 
+An identity linear in unknown coefficients becomes `solve_sparse` rows
+in one way only: `linear_rows` reads each polynomial as affine in the
+named unknowns and gives one row per monomial in the other variables.
+
 A Fraction appears only when a result is written out.  Determinants also
 accept polynomial entries and use Bareiss one-step elimination over
 Z[x], whose pivots divide exactly.  Everything is deterministic and
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from .poly import Poly, Scalar, _exact, divexact
 
@@ -302,6 +306,36 @@ def solve_sparse(rows: List[dict], ncols: int):
     for r in ints:  # the constant term moves to the right-hand side
         r[ncols] = -r[ncols]
     return _solution(pivots, ints, ncols)
+
+
+def linear_rows(polys: Iterable[Poly], unknowns: Sequence[str]) -> List[dict]:
+    """The identities `p = 0` for p in polys, affine in the named unknowns,
+    as rows for `solve_sparse`.
+
+    Each polynomial gives one row per monomial in its remaining variables,
+    in turn: the term u_k * monomial goes to column k, the term free of
+    unknowns to the constant column len(unknowns).  A term of degree > 1
+    in the unknowns raises ValueError.
+    """
+    col = {u: k for k, u in enumerate(unknowns)}
+    const = len(unknowns)
+    rows = []
+    for p in polys:
+        cols = [col.get(v) for v in p.vars]
+        by_rest: Dict[tuple, dict] = {}
+        for e, c in p.terms.items():
+            at = const
+            rest = []
+            for k, ck in zip(e, cols):
+                if ck is None:
+                    rest.append(k)
+                elif k:
+                    if k > 1 or at != const:
+                        raise ValueError(f"not linear in the unknowns: {p}")
+                    at = ck
+            by_rest.setdefault(tuple(rest), {})[at] = c
+        rows.extend(by_rest.values())
+    return rows
 
 
 def invert_rational(rows: List[List[Scalar]]) -> List[List[Scalar]]:

@@ -25,7 +25,7 @@ from . import binforms as bf
 from .binforms import (BiForm, LieElt, Rep, basis, dim_v, from_coords,
                        isotypic_decompose, rep_matrices, symbolic,
                        transvectant2)
-from .linalg import (PolyMatrix, invert_rational, linsolve,
+from .linalg import (PolyMatrix, invert_rational, linear_rows, linsolve,
                      matrix_rank_kernel, rank, solve_sparse)
 from .poly import Poly
 
@@ -514,35 +514,26 @@ def _divisible_basis() -> List[BiForm]:
             for a in (x1, y1) for l in (x2, y2)]
 
 
-def _divisibility_rows(tensor, sym_names: List[str], pairs=None) -> List[dict]:
-    """Linear constraints on the listed symbols expressing that
-    r = al*x2 + be*y2 divides tensor(p, q) for all divisible p, q and all
-    (al, be).
+def _at_root(form: BiForm) -> Poly:
+    """A second-slot form at the root of r = al*x2 + be*y2: r divides the
+    form exactly when every coefficient of a monomial in (x1, y1, al, be)
+    of x2 -> -be, y2 -> al vanishes."""
+    return form.poly.subs({"x2": Poly.const(0) - Poly.var("be"),
+                           "y2": Poly.var("al")})
 
-    Divisibility of a second-slot form by r is the vanishing of the
-    substitution x2 -> -be, y2 -> al; every coefficient of a monomial in
-    (x1, y1, al, be) must vanish, each giving one row.
-    """
-    col = {s: i for i, s in enumerate(sym_names)}
-    dbas = _divisible_basis()
-    if pairs is None:
-        pairs = list(combinations(range(len(dbas)), 2))
-    rows = []
-    for i, j in pairs:
-        val = tensor(dbas[i], dbas[j])
-        root = val.poly.subs({"x2": Poly.const(0) - Poly.var("be"),
-                              "y2": Poly.var("al")})
-        for _mono, coeff in root.coefficients_in(
-                ("x1", "y1", "al", "be")).items():
-            row = {}
-            for e, c in coeff.terms.items():
-                picked = [v for v, k in zip(coeff.vars, e) if k]
-                if len(picked) != 1 or sum(e) != 1:
-                    raise ValueError("constraint is not linear in the symbols")
-                row[col[picked[0]]] = row.get(col[picked[0]], Fraction(0)) + c
-            if row:
-                rows.append(row)
-    return rows
+
+def _divisibility_rows(tensor, arg_pairs, unknowns: Sequence[str]) -> List[dict]:
+    """Linear constraints on the unknown symbols expressing that
+    r = al*x2 + be*y2 divides tensor(p, q) for every (p, q) in arg_pairs
+    and all (al, be): one row per monomial in (x1, y1, al, be)."""
+    return linear_rows([_at_root(tensor(p, q)) for p, q in arg_pairs],
+                       unknowns)
+
+
+def _torsion_symbols() -> List[str]:
+    """The 90 symbols of TorsionCoords.symbolic(), in vector order."""
+    return [sym for name, (n, m) in _TORSION_SHAPE
+            for sym in bf.symbol_names(n, m, name)]
 
 
 def torsion_criterion_solve() -> dict:
@@ -556,11 +547,9 @@ def torsion_criterion_solve() -> dict:
     the solution space is exactly {s14 = s14p = s16 = s34 = 0,
     s12pp = 2 s12} of dimension 30, with a free s30 block of dimension 4.
     """
-    s = TorsionCoords.symbolic()
-    sym_names = []
-    for name, (n, m) in _TORSION_SHAPE:
-        sym_names.extend(bf.symbol_names(n, m, name))
-    rows = _divisibility_rows(torsion_tensor(s), sym_names)
+    rows = _divisibility_rows(torsion_tensor(TorsionCoords.symbolic()),
+                              combinations(_divisible_basis(), 2),
+                              _torsion_symbols())
     sol = solve_sparse(rows, 90)
     assert sol is not None  # homogeneous system
     _part, kernel = sol
@@ -592,31 +581,15 @@ def torsion_criterion_solve() -> dict:
 def torsion_criterion_s16_pair() -> dict:
     """The single pair p = x (x) r^2, q = y (x) r^2 already forces the s16
     block to vanish, and touches no other block."""
-    s = TorsionCoords.symbolic()
-    sym_names = []
-    for name, (n, m) in _TORSION_SHAPE:
-        sym_names.extend(bf.symbol_names(n, m, name))
+    syms = _torsion_symbols()
     r = Poly.var("al") * Poly.var("x2") + Poly.var("be") * Poly.var("y2")
     p = BiForm(1, 2, Poly.var("x1") * r * r)
     q = BiForm(1, 2, Poly.var("y1") * r * r)
-    tensor = torsion_tensor(s)
-    col = {sname: i for i, sname in enumerate(sym_names)}
-    rows = []
-    val = tensor(p, q)
-    root = val.poly.subs({"x2": Poly.const(0) - Poly.var("be"),
-                          "y2": Poly.var("al")})
-    touched = set()
-    for _mono, coeff in root.coefficients_in(("x1", "y1", "al", "be")).items():
-        row = {}
-        for e, c in coeff.terms.items():
-            picked = [v for v, k in zip(coeff.vars, e) if k][0]
-            row[col[picked]] = row.get(col[picked], Fraction(0)) + c
-            touched.add(picked)
-        if row:
-            rows.append(row)
+    rows = _divisibility_rows(torsion_tensor(TorsionCoords.symbolic()),
+                              [(p, q)], syms)
     off = _torsion_offsets()
     a, b = off["s16"]
-    only_s16 = all(name.startswith("s16_") for name in touched)
+    only_s16 = all(syms[col].startswith("s16_") for row in rows for col in row)
     sol = solve_sparse(rows, 90)
     _p, kernel = sol
     s16_killed = all(all(v[i] == 0 for i in range(a, b)) for v in kernel)
@@ -722,10 +695,8 @@ def splitting_correction_vanishes(k: int) -> dict:
     if k < 2:
         raise ValueError("needs k >= 2")
     vs = [symbolic(0, 2 * i, f"vv{2 * i}") for i in range(1, k + 1)]
-    sym_names = []
-    for i in range(1, k + 1):
-        sym_names.extend(bf.symbol_names(0, 2 * i, f"vv{2 * i}"))
-    col = {s: i for i, s in enumerate(sym_names)}
+    sym_names = [s for i in range(1, k + 1)
+                 for s in bf.symbol_names(0, 2 * i, f"vv{2 * i}")]
 
     def delta(u: BiForm) -> BiForm:
         acc = None
@@ -735,20 +706,8 @@ def splitting_correction_vanishes(k: int) -> dict:
         return acc
 
     r = Poly.var("al") * Poly.var("x2") + Poly.var("be") * Poly.var("y2")
-    rows = []
-    for w in basis(0, k - 1):
-        u = BiForm(0, k + 1, r * r * w.poly)
-        du = delta(u)
-        root = du.poly.subs({"x2": Poly.const(0) - Poly.var("be"),
-                             "y2": Poly.var("al")})
-        for _mono, coeff in root.coefficients_in(
-                ("x1", "y1", "al", "be")).items():
-            row = {}
-            for e, c in coeff.terms.items():
-                picked = [v for v, kk in zip(coeff.vars, e) if kk][0]
-                row[col[picked]] = row.get(col[picked], Fraction(0)) + c
-            if row:
-                rows.append(row)
+    rows = linear_rows([_at_root(delta(BiForm(0, k + 1, r * r * w.poly)))
+                        for w in basis(0, k - 1)], sym_names)
     nvars = len(sym_names)
     _part, kernel = solve_sparse(rows, nvars)
     # the single-r cross-check: for r = x2, divisibility of delta(r^{k+1})

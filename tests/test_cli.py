@@ -186,6 +186,33 @@ def test_env_override_seed(monkeypatch):
     assert args.seed == 123
 
 
+def test_bad_seed_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("G12CALC_SEED", "abc")
+    assert main(["--help"]) == 0
+    assert main(["rank"]) == 2
+    assert main(["verify", "--suites", "frobenius"]) == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "--suites", "integrals"],
+                                     ["jmatrix"], ["rank"]])
+@pytest.mark.parametrize("bad", ["abc", "1/0", ""])
+def test_bad_c_is_usage_error(command, bad, capsys):
+    assert main(command + ["--c", bad]) == 2
+    assert "argument --c: expected 'symbolic' or a rational number" in \
+        capsys.readouterr().err
+
+
+def test_valid_c_recorded_as_given(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suites", "frobenius", "--c", "5/7",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["c"] == "5/7"
+    monkeypatch.setenv("G12CALC_C", "symbolic")
+    assert main(["verify", "--suites", "frobenius", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["c"] == "symbolic"
+
+
 def test_verify_writes_report(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--suites", "frobenius", "--out", str(out)]) == 0

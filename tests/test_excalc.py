@@ -169,6 +169,21 @@ def test_derivation_stages():
     assert dc["theta_part_vanishes"]
 
 
+def test_derivations_are_read_only():
+    before = derived_rule_report()
+    for derive in (derive_da, derive_db, derive_dc):
+        rep = derive()
+        for key, value in rep.items():
+            with pytest.raises(TypeError):
+                rep[key] = value
+            assert not isinstance(value, (list, dict, set))
+    with pytest.raises(TypeError):
+        derive_da()["alphas"][0] = Fraction(7)
+    with pytest.raises(TypeError):
+        derive_db()["shape_coefficients"]["theta"] = Fraction(1)
+    assert derived_rule_report() == before
+
+
 def test_closure_torsion_free_modes():
     for mode, expected in (("h12", 25), ("g12", 26)):
         rep = d_squared_report(build_system(mode))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from g12calc.linalg import (DEFAULT_MAX_MAGNITUDE, PolyMatrix, _Lcg,
-                            invert_rational, linsolve,
+                            invert_rational, linear_rows, linsolve,
                             matrix_det, matrix_rank_kernel,
                             random_rational_point, solve_sparse)
 from g12calc.poly import Poly, parse_poly
@@ -145,6 +145,41 @@ def test_float_rejected_at_every_entry_point():
         solve_sparse([{0: 0.5, 1: 1}], 1)
     with pytest.raises(TypeError):
         invert_rational([[0.5]])
+
+
+def _canon(rows):
+    return sorted(sorted(r.items()) for r in rows)
+
+
+def test_linear_rows_constant_column_and_rest_monomials():
+    # 2u - 3v + 8 = 0 and (u + 1) x + (v - 2) x y = 0 in the unknowns u, v
+    rows = linear_rows([parse_poly("2*u - 3*v + 8"),
+                        parse_poly("u*x + x + v*x*y - 2*x*y")], ["u", "v"])
+    assert rows[0] == {0: 2, 1: -3, 2: 8}
+    # one row per monomial (x, x*y) in the remaining variables
+    assert _canon(rows[1:]) == _canon([{0: 1, 2: 1}, {1: 1, 2: -2}])
+    assert solve_sparse(rows, 2) == ([Fraction(-1), Fraction(2)], [])
+    # a polynomial free of unknowns is one constant-column row per monomial
+    assert _canon(linear_rows([Poly.const(Fraction(3, 4)),
+                               parse_poly("x - y")], ["u"])) == \
+        _canon([{1: Fraction(3, 4)}, {1: 1}, {1: -1}])
+    assert linear_rows([Poly.zero()], ["u"]) == []
+
+
+def test_linear_rows_rejects_nonlinear_terms():
+    with pytest.raises(ValueError, match="not linear"):
+        linear_rows([parse_poly("u*v + 1")], ["u", "v"])
+    with pytest.raises(ValueError, match="not linear"):
+        linear_rows([parse_poly("x*u^2 + v")], ["u", "v"])
+    # products with the remaining variables stay linear
+    assert linear_rows([parse_poly("u*x^2")], ["u"]) == [{0: 1}]
+
+
+def test_linear_rows_float_stopped_at_solve_sparse():
+    rows = linear_rows([parse_poly("u + 2*v")], ["u", "v"])
+    rows[0][1] = 0.5
+    with pytest.raises(TypeError):
+        solve_sparse(rows, 2)
 
 
 def test_random_point_determinism_and_bounds():
