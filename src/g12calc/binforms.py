@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import PolyMatrix, _Lcg, matrix_rank_kernel, rank
@@ -146,6 +147,73 @@ def symbol_names(n: int, m: int, prefix: str) -> List[str]:
     return [f"{prefix}_{k}" for k in range(dim_v(n, m))]
 
 
+class BlockCoords:
+    """Coordinates made of named binary-form blocks.
+
+    A subclass declares only SHAPE = ((name, (n, m)), ...): block `name`
+    lies in V_{n,m}, is the attribute `name`, and has the symbols name_0,
+    name_1, ... in basis order.  The coordinate vector is the blocks'
+    coordinates concatenated in SHAPE order.  Blocks are passed
+    positionally or by name; the `extra` keywords of the constructors
+    below go to a subclass's own arguments (CurvaturePoint's c).
+    """
+
+    SHAPE: Tuple[Tuple[str, Tuple[int, int]], ...] = ()
+
+    def __init__(self, *blocks: BiForm, **named: BiForm):
+        names = [name for name, _ in self.SHAPE]
+        given = dict(zip(names, blocks), **named)
+        if len(blocks) + len(named) != len(names) or set(given) != set(names):
+            raise TypeError(f"{type(self).__name__} takes the blocks "
+                            f"{', '.join(names)}, each once")
+        for name in names:
+            setattr(self, name, given[name])
+
+    @classmethod
+    def offsets(cls) -> Dict[str, Tuple[int, int]]:
+        """Block name -> (start, stop) of its slice of the vector."""
+        out = {}
+        at = 0
+        for name, (n, m) in cls.SHAPE:
+            out[name] = (at, at + dim_v(n, m))
+            at += dim_v(n, m)
+        return out
+
+    @classmethod
+    def symbols(cls) -> List[str]:
+        """The symbols of symbolic(), in vector order."""
+        return [s for name, (n, m) in cls.SHAPE
+                for s in symbol_names(n, m, name)]
+
+    @classmethod
+    def from_vector(cls, vec: Sequence, **extra):
+        off = cls.offsets()
+        return cls(*(from_coords(n, m, vec[slice(*off[name])])
+                     for name, (n, m) in cls.SHAPE), **extra)
+
+    @classmethod
+    def zero(cls, **extra):
+        return cls.from_vector([0] * len(cls.symbols()), **extra)
+
+    @classmethod
+    def symbolic(cls):
+        return cls(*(symbolic(n, m, name) for name, (n, m) in cls.SHAPE))
+
+    @classmethod
+    def from_assignment(cls, assignment: Dict[str, Scalar], **extra):
+        return cls.from_vector([assignment[s] for s in cls.symbols()], **extra)
+
+    def blocks(self) -> List[BiForm]:
+        return [getattr(self, name) for name, _ in self.SHAPE]
+
+    def vector(self) -> List[Poly]:
+        return [c for form in self.blocks() for c in form.coords()]
+
+    def assignment(self) -> Dict[str, Poly]:
+        """Symbol -> coordinate, the inverse of from_assignment."""
+        return dict(zip(self.symbols(), self.vector()))
+
+
 # -- transvectants --------------------------------------------------------
 
 
@@ -178,11 +246,6 @@ def transvectant(u: BiForm, v: BiForm, p: int) -> BiForm:
     return transvectant2(u, v, p, 0)
 
 
-def transvectant_slot2(u: BiForm, v: BiForm, p: int) -> BiForm:
-    """Second-slot pairing, for forms living in (x2, y2)."""
-    return transvectant2(u, v, 0, p)
-
-
 def transvectant2_omega(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
     """Independent oracle for transvectant2 via the Cayley Omega process.
 
@@ -213,9 +276,9 @@ def transvectant2_omega(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
 def pairing_table(n1: int, m1: int, n2: int, m2: int, p1: int, p2: int):
     """Structure constants of <.,.>_{p1,p2} on basis monomials.
 
-    Returns a dict {(idx1, idx2): (target_idx, Fraction)} with zero
-    entries omitted; the transvectant of two basis monomials is a single
-    monomial.
+    Returns a read-only mapping {(idx1, idx2): (target_idx, Fraction)}
+    with zero entries omitted; the transvectant of two basis monomials is
+    a single monomial.
     """
     out = {}
     b1 = basis(n1, m1)
@@ -231,7 +294,7 @@ def pairing_table(n1: int, m1: int, n2: int, m2: int, p1: int, p2: int):
                   if not c.is_zero()]
             assert len(nz) == 1, (tm, tn, nz)
             out[(i1, i2)] = nz[0]
-    return out
+    return MappingProxyType(out)
 
 
 # -- infinitesimal actions -------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
@@ -23,7 +24,7 @@ from . import excalc as ex
 from . import integrals as ig
 from . import spencer as sp
 from .linalg import random_rational_point
-from .poly import ParseError, Poly, parse_poly
+from .poly import ParseError, Poly, _exact, parse_poly
 
 ENV_PREFIX = "G12CALC_"
 
@@ -45,7 +46,7 @@ def _json_safe(value, path: str = "$"):
         return str(value)
     if isinstance(value, bf.BiForm):
         return str(value.poly)
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(k): _json_safe(v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -248,25 +249,22 @@ def suite_torsion(cfg: SuiteConfig) -> List[dict]:
 
     def adjustment():
         vec = [Fraction(0)] * 90
+        offs = sp.TorsionCoords.offsets()
+        free = [i for blk in ("s12", "s10", "s12p", "s30", "s32")
+                for i in range(*offs[blk])]
         rng_point = random_rational_point(
-            [f"v{k}" for k in range(30)], cfg.seed)
-        vals = list(rng_point.values())
-        offs = {"s12": (0, 6), "s10": (30, 32), "s12p": (32, 38),
-                "s30": (48, 52), "s32": (52, 64), "s12pp": (84, 90)}
-        at = 0
-        for blk in ("s12", "s10", "s12p", "s30", "s32"):
-            a, bnd = offs[blk]
-            for i in range(a, bnd):
-                vec[i] = vals[at]
-                at += 1
+            [f"v{k}" for k in range(len(free))], cfg.seed)
+        for i, v in zip(free, rng_point.values()):
+            vec[i] = v
+        a12, app = offs["s12"][0], offs["s12pp"][0]
         for t in range(6):
-            vec[offs["s12pp"][0] + t] = 2 * vec[t]
+            vec[app + t] = 2 * vec[a12 + t]
         tc = sp.TorsionCoords.from_vector(vec)
         phi = sp.intrinsic_adjustment(tc)
         got = sp.spencer_in_coords(phi)
         want = list(vec)
-        for i in range(48, 52):
-            want[i] = Fraction(0)
+        a30, b30 = offs["s30"]
+        want[a30:b30] = [Fraction(0)] * (b30 - a30)
         ok = ([p.constant_value() for p in got.vector()] == want
               and phi.r14.is_zero() and phi.r12pp.is_zero())
         return {"_ok": ok}
@@ -725,18 +723,30 @@ def cmd_integrals_check() -> int:
 
 def cmd_constants(point_path: str) -> int:
     with open(point_path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            print(f"error: {point_path} is not JSON: {exc}", file=sys.stderr)
+            return 2
+    if not isinstance(data, dict):
+        print(f"error: {point_path} is not a JSON object of assignments",
+              file=sys.stderr)
+        return 2
     assignment = {}
     for key, value in data.items():
-        if isinstance(value, dict):
-            poly = Poly.from_json(value)
-            if not poly.is_constant():
-                print(f"error: entry {key} is not a degree-0 assignment",
-                      file=sys.stderr)
-                return 2
-            assignment[key] = poly.constant_value()
-        else:
-            assignment[key] = Fraction(value)
+        try:
+            if isinstance(value, dict):
+                poly = Poly.from_json(value)
+                if not poly.is_constant():
+                    print(f"error: entry {key} is not a degree-0 assignment",
+                          file=sys.stderr)
+                    return 2
+                assignment[key] = poly.constant_value()
+            else:
+                assignment[key] = _exact(value)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            print(f"error: entry {key}: {exc}", file=sys.stderr)
+            return 2
     missing = [s for s in list(ig.K_SYMS) + ["c"] if s not in assignment]
     if missing:
         print(f"error: point file lacks assignments for {missing}",
@@ -860,7 +870,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, bf.DegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

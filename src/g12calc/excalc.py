@@ -136,8 +136,6 @@ class FormExpr:
         return self + other.scale(-1)
 
     def scale(self, c) -> "FormExpr":
-        if isinstance(c, Poly):
-            return FormExpr(self.cf, {m: k * c for m, k in self.terms.items()})
         return FormExpr(self.cf, {m: k * c for m, k in self.terms.items()})
 
     def wedge(self, other: "FormExpr") -> "FormExpr":
@@ -199,11 +197,6 @@ class VForm:
     def from_params(cf: Coframe, n: int, m: int, names: Sequence[str]) -> "VForm":
         return VForm(n, m, [FormExpr.scalar(cf, Poly.var(nm)) for nm in names])
 
-    @staticmethod
-    def from_biform(cf: Coframe, form: BiForm) -> "VForm":
-        return VForm(form.n, form.m,
-                     [FormExpr.scalar(cf, c) for c in form.coords()])
-
     def __add__(self, other: "VForm") -> "VForm":
         assert (self.n, self.m) == (other.n, other.m)
         return VForm(self.n, self.m,
@@ -237,7 +230,6 @@ def dbl_bracket(om00: FormExpr, om20: VForm, om02: VForm, q: VForm,
                 k) -> VForm:
     """<<omega, q>>_k = k om00 q + <om20, q>_{1,0} + <om02, q>_{0,1},
     slot pairings dropped when out of range for q's bidegree."""
-    cf = q.comps[0].cf
     out = VForm(q.n, q.m, [om00.wedge(c).scale(k) for c in q.comps])
     if q.n >= 1:
         out = out + pair_vforms(om20, q, 1, 0)
@@ -943,11 +935,6 @@ def frobenius_residual(ideal_forms: Sequence[FormExpr],
     return {"residuals": residuals, "conditions": conditions,
             "frobenius_holds_identically": all(
                 c.is_zero() for c in conditions)}
-
-
-def _theta_idx(cf: Coframe, w1: int, w2: int) -> int:
-    name = f"th_{'m' if w1 < 0 else ''}{abs(w1)}_{'m' if w2 < 0 else ''}{abs(w2)}"
-    return cf.index[name]
 
 
 def local_symmetry_obstruction() -> dict:

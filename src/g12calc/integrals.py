@@ -12,10 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import binforms as bf
-from .binforms import BiForm, basis, dim_v, from_coords, transvectant2
+from .binforms import (BiForm, BlockCoords, basis, dim_v, from_coords,
+                       transvectant2)
 from .excalc import (A02_SYMS, A20_SYMS, B_SYMS, C_SYM, OM02_NAMES,
                      OM20_NAMES, THETA_NAMES, FormExpr, StructureSystem,
                      build_system, contract, exterior_d)
@@ -27,46 +29,28 @@ K_SYMS = A20_SYMS + A02_SYMS + B_SYMS
 COFRAME_COLS = THETA_NAMES + OM20_NAMES + OM02_NAMES
 
 
-class CurvaturePoint:
-    """A point of the curvature space, exact rational or symbolic."""
+class CurvaturePoint(BlockCoords):
+    """A point of the curvature space, exact rational or symbolic: the
+    blocks a20, a02, b and the constant c (symbolic unless given)."""
+
+    SHAPE = (("a20", (2, 0)), ("a02", (0, 2)), ("b", (1, 2)))
 
     def __init__(self, a20: BiForm, a02: BiForm, b: BiForm, c=None):
-        self.a20 = a20
-        self.a02 = a02
-        self.b = b
+        super().__init__(a20, a02, b)
         self.c = Poly.var(C_SYM) if c is None else (
             c if isinstance(c, Poly) else Poly.const(c))
 
-    @staticmethod
-    def symbolic() -> "CurvaturePoint":
-        return CurvaturePoint(bf.symbolic(2, 0, "a20"),
-                              bf.symbolic(0, 2, "a02"),
-                              bf.symbolic(1, 2, "b"))
-
-    @staticmethod
-    def zero(c=0) -> "CurvaturePoint":
-        return CurvaturePoint(from_coords(2, 0, [0] * 3),
-                              from_coords(0, 2, [0] * 3),
-                              from_coords(1, 2, [0] * 6), c)
-
-    @staticmethod
-    def from_assignment(assignment: Dict[str, Scalar]) -> "CurvaturePoint":
-        return CurvaturePoint(
-            from_coords(2, 0, [assignment[s] for s in A20_SYMS]),
-            from_coords(0, 2, [assignment[s] for s in A02_SYMS]),
-            from_coords(1, 2, [assignment[s] for s in B_SYMS]),
-            assignment.get(C_SYM))
+    @classmethod
+    def from_assignment(cls, assignment: Dict[str, Scalar]) -> "CurvaturePoint":
+        return super().from_assignment(assignment, c=assignment.get(C_SYM))
 
     def assignment(self) -> Dict[str, Poly]:
-        out = {}
-        for s, v in zip(A20_SYMS, self.a20.coords()):
-            out[s] = v
-        for s, v in zip(A02_SYMS, self.a02.coords()):
-            out[s] = v
-        for s, v in zip(B_SYMS, self.b.coords()):
-            out[s] = v
-        out[C_SYM] = self.c
-        return out
+        return {**super().assignment(), C_SYM: self.c}
+
+
+# the weight of each block's pairing in the display of df_k (gradient_rows)
+_DISPLAY_WEIGHTS = {"a20": Fraction(1, 6), "a02": Fraction(1, 2),
+                    "b": Fraction(1, 2)}
 
 
 # -- the parameter Jacobian --------------------------------------------------
@@ -140,9 +124,6 @@ def invariant_functions(pt: Optional[CurvaturePoint] = None) -> dict:
             "p20": p20, "p24": p24, "p02": p02}
 
 
-_PARITY_INVOLUTION = None
-
-
 def _involution() -> Dict[str, Poly]:
     """(a20, a02, c) -> (-a20, -a02, -c), b fixed.
 
@@ -151,12 +132,7 @@ def _involution() -> Dict[str, Poly]:
     pre-composing the displayed integrals with it makes them exactly
     conserved.
     """
-    global _PARITY_INVOLUTION
-    if _PARITY_INVOLUTION is None:
-        out = {s: Poly.var(s) * (-1)
-               for s in A20_SYMS + A02_SYMS + (C_SYM,)}
-        _PARITY_INVOLUTION = out
-    return _PARITY_INVOLUTION
+    return {s: Poly.var(s) * (-1) for s in A20_SYMS + A02_SYMS + (C_SYM,)}
 
 
 @lru_cache(maxsize=None)
@@ -243,15 +219,13 @@ def gradient_rows(coeff_72=Fraction(72)) -> dict:
     """
     f1, f2 = first_integrals(coeff_72=coeff_72)
     out = {}
-    blocks = (("a20", (2, 0), (2, 0), A20_SYMS, Fraction(1, 6)),
-              ("a02", (0, 2), (0, 2), A02_SYMS, Fraction(1, 2)),
-              ("b", (1, 2), (1, 2), B_SYMS, Fraction(1, 2)))
     for k, f in (("1", f1), ("2", f2)):
-        for bname, (n, m), (p1, p2), syms, factor in blocks:
-            ginv = _gram_inverse(n, m, p1, p2)
-            grad = [f.diff(s) for s in syms]
+        for bname, (n, m) in CurvaturePoint.SHAPE:
+            ginv = _gram_inverse(n, m, n, m)
+            factor = _DISPLAY_WEIGHTS[bname]
+            grad = [f.diff(s) for s in bf.symbol_names(n, m, bname)]
             comps = []
-            d = len(syms)
+            d = len(grad)
             for i in range(d):
                 acc = Poly.zero()
                 for jj in range(d):
@@ -267,15 +241,13 @@ def gradient_rows_consistent(coeff_72=Fraction(72)) -> bool:
     coordinate gradient (the same data read two ways)."""
     f1, f2 = first_integrals(coeff_72=coeff_72)
     rows = gradient_rows(coeff_72=coeff_72)
-    blocks = (("a20", (2, 0), A20_SYMS, Fraction(1, 6)),
-              ("a02", (0, 2), A02_SYMS, Fraction(1, 2)),
-              ("b", (1, 2), B_SYMS, Fraction(1, 2)))
     for k, f in (("1", f1), ("2", f2)):
-        for bname, (n, m), syms, factor in blocks:
+        for bname, (n, m) in CurvaturePoint.SHAPE:
             r = rows[f"r{k}_{bname}"]
             bas = basis(n, m)
-            for jj, s in enumerate(syms):
-                paired = transvectant2(r, bas[jj], n, m).poly * factor
+            for jj, s in enumerate(bf.symbol_names(n, m, bname)):
+                paired = (transvectant2(r, bas[jj], n, m).poly
+                          * _DISPLAY_WEIGHTS[bname])
                 if not (paired - f.diff(s)).is_zero():
                     return False
     return True
@@ -427,16 +399,8 @@ def integrals_equivariant() -> bool:
     f1, f2 = first_integrals()
     pt = CurvaturePoint.symbolic()
     for name in bf.GENERATOR_NAMES:
-        da20 = bf.generator_action(name, pt.a20)
-        da02 = bf.generator_action(name, pt.a02)
-        db = bf.generator_action(name, pt.b)
-        flow = {}
-        for s, v in zip(A20_SYMS, da20.coords()):
-            flow[s] = v
-        for s, v in zip(A02_SYMS, da02.coords()):
-            flow[s] = v
-        for s, v in zip(B_SYMS, db.coords()):
-            flow[s] = v
+        flow = CurvaturePoint(*(bf.generator_action(name, form)
+                                for form in pt.blocks())).assignment()
         for f in (f1, f2):
             acc = Poly.zero()
             for s in K_SYMS:
@@ -473,7 +437,7 @@ def _lie_derivative_1form(sys: StructureSystem, gen_name: str,
 
 
 @lru_cache(maxsize=None)
-def symmetry_fields_check() -> dict:
+def symmetry_fields_check() -> Mapping:
     """The two gradient fields are symmetries of the coframe and commute.
 
     The fields Z_k are given by the kernel-aligned contraction data
@@ -483,7 +447,8 @@ def symmetry_fields_check() -> dict:
     the full coframe; this is the invariance the fiber-translation
     construction needs, and is strictly stronger than a scaling
     symmetry), and every coframe evaluation of [Z_1, Z_2] vanishes.  All
-    checks are exact polynomial identities in the 13 parameters.
+    checks are exact polynomial identities in the 13 parameters.  The
+    cached result is read-only at both levels.
     """
     sys = build_system("h12")
     cf = sys.cf
@@ -521,10 +486,11 @@ def symmetry_fields_check() -> dict:
         if not total.is_zero():
             bracket_ok = False
             break
-    return {"lie_derivative_vanishes": lie_invariance,
-            "display_scaling_variant_holds": lie_display_scaling,
-            "bracket_vanishes": bracket_ok,
-            "all": all(lie_invariance.values()) and bracket_ok}
+    return MappingProxyType({
+        "lie_derivative_vanishes": MappingProxyType(lie_invariance),
+        "display_scaling_variant_holds": MappingProxyType(lie_display_scaling),
+        "bracket_vanishes": bracket_ok,
+        "all": all(lie_invariance.values()) and bracket_ok})
 
 
 def fields_vanish_at_flat_point() -> bool:

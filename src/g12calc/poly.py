@@ -420,8 +420,10 @@ class Poly:
 
     @staticmethod
     def from_json(data: dict) -> "Poly":
+        """Inverse of to_json.  A coefficient is an int or a "p/q"
+        string; the constructor's exactness guard rejects a float."""
         vs = tuple(data["vars"])
-        tm = {tuple(t["exps"]): Fraction(t["coeff"]) for t in data["terms"]}
+        tm = {tuple(t["exps"]): t["coeff"] for t in data["terms"]}
         return Poly(vs, tm)
 
 

@@ -7,22 +7,24 @@ prolongation g^(1), its cokernel the intrinsic-torsion space H^{0,2}.
 For the algebra acting on V_{1,2} everything is also expressed in pairing
 coordinates: maps V_{1,2} -> g are encoded by six forms (r12, r32, r12p,
 r14, r12pp, r10), alternating V_{1,2}-valued 2-tensors by the ten forms
-(s12, s14, s16, s10, s12p, s14p, s30, s32, s34, s12pp).  The codecs below
-translate between those coordinates and raw tensors exactly, and
-spencer_in_coords expresses Sp itself in them, as a polynomial identity
-in 42 symbolic parameters.
+(s12, s14, s16, s10, s12p, s14p, s30, s32, s34, s12pp).  Both spaces are
+binforms.BlockCoords subclasses (PhiCoords, TorsionCoords), so each
+layout -- block names, bidegrees, order, offsets and symbols -- is
+declared once, as the class's SHAPE.  The codecs below translate between
+those coordinates and raw tensors exactly, and spencer_in_coords
+expresses Sp itself in them, as a polynomial identity in 42 symbolic
+parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import binforms as bf
-from .binforms import (BiForm, LieElt, Rep, basis, dim_v, from_coords,
+from .binforms import (BiForm, BlockCoords, LieElt, Rep, basis, from_coords,
                        isotypic_decompose, rep_matrices, symbolic,
                        transvectant2)
 from .linalg import (PolyMatrix, invert_rational, linear_rows, linsolve,
@@ -243,95 +245,21 @@ def gk1_spencer_report(k: int = 2) -> dict:
 # -- pairing coordinates ---------------------------------------------------
 
 
-_PHI_SHAPE = (("r12", (1, 2)), ("r32", (3, 2)), ("r12p", (1, 2)),
-              ("r14", (1, 4)), ("r12pp", (1, 2)), ("r10", (1, 0)))
-
-_TORSION_SHAPE = (("s12", (1, 2)), ("s14", (1, 4)), ("s16", (1, 6)),
-                  ("s10", (1, 0)), ("s12p", (1, 2)), ("s14p", (1, 4)),
-                  ("s30", (3, 0)), ("s32", (3, 2)), ("s34", (3, 4)),
-                  ("s12pp", (1, 2)))
-
-
-@dataclass
-class PhiCoords:
+class PhiCoords(BlockCoords):
     """Pairing coordinates of a linear map V_{1,2} -> g; 42 in total."""
-    r12: BiForm
-    r32: BiForm
-    r12p: BiForm
-    r14: BiForm
-    r12pp: BiForm
-    r10: BiForm
 
-    @staticmethod
-    def zero() -> "PhiCoords":
-        return PhiCoords(*(from_coords(n, m, [0] * dim_v(n, m))
-                           for _, (n, m) in _PHI_SHAPE))
-
-    @staticmethod
-    def symbolic(prefix: str = "r") -> "PhiCoords":
-        return PhiCoords(*(symbolic(n, m, f"{prefix}{name[1:]}")
-                           for name, (n, m) in _PHI_SHAPE))
-
-    @staticmethod
-    def from_vector(vec: Sequence) -> "PhiCoords":
-        comps = []
-        at = 0
-        for _, (n, m) in _PHI_SHAPE:
-            d = dim_v(n, m)
-            comps.append(from_coords(n, m, vec[at:at + d]))
-            at += d
-        return PhiCoords(*comps)
-
-    def vector(self) -> List[Poly]:
-        out = []
-        for name, _ in _PHI_SHAPE:
-            out.extend(getattr(self, name).coords())
-        return out
+    SHAPE = (("r12", (1, 2)), ("r32", (3, 2)), ("r12p", (1, 2)),
+             ("r14", (1, 4)), ("r12pp", (1, 2)), ("r10", (1, 0)))
 
 
-@dataclass
-class TorsionCoords:
+class TorsionCoords(BlockCoords):
     """Pairing coordinates of an alternating V_{1,2}-valued 2-tensor; 90
     in total, component dims 6+10+14+2+6+10+4+12+20+6."""
-    s12: BiForm
-    s14: BiForm
-    s16: BiForm
-    s10: BiForm
-    s12p: BiForm
-    s14p: BiForm
-    s30: BiForm
-    s32: BiForm
-    s34: BiForm
-    s12pp: BiForm
 
-    @staticmethod
-    def zero() -> "TorsionCoords":
-        return TorsionCoords(*(from_coords(n, m, [0] * dim_v(n, m))
-                               for _, (n, m) in _TORSION_SHAPE))
-
-    @staticmethod
-    def symbolic(prefix: str = "s") -> "TorsionCoords":
-        return TorsionCoords(*(symbolic(n, m, f"{prefix}{name[1:]}")
-                               for name, (n, m) in _TORSION_SHAPE))
-
-    @staticmethod
-    def from_vector(vec: Sequence) -> "TorsionCoords":
-        comps = []
-        at = 0
-        for _, (n, m) in _TORSION_SHAPE:
-            d = dim_v(n, m)
-            comps.append(from_coords(n, m, vec[at:at + d]))
-            at += d
-        return TorsionCoords(*comps)
-
-    def vector(self) -> List[Poly]:
-        out = []
-        for name, _ in _TORSION_SHAPE:
-            out.extend(getattr(self, name).coords())
-        return out
-
-    def component_names(self) -> List[str]:
-        return [name for name, _ in _TORSION_SHAPE]
+    SHAPE = (("s12", (1, 2)), ("s14", (1, 4)), ("s16", (1, 6)),
+             ("s10", (1, 0)), ("s12p", (1, 2)), ("s14p", (1, 4)),
+             ("s30", (3, 0)), ("s32", (3, 2)), ("s34", (3, 4)),
+             ("s12pp", (1, 2)))
 
 
 def phi_to_map(phi: PhiCoords) -> Callable[[BiForm], LieElt]:
@@ -380,17 +308,23 @@ def tensor_values(t: Callable[[BiForm, BiForm], BiForm]) -> List[Poly]:
     return out
 
 
+def _unit_point_matrix(coords: type, image: Callable) -> tuple:
+    """Matrix of a linear map out of a BlockCoords space: column k holds
+    the constant coordinates image() returns for the k-th unit point."""
+    size = len(coords.symbols())
+    cols = []
+    for k in range(size):
+        vec = [0] * size
+        vec[k] = 1
+        cols.append([p.constant_value() for p in image(coords.from_vector(vec))])
+    return tuple(zip(*cols))
+
+
 @lru_cache(maxsize=None)
 def _torsion_encode_matrix() -> tuple:
     """90 x 90 matrix taking torsion coordinates to tensor values."""
-    cols = []
-    for k in range(90):
-        vec = [Fraction(0)] * 90
-        vec[k] = Fraction(1)
-        s = TorsionCoords.from_vector(vec)
-        vals = tensor_values(torsion_tensor(s))
-        cols.append([v.constant_value() for v in vals])
-    return tuple(tuple(cols[j][i] for j in range(90)) for i in range(90))
+    return _unit_point_matrix(
+        TorsionCoords, lambda s: tensor_values(torsion_tensor(s)))
 
 
 @lru_cache(maxsize=None)
@@ -464,22 +398,19 @@ def expected_spencer_coords(phi: PhiCoords,
     }
     if overrides:
         c.update(overrides)
-    zero12 = from_coords(1, 2, [0] * 6)
-    zero16 = from_coords(1, 6, [0] * 14)
-    zero30 = from_coords(3, 0, [0] * 4)
-    zero34 = from_coords(3, 4, [0] * 20)
+    zero = TorsionCoords.zero()
     return TorsionCoords(
         s12=(c["s12_r12"] * phi.r12 + c["s12_r12p"] * phi.r12p
              + c["s12_r12pp"] * phi.r12pp),
         s14=c["s14_r14"] * phi.r14,
-        s16=zero16,
+        s16=zero.s16,
         s10=c["s10_r10"] * phi.r10,
         s12p=(c["s12p_r12"] * phi.r12 + c["s12p_r12p"] * phi.r12p
               + c["s12p_r12pp"] * phi.r12pp),
         s14p=c["s14p_r14"] * phi.r14,
-        s30=zero30,
+        s30=zero.s30,
         s32=c["s32_r32"] * phi.r32,
-        s34=zero34,
+        s34=zero.s34,
         s12pp=(c["s12pp_r12"] * phi.r12 + c["s12pp_r12p"] * phi.r12p
                + c["s12pp_r12pp"] * phi.r12pp),
     )
@@ -493,16 +424,6 @@ def spencer_coords_match(overrides: Optional[dict] = None) -> bool:
     want = expected_spencer_coords(phi, overrides)
     return all((g - w).is_zero()
                for g, w in zip(got.vector(), want.vector()))
-
-
-def _torsion_offsets() -> Dict[str, Tuple[int, int]]:
-    out = {}
-    at = 0
-    for name, (n, m) in _TORSION_SHAPE:
-        d = dim_v(n, m)
-        out[name] = (at, at + d)
-        at += d
-    return out
 
 
 def _divisible_basis() -> List[BiForm]:
@@ -530,12 +451,6 @@ def _divisibility_rows(tensor, arg_pairs, unknowns: Sequence[str]) -> List[dict]
                        unknowns)
 
 
-def _torsion_symbols() -> List[str]:
-    """The 90 symbols of TorsionCoords.symbolic(), in vector order."""
-    return [sym for name, (n, m) in _TORSION_SHAPE
-            for sym in bf.symbol_names(n, m, name)]
-
-
 def torsion_criterion_solve() -> dict:
     """Exact solution space of the divisibility criterion on torsion
     coordinates.
@@ -549,11 +464,11 @@ def torsion_criterion_solve() -> dict:
     """
     rows = _divisibility_rows(torsion_tensor(TorsionCoords.symbolic()),
                               combinations(_divisible_basis(), 2),
-                              _torsion_symbols())
+                              TorsionCoords.symbols())
     sol = solve_sparse(rows, 90)
     assert sol is not None  # homogeneous system
     _part, kernel = sol
-    off = _torsion_offsets()
+    off = TorsionCoords.offsets()
     zero_blocks = ("s14", "s14p", "s16", "s34")
     expected_ok = True
     for v in kernel:
@@ -581,14 +496,13 @@ def torsion_criterion_solve() -> dict:
 def torsion_criterion_s16_pair() -> dict:
     """The single pair p = x (x) r^2, q = y (x) r^2 already forces the s16
     block to vanish, and touches no other block."""
-    syms = _torsion_symbols()
+    syms = TorsionCoords.symbols()
     r = Poly.var("al") * Poly.var("x2") + Poly.var("be") * Poly.var("y2")
     p = BiForm(1, 2, Poly.var("x1") * r * r)
     q = BiForm(1, 2, Poly.var("y1") * r * r)
     rows = _divisibility_rows(torsion_tensor(TorsionCoords.symbolic()),
                               [(p, q)], syms)
-    off = _torsion_offsets()
-    a, b = off["s16"]
+    a, b = TorsionCoords.offsets()["s16"]
     only_s16 = all(syms[col].startswith("s16_") for row in rows for col in row)
     sol = solve_sparse(rows, 90)
     _p, kernel = sol
@@ -601,37 +515,21 @@ def torsion_criterion_s16_pair() -> dict:
 def _spencer_coordinate_matrix() -> tuple:
     """90 x 42 matrix of Sp in pairing coordinates (torsion coords of
     Sp(unit phi) per phi coordinate)."""
-    cols = []
-    for k in range(42):
-        vec = [Fraction(0)] * 42
-        vec[k] = Fraction(1)
-        phi = PhiCoords.from_vector(vec)
-        out = spencer_in_coords(phi).vector()
-        cols.append([p.constant_value() for p in out])
-    return tuple(tuple(cols[j][i] for j in range(42)) for i in range(90))
+    return _unit_point_matrix(
+        PhiCoords, lambda phi: spencer_in_coords(phi).vector())
 
 
 def intrinsic_adjustment(t: TorsionCoords) -> PhiCoords:
     """Solve Sp(phi) = t minus its s30 part with the r14 and r12pp blocks
     of phi pinned to zero; exact, unique, raises if t lies outside the
     admissible subspace."""
-    rhs_coords = list(t.vector())
-    off = _torsion_offsets()
-    a30, b30 = off["s30"]
-    for i in range(a30, b30):
-        rhs_coords[i] = Poly.zero()
-    rhs = [c.constant_value() if isinstance(c, Poly) else Fraction(c)
-           for c in rhs_coords]
+    vec = t.vector()
+    a30, b30 = TorsionCoords.offsets()["s30"]
+    vec[a30:b30] = [Poly.zero()] * (b30 - a30)
+    rhs = [c.constant_value() for c in vec]
     sp = _spencer_coordinate_matrix()
-    phi_off = {}
-    at = 0
-    for name, (n, m) in _PHI_SHAPE:
-        d = dim_v(n, m)
-        phi_off[name] = (at, at + d)
-        at += d
-    allowed = [k for name, (a, b) in phi_off.items() if name not in ("r14", "r12pp")
-               for k in range(a, b)]
-    allowed.sort()
+    allowed = [k for name, (a, b) in PhiCoords.offsets().items()
+               if name not in ("r14", "r12pp") for k in range(a, b)]
     mat = PolyMatrix([[sp[i][k] for k in allowed] for i in range(90)])
     sol = linsolve(mat, rhs)
     if sol is None:
@@ -716,8 +614,6 @@ def splitting_correction_vanishes(k: int) -> dict:
     du = delta(u)
     lead = du.poly.subs({"x2": Poly.const(0)})
     v2k_lead = vs[-1].poly.subs({"x2": Poly.const(0)})
-    lead_syms = {v for v, _ in zip(lead.vars, range(len(lead.vars)))
-                 if v.startswith(f"vv{2 * k}_")}
     single_r_ok = (not lead.is_zero()) and all(
         v.startswith(f"vv{2 * k}_") or not v.startswith("vv")
         for v in lead.vars) and not v2k_lead.is_zero()

@@ -11,8 +11,28 @@ from g12calc.binforms import (BiForm, DegreeError, LieElt, Rep, basis,
                               seq_maps, slot2_form, symbolic, transvectant,
                               transvectant2, transvectant2_omega,
                               vprime_split)
+from g12calc.integrals import CurvaturePoint
 from g12calc.linalg import _Lcg
 from g12calc.poly import Poly, parse_poly
+from g12calc.spencer import PhiCoords, TorsionCoords
+
+
+@pytest.mark.parametrize("cls", [PhiCoords, TorsionCoords, CurvaturePoint],
+                         ids=lambda cls: cls.__name__)
+def test_block_coords_roundtrip(cls):
+    syms = cls.symbols()
+    vec = [Fraction(2 * k - len(syms), 3) for k in range(len(syms))]
+    pt = cls.from_vector(vec)
+    assert [p.constant_value() for p in pt.vector()] == vec
+    by_name = cls(**{name: getattr(pt, name) for name, _ in cls.SHAPE})
+    assert by_name.vector() == pt.vector()
+    assert cls.symbolic().vector() == [Poly.var(s) for s in syms]
+    assert all(p.is_zero() for p in cls.zero().vector())
+    assert [pt.assignment()[s] for s in syms] == pt.vector()
+    with pytest.raises(TypeError):
+        cls(*pt.blocks()[:-1])
+    with pytest.raises(TypeError):
+        cls(*pt.blocks(), **{cls.SHAPE[0][0]: pt.blocks()[0]})
 
 
 def bform(n, m, text):
@@ -243,6 +263,16 @@ def test_basis_pairing_table_against_oracle():
                 got = transvectant2(u, v, *orders)
                 want = transvectant2_omega(u, v, *orders)
                 assert (got - want).is_zero()
+
+
+def test_pairing_table_is_read_only():
+    from g12calc.binforms import pairing_table
+    table = pairing_table(1, 2, 1, 2, 1, 2)
+    key = next(iter(table))
+    entry = table[key]
+    with pytest.raises(TypeError):
+        table[key] = (0, Fraction(0))
+    assert pairing_table(1, 2, 1, 2, 1, 2)[key] == entry
 
 
 def test_pairing_operators_close_under_bracket():

@@ -173,6 +173,47 @@ def test_constants_command(tmp_path, capsys):
     assert data["c"] == "3/4"
 
 
+@pytest.mark.parametrize("bad", [
+    0.1, 2.0, "abc", "1/0", None, [1],
+    {"vars": [], "terms": [{"coeff": 0.5, "exps": []}]},
+    {"vars": [], "terms": [{"coeff": "x", "exps": []}]},
+    {"terms": []},
+])
+def test_constants_rejects_inexact_and_malformed_values(tmp_path, capsys,
+                                                         bad):
+    point = {s: str(k + 1) for k, s in enumerate(cli.ig.K_SYMS)}
+    point["c"] = bad
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(point))
+    assert main(["constants", "--point", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: entry c")
+
+
+@pytest.mark.parametrize("text", ['{"c": ', "[1, 2]", '"1/2"'])
+def test_constants_rejects_malformed_point_file(tmp_path, capsys, text):
+    path = tmp_path / "point.json"
+    path.write_text(text)
+    assert main(["constants", "--point", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_constants_unreadable_point_file_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert main(["constants", "--point", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_constants_accepts_ints_and_fraction_strings(tmp_path, capsys):
+    point = {s: k - 4 for k, s in enumerate(cli.ig.K_SYMS)}
+    point["c"] = "-5/7"
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(point))
+    assert main(["constants", "--point", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["c"] == "-5/7"
+
+
 def test_constants_missing_entries(tmp_path, capsys):
     path = tmp_path / "incomplete.json"
     path.write_text(json.dumps({"a20_0": "1"}))

@@ -1,4 +1,7 @@
+import json
 from fractions import Fraction
+
+import pytest
 
 from g12calc import binforms as bf
 from g12calc.excalc import A02_SYMS, A20_SYMS, C_SYM
@@ -176,6 +179,35 @@ def test_symmetry_fields():
     assert rep["lie_derivative_vanishes"] == {"1": True, "2": True}
     assert rep["bracket_vanishes"]
     assert rep["all"]
+
+
+def test_symmetry_fields_check_is_read_only():
+    from g12calc.cli import suite_integrals, SuiteConfig
+
+    def certificate():
+        checks = suite_integrals(SuiteConfig(["integrals"]))
+        return next(c["certificate"] for c in checks
+                    if c["check"] == "symmetry_fields")
+
+    before = certificate()
+    assert json.loads(json.dumps(before)) == before
+    rep = symmetry_fields_check()
+    with pytest.raises(TypeError):
+        rep["all"] = False
+    with pytest.raises(TypeError):
+        rep["lie_derivative_vanishes"]["1"] = False
+    again = symmetry_fields_check()
+    assert again["all"] and again["lie_derivative_vanishes"]["1"]
+    assert certificate() == before
+
+
+def test_curvature_point_layout():
+    assert CurvaturePoint.symbols() == list(K_SYMS)
+    pt = CurvaturePoint.from_assignment(
+        {**{s: Fraction(k, 5) for k, s in enumerate(K_SYMS)}, C_SYM: 3})
+    assert pt.assignment() == {**{s: Poly.const(Fraction(k, 5))
+                                  for k, s in enumerate(K_SYMS)},
+                               C_SYM: Poly.const(3)}
 
 
 def test_fields_vanish_at_flat_point():

@@ -89,6 +89,9 @@ def test_json_roundtrip_sorted():
     data = p.to_json()
     assert data["terms"] == sorted(data["terms"], key=lambda t: t["exps"])
     assert Poly.from_json(data) == p
+    # an int coefficient is as exact as its "p/q" string
+    assert Poly.from_json({"vars": ["x1"], "terms": [{"coeff": 3, "exps": [1]}]}
+                          ) == Poly.var("x1", 1, 3)
 
 
 def test_parse_errors_carry_position():
@@ -142,6 +145,8 @@ def test_integral_coefficients_stored_as_int():
     lambda: Poly.var("x1").subs({"x1": 0.5}),
     lambda: parse_poly("x1*y1").subs({"x1": 0.5, "y1": Poly.var("t")}),
     lambda: Poly.var("x1").eval({"x1": 0.5}),
+    lambda: Poly.from_json({"vars": ["x1"],
+                            "terms": [{"coeff": 0.5, "exps": [1]}]}),
 ])
 def test_float_rejected_on_every_constructor_path(build):
     with pytest.raises(TypeError):

@@ -92,6 +92,13 @@ def test_spencer_equivariance_exact():
     assert spencer_equivariance_ok()
 
 
+def test_pairing_coordinate_layouts():
+    assert TorsionCoords.offsets() == TORSION_OFFSETS
+    phi_syms = PhiCoords.symbols()
+    assert len(phi_syms) == len(set(phi_syms)) == 42
+    assert phi_syms[6] == "r32_0"   # r32 block starts after r12
+
+
 def test_codec_bijection_and_roundtrip():
     assert torsion_encode_rank() == 90
     vec = [Fraction(3 * k - 40, 7) for k in range(90)]
@@ -181,10 +188,10 @@ def test_torsion_criterion_numeric_divisor_cross_check():
     from itertools import combinations
     from g12calc.poly import Poly
     from g12calc.binforms import BiForm, symbol_names
-    from g12calc.spencer import _TORSION_SHAPE, torsion_tensor
+    from g12calc.spencer import torsion_tensor
     from g12calc.linalg import solve_sparse
     sym_names = []
-    for name, (n, m) in _TORSION_SHAPE:
+    for name, (n, m) in TorsionCoords.SHAPE:
         sym_names.extend(symbol_names(n, m, name))
     col = {s: i for i, s in enumerate(sym_names)}
     s = TorsionCoords.symbolic()
