@@ -16,18 +16,24 @@ Equivalently, <u, v>_p = (1/p!) sum_k (-1)^k C(p,k) d^p u / dx^(p-k) dy^k
 coordinate identities downstream (the structure-equation suite solves for
 the constants rather than assuming them, so a convention mismatch would
 surface there as a solver inconsistency, not as a silent wrong value).
+
+A module of SL(2) x SL(2) is a `Rep`: for each of the six generators,
+sparse columns X e_j = {row: coefficient}.  V_{n,m} reads them off the
+dense `rep_matrices`; `dual`, `tensor`, `wedge2` and `isotypic_decompose`
+work on the columns only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import PolyMatrix, _Lcg, matrix_rank_kernel, rank
-from .poly import Poly, Scalar
+from .linalg import PolyMatrix, _Lcg, rank
+from .poly import Poly, Scalar, _exact
 
 SLOT_VARS = (("x1", "y1"), ("x2", "y2"))
 ALL_FORM_VARS = ("x1", "y1", "x2", "y2")
@@ -348,73 +354,79 @@ def rep_matrices(n: int, m: int) -> Tuple[Tuple[Tuple[Scalar, ...], ...], ...]:
     return tuple(mats)
 
 
-class Rep:
-    """A concrete module: dim + the six generator matrices (rows of Fractions)."""
+Column = Dict[int, Scalar]
 
-    def __init__(self, dim: int, mats: Sequence):
+
+def apply_columns(cols: Sequence[Column], vec: Column) -> Column:
+    """The matrix with sparse columns `cols` applied to the sparse vector
+    `vec`; both hold only nonzero entries, and so does the result."""
+    out: Column = {}
+    for j, x in vec.items():
+        for i, a in cols[j].items():
+            out[i] = out.get(i, 0) + a * x
+    return {i: v for i, v in out.items() if v}
+
+
+class Rep:
+    """A concrete module: dim, and for each generator the sparse columns
+    cols[name][j] = X e_j as {row: coeff}, exact with zeros omitted."""
+
+    def __init__(self, dim: int, cols: Sequence[Sequence[Column]]):
         self.dim = dim
-        self.mats = {name: [list(row) for row in mat]
-                     for name, mat in zip(GENERATOR_NAMES, mats)}
+        self.cols = {name: [{i: _exact(v) for i, v in col.items() if v}
+                            for col in gen]
+                     for name, gen in zip(GENERATOR_NAMES, cols)}
 
     @staticmethod
     def space(n: int, m: int) -> "Rep":
-        return Rep(dim_v(n, m), rep_matrices(n, m))
-
-    def mat(self, name: str):
-        return self.mats[name]
+        d = dim_v(n, m)
+        return Rep(d, [[{i: mat[i][j] for i in range(d)} for j in range(d)]
+                       for mat in rep_matrices(n, m)])
 
     def dual(self) -> "Rep":
-        mats = []
+        """-X^T: column i of the dual is minus row i of X."""
+        gens = []
         for name in GENERATOR_NAMES:
-            m = self.mats[name]
-            mats.append([[-m[j][i] for j in range(self.dim)]
-                         for i in range(self.dim)])
-        return Rep(self.dim, mats)
+            cols: List[Column] = [{} for _ in range(self.dim)]
+            for j, col in enumerate(self.cols[name]):
+                for i, a in col.items():
+                    cols[i][j] = -a
+            gens.append(cols)
+        return Rep(self.dim, gens)
 
     def tensor(self, other: "Rep") -> "Rep":
-        d1, d2 = self.dim, other.dim
-        mats = []
+        """X(ea (x) eb) = X ea (x) eb + ea (x) X eb, at index a * d2 + b."""
+        d2 = other.dim
+        gens = []
         for name in GENERATOR_NAMES:
-            a, b = self.mats[name], other.mats[name]
-            m = [[Fraction(0)] * (d1 * d2) for _ in range(d1 * d2)]
-            for i1 in range(d1):
-                for j1 in range(d1):
-                    if a[i1][j1]:
-                        for k in range(d2):
-                            m[i1 * d2 + k][j1 * d2 + k] += a[i1][j1]
-            for k in range(d1):
-                for i2 in range(d2):
-                    for j2 in range(d2):
-                        if b[i2][j2]:
-                            m[k * d2 + i2][k * d2 + j2] += b[i2][j2]
-            mats.append(m)
-        return Rep(d1 * d2, mats)
+            cols = []
+            for a, xa in enumerate(self.cols[name]):
+                for b, xb in enumerate(other.cols[name]):
+                    col = {i * d2 + b: v for i, v in xa.items()}
+                    for k, v in xb.items():
+                        col[a * d2 + k] = col.get(a * d2 + k, 0) + v
+                    cols.append(col)
+            gens.append(cols)
+        return Rep(self.dim * d2, gens)
 
     def wedge2(self) -> "Rep":
-        d = self.dim
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        """X(ei ^ ej) = X ei ^ ej + ei ^ X ej, pairs i < j in order."""
+        pairs = list(combinations(range(self.dim), 2))
         index = {p: k for k, p in enumerate(pairs)}
-        mats = []
+        gens = []
         for name in GENERATOR_NAMES:
-            a = self.mats[name]
-            m = [[Fraction(0)] * len(pairs) for _ in range(len(pairs))]
-            for (i, j), col in index.items():
-                # X(ei ^ ej) = (X ei) ^ ej + ei ^ (X ej)
-                for r in range(d):
-                    if a[r][i]:
-                        if r == j:
-                            continue
-                        key = (r, j) if r < j else (j, r)
-                        sign = 1 if r < j else -1
-                        m[index[key]][col] += sign * a[r][i]
-                    if a[r][j]:
-                        if r == i:
-                            continue
-                        key = (i, r) if i < r else (r, i)
-                        sign = 1 if i < r else -1
-                        m[index[key]][col] += sign * a[r][j]
-            mats.append(m)
-        return Rep(len(pairs), mats)
+            x = self.cols[name]
+            cols = []
+            for i, j in pairs:
+                col: Column = {}
+                for r, s, v in ([(r, j, v) for r, v in x[i].items()]
+                                + [(i, s, v) for s, v in x[j].items()]):
+                    if r != s:  # v * (er ^ es)
+                        k = index[min(r, s), max(r, s)]
+                        col[k] = col.get(k, 0) + (v if r < s else -v)
+                cols.append(col)
+            gens.append(cols)
+        return Rep(len(pairs), gens)
 
 
 def isotypic_decompose(rep: Rep) -> Dict[Tuple[int, int], int]:
@@ -423,37 +435,34 @@ def isotypic_decompose(rep: Rep) -> Dict[Tuple[int, int], int]:
     Requires h1 and h2 to act diagonally with integer entries (true for
     every module built from weight bases).  The multiplicity of V_{i,j}
     is the dimension of the joint kernel of both raising operators on the
-    weight-(i,j) subspace.
+    weight-(i,j) subspace: its dimension minus the rank of the nonzero
+    rows of e1 and e2 restricted to its columns.
     """
-    h1, h2 = rep.mats["h1"], rep.mats["h2"]
-    d = rep.dim
-    for h in (h1, h2):
-        for i in range(d):
-            for j in range(d):
-                if i != j and h[i][j] != 0:
-                    raise ValueError("h-action is not diagonal in this basis")
-                if i == j and h[i][j].denominator != 1:
-                    raise ValueError("non-integer weight")
-    weights = [(int(h1[i][i]), int(h2[i][i])) for i in range(d)]
-    e1, e2 = rep.mats["e1"], rep.mats["e2"]
+    h1, h2 = rep.cols["h1"], rep.cols["h2"]
+    if any(set(col) - {j} for h in (h1, h2) for j, col in enumerate(h)):
+        raise ValueError("h-action is not diagonal in this basis")
+    weights = [(h1[j].get(j, 0), h2[j].get(j, 0)) for j in range(rep.dim)]
+    if any(type(w) is not int for wt in weights for w in wt):
+        raise ValueError("non-integer weight")
     out: Dict[Tuple[int, int], int] = {}
     for w in sorted(set(weights), reverse=True):
         if w[0] < 0 or w[1] < 0:
             continue
         idxs = [i for i, wi in enumerate(weights) if wi == w]
         rows = []
-        for e in (e1, e2):
-            for r in range(d):
-                row = [e[r][c] for c in idxs]
-                if any(row):
-                    rows.append(row)
+        for e in ("e1", "e2"):
+            by_row: Dict[int, List[Scalar]] = {}
+            for at, c in enumerate(idxs):
+                for r, v in rep.cols[e][c].items():
+                    by_row.setdefault(r, [0] * len(idxs))[at] = v
+            rows.extend(by_row[r] for r in sorted(by_row))
         mult = len(idxs) - rank(PolyMatrix(rows))
         if mult:
             out[w] = mult
     total = sum(mult * dim_v(*w) for w, mult in out.items())
-    if total != d:
-        raise ValueError(
-            f"isotypic decomposition does not fill the space: {total} != {d}")
+    if total != rep.dim:
+        raise ValueError(f"isotypic decomposition does not fill the "
+                         f"space: {total} != {rep.dim}")
     return out
 
 
@@ -630,8 +639,7 @@ def vprime_split(k: int):
     cols = [f.coords() for f in vp + vs]
     mat = PolyMatrix([[cols[j][i] for j in range(len(cols))]
                       for i in range(dim_v(1, k))])
-    rk, ker = matrix_rank_kernel(mat)
-    direct = (rk == len(vp) + len(vs) == dim_v(1, k))
+    direct = (rank(mat) == len(vp) + len(vs) == dim_v(1, k))
     return vp, vs, (len(vp), len(vs)), direct
 
 

@@ -707,8 +707,7 @@ def cmd_jmatrix(c_text: str, emit: str) -> int:
 
 
 def cmd_rank(c_text: str, seed: int) -> int:
-    c = Fraction(c_text) if c_text != "symbolic" else Fraction(1)
-    rep = ig.rank_certificate(c, seed)
+    rep = ig.rank_certificate(Fraction(c_text), seed)
     print(json.dumps(_json_safe(rep), sort_keys=True, indent=1))
     return 0 if rep["rank_is_10"] else 1
 
@@ -777,6 +776,15 @@ def _c_text(text: str) -> str:
     return text
 
 
+def _c_rational(text: str) -> str:
+    """argparse type of rank's --c, which is taken at a rational point."""
+    if text == "symbolic":
+        raise argparse.ArgumentTypeError(
+            "rank is taken at a point; expected a rational number, got "
+            "'symbolic'")
+    return _c_text(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="g12calc",
@@ -814,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("rank", help="rank certificate at a seeded point")
     pr.add_argument("--seed", type=int, default=_env_default("seed", "7"))
-    pr.add_argument("--c", type=_c_text, default="1")
+    pr.add_argument("--c", type=_c_rational, default="1")
 
     pi = sub.add_parser("integrals", help="conservation identity check")
     pi.add_argument("--check", action="store_true")

@@ -33,6 +33,7 @@ from .binforms import BiForm, basis, dim_v, from_coords, pairing_table
 from .linalg import (PolyMatrix, kernel_basis, linear_rows, linsolve, rank,
                      reduced_echelon, solve_sparse)
 from .poly import Poly
+from .spencer import g12_algebra
 
 # -- coframe ----------------------------------------------------------------
 
@@ -41,9 +42,10 @@ OM20_NAMES = ("om20_2", "om20_0", "om20_m2")
 OM02_NAMES = ("om02_2", "om02_0", "om02_m2")
 COFRAME_NAMES = THETA_NAMES + ("om00",) + OM20_NAMES + OM02_NAMES
 
-A20_SYMS = tuple(f"a20_{k}" for k in range(3))
-A02_SYMS = tuple(f"a02_{k}" for k in range(3))
-B_SYMS = tuple(f"b_{k}" for k in range(6))
+# the curvature point: block name and bidegree, in coordinate order
+CURVATURE_SHAPE = (("a20", (2, 0)), ("a02", (0, 2)), ("b", (1, 2)))
+A20_SYMS, A02_SYMS, B_SYMS = (tuple(bf.symbol_names(n, m, name))
+                              for name, (n, m) in CURVATURE_SHAPE)
 C_SYM = "c"
 PARAM_SYMS = A20_SYMS + A02_SYMS + B_SYMS + (C_SYM,)
 
@@ -315,25 +317,9 @@ def contract(expr: FormExpr, values: Dict[int, Poly]) -> FormExpr:
 
 @lru_cache(maxsize=None)
 def _g12_bracket_constants() -> tuple:
-    """c[k][(i,j)] with [E_i, E_j] = sum_k c^k_{ij} E_k for the 7 basis
-    elements, computed from the concrete 6x6 action matrices."""
-    mats = [list(map(list, m)) for m in bf.g12_matrices()]
-    n = 6
-    flat_cols = [[m[i][j] for i in range(n) for j in range(n)] for m in mats]
-    coord_mat = PolyMatrix(list(map(list, zip(*flat_cols))))
-    out = {}
-    for i in range(7):
-        for j in range(i + 1, 7):
-            a, b = mats[i], mats[j]
-            comm = [[sum(a[r][k] * b[k][s] for k in range(n))
-                     - sum(b[r][k] * a[k][s] for k in range(n))
-                     for s in range(n)] for r in range(n)]
-            flat = [comm[r][s] for r in range(n) for s in range(n)]
-            sol = linsolve(coord_mat, flat)
-            if sol is None:
-                raise ValueError("bracket left the algebra")
-            out[(i, j)] = tuple(sol[0])
-    return tuple(sorted(out.items()))
+    """((i, j), c_ij) for i < j with [E_i, E_j] = sum_k c^k_{ij} E_k for
+    the 7 basis elements: the structure constants of g12_algebra()."""
+    return tuple(sorted(g12_algebra().brackets.items()))
 
 
 def omega_wedge_omega(cf: Coframe, om_gens: List[FormExpr]) -> List[FormExpr]:

@@ -18,14 +18,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import binforms as bf
 from .binforms import (BiForm, BlockCoords, basis, dim_v, from_coords,
                        transvectant2)
-from .excalc import (A02_SYMS, A20_SYMS, B_SYMS, C_SYM, OM02_NAMES,
+from .excalc import (A02_SYMS, A20_SYMS, C_SYM, CURVATURE_SHAPE, OM02_NAMES,
                      OM20_NAMES, THETA_NAMES, FormExpr, StructureSystem,
                      build_system, contract, exterior_d)
 from .linalg import (PolyMatrix, invert_rational, matrix_det, rank,
                      random_rational_point)
 from .poly import Poly, Scalar
 
-K_SYMS = A20_SYMS + A02_SYMS + B_SYMS
 COFRAME_COLS = THETA_NAMES + OM20_NAMES + OM02_NAMES
 
 
@@ -33,7 +32,7 @@ class CurvaturePoint(BlockCoords):
     """A point of the curvature space, exact rational or symbolic: the
     blocks a20, a02, b and the constant c (symbolic unless given)."""
 
-    SHAPE = (("a20", (2, 0)), ("a02", (0, 2)), ("b", (1, 2)))
+    SHAPE = CURVATURE_SHAPE
 
     def __init__(self, a20: BiForm, a02: BiForm, b: BiForm, c=None):
         super().__init__(a20, a02, b)
@@ -46,6 +45,9 @@ class CurvaturePoint(BlockCoords):
 
     def assignment(self) -> Dict[str, Poly]:
         return {**super().assignment(), C_SYM: self.c}
+
+
+K_SYMS = tuple(CurvaturePoint.symbols())
 
 
 # the weight of each block's pairing in the display of df_k (gradient_rows)

@@ -66,24 +66,6 @@ class PolyMatrix:
         return PolyMatrix([[self.entries[i][j] for i in range(self.rows)]
                            for j in range(self.cols)])
 
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Poly.zero()
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
     def subs(self, assignment) -> "PolyMatrix":
         return PolyMatrix([[e.subs(assignment) for e in row]
                            for row in self.entries])

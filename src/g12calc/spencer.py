@@ -14,6 +14,11 @@ declared once, as the class's SHAPE.  The codecs below translate between
 those coordinates and raw tensors exactly, and spencer_in_coords
 expresses Sp itself in them, as a polynomial identity in 42 symbolic
 parameters.
+
+A LinearLieAlgebra computes its structure constants once, as its closure
+check; the adjoint action and excalc's omega ^ omega read them.  The
+Spencer domain and target are sparse binforms.Rep modules, and
+T(X) Sp = Sp D(X) is checked as sparse products.
 """
 
 from __future__ import annotations
@@ -28,41 +33,56 @@ from .binforms import (BiForm, BlockCoords, LieElt, Rep, basis, from_coords,
                        isotypic_decompose, rep_matrices, symbolic,
                        transvectant2)
 from .linalg import (PolyMatrix, invert_rational, linear_rows, linsolve,
-                     matrix_rank_kernel, rank, solve_sparse)
-from .poly import Poly
+                     rank, reduced_echelon, solve_sparse)
+from .poly import Poly, _exact
 
 
 class LinearLieAlgebra:
-    """A concrete matrix Lie algebra: ambient dim n and a basis of n x n
-    matrices, checked to be closed under commutators on construction."""
+    """A concrete matrix Lie algebra: ambient dim n and a basis B_0, ...
+    of linearly independent n x n matrices.
 
-    def __init__(self, name: str, n: int, basis_mats: Sequence, check: bool = True):
+    The structure constants are computed once, on construction, and are
+    the closure check: brackets[(a, b)], a < b, holds the coordinates of
+    [B_a, B_b], and a bracket outside the span raises ValueError.
+    """
+
+    def __init__(self, name: str, n: int, basis_mats: Sequence):
         self.name = name
         self.n = n
-        self.basis_mats = [[[Fraction(x) for x in row] for row in m]
+        self.basis_mats = [[[_exact(x) for x in row] for row in m]
                            for m in basis_mats]
         self.dim = len(self.basis_mats)
-        if check:
-            self._check_closure()
+        self._flat = [[x for row in m for x in row] for m in self.basis_mats]
+        # coordinates are read off a matrix's entries at the pivot
+        # positions of the basis, through the basis's inverse there
+        self._pivots, _ = reduced_echelon(self._flat)
+        if len(self._pivots) != self.dim:
+            raise ValueError(f"{name}: basis matrices are linearly dependent")
+        self._read = invert_rational([[v[p] for p in self._pivots]
+                                      for v in self._flat])
+        self.brackets = {}
+        for a, b in combinations(range(self.dim), 2):
+            x, y = self.basis_mats[a], self.basis_mats[b]
+            coords = self.coordinates(
+                [[sum(x[i][k] * y[k][j] - y[i][k] * x[k][j]
+                      for k in range(n)) for j in range(n)]
+                 for i in range(n)])
+            if coords is None:
+                raise ValueError(
+                    f"{name}: basis is not closed under brackets")
+            self.brackets[(a, b)] = coords
 
-    def _mat_mul(self, a, b):
-        n = self.n
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
+    def coordinates(self, mat) -> Optional[Tuple[Fraction, ...]]:
+        """Coordinates of an n x n matrix in the basis, or None when the
+        matrix lies outside the algebra."""
+        flat = [x for row in mat for x in row]
+        coords = tuple(sum(flat[p] * r[a] for p, r in zip(self._pivots,
+                                                           self._read)
+                           if flat[p]) for a in range(self.dim))
+        span = [sum(c * v[t] for c, v in zip(coords, self._flat) if c)
+                for t in range(len(flat))]
+        return coords if span == flat else None
 
-    def _check_closure(self):
-        n = self.n
-        span_rows = [[m[i][j] for i in range(n) for j in range(n)]
-                     for m in self.basis_mats]
-        span_rank = rank(PolyMatrix(span_rows))
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                ab = self._mat_mul(self.basis_mats[a], self.basis_mats[b])
-                ba = self._mat_mul(self.basis_mats[b], self.basis_mats[a])
-                comm = [ab[i][j] - ba[i][j] for i in range(n) for j in range(n)]
-                if rank(PolyMatrix(span_rows + [comm])) != span_rank:
-                    raise ValueError(
-                        f"{self.name}: basis is not closed under brackets")
 
 def spencer_matrix(g: LinearLieAlgebra) -> PolyMatrix:
     """Matrix of Sp: V* (x) g -> Lambda^2 V* (x) V in canonical bases.
@@ -91,17 +111,16 @@ def spencer_matrix(g: LinearLieAlgebra) -> PolyMatrix:
 def prolongation_and_h02(g: LinearLieAlgebra) -> dict:
     """Dimensions of the Spencer sequence for g, all exact."""
     sp = spencer_matrix(g)
-    rank, ker = matrix_rank_kernel(sp)
+    rk = rank(sp)
     return {
         "algebra": g.name,
         "dim_V": g.n,
         "dim_g": g.dim,
         "dim_domain": sp.cols,
         "dim_target": sp.rows,
-        "rank": rank,
-        "dim_g1": sp.cols - rank,
-        "dim_h02": sp.rows - rank,
-        "kernel": ker,
+        "rank": rk,
+        "dim_g1": sp.cols - rk,
+        "dim_h02": sp.rows - rk,
     }
 
 
@@ -123,8 +142,7 @@ def gl2_algebra() -> LinearLieAlgebra:
 def g1k_algebra(k: int = 2) -> LinearLieAlgebra:
     """The 7-dimensional algebra acting on V_{1,k}, in the weight basis
     (identity, V_{2,0} components, V_{0,2} components)."""
-    return LinearLieAlgebra(f"g_{{1,{k}}}", 2 * (k + 1),
-                            [list(map(list, m)) for m in bf.g1k_matrices(k)])
+    return LinearLieAlgebra(f"g_{{1,{k}}}", 2 * (k + 1), bf.g1k_matrices(k))
 
 
 def g12_algebra() -> LinearLieAlgebra:
@@ -134,76 +152,69 @@ def g12_algebra() -> LinearLieAlgebra:
 def gk1_algebra(k: int = 2) -> LinearLieAlgebra:
     """Image of gl(2) on the binary forms of degree k+1 (the restricted
     structure algebra of the submoduli space)."""
-    mats = rep_matrices(k + 1, 0)
-    e1, f1, h1 = mats[0], mats[1], mats[2]
     d = k + 2
-    ident = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    return LinearLieAlgebra(f"g_{k+1}", d,
-                            [list(map(list, e1)), list(map(list, f1)),
-                             list(map(list, h1)), ident])
+    e1, f1, h1 = rep_matrices(k + 1, 0)[:3]
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    return LinearLieAlgebra(f"g_{k+1}", d, [e1, f1, h1, ident])
 
 
 # -- representation structure of the g_{1,2} Spencer sequence -------------
 
 
-def _adjoint_rep(g: LinearLieAlgebra, module_mats) -> Rep:
+def _adjoint_rep(g: LinearLieAlgebra, module: Rep) -> Rep:
     """Action of the six generators on the algebra by brackets with their
-    module matrices, in the algebra's own basis."""
-    n = g.n
-    cols_flat = [[m[i][j] for i in range(n) for j in range(n)]
-                 for m in g.basis_mats]
-    coord_mat = PolyMatrix(list(map(list, zip(*cols_flat))))
-    mats = []
-    for gm in module_mats:
-        x = [list(row) for row in gm]
-        cols = []
-        for bmat in g.basis_mats:
-            xa = [[sum(x[i][k] * bmat[k][j] for k in range(n)) -
-                   sum(bmat[i][k] * x[k][j] for k in range(n))
-                   for j in range(n)] for i in range(n)]
-            flat = [xa[i][j] for i in range(n) for j in range(n)]
-            sol = linsolve(coord_mat, flat)
-            if sol is None:
-                raise ValueError("adjoint action left the algebra")
-            cols.append(sol[0])
-        mats.append([[cols[j][i] for j in range(g.dim)]
-                     for i in range(g.dim)])
-    return Rep(g.dim, mats)
+    module matrices, in the algebra's own basis: each generator is read
+    once in coordinates x, and [X, B_b] = sum_a x_a [B_a, B_b] comes from
+    g's structure constants."""
+    gens = []
+    for name in bf.GENERATOR_NAMES:
+        x = g.coordinates([[col.get(i, 0) for col in module.cols[name]]
+                           for i in range(g.n)])
+        if x is None:
+            raise ValueError(f"module generator {name} lies outside {g.name}")
+        cols: List[Dict[int, Fraction]] = [{} for _ in range(g.dim)]
+        for (a, b), coords in g.brackets.items():
+            for k, c in enumerate(coords):  # [B_a, B_b] = -[B_b, B_a]
+                cols[b][k] = cols[b].get(k, 0) + x[a] * c
+                cols[a][k] = cols[a].get(k, 0) - x[b] * c
+        gens.append(cols)
+    return Rep(g.dim, gens)
 
 
 def _adjoint_rep_g12() -> Rep:
-    return _adjoint_rep(g12_algebra(), rep_matrices(1, 2))
+    return _adjoint_rep(g12_algebra(), Rep.space(1, 2))
 
 
-def spencer_domain_rep(g: Optional[LinearLieAlgebra] = None,
-                       module: Optional[Rep] = None) -> Rep:
-    if g is None:
-        g = g12_algebra()
-        module = Rep.space(1, 2)
-    return module.dual().tensor(_adjoint_rep(g, [module.mat(n) for n in
-                                                 bf.GENERATOR_NAMES]))
+def spencer_domain_rep(g: LinearLieAlgebra, module: Rep) -> Rep:
+    """V* (x) g with g acted on by brackets."""
+    return module.dual().tensor(_adjoint_rep(g, module))
 
 
-def spencer_target_rep(module: Optional[Rep] = None) -> Rep:
-    if module is None:
-        module = Rep.space(1, 2)
+def spencer_target_rep(module: Rep) -> Rep:
+    """Lambda^2 V* (x) V."""
     return module.dual().wedge2().tensor(module)
 
 
 def spencer_equivariance_ok(g: Optional[LinearLieAlgebra] = None,
-                            module: Optional[Rep] = None) -> bool:
-    """Exact matrix identity T(X) Sp = Sp D(X) for all six generators."""
+                            dom: Optional[Rep] = None,
+                            tgt: Optional[Rep] = None) -> bool:
+    """Exact identity T(X) Sp = Sp D(X) for all six generators, compared
+    column by column as sparse products.
+
+    dom and tgt are the Spencer domain and target reps D and T of g; with
+    no arguments the check runs for g_{1,2} on V_{1,2}.
+    """
     if g is None:
         g = g12_algebra()
         module = Rep.space(1, 2)
-    sp = spencer_matrix(g)
-    dom = spencer_domain_rep(g, module)
-    tgt = spencer_target_rep(module)
+        dom, tgt = spencer_domain_rep(g, module), spencer_target_rep(module)
+    sp = [{r: v for r, v in enumerate(col) if v}
+          for col in zip(*spencer_matrix(g).constant_rows())]
     for name in bf.GENERATOR_NAMES:
-        left = PolyMatrix(tgt.mat(name)).matmul(sp)
-        right = sp.matmul(PolyMatrix(dom.mat(name)))
-        if left != right:
-            return False
+        for col, d_col in zip(sp, dom.cols[name]):
+            if (bf.apply_columns(tgt.cols[name], col)
+                    != bf.apply_columns(sp, d_col)):
+                return False
     return True
 
 
@@ -214,11 +225,13 @@ def spencer_isotypic_report(g: LinearLieAlgebra, module: Rep) -> dict:
     when the kernel is zero and Sp is equivariant (both certified here).
     """
     rep = prolongation_and_h02(g)
-    dom_iso = isotypic_decompose(spencer_domain_rep(g, module))
-    tgt_iso = isotypic_decompose(spencer_target_rep(module))
+    dom = spencer_domain_rep(g, module)
+    tgt = spencer_target_rep(module)
+    dom_iso = isotypic_decompose(dom)
+    tgt_iso = isotypic_decompose(tgt)
     if rep["dim_g1"] != 0:
         raise ValueError("expected zero prolongation")
-    if not spencer_equivariance_ok(g, module):
+    if not spencer_equivariance_ok(g, dom, tgt):
         raise ValueError("Spencer map failed equivariance")
     coker = {}
     for key, mult in tgt_iso.items():

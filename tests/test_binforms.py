@@ -289,3 +289,53 @@ def test_pairing_operators_close_under_bracket():
                    - transvectant2(q, transvectant2(p, v, *orders), *orders))
             rhs = transvectant2(pq1, v, *orders)
             assert (lhs - rhs).is_zero()
+
+
+def _product(x, y):
+    """Sparse columns of XY from the sparse columns of X and Y."""
+    out = []
+    for col in y:
+        acc = {}
+        for k, c in col.items():
+            for i, a in x[k].items():
+                acc[i] = acc.get(i, 0) + a * c
+        out.append({i: v for i, v in acc.items() if v})
+    return out
+
+
+def _bracket(x, y):
+    xy, yx = _product(x, y), _product(y, x)
+    out = []
+    for a, b in zip(xy, yx):
+        col = {i: a.get(i, 0) - b.get(i, 0) for i in set(a) | set(b)}
+        out.append({i: v for i, v in col.items() if v})
+    return out
+
+
+def _scaled(k, x):
+    return [{i: k * v for i, v in col.items()} for col in x]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Rep.space(0, 0), lambda: Rep.space(1, 0), lambda: Rep.space(0, 2),
+    lambda: Rep.space(2, 1), lambda: Rep.space(1, 2).dual(),
+    lambda: Rep.space(1, 1).tensor(Rep.space(0, 2)),
+    lambda: Rep.space(1, 2).wedge2(),
+    lambda: Rep.space(1, 2).dual().wedge2().tensor(Rep.space(1, 2)),
+], ids=["V00", "V10", "V02", "V21", "dual12", "tensor11x02", "wedge2_12",
+        "spencer_target"])
+def test_rep_columns_satisfy_sl2_relations(make):
+    rep = make()
+    cols = rep.cols
+    assert all(len(cols[name]) == rep.dim for name in cols)
+    assert all(all(v for v in col.values()) for gen in cols.values()
+               for col in gen)
+    for s in "12":
+        e, f, h = cols["e" + s], cols["f" + s], cols["h" + s]
+        assert _bracket(e, f) == h
+        assert _bracket(h, e) == _scaled(2, e)
+        assert _bracket(h, f) == _scaled(-2, f)
+    zero = [{} for _ in range(rep.dim)]
+    for x in ("e1", "f1", "h1"):
+        for y in ("e2", "f2", "h2"):
+            assert _bracket(cols[x], cols[y]) == zero

@@ -244,6 +244,12 @@ def test_bad_c_is_usage_error(command, bad, capsys):
         capsys.readouterr().err
 
 
+def test_rank_refuses_symbolic_c(capsys):
+    assert main(["rank", "--c", "symbolic"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --c:" in err and "'symbolic'" in err
+
+
 def test_valid_c_recorded_as_given(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["verify", "--suites", "frobenius", "--c", "5/7",

@@ -141,11 +141,13 @@ def test_bianchi_space_is_invariant():
     action = Rep.space(1, 2).dual().wedge2().tensor(_adjoint_rep_g12())
     base = matrix_rank_kernel(PolyMatrix(kernel).transpose())[0]
     for name in bf.GENERATOR_NAMES:
-        mat = action.mat(name)
+        cols = action.cols[name]
         acted = []
         for v in kernel:
-            out = [sum(mat[i][j] * v[j] for j in range(105) if mat[i][j])
-                   for i in range(105)]
+            out = [Fraction(0)] * 105
+            for j, col in enumerate(cols):
+                for i, c in col.items():
+                    out[i] += c * v[j]
             acted.append(out)
         rank2 = matrix_rank_kernel(
             PolyMatrix(kernel + acted).transpose())[0]

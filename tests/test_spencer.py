@@ -7,13 +7,14 @@ from g12calc.binforms import rep_matrices
 from g12calc.linalg import PolyMatrix, matrix_rank_kernel, random_rational_point
 from g12calc.poly import Poly
 from g12calc.spencer import (LinearLieAlgebra, PhiCoords, TorsionCoords,
-                             contact_restriction_identity, decode_torsion,
-                             encode_torsion,
+                             _adjoint_rep, contact_restriction_identity,
+                             decode_torsion, encode_torsion,
                              g12_algebra, g12_spencer_report, gk1_algebra,
                              gl2_algebra, intrinsic_adjustment,
                              prolongation_and_h02, so3_algebra,
                              spencer_coords_match, spencer_equivariance_ok,
-                             spencer_in_coords,
+                             spencer_domain_rep, spencer_in_coords,
+                             spencer_target_rep,
                              splitting_correction_vanishes,
                              torsion_criterion_s16_pair,
                              torsion_criterion_solve, torsion_encode_rank)
@@ -30,6 +31,22 @@ def test_closure_check_rejects_non_algebra():
         # span{e, f} is not closed: [e, f] = h lies outside
         LinearLieAlgebra("broken", 2,
                          [[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+
+
+def test_structure_constants_reproduce_brackets():
+    for g in (so3_algebra(), gl2_algebra(), g12_algebra(), gk1_algebra(2)):
+        n, mats = g.n, g.basis_mats
+        assert len(g.brackets) == g.dim * (g.dim - 1) // 2
+        for (a, b), coords in g.brackets.items():
+            x, y = mats[a], mats[b]
+            comm = [[sum(x[i][k] * y[k][j] - y[i][k] * x[k][j]
+                         for k in range(n)) for j in range(n)]
+                    for i in range(n)]
+            span = [[sum(c * m[i][j] for c, m in zip(coords, mats))
+                     for j in range(n)] for i in range(n)]
+            assert span == comm
+    with pytest.raises(ValueError, match="linearly dependent"):
+        LinearLieAlgebra("twice", 2, [[[0, 1], [0, 0]], [[0, 2], [0, 0]]])
 
 
 def test_so3_spencer_isomorphism():
@@ -277,3 +294,21 @@ def test_splitting_correction_vanishes():
         rep = splitting_correction_vanishes(k)
         assert rep["forced_zero"], rep
     assert splitting_correction_vanishes(2)["single_r_check"]
+
+
+@pytest.mark.parametrize("side", ["target", "domain"])
+def test_spencer_equivariance_detects_perturbed_module(side):
+    g = g12_algebra()
+    module = bf.Rep.space(1, 2)
+    dom = spencer_domain_rep(g, module)
+    tgt = spencer_target_rep(module)
+    assert spencer_equivariance_ok(g, dom, tgt)
+    for name in bf.GENERATOR_NAMES:
+        bad = bf.Rep.space(1, 2)
+        col = bad.cols[name][1]
+        col[4] = col.get(4, 0) + 1
+        if side == "target":
+            assert not spencer_equivariance_ok(g, dom, spencer_target_rep(bad))
+        else:
+            bad_dom = bad.dual().tensor(_adjoint_rep(g, module))
+            assert not spencer_equivariance_ok(g, bad_dom, tgt)
