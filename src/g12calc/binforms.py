@@ -17,6 +17,11 @@ coordinate identities downstream (the structure-equation suite solves for
 the constants rather than assuming them, so a convention mismatch would
 surface there as a solver inconsistency, not as a silent wrong value).
 
+The pairing is defined by that sum in closed form on basis monomials:
+the constants of `pairing_table` (see `_slot_constant`).  `transvectant2`
+contracts the coefficients of its operands with them.  The Cayley Omega
+process, `transvectant2_omega`, shares no code with them and is the oracle.
+
 A module of SL(2) x SL(2) is a `Rep`: for each of the six generators,
 sparse columns X e_j = {row: coefficient}.  V_{n,m} reads them off the
 dense `rep_matrices`; `dual`, `tensor`, `wedge2` and `isotypic_decompose`
@@ -27,8 +32,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb, factorial
+from itertools import combinations, product
+from math import comb, factorial, perm
+from operator import add as _add
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
@@ -51,7 +57,7 @@ class BiForm:
     def __init__(self, n: int, m: int, poly: Poly):
         if n < 0 or m < 0:
             raise DegreeError("negative bidegree")
-        for (e_x1, e_y1, e_x2, e_y2), _c in _form_terms(poly):
+        for e_x1, e_y1, e_x2, e_y2 in poly.coefficients_in(ALL_FORM_VARS):
             if e_x1 + e_y1 != n or e_x2 + e_y2 != m:
                 raise DegreeError(
                     f"polynomial is not bihomogeneous of bidegree ({n}, {m}): {poly}"
@@ -103,12 +109,6 @@ class BiForm:
             i, j = e_y1, e_y2
             out[i * (self.m + 1) + j] = coeff
         return out
-
-
-def _form_terms(poly: Poly):
-    """Yield ((e_x1, e_y1, e_x2, e_y2), coeff Poly) for each form monomial."""
-    for exps, coeff in poly.coefficients_in(ALL_FORM_VARS).items():
-        yield exps, coeff
 
 
 def dim_v(n: int, m: int) -> int:
@@ -224,27 +224,29 @@ class BlockCoords:
 
 
 def transvectant2(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
-    """Slotwise pairing <u, v>_{p1, p2} in the frozen convention."""
-    if p1 < 0 or p2 < 0 or p1 > min(u.n, v.n) or p2 > min(u.m, v.m):
-        raise DegreeError(
-            f"pairing orders ({p1},{p2}) out of range for bidegrees "
-            f"{u.bidegree} x {v.bidegree}")
-    total = Poly.zero()
-    for k1 in range(p1 + 1):
-        for k2 in range(p2 + 1):
-            sign = -1 if (k1 + k2) % 2 else 1
-            c = sign * comb(p1, k1) * comb(p2, k2)
-            du = (u.poly.diff("x1", p1 - k1).diff("y1", k1)
-                  .diff("x2", p2 - k2).diff("y2", k2))
-            if du.is_zero():
-                continue
-            dv = (v.poly.diff("x1", k1).diff("y1", p1 - k1)
-                  .diff("x2", k2).diff("y2", p2 - k2))
-            if dv.is_zero():
-                continue
-            total = total + c * du * dv
-    total = total * Fraction(1, factorial(p1) * factorial(p2))
-    return BiForm(u.n + v.n - 2 * p1, u.m + v.m - 2 * p2, total)
+    """Slotwise pairing <u, v>_{p1, p2} in the frozen convention: the
+    bilinear contraction of u and v with `pairing_table`."""
+    table = pairing_table(u.n, u.m, v.n, v.m, p1, p2)
+    tn, tm = u.n + v.n - 2 * p1, u.m + v.m - 2 * p2
+    vs, a, b = u.poly._aligned(v.poly)
+    nf = sum(x in ALL_FORM_VARS for x in vs)  # form variables lead vs
+
+    def split(terms, m):
+        """(basis index, parameter exponents, coefficient) of each term."""
+        ys = [dict(zip(vs[:nf], e)) for e in terms]
+        return [(y.get("y1", 0) * (m + 1) + y.get("y2", 0), e[nf:], c)
+                for y, (e, c) in zip(ys, terms.items())]
+
+    out = {}
+    vterms = split(b, v.m)
+    for ia, pa, ca in split(a, u.m):
+        for ib, pb, cb in vterms:
+            hit = table.get((ia, ib))
+            if hit is not None:
+                i, j = divmod(hit[0], tm + 1)
+                e = (tn - i, i, tm - j, j, *map(_add, pa, pb))
+                out[e] = out.get(e, 0) + ca * cb * hit[1]
+    return BiForm(tn, tm, Poly(ALL_FORM_VARS + vs[nf:], out))
 
 
 def transvectant(u: BiForm, v: BiForm, p: int) -> BiForm:
@@ -278,28 +280,39 @@ def transvectant2_omega(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
     return BiForm(u.n + v.n - 2 * p1, u.m + v.m - 2 * p2, prod)
 
 
+def _slot_constant(n: int, i: int, m: int, j: int, p: int) -> int:
+    """p! times the coefficient of <x^(n-i) y^i, x^(m-j) y^j>_p, whose one
+    monomial is x^(n+m-i-j-p) y^(i+j-p): the integer
+    sum_k (-1)^k C(p,k) (n-i)_(p-k) (i)_k (m-j)_k (j)_(p-k), with the
+    falling factorial (a)_r = perm(a, r), which is 0 for r > a."""
+    return sum((-1) ** k * comb(p, k) * perm(n - i, p - k) * perm(i, k)
+               * perm(m - j, k) * perm(j, p - k) for k in range(p + 1))
+
+
 @lru_cache(maxsize=None)
 def pairing_table(n1: int, m1: int, n2: int, m2: int, p1: int, p2: int):
     """Structure constants of <.,.>_{p1,p2} on basis monomials.
 
-    Returns a read-only mapping {(idx1, idx2): (target_idx, Fraction)}
-    with zero entries omitted; the transvectant of two basis monomials is
-    a single monomial.
+    The pairing of basis monomials (i1, j1) of V_{n1,m1} and (i2, j2) of
+    V_{n2,m2} is the basis monomial (i1 + i2 - p1, j1 + j2 - p2) of the
+    target, times the product of the two one-slot constants.  Returns a
+    read-only mapping {(idx1, idx2): (target_idx, Fraction)} with zero
+    entries omitted.
     """
+    if p1 < 0 or p2 < 0 or p1 > min(n1, n2) or p2 > min(m1, m2):
+        raise DegreeError(
+            f"pairing orders ({p1},{p2}) out of range for bidegrees "
+            f"{(n1, m1)} x {(n2, m2)}")
+    tm = m1 + m2 - 2 * p2
+    scale = factorial(p1) * factorial(p2)
     out = {}
-    b1 = basis(n1, m1)
-    b2 = basis(n2, m2)
-    tm, tn = n1 + n2 - 2 * p1, m1 + m2 - 2 * p2
-    for i1, u in enumerate(b1):
-        for i2, v in enumerate(b2):
-            w = transvectant2(u, v, p1, p2)
-            if w.is_zero():
-                continue
-            cs = w.coords()
-            nz = [(t, c.constant_value()) for t, c in enumerate(cs)
-                  if not c.is_zero()]
-            assert len(nz) == 1, (tm, tn, nz)
-            out[(i1, i2)] = nz[0]
+    for i1, j1, i2, j2 in product(range(n1 + 1), range(m1 + 1),
+                                  range(n2 + 1), range(m2 + 1)):
+        c = (_slot_constant(n1, i1, n2, i2, p1)
+             * _slot_constant(m1, j1, m2, j2, p2))
+        if c:
+            out[(i1 * (m1 + 1) + j1, i2 * (m2 + 1) + j2)] = (
+                (i1 + i2 - p1) * (tm + 1) + j1 + j2 - p2, Fraction(c, scale))
     return MappingProxyType(out)
 
 
@@ -348,7 +361,7 @@ def rep_matrices(n: int, m: int) -> Tuple[Tuple[Tuple[Scalar, ...], ...], ...]:
         cols = []
         for v in bas:
             w = generator_action(name, v)
-            cols.append([c.constant_value() for c in w.coords()])
+            cols.append([_exact(c.constant_value()) for c in w.coords()])
         mats.append(tuple(tuple(cols[j][i] for j in range(d))
                           for i in range(d)))
     return tuple(mats)
@@ -494,8 +507,8 @@ class LieElt:
     """Element of the 7-dimensional algebra acting on V_{1,2}.
 
     Stored as (p00, p20, p02) with p00 in V_{0,0}, p20 in V_{2,0} and p02
-    in V_{0,2}; acts on q by p00*q + <p20, q>_{1,0} + <p02, q>_{0,1},
-    pairings dropped when out of range for q's bidegree.
+    in V_{0,2}; acts on q in V_{n,m}, n, m >= 1, by the double bracket
+    <<self, q>>_1 = p00*q + <p20, q>_{1,0} + <p02, q>_{0,1}.
     """
 
     __slots__ = ("p00", "p20", "p02")
@@ -522,12 +535,7 @@ class LieElt:
         return (self.p00.coords() + self.p20.coords() + self.p02.coords())
 
     def act(self, q: BiForm) -> BiForm:
-        res = BiForm(q.n, q.m, self.p00.poly * q.poly)
-        if q.n >= 1 and not self.p20.is_zero():
-            res = res + transvectant2(self.p20, q, 1, 0)
-        if q.m >= 1 and not self.p02.is_zero():
-            res = res + transvectant2(self.p02, q, 0, 1)
-        return res
+        return double_bracket(self, q, 1)
 
     def action_matrix(self, n: int = 1, m: int = 2) -> PolyMatrix:
         cols = [self.act(v).coords() for v in basis(n, m)]
@@ -539,20 +547,10 @@ def double_bracket(w: LieElt, q: BiForm, k) -> BiForm:
     """<<p00 + p20 + p02, q>>_k = k <p00,q>_{0,0} + <p20,q>_{1,0} + <p02,q>_{0,1}."""
     res = BiForm(q.n, q.m, k * w.p00.poly * q.poly)
     if not w.p20.is_zero():
-        if q.n < 1:
-            if not transvectant_applicable(w.p20, q, 1, 0):
-                raise DegreeError("p20 pairing out of range for this bidegree")
         res = res + transvectant2(w.p20, q, 1, 0)
     if not w.p02.is_zero():
-        if q.m < 1:
-            if not transvectant_applicable(w.p02, q, 0, 1):
-                raise DegreeError("p02 pairing out of range for this bidegree")
         res = res + transvectant2(w.p02, q, 0, 1)
     return res
-
-
-def transvectant_applicable(u: BiForm, v: BiForm, p1: int, p2: int) -> bool:
-    return p1 <= min(u.n, v.n) and p2 <= min(u.m, v.m)
 
 
 def g12_basis_elts() -> List[LieElt]:
@@ -570,7 +568,7 @@ def g12_basis_elts() -> List[LieElt]:
 def g1k_matrices(k: int = 2) -> Tuple:
     """Action matrices of the 7 algebra basis elements on V_{1,k}."""
     return tuple(
-        tuple(tuple(e.constant_value() for e in row)
+        tuple(tuple(_exact(e.constant_value()) for e in row)
               for row in elt.action_matrix(1, k).entries)
         for elt in g12_basis_elts())
 

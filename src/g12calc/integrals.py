@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import binforms as bf
 from .binforms import (BiForm, BlockCoords, basis, dim_v, from_coords,
-                       transvectant2)
+                       pairing_table, transvectant2)
 from .excalc import (A02_SYMS, A20_SYMS, C_SYM, CURVATURE_SHAPE, OM02_NAMES,
                      OM20_NAMES, THETA_NAMES, FormExpr, StructureSystem,
                      build_system, contract, exterior_d)
@@ -203,12 +203,12 @@ def conservation_identity(coeff_72=Fraction(72)) -> dict:
 
 @lru_cache(maxsize=None)
 def _gram_inverse(n: int, m: int, p1: int, p2: int) -> tuple:
-    """Inverse transpose-Gram matrix of the full contraction on V_{n,m}."""
-    bas = basis(n, m)
+    """Inverse transpose-Gram matrix of the full contraction on V_{n,m}:
+    entry (i, j) of the Gram matrix is the constant of pairing_table."""
+    table = pairing_table(n, m, n, m, p1, p2)
     d = dim_v(n, m)
-    gram = [[transvectant2(u, v, p1, p2).poly.constant_value()
-             for v in bas] for u in bas]
-    gramT = [[gram[j][i] for j in range(d)] for i in range(d)]
+    gramT = [[table[j, i][1] if (j, i) in table else 0 for j in range(d)]
+             for i in range(d)]
     return tuple(tuple(r) for r in invert_rational(gramT))
 
 

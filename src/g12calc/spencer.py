@@ -329,7 +329,8 @@ def _unit_point_matrix(coords: type, image: Callable) -> tuple:
     for k in range(size):
         vec = [0] * size
         vec[k] = 1
-        cols.append([p.constant_value() for p in image(coords.from_vector(vec))])
+        cols.append([_exact(p.constant_value())
+                     for p in image(coords.from_vector(vec))])
     return tuple(zip(*cols))
 
 

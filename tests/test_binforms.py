@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 
 from g12calc.binforms import (BiForm, DegreeError, LieElt, Rep, basis,
-                              basis_weights, clebsch_gordan, clebsch_gordan2,
-                              dim_v, divides, double_bracket,
+                              basis_monomial, basis_weights, clebsch_gordan,
+                              clebsch_gordan2, dim_v, divides, double_bracket,
                               equivariance_check, from_coords,
                               generator_action, g12_basis_elts, iota_map,
-                              isotypic_decompose, random_biform,
-                              seq_maps, slot2_form, symbolic, transvectant,
-                              transvectant2, transvectant2_omega,
-                              vprime_split)
+                              isotypic_decompose, pairing_table,
+                              random_biform, seq_maps, slot2_form, symbolic,
+                              transvectant, transvectant2,
+                              transvectant2_omega, vprime_split)
 from g12calc.integrals import CurvaturePoint
 from g12calc.linalg import _Lcg
 from g12calc.poly import Poly, parse_poly
@@ -96,6 +96,26 @@ def test_omega_process_oracle_agreement():
         got = transvectant2(u, v, p1, p2)
         want = transvectant2_omega(u, v, p1, p2)
         assert (got - want).is_zero()
+    # operands whose variable sets differ: parameter names disjoint or
+    # shared, form variables missing on one or both sides, a zero operand
+    # on either side, and orders (0, 0)
+    zero22 = BiForm(2, 2, Poly.zero())
+    pairs = [(symbolic(1, 2, "a"), symbolic(2, 2, "b"), 1, 1),
+             (symbolic(2, 2, "a"), symbolic(2, 1, "a"), 2, 1),
+             (bform(2, 2, "a_0*x1^2*x2^2 - 3*x1*y1*y2^2"),
+              symbolic(2, 2, "a"), 1, 2),
+             (bform(2, 2, "x1^2*x2^2"),
+              bform(3, 2, "y1^3*y2^2 - 2*t*x1*y1^2*x2*y2"), 2, 2),
+             (bform(2, 2, "x1^2*x2^2"), bform(1, 1, "t*x1*x2"), 1, 0),
+             (bform(2, 0, "x1^2"), bform(0, 2, "t*y2^2"), 0, 0),
+             (zero22, symbolic(2, 2, "a"), 1, 1),
+             (symbolic(1, 2, "a"), zero22, 1, 2),
+             (symbolic(1, 2, "a"), symbolic(1, 2, "b"), 0, 0),
+             (symbolic(1, 2, "a"), symbolic(1, 2, "a"), 0, 0)]
+    for u, v, p1, p2 in pairs:
+        got = transvectant2(u, v, p1, p2)
+        want = transvectant2_omega(u, v, p1, p2)
+        assert got == want and got.bidegree == want.bidegree
 
 
 def test_pairing_range_errors():
@@ -263,6 +283,28 @@ def test_basis_pairing_table_against_oracle():
                 got = transvectant2(u, v, *orders)
                 want = transvectant2_omega(u, v, *orders)
                 assert (got - want).is_zero()
+    # every pairing_table entry up to (3,3) x (3,3), at every order in
+    # range, against the independent doubled-variable implementation.  In
+    # u = sum_i s^i e_i and v = sum_j t^j e_j the coefficient of s^i t^j
+    # of the oracle's <u, v> is its pairing of basis monomials i and j: it
+    # must be the table's single monomial, and zero for an omitted pair.
+    def tagged(n, m, tag):
+        return from_coords(n, m, [Poly.var(tag, k)
+                                  for k in range(dim_v(n, m))])
+
+    bidegrees = [(n, m) for n in range(4) for m in range(4)]
+    for n1, m1 in bidegrees:
+        u = tagged(n1, m1, "s")
+        for n2, m2 in bidegrees:
+            v = tagged(n2, m2, "t")
+            for p1 in range(min(n1, n2) + 1):
+                for p2 in range(min(m1, m2) + 1):
+                    tn, tm = n1 + n2 - 2 * p1, m1 + m2 - 2 * p2
+                    table = pairing_table(n1, m1, n2, m2, p1, p2)
+                    want = {ij: c * basis_monomial(tn, tm, *divmod(t, tm + 1))
+                            for ij, (t, c) in table.items()}
+                    got = transvectant2_omega(u, v, p1, p2).poly
+                    assert got.coefficients_in(("s", "t")) == want
 
 
 def test_pairing_table_is_read_only():
