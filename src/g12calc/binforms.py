@@ -57,8 +57,12 @@ class BiForm:
     def __init__(self, n: int, m: int, poly: Poly):
         if n < 0 or m < 0:
             raise DegreeError("negative bidegree")
-        for e_x1, e_y1, e_x2, e_y2 in poly.coefficients_in(ALL_FORM_VARS):
-            if e_x1 + e_y1 != n or e_x2 + e_y2 != m:
+        # positions of each slot's variables; absent ones have exponent 0
+        slot1, slot2 = ([k for k, v in enumerate(poly.vars) if v in vs]
+                        for vs in SLOT_VARS)
+        for e in poly.terms:
+            if (sum(e[k] for k in slot1) != n
+                    or sum(e[k] for k in slot2) != m):
                 raise DegreeError(
                     f"polynomial is not bihomogeneous of bidegree ({n}, {m}): {poly}"
                 )

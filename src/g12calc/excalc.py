@@ -65,6 +65,16 @@ class Coframe:
         return isinstance(other, Coframe) and self.names == other.names
 
 
+def _add_term(out: Dict[tuple, Poly], mono: tuple, c: Poly) -> None:
+    """out[mono] += c in place, dropping the term when it cancels."""
+    s = out.get(mono)
+    s = c if s is None else s + c
+    if s.is_zero():
+        out.pop(mono, None)
+    else:
+        out[mono] = s
+
+
 def _wedge_tuples(a: tuple, b: tuple):
     """Merge two strictly increasing index tuples; (sign, merged) or None."""
     if not a:
@@ -126,12 +136,7 @@ class FormExpr:
     def __add__(self, other: "FormExpr") -> "FormExpr":
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            _add_term(out, mono, coeff)
         return FormExpr(self.cf, out)
 
     def __sub__(self, other: "FormExpr") -> "FormExpr":
@@ -148,13 +153,7 @@ class FormExpr:
                 if w is None:
                     continue
                 sign, mono = w
-                c = c1 * c2 if sign == 1 else -(c1 * c2)
-                s = out.get(mono)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
+                _add_term(out, mono, c1 * c2 if sign == 1 else -(c1 * c2))
         return FormExpr(self.cf, out)
 
     def subs_params(self, assignment) -> "FormExpr":
@@ -262,9 +261,9 @@ class StructureSystem:
 
 
 def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
-    """Anti-derivation extension of the rule set; degree raised by one."""
-    cf = expr.cf
-    out = FormExpr.zero(cf)
+    """Anti-derivation extension of the rule set; degree raised by one.
+    Every term is added, in order, into one accumulator."""
+    out: Dict[tuple, Poly] = {}
     for mono, coeff in expr.terms.items():
         # d(coeff) ^ mono
         for pname in coeff.vars:
@@ -274,42 +273,37 @@ def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
             dpart = coeff.diff(pname)
             if dpart.is_zero():
                 continue
-            out = out + rule.scale(dpart).wedge(FormExpr(cf, {mono: Poly.const(1)}))
+            for m, c in rule.terms.items():
+                w = _wedge_tuples(m, mono)
+                if w is not None:
+                    c = c * dpart
+                    _add_term(out, w[1], c if w[0] == 1 else -c)
         # coeff * sum_j (-1)^(j-1) e_{i1..} ^ d(e_ij) ^ e_{..ik}
         for j, gidx in enumerate(mono):
             rule = sys.gen_rules.get(gidx)
-            if rule is None or rule.is_zero():
+            if rule is None:
                 continue
-            prefix = mono[:j]
-            suffix = mono[j + 1:]
-            sign = -1 if j % 2 else 1
-            piece = FormExpr(cf, {prefix: coeff if sign == 1 else -coeff})
-            piece = piece.wedge(rule)
-            piece = piece.wedge(FormExpr(cf, {suffix: Poly.const(1)}))
-            out = out + piece
-    return out
+            for m, c in rule.terms.items():
+                w1 = _wedge_tuples(mono[:j], m)
+                w2 = w1 and _wedge_tuples(w1[1], mono[j + 1:])
+                if w2:
+                    c = coeff * c
+                    sign = w1[0] * w2[0] * (-1 if j % 2 else 1)
+                    _add_term(out, w2[1], c if sign == 1 else -c)
+    return FormExpr(expr.cf, out)
 
 
 def contract(expr: FormExpr, values: Dict[int, Poly]) -> FormExpr:
     """Interior product with a vector field given by its coframe values."""
-    cf = expr.cf
-    out = FormExpr.zero(cf)
+    out: Dict[tuple, Poly] = {}
     for mono, coeff in expr.terms.items():
         for j, gidx in enumerate(mono):
             v = values.get(gidx)
             if v is None or (isinstance(v, Poly) and v.is_zero()):
                 continue
-            rest = mono[:j] + mono[j + 1:]
             c = coeff * v
-            if j % 2:
-                c = -c
-            s = out.terms.get(rest)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.terms.pop(rest, None)
-            else:
-                out.terms[rest] = s
-    return out
+            _add_term(out, mono[:j] + mono[j + 1:], -c if j % 2 else c)
+    return FormExpr(expr.cf, out)
 
 
 # -- Lie algebra structure constants ----------------------------------------

@@ -15,6 +15,12 @@ those coordinates and raw tensors exactly, and spencer_in_coords
 expresses Sp itself in them, as a polynomial identity in 42 symbolic
 parameters.
 
+The pairings that make up phi and the tensor are declared once, as
+PHI_TERMS and TORSION_TERMS.  The codec matrix (90 x 90) and Sp's matrix
+in coordinates (90 x 42) contract pairing_table constants over them;
+BiForm evaluation (tensor_values, the route for symbolic input) is the
+independent route, which the codec and adjustment checks compare with.
+
 A LinearLieAlgebra computes its structure constants once, as its closure
 check; the adjoint action and excalc's omega ^ omega read them.  The
 Spencer domain and target are sparse binforms.Rep modules, and
@@ -23,6 +29,7 @@ T(X) Sp = Sp D(X) is checked as sparse products.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -275,17 +282,34 @@ class TorsionCoords(BlockCoords):
              ("s12pp", (1, 2)))
 
 
+# phi(p).comp = sum of <phi.block, p>_orders over PHI_TERMS, and
+# T(p, q) = sum of <s.block, <p, q>_inner>_outer over TORSION_TERMS
+PHI_TERMS = (("r12", "p00", (1, 2)), ("r32", "p20", (1, 2)),
+             ("r12p", "p20", (0, 2)), ("r14", "p02", (1, 2)),
+             ("r12pp", "p02", (1, 1)), ("r10", "p02", (1, 0)))
+
+TORSION_TERMS = (("s12", (1, 0), (0, 2)), ("s14", (1, 0), (0, 3)),
+                 ("s16", (1, 0), (0, 4)), ("s10", (0, 1), (1, 0)),
+                 ("s12p", (0, 1), (1, 1)), ("s14p", (0, 1), (1, 2)),
+                 ("s30", (0, 1), (2, 0)), ("s32", (0, 1), (2, 1)),
+                 ("s34", (0, 1), (2, 2)), ("s12pp", (1, 2), (0, 0)))
+
+# LieElt component -> (its bidegree, its pairing orders in LieElt.act)
+_ACTION = {"p00": ((0, 0), (0, 0)), "p20": ((2, 0), (1, 0)),
+           "p02": ((0, 2), (0, 1))}
+
+_PAIRS = {pair: at for at, pair in enumerate(combinations(range(6), 2))}
+
+
 def phi_to_map(phi: PhiCoords) -> Callable[[BiForm], LieElt]:
     """The linear map V_{1,2} -> g determined by pairing coordinates."""
 
     def apply(p: BiForm) -> LieElt:
-        p00 = transvectant2(phi.r12, p, 1, 2)
-        p20 = (transvectant2(phi.r32, p, 1, 2)
-               + transvectant2(phi.r12p, p, 0, 2))
-        p02 = (transvectant2(phi.r14, p, 1, 2)
-               + transvectant2(phi.r12pp, p, 1, 1)
-               + transvectant2(phi.r10, p, 1, 0))
-        return LieElt(p00, p20, p02)
+        comps: Dict[str, BiForm] = {}
+        for block, comp, orders in PHI_TERMS:
+            term = transvectant2(getattr(phi, block), p, *orders)
+            comps[comp] = comps[comp] + term if comp in comps else term
+        return LieElt(**comps)
 
     return apply
 
@@ -294,19 +318,13 @@ def torsion_tensor(s: TorsionCoords) -> Callable[[BiForm, BiForm], BiForm]:
     """The alternating tensor determined by torsion coordinates."""
 
     def apply(p: BiForm, q: BiForm) -> BiForm:
-        pq10 = transvectant2(p, q, 1, 0)
-        pq01 = transvectant2(p, q, 0, 1)
-        pq12 = transvectant2(p, q, 1, 2)
-        return (transvectant2(s.s12, pq10, 0, 2)
-                + transvectant2(s.s14, pq10, 0, 3)
-                + transvectant2(s.s16, pq10, 0, 4)
-                + transvectant2(s.s10, pq01, 1, 0)
-                + transvectant2(s.s12p, pq01, 1, 1)
-                + transvectant2(s.s14p, pq01, 1, 2)
-                + transvectant2(s.s30, pq01, 2, 0)
-                + transvectant2(s.s32, pq01, 2, 1)
-                + transvectant2(s.s34, pq01, 2, 2)
-                + transvectant2(s.s12pp, pq12, 0, 0))
+        pq = {o: transvectant2(p, q, *o)
+              for o in {inner for _, inner, _ in TORSION_TERMS}}
+        out = None
+        for block, inner, outer in TORSION_TERMS:
+            term = transvectant2(getattr(s, block), pq[inner], *outer)
+            out = term if out is None else out + term
+        return out
 
     return apply
 
@@ -321,30 +339,36 @@ def tensor_values(t: Callable[[BiForm, BiForm], BiForm]) -> List[Poly]:
     return out
 
 
-def _unit_point_matrix(coords: type, image: Callable) -> tuple:
-    """Matrix of a linear map out of a BlockCoords space: column k holds
-    the constant coordinates image() returns for the k-th unit point."""
-    size = len(coords.symbols())
-    cols = []
-    for k in range(size):
-        vec = [0] * size
-        vec[k] = 1
-        cols.append([_exact(p.constant_value())
-                     for p in image(coords.from_vector(vec))])
-    return tuple(zip(*cols))
+def _dense_rows(cols: Sequence[bf.Column], nrows: int) -> tuple:
+    """Rows of the matrix with sparse columns `cols`, exact scalars."""
+    return tuple(tuple(_exact(col.get(r, 0)) for col in cols)
+                 for r in range(nrows))
 
 
 @lru_cache(maxsize=None)
 def _torsion_encode_matrix() -> tuple:
-    """90 x 90 matrix taking torsion coordinates to tensor values."""
-    return _unit_point_matrix(
-        TorsionCoords, lambda s: tensor_values(torsion_tensor(s)))
+    """90 x 90 matrix taking torsion coordinates to tensor values: c1 c2
+    at row (pair i < j, u), column k of the block, for each term with
+    <e_i, e_j>_inner = c1 e_t and <e_k, e_t>_outer = c2 e_u."""
+    off = TorsionCoords.offsets()
+    shape = dict(TorsionCoords.SHAPE)
+    cols = [defaultdict(int) for _ in range(90)]
+    for block, (i1, i2), outer in TORSION_TERMS:
+        (n, m), (start, stop) = shape[block], off[block]
+        table = bf.pairing_table(n, m, 2 - 2 * i1, 4 - 2 * i2, *outer)
+        for (i, j), (t, c1) in bf.pairing_table(1, 2, 1, 2, i1, i2).items():
+            if i < j:
+                for k in range(stop - start):
+                    hit = table.get((k, t))
+                    if hit is not None:
+                        row = _PAIRS[i, j] * 6 + hit[0]
+                        cols[start + k][row] += c1 * hit[1]
+    return _dense_rows(cols, 90)
 
 
 @lru_cache(maxsize=None)
 def _torsion_decode_matrix() -> tuple:
-    rows = [list(r) for r in _torsion_encode_matrix()]
-    return tuple(tuple(r) for r in invert_rational(rows))
+    return tuple(map(tuple, invert_rational(_torsion_encode_matrix())))
 
 
 def encode_torsion(s: TorsionCoords) -> List[Poly]:
@@ -527,10 +551,27 @@ def torsion_criterion_s16_pair() -> dict:
 
 @lru_cache(maxsize=None)
 def _spencer_coordinate_matrix() -> tuple:
-    """90 x 42 matrix of Sp in pairing coordinates (torsion coords of
-    Sp(unit phi) per phi coordinate)."""
-    return _unit_point_matrix(
-        PhiCoords, lambda phi: spencer_in_coords(phi).vector())
+    """90 x 42 matrix of Sp in pairing coordinates: per term, unit phi_k
+    has phi_k(e_i).comp = c1 e_t and comp acts on e_j as c2 e_u, adding
+    c1 c2 to Sp(phi_k)(e_i, e_j); the values are decoded to coordinates."""
+    off = PhiCoords.offsets()
+    shape = dict(PhiCoords.SHAPE)
+    values = [defaultdict(int) for _ in range(42)]
+    for block, comp, orders in PHI_TERMS:
+        (n, m), start = shape[block], off[block][0]
+        bidegree, act_orders = _ACTION[comp]
+        act = bf.pairing_table(*bidegree, 1, 2, *act_orders)
+        for (k, i), (t, c1) in bf.pairing_table(n, m, 1, 2,
+                                                 *orders).items():
+            for j in range(6):
+                hit = act.get((t, j))
+                if hit is not None and i != j:  # the value on (e_i, e_j)
+                    row = _PAIRS[min(i, j), max(i, j)] * 6 + hit[0]
+                    c = c1 * hit[1]
+                    values[start + k][row] += c if i < j else -c
+    dec = [{r: x for r, x in enumerate(col) if x}
+           for col in zip(*_torsion_decode_matrix())]
+    return _dense_rows([bf.apply_columns(dec, col) for col in values], 90)
 
 
 def intrinsic_adjustment(t: TorsionCoords) -> PhiCoords:

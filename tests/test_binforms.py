@@ -45,6 +45,24 @@ def test_bihomogeneity_checked():
     BiForm(2, 0, parse_poly("t*x1^2 + x1*y1"))  # parameters allowed
 
 
+def test_bihomogeneity_check_reads_form_exponents_only():
+    # parameter coefficients, including parameters of high degree
+    BiForm(1, 2, parse_poly("a*x1*x2^2 + b^3*y1*x2*y2 - a*b*x1*y2^2"))
+    BiForm(0, 0, parse_poly("t^2 + s"))
+    # form variables absent from the polynomial read as exponent 0
+    BiForm(2, 2, parse_poly("x1^2*x2^2"))
+    BiForm(2, 2, parse_poly("t*y1^2*y2^2"))
+    BiForm(1, 0, parse_poly("u*y1"))
+    for n, m, text in ((1, 2, "t*x1*x2^2 + s*x1^2*x2"),
+                       (1, 2, "t*x1*x2^2 + s^2*x1*x2"),
+                       (0, 0, "t*x1"), (2, 2, "x1^2*x2^2 + y1*y2^2")):
+        poly = parse_poly(text)
+        with pytest.raises(DegreeError, match=(
+                rf"^polynomial is not bihomogeneous of bidegree "
+                rf"\({n}, {m}\): ")):
+            BiForm(n, m, poly)
+
+
 def test_zeroth_transvectant_is_product():
     u = bform(2, 0, "x1^2 - y1^2")
     v = bform(3, 0, "x1^2*y1")

@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from g12calc import binforms as bf
+from g12calc import spencer
+from g12calc.cli import SuiteConfig, run_suites
 from g12calc.binforms import rep_matrices
 from g12calc.linalg import PolyMatrix, matrix_rank_kernel, random_rational_point
 from g12calc.poly import Poly
@@ -15,9 +18,10 @@ from g12calc.spencer import (LinearLieAlgebra, PhiCoords, TorsionCoords,
                              spencer_coords_match, spencer_equivariance_ok,
                              spencer_domain_rep, spencer_in_coords,
                              spencer_target_rep,
-                             splitting_correction_vanishes,
+                             splitting_correction_vanishes, tensor_values,
                              torsion_criterion_s16_pair,
-                             torsion_criterion_solve, torsion_encode_rank)
+                             torsion_criterion_solve, torsion_encode_rank,
+                             torsion_tensor)
 
 TORSION_OFFSETS = {"s12": (0, 6), "s14": (6, 16), "s16": (16, 30),
                    "s10": (30, 32), "s12p": (32, 38), "s14p": (38, 48),
@@ -130,6 +134,77 @@ def test_decode_encode_on_basis_coordinates():
         vec[k] = Fraction(1)
         back = decode_torsion(encode_torsion(TorsionCoords.from_vector(vec)))
         assert [p.constant_value() for p in back.vector()] == vec
+
+
+def _unit_vector(size, k):
+    vec = [0] * size
+    vec[k] = 1
+    return vec
+
+
+def test_coordinate_matrices_equal_unit_point_evaluation():
+    # the oracle evaluates BiForm pairings at every unit point
+    enc = spencer._torsion_encode_matrix()
+    for k in range(90):
+        s = TorsionCoords.from_vector(_unit_vector(90, k))
+        want = [p.constant_value() for p in tensor_values(torsion_tensor(s))]
+        assert [row[k] for row in enc] == want
+    sp = spencer._spencer_coordinate_matrix()
+    for k in range(42):
+        phi = PhiCoords.from_vector(_unit_vector(42, k))
+        want = [p.constant_value() for p in spencer_in_coords(phi).vector()]
+        assert [row[k] for row in sp] == want
+
+
+@pytest.mark.parametrize("name, cols, nnz, digest", [
+    ("_torsion_encode_matrix", 90, 406,
+     "c04bc455d0413eb958deb95f1e5fd1f762b246052df922be2ced19cba27e1a75"),
+    ("_spencer_coordinate_matrix", 42, 88,
+     "47d7c3aa21d0a55c15fb529c61a180422c62561a43ca92a63dc699ee51f45363"),
+])
+def test_coordinate_matrices_pinned(name, cols, nnz, digest):
+    m = getattr(spencer, name)()
+    assert len(m) == 90 and all(len(row) == cols for row in m)
+    assert sum(1 for row in m for x in row if x) == nnz
+    text = ";".join(",".join(map(str, row)) for row in m)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_codec_checks_detect_a_perturbed_contraction(monkeypatch):
+    # one wrong encode entry in an s12 column (a block Sp reaches): the
+    # BiForm evaluation no longer inverts the decode matrix
+    enc = spencer._torsion_encode_matrix()
+    bad = [list(row) for row in enc]
+    bad[0][0] += 1
+    caches = (spencer._torsion_decode_matrix,
+              spencer._spencer_coordinate_matrix)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(spencer, "_torsion_encode_matrix",
+                        lambda: tuple(map(tuple, bad)))
+    try:
+        vec = [Fraction(k * 3 - 7, 2) for k in range(90)]
+        back = decode_torsion(encode_torsion(TorsionCoords.from_vector(vec)))
+        assert [p.constant_value() for p in back.vector()] != vec
+        vec = _admissible_torsion(5)
+        try:
+            phi = intrinsic_adjustment(TorsionCoords.from_vector(vec))
+        except ValueError:
+            pass
+        else:
+            want = [Fraction(0) if 48 <= i < 52 else v
+                    for i, v in enumerate(vec)]
+            got = [p.constant_value() for p in spencer_in_coords(phi).vector()]
+            assert got != want
+        report = run_suites(SuiteConfig(["spencer", "torsion"]))
+        status = {c["check"]: c["status"] for c in report["checks"]}
+        assert status["torsion_codec_roundtrip"] == "fail"
+        assert status["intrinsic_adjustment"] == "fail"
+    finally:
+        monkeypatch.undo()
+        for cached in caches:
+            cached.cache_clear()
+    assert spencer._torsion_encode_matrix() == enc
 
 
 def test_coordinate_formula_fully_symbolic():
