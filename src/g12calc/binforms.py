@@ -34,12 +34,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial, perm
-from operator import add as _add
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import PolyMatrix, _Lcg, rank
-from .poly import Poly, Scalar, _exact
+from .poly import Poly, Scalar, _exact, form_key, from_packed, split_form
 
 SLOT_VARS = (("x1", "y1"), ("x2", "y2"))
 ALL_FORM_VARS = ("x1", "y1", "x2", "y2")
@@ -57,15 +56,11 @@ class BiForm:
     def __init__(self, n: int, m: int, poly: Poly):
         if n < 0 or m < 0:
             raise DegreeError("negative bidegree")
-        # positions of each slot's variables; absent ones have exponent 0
-        slot1, slot2 = ([k for k, v in enumerate(poly.vars) if v in vs]
-                        for vs in SLOT_VARS)
-        for e in poly.terms:
-            if (sum(e[k] for k in slot1) != n
-                    or sum(e[k] for k in slot2) != m):
-                raise DegreeError(
-                    f"polynomial is not bihomogeneous of bidegree ({n}, {m}): {poly}"
-                )
+        degrees = poly.bidegrees()
+        if degrees and degrees != {(n, m)}:
+            raise DegreeError(
+                f"polynomial is not bihomogeneous of bidegree ({n}, {m}): {poly}"
+            )
         self.n = n
         self.m = m
         self.poly = poly
@@ -232,25 +227,27 @@ def transvectant2(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
     bilinear contraction of u and v with `pairing_table`."""
     table = pairing_table(u.n, u.m, v.n, v.m, p1, p2)
     tn, tm = u.n + v.n - 2 * p1, u.m + v.m - 2 * p2
-    vs, a, b = u.poly._aligned(v.poly)
-    nf = sum(x in ALL_FORM_VARS for x in vs)  # form variables lead vs
+    targets = [form_key(tn - i, i, tm - j, j)
+               for i in range(tn + 1) for j in range(tm + 1)]
 
-    def split(terms, m):
-        """(basis index, parameter exponents, coefficient) of each term."""
-        ys = [dict(zip(vs[:nf], e)) for e in terms]
-        return [(y.get("y1", 0) * (m + 1) + y.get("y2", 0), e[nf:], c)
-                for y, (e, c) in zip(ys, terms.items())]
+    def split(p: Poly, m: int):
+        """(basis index, key of the parameter part, coefficient) of each
+        term."""
+        out = []
+        for k, c in p.packed.items():
+            (_x1, y1, _x2, y2), rest = split_form(k)
+            out.append((y1 * (m + 1) + y2, rest, c))
+        return out
 
     out = {}
-    vterms = split(b, v.m)
-    for ia, pa, ca in split(a, u.m):
+    vterms = split(v.poly, v.m)
+    for ia, pa, ca in split(u.poly, u.m):
         for ib, pb, cb in vterms:
             hit = table.get((ia, ib))
             if hit is not None:
-                i, j = divmod(hit[0], tm + 1)
-                e = (tn - i, i, tm - j, j, *map(_add, pa, pb))
+                e = targets[hit[0]] + pa + pb
                 out[e] = out.get(e, 0) + ca * cb * hit[1]
-    return BiForm(tn, tm, Poly(ALL_FORM_VARS + vs[nf:], out))
+    return BiForm(tn, tm, from_packed(out))
 
 
 def transvectant(u: BiForm, v: BiForm, p: int) -> BiForm:
@@ -300,8 +297,9 @@ def pairing_table(n1: int, m1: int, n2: int, m2: int, p1: int, p2: int):
     The pairing of basis monomials (i1, j1) of V_{n1,m1} and (i2, j2) of
     V_{n2,m2} is the basis monomial (i1 + i2 - p1, j1 + j2 - p2) of the
     target, times the product of the two one-slot constants.  Returns a
-    read-only mapping {(idx1, idx2): (target_idx, Fraction)} with zero
-    entries omitted.
+    read-only mapping {(idx1, idx2): (target_idx, constant)} with zero
+    entries omitted; a constant is an `int` when integral and a
+    `Fraction` otherwise, as in every stored coefficient.
     """
     if p1 < 0 or p2 < 0 or p1 > min(n1, n2) or p2 > min(m1, m2):
         raise DegreeError(
@@ -316,7 +314,8 @@ def pairing_table(n1: int, m1: int, n2: int, m2: int, p1: int, p2: int):
              * _slot_constant(m1, j1, m2, j2, p2))
         if c:
             out[(i1 * (m1 + 1) + j1, i2 * (m2 + 1) + j2)] = (
-                (i1 + i2 - p1) * (tm + 1) + j1 + j2 - p2, Fraction(c, scale))
+                (i1 + i2 - p1) * (tm + 1) + j1 + j2 - p2,
+                _exact(Fraction(c, scale)))
     return MappingProxyType(out)
 
 

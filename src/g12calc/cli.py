@@ -629,10 +629,9 @@ def _parse_t_expr(text: str):
 
 def _biform_from_literal(text: str) -> bf.BiForm:
     poly = parse_poly(text)
-    n = max((sum(k for v, k in zip(poly.vars, e) if v in ("x1", "y1"))
-             for e in poly.terms), default=0)
-    m = max((sum(k for v, k in zip(poly.vars, e) if v in ("x2", "y2"))
-             for e in poly.terms), default=0)
+    degrees = poly.bidegrees()
+    n = max((n for n, _m in degrees), default=0)
+    m = max((m for _n, m in degrees), default=0)
     return bf.BiForm(n, m, poly)
 
 

@@ -32,7 +32,7 @@ from . import binforms as bf
 from .binforms import BiForm, basis, dim_v, from_coords, pairing_table
 from .linalg import (PolyMatrix, kernel_basis, linear_rows, linsolve, rank,
                      reduced_echelon, solve_sparse)
-from .poly import Poly
+from .poly import Poly, _var_key, fields_mask, var_key
 from .spencer import g12_algebra
 
 # -- coframe ----------------------------------------------------------------
@@ -264,15 +264,18 @@ def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
     """Anti-derivation extension of the rule set; degree raised by one.
     Every term is added, in order, into one accumulator."""
     out: Dict[tuple, Poly] = {}
+    # the parameters with a nonzero rule, in the canonical variable order
+    params = [(pname, fields_mask((pname,)), rule)
+              for pname, rule in sorted(sys.param_rules.items(),
+                                        key=lambda kv: _var_key(kv[0]))
+              if not rule.is_zero()]
     for mono, coeff in expr.terms.items():
         # d(coeff) ^ mono
-        for pname in coeff.vars:
-            rule = sys.param_rules.get(pname)
-            if rule is None or rule.is_zero():
+        used = coeff.support()
+        for pname, field, rule in params:
+            if not used & field:
                 continue
             dpart = coeff.diff(pname)
-            if dpart.is_zero():
-                continue
             for m, c in rule.terms.items():
                 w = _wedge_tuples(m, mono)
                 if w is not None:
@@ -945,10 +948,9 @@ def _homogeneous_rows(polys: Sequence[Poly], unknowns: Sequence[str],
     """Rows of the conditions p = 0, each homogeneous linear in the
     unknowns and free of every other variable; anything else raises
     ValueError(message)."""
-    allowed = set(unknowns)
+    allowed = {var_key(u) for u in unknowns}
     for p in polys:
-        if not allowed.issuperset(p.vars) or any(sum(e) != 1
-                                                 for e in p.terms):
+        if not allowed.issuperset(p.packed):
             raise ValueError(message)
     return linear_rows(polys, unknowns)
 

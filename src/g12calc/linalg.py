@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence
 
-from .poly import Poly, Scalar, _exact, divexact
+from .poly import Poly, Scalar, _exact, divexact, fields_mask, var_key
 
 
 class PolyMatrix:
@@ -100,7 +100,7 @@ def matrix_det(m: PolyMatrix) -> Poly:
     a = []
     scale = 1
     for row in m.entries:
-        den = lcm(*(c.denominator for e in row for c in e.terms.values()))
+        den = lcm(*(c.denominator for e in row for c in e.packed.values()))
         if den != 1:
             scale *= den
             row = [e * den for e in row]
@@ -135,9 +135,9 @@ def _stored_rows(m: PolyMatrix) -> List[list]:
     """The stored int-or-Fraction values of a constant matrix."""
     for row in m.entries:
         for e in row:
-            if e.vars:
+            if not e.is_constant():
                 raise ValueError(f"not a constant: {e}")
-    return [[e.terms.get((), 0) for e in row] for row in m.entries]
+    return [[e.packed.get(0, 0) for e in row] for row in m.entries]
 
 
 def _int_row(values) -> List[int]:
@@ -299,23 +299,18 @@ def linear_rows(polys: Iterable[Poly], unknowns: Sequence[str]) -> List[dict]:
     unknowns to the constant column len(unknowns).  A term of degree > 1
     in the unknowns raises ValueError.
     """
-    col = {u: k for k, u in enumerate(unknowns)}
+    col = {var_key(u): k for k, u in enumerate(unknowns)}
+    fields = fields_mask(unknowns)
     const = len(unknowns)
     rows = []
     for p in polys:
-        cols = [col.get(v) for v in p.vars]
-        by_rest: Dict[tuple, dict] = {}
-        for e, c in p.terms.items():
-            at = const
-            rest = []
-            for k, ck in zip(e, cols):
-                if ck is None:
-                    rest.append(k)
-                elif k:
-                    if k > 1 or at != const:
-                        raise ValueError(f"not linear in the unknowns: {p}")
-                    at = ck
-            by_rest.setdefault(tuple(rest), {})[at] = c
+        by_rest: Dict[int, dict] = {}
+        for k, c in p.packed.items():
+            u = k & fields
+            at = col.get(u) if u else const
+            if at is None:
+                raise ValueError(f"not linear in the unknowns: {p}")
+            by_rest.setdefault(k ^ u, {})[at] = c
         rows.extend(by_rest.values())
     return rows
 

@@ -1,19 +1,36 @@
-"""Exact sparse multivariate polynomials over the rationals.
+"""Exact sparse multivariate polynomials over the rationals, in one ring.
 
-A polynomial is stored as a map from exponent tuples to nonzero exact
-coefficients, together with an ordered tuple of variable names.  A
-coefficient is an `int` whenever it is integral and a `Fraction`
-otherwise, so polynomials over Z (the common case) run on machine-speed
-integer arithmetic.  `float` is rejected at construction: no inexact
-value can enter.  The scalar accessors `constant_value()` and `eval()`
-always return a `Fraction`.
+Every variable name is interned once per process in a registry that
+gives it a fixed index; the form variables x1, y1, x2, y2 are interned
+first and hold indices 0-3.  A monomial is one packed `int` key with a
+fixed field of _FIELD = 8 bits per variable index: the exponent of
+variable i sits at bit i * _FIELD.  So the key of a product is the sum of
+the keys (Monagan and Pearce, "POLY: a new polynomial data structure for
+Maple 17", 2013), and no operation aligns the variables of its operands.
 
-The representation is canonical: variables that appear in no term are
-dropped, zero coefficients are never stored, integral coefficients are
-`int`, and the variable order is the fixed global one (form variables
-x1, y1, x2, y2 first, then parameter names sorted).  Two polynomials are
-equal iff their canonical forms are equal, so identity testing is a dict
-comparison.
+The top bit of each field is a guard bit.  An exponent is at most
+_MAX_EXP = 127, so the sum of two valid fields never carries into the
+next field; a product, a power or a constructed term whose exponent
+would exceed _MAX_EXP raises OverflowError instead of wrapping.  Fields
+are kept narrow because a key is as long as the index of its highest
+variable: a run of `verify` interns about 340 names.
+
+A polynomial stores `packed`, a dict from key to nonzero exact
+coefficient: an `int` whenever it is integral and a `Fraction` otherwise,
+so polynomials over Z (the common case) run on machine-speed integer
+arithmetic.  `float` is rejected at construction: no inexact value can
+enter.  The scalar accessors `constant_value()` and `eval()` always
+return a `Fraction`.
+
+The representation is canonical: zero coefficients are never stored and
+integral coefficients are `int`.  Two polynomials are equal iff their
+dicts are equal, so identity testing is a dict comparison.  `.vars` (the
+variables that occur, form variables first, then the other names sorted)
+and `.terms` ({exponent tuple over .vars: coefficient}) are read-only
+views derived from the keys; they and every result, term order included,
+are independent of the order in which names were interned.  Term order is
+dict insertion order: the order in which an operation first produced each
+monomial.
 
 The zero polynomial has no variables and no terms.
 """
@@ -21,20 +38,102 @@ The zero polynomial has no variables and no terms.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add, sub as _sub
+from functools import reduce
+from math import perm
+from operator import or_
 from typing import Iterable, Mapping, Union
 
 Scalar = Fraction
 
-# Form variables come first in every merged context, in this order.
+# Form variables come first in the canonical order, in this order.
 _FORM_VARS = ("x1", "y1", "x2", "y2")
 _FORM_INDEX = {v: i for i, v in enumerate(_FORM_VARS)}
 
+_FIELD = 8                            # bits per variable, guard bit included
+_MAX_EXP = (1 << (_FIELD - 1)) - 1    # largest exponent a field holds
+_MASK = (1 << _FIELD) - 1
+
 
 def _var_key(name: str):
+    """Sort key of the canonical variable order."""
     if name in _FORM_INDEX:
         return (0, _FORM_INDEX[name], "")
     return (1, 0, name)
+
+
+# The registry: index -> name, name -> index, index -> canonical sort key,
+# and the guard bits of every interned field.  It only grows.
+_NAMES: list = []
+_INDEX: dict = {}
+_ORDER: list = []
+_GUARD = 0
+
+
+def _intern(name: str) -> int:
+    i = _INDEX.get(name)
+    if i is None:
+        if type(name) is not str:
+            raise TypeError(f"not a variable name: {name!r}")
+        global _GUARD
+        i = len(_NAMES)
+        _NAMES.append(name)
+        _ORDER.append(_var_key(name))
+        _INDEX[name] = i
+        _GUARD |= 1 << (i * _FIELD + _FIELD - 1)
+    return i
+
+
+for _v in _FORM_VARS:
+    _intern(_v)
+
+
+def _overflow() -> OverflowError:
+    return OverflowError(f"exponent exceeds {_MAX_EXP}")
+
+
+def _indices(support: int) -> list:
+    """Indices of the nonzero fields of a key, ascending."""
+    out = []
+    while support:
+        i = ((support & -support).bit_length() - 1) // _FIELD
+        out.append(i)
+        support &= ~(_MASK << (i * _FIELD))
+    return out
+
+
+def _canonical_indices(support: int) -> list:
+    return sorted(_indices(support), key=_ORDER.__getitem__)
+
+
+def var_key(name: str) -> int:
+    """The key of the monomial `name`^1."""
+    return 1 << (_intern(name) * _FIELD)
+
+
+def fields_mask(names: Iterable[str]) -> int:
+    """The bits of the fields of the named variables."""
+    return reduce(or_, (_MASK << (_intern(v) * _FIELD) for v in names), 0)
+
+
+# The form variables hold the four lowest fields.
+_FORM_BITS = 4 * _FIELD
+_F1, _F2, _F3 = _FIELD, 2 * _FIELD, 3 * _FIELD
+
+
+def form_key(e_x1: int, e_y1: int, e_x2: int, e_y2: int) -> int:
+    """The key of x1^e_x1 y1^e_y1 x2^e_x2 y2^e_y2."""
+    exps = (e_x1, e_y1, e_x2, e_y2)
+    if min(exps) < 0:
+        raise ValueError(f"negative exponent in {exps}")
+    if max(exps) > _MAX_EXP:
+        raise _overflow()
+    return e_x1 | e_y1 << _F1 | e_x2 << _F2 | e_y2 << _F3
+
+
+def split_form(key: int):
+    """((x1, y1, x2, y2) exponents, key of the other variables)."""
+    return ((key & _MASK, key >> _F1 & _MASK, key >> _F2 & _MASK,
+             key >> _F3 & _MASK), key >> _FORM_BITS << _FORM_BITS)
 
 
 def _exact(c):
@@ -66,25 +165,37 @@ def _div(a, b):
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("packed",)
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple, Scalar] = None):
+        """From variable names and {exponent tuple: coefficient}.
+
+        Raises ValueError on a repeated name, on an exponent tuple whose
+        length differs from the number of names, and on an exponent that
+        is not a nonnegative `int` (a bool included); OverflowError on an
+        exponent above _MAX_EXP; TypeError on an inexact coefficient.
+        """
         vs = tuple(vars)
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"repeated variable name in {vs}")
+        units = [var_key(v) for v in vs]
         tm = {}
         if terms:
             for e, c in terms.items():
                 c = _exact(c)
+                if type(e) is not tuple or len(e) != len(vs):
+                    raise ValueError(
+                        f"exponents {e!r} do not match the variables {vs}")
+                key = 0
+                for u, k in zip(units, e):
+                    if type(k) is not int or k < 0:
+                        raise ValueError(f"not a nonnegative int exponent: {k!r}")
+                    if k > _MAX_EXP:
+                        raise _overflow()
+                    key += u * k
                 if c:
-                    tm[e] = c
-        # drop unused variables and sort the rest into the global order
-        if vs:
-            used = [i for i in range(len(vs)) if any(e[i] for e in tm)]
-            order = sorted(used, key=lambda i: _var_key(vs[i]))
-            if order != list(range(len(vs))):
-                vs = tuple(vs[i] for i in order)
-                tm = {tuple(e[i] for i in order): c for e, c in tm.items()}
-        _set_vars(self, vs)
-        _set_terms(self, tm)
+                    tm[key] = c
+        _set_packed(self, tm)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -100,7 +211,7 @@ class Poly:
         c = _exact(c)
         if c == 0:
             return Poly()
-        return _trusted((), {(): c})
+        return _trusted({0: c})
 
     @staticmethod
     def var(name: str, power: int = 1, coeff=1) -> "Poly":
@@ -116,82 +227,84 @@ class Poly:
         exps = tuple(assignment[n] for n in names)
         return Poly(names, {exps: coeff})
 
+    # -- views -----------------------------------------------------------
+
+    def support(self) -> int:
+        """A key whose nonzero fields are the variables that occur."""
+        return reduce(or_, self.packed, 0)
+
+    @property
+    def vars(self) -> tuple:
+        """The variables that occur, in the canonical order."""
+        return tuple(_NAMES[i] for i in _canonical_indices(self.support()))
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple over .vars: coefficient}, in term order."""
+        shifts = [i * _FIELD for i in _canonical_indices(self.support())]
+        return {tuple([k >> s & _MASK for s in shifts]): c
+                for k, c in self.packed.items()}
+
+    def bidegrees(self) -> set:
+        """The (x1, y1)- and (x2, y2)-degrees of the terms."""
+        return {((k & _MASK) + (k >> _F1 & _MASK),
+                 (k >> _F2 & _MASK) + (k >> _F3 & _MASK))
+                for k in self.packed}
+
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return not self.vars
+        return not any(self.packed)
 
     def constant_value(self) -> Scalar:
-        if not self.terms:
+        if not self.packed:
             return Fraction(0)
-        if self.vars:
+        if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return Fraction(self.terms[()])
+        return Fraction(self.packed[0])
 
     def degree(self, var: str = None) -> int:
         """Total degree, or degree in one variable; zero poly has degree 0."""
-        if not self.terms:
+        if not self.packed:
             return 0
         if var is None:
             return max(sum(e) for e in self.terms)
-        if var not in self.vars:
+        i = _INDEX.get(var)
+        if i is None:
             return 0
-        i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        s = i * _FIELD
+        return max(k >> s & _MASK for k in self.packed)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _aligned(self, other: "Poly"):
-        """Common variable tuple and re-keyed term dicts for self, other."""
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        merged = sorted(set(self.vars) | set(other.vars), key=_var_key)
-        merged = tuple(merged)
-
-        def remap(p: "Poly"):
-            pos = [merged.index(v) for v in p.vars]
-            out = {}
-            for e, c in p.terms.items():
-                ne = [0] * len(merged)
-                for i, x in zip(pos, e):
-                    ne[i] = x
-                out[tuple(ne)] = c
-            return out
-
-        return merged, remap(self), remap(other)
-
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
-        if not other.terms:
+        if not other.packed:
             return self
-        if not self.terms:
+        if not self.packed:
             return other
-        vs, a, b = self._aligned(other)
-        out = dict(a)
-        cancelled = False
-        for e, c in b.items():
-            s = out.get(e)
+        out = dict(self.packed)
+        for k, c in other.packed.items():
+            s = out.get(k)
             if s is None:
-                out[e] = c
+                out[k] = c
                 continue
             s += c
             if not s:
-                del out[e]
-                cancelled = True
+                del out[k]
             elif type(s) is int or s.denominator != 1:
-                out[e] = s
+                out[k] = s
             else:
-                out[e] = s.numerator
-        # a cancelled term may take the last occurrence of a variable
-        return Poly(vs, out) if cancelled else _trusted(vs, out)
+                out[k] = s.numerator
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return _trusted({k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce(other))
@@ -205,26 +318,26 @@ class Poly:
             if c == 0:
                 return Poly()
             out = {}
-            for e, k in self.terms.items():
-                v = k * c
-                out[e] = v if type(v) is int or v.denominator != 1 \
+            for k, v in self.packed.items():
+                v = v * c
+                out[k] = v if type(v) is int or v.denominator != 1 \
                     else v.numerator
-            return _trusted(self.vars, out)
+            return _trusted(out)
         other = _coerce(other)
-        if not self.terms or not other.terms:
+        a, b = self.packed, other.packed
+        if not a or not b:
             return Poly()
-        vs, a, b = self._aligned(other)
         out = {}
         get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(_add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        # over an integral domain every variable of either factor stays
-        # in the product; only coefficients can cancel
-        return _trusted(vs, {
-            e: c if type(c) is int or c.denominator != 1 else c.numerator
-            for e, c in out.items() if c})
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if reduce(or_, out) & _GUARD:
+            raise _overflow()
+        return _trusted({
+            k: c if type(c) is int or c.denominator != 1 else c.numerator
+            for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -253,10 +366,10 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.packed == other.packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     # -- calculus ------------------------------------------------------
 
@@ -264,19 +377,21 @@ class Poly:
         """Iterated formal partial derivative."""
         if order < 0:
             raise ValueError("negative order")
-        p = self
-        for _ in range(order):
-            if var not in p.vars:
-                return Poly()
-            i = p.vars.index(var)
-            out = {}
-            for e, c in p.terms.items():
-                if e[i] == 0:
-                    continue
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[ne] = c * e[i]
-            p = Poly(p.vars, out)
-        return p
+        if order == 0:
+            return self
+        i = _INDEX.get(var)
+        if i is None:
+            return Poly()
+        s = i * _FIELD
+        drop = order << s
+        out = {}
+        for k, c in self.packed.items():
+            e = k >> s & _MASK
+            if e >= order:
+                c = c * perm(e, order)
+                out[k - drop] = c if type(c) is int or c.denominator != 1 \
+                    else c.numerator
+        return _trusted(out)
 
     def subs(self, assignment: Mapping[str, Union["Poly", Scalar, int]]) -> "Poly":
         """Simultaneous substitution; unassigned variables stay.
@@ -285,43 +400,46 @@ class Poly:
         in one pass over the terms, keyed by the exponents that remain;
         the fold runs on integer numerators and denominators and makes one
         canonical coefficient per key.  Only non-constant Poly values are
-        expanded through their powers.
+        expanded through their powers, in the canonical variable order.
         """
-        vs = self.vars
-        scalars = []  # (position in vs, numerator, denominator)
-        polys = {}    # position in vs -> non-constant Poly value
-        keep = []     # positions of unassigned variables
-        for i, v in enumerate(vs):
-            if v not in assignment:
-                keep.append(i)
+        scalars = []  # (shift, numerator, denominator)
+        polys = []    # (canonical sort key, shift, non-constant Poly value)
+        assigned = 0  # fields of the assigned variables that occur
+        for i in _indices(self.support()):
+            name = _NAMES[i]
+            if name not in assignment:
                 continue
-            val = assignment[v]
+            val = assignment[name]
+            s = i * _FIELD
+            assigned |= _MASK << s
             if isinstance(val, Poly):
-                if val.vars:
-                    polys[i] = val
+                if not val.is_constant():
+                    polys.append((_ORDER[i], s, val))
                     continue
-                val = val.terms.get((), 0)
+                val = val.packed.get(0, 0)
             else:
                 val = _exact(val)
-            scalars.append((i, val.numerator, val.denominator))
-        if len(keep) == len(vs):
+            scalars.append((s, val.numerator, val.denominator))
+        if not assigned:
             return self
-        ppos = list(polys)
-        groups = {}  # exponents of the Poly-valued vars -> {kept exps: [n, d]}
-        for e, c in self.terms.items():
+        polys.sort(key=lambda t: t[0])
+        pmask = reduce(or_, (_MASK << s for _, s, _ in polys), 0)
+        keep = ~assigned
+        groups = {}  # key of the Poly-valued fields -> {kept key: [n, d]}
+        for k, c in self.packed.items():
             n, d = c.numerator, c.denominator
-            for i, xn, xd in scalars:
-                k = e[i]
-                if k == 1:
+            for s, xn, xd in scalars:
+                e = k >> s & _MASK
+                if e == 1:
                     n *= xn
                     d *= xd
-                elif k:
-                    n *= xn ** k
-                    d *= xd ** k
+                elif e:
+                    n *= xn ** e
+                    d *= xd ** e
             if not n:
                 continue
-            part = groups.setdefault(tuple([e[i] for i in ppos]), {})
-            ke = tuple([e[i] for i in keep])
+            part = groups.setdefault(k & pmask, {})
+            ke = k & keep
             acc = part.get(ke)
             if acc is None:
                 part[ke] = [n, d]
@@ -330,30 +448,31 @@ class Poly:
             else:
                 acc[0] = acc[0] * d + n * acc[1]
                 acc[1] *= d
-        kept_vars = tuple([vs[i] for i in keep])
         total = None
         pows = {}
-        for pe, part in groups.items():
-            term = Poly(kept_vars, {ke: Fraction(n, d) if d != 1 else n
-                                    for ke, (n, d) in part.items()})
-            for i, k in zip(ppos, pe):
-                if k:
-                    f = pows.get((i, k))
+        for pk, part in groups.items():
+            term = _trusted({ke: n if d == 1 else _exact(Fraction(n, d))
+                             for ke, (n, d) in part.items() if n})
+            for _, s, val in polys:
+                e = pk >> s & _MASK
+                if e:
+                    f = pows.get((s, e))
                     if f is None:
-                        f = pows[(i, k)] = polys[i] ** k
+                        f = pows[(s, e)] = val ** e
                     term = term * f
             total = term if total is None else total + term
         return Poly() if total is None else total
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at a full rational point."""
-        missing = [v for v in self.vars if v not in assignment]
+        vs = self.vars
+        missing = [v for v in vs if v not in assignment]
         if missing:
             raise ValueError(f"unassigned variables: {missing}")
         total = Fraction(0)
         for e, c in self.terms.items():
             val = c
-            for v, k in zip(self.vars, e):
+            for v, k in zip(vs, e):
                 if k:
                     val *= _as_fraction(assignment[v]) ** k
             total += val
@@ -365,23 +484,13 @@ class Poly:
         Returns {exponent tuple over `vars`: Poly in the remaining
         variables}.
         """
-        vs = tuple(vars)
-        pos = {v: i for i, v in enumerate(vs)}
-        rest = [v for v in self.vars if v not in pos]
+        shifts = [_intern(v) * _FIELD for v in vars]
+        rest = ~reduce(or_, (_MASK << s for s in shifts), 0)
         out = {}
-        for e, c in self.terms.items():
-            key = [0] * len(vs)
-            rexp = []
-            for v, k in zip(self.vars, e):
-                if v in pos:
-                    key[pos[v]] = k
-                else:
-                    rexp.append(k)
-            key = tuple(key)
-            part = out.setdefault(key, {})
-            re = tuple(rexp)
-            part[re] = part.get(re, 0) + c
-        return {k: Poly(rest, tm) for k, tm in out.items()}
+        for k, c in self.packed.items():
+            key = tuple([k >> s & _MASK for s in shifts])
+            out.setdefault(key, {})[k & rest] = c
+        return {key: _trusted(tm) for key, tm in out.items()}
 
     # -- presentation ---------------------------------------------------
 
@@ -389,14 +498,15 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
+        vs, terms = self.vars, self.terms
         bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, reverse=True):
+            c = terms[e]
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}"
-                for v, k in zip(self.vars, e) if k
+                for v, k in zip(vs, e) if k
             )
             if not mono:
                 bits.append(str(c))
@@ -421,24 +531,39 @@ class Poly:
     @staticmethod
     def from_json(data: dict) -> "Poly":
         """Inverse of to_json.  A coefficient is an int or a "p/q"
-        string; the constructor's exactness guard rejects a float."""
+        string; the constructor's exactness guard rejects a float, and a
+        repeated `exps` entry is a ValueError."""
         vs = tuple(data["vars"])
-        tm = {tuple(t["exps"]): t["coeff"] for t in data["terms"]}
+        tm = {}
+        for t in data["terms"]:
+            e = tuple(t["exps"])
+            if e in tm:
+                raise ValueError(f"repeated exponents {list(e)}")
+            tm[e] = t["coeff"]
         return Poly(vs, tm)
 
 
-_set_vars = Poly.vars.__set__
-_set_terms = Poly.terms.__set__
+_set_packed = Poly.packed.__set__
 
 
-def _trusted(vs: tuple, tm: dict) -> Poly:
+def _trusted(tm: dict) -> Poly:
     """Wrap data that is already canonical, without checking it: every
-    variable of `vs` occurs, in the global order, and every value of `tm`
-    is a nonzero canonical coefficient."""
+    key is valid (no guard bit set) and every value of `tm` is a nonzero
+    canonical coefficient."""
     p = object.__new__(Poly)
-    _set_vars(p, vs)
-    _set_terms(p, tm)
+    _set_packed(p, tm)
     return p
+
+
+def from_packed(tm: Mapping[int, Scalar]) -> Poly:
+    """Poly from {key: int or Fraction} built by key arithmetic: zero
+    coefficients are dropped, integral ones become `int`, and a key with
+    an exponent above _MAX_EXP raises OverflowError."""
+    if tm and reduce(or_, tm) & _GUARD:
+        raise _overflow()
+    return _trusted({
+        k: c if type(c) is int or c.denominator != 1 else c.numerator
+        for k, c in tm.items() if c})
 
 
 def _coerce(x) -> Poly:
@@ -452,34 +577,53 @@ def _coerce(x) -> Poly:
 def divexact(p: Poly, q: Poly) -> Poly:
     """Exact polynomial division; raises if q does not divide p.
 
-    Leading-term elimination in lexicographic order.  Used by the
-    fraction-free determinant, where divisibility is guaranteed; with
-    integer coefficients on both sides each step is an exact `//`.
+    Leading-term elimination in the lexicographic order of the canonical
+    variable order.  The keys are re-packed once with the first variable
+    of that order in the most significant field, so comparing keys is
+    comparing exponent tuples, and a quotient exponent is one subtraction
+    checked through the guard bits.  Used by the fraction-free
+    determinant, where divisibility is guaranteed; with integer
+    coefficients on both sides each step is an exact `//`.
     """
-    if q.is_zero():
+    b = q.packed
+    if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero():
+    a = p.packed
+    if not a:
         return Poly()
-    if not q.vars:
-        qc = q.terms[()]
+    if q.is_constant():
+        qc = b[0]
         if qc == 1:
             return p
-        return _trusted(p.vars, {e: _div(c, qc) for e, c in p.terms.items()})
-    vs, a, b = p._aligned(q)
-    qlead = max(b)
-    qc = b[qlead]
-    qrest = [(eb, cb) for eb, cb in b.items() if eb != qlead]
-    quot = {}
-    rem = dict(a)
+        return _trusted({k: _div(c, qc) for k, c in a.items()})
+    shifts = [i * _FIELD
+              for i in _canonical_indices(p.support() | q.support())]
+    guard = sum(1 << (j * _FIELD + _FIELD - 1) for j in range(len(shifts)))
+
+    def lex(k: int) -> int:
+        out = 0
+        for s in shifts:
+            out = out << _FIELD | k >> s & _MASK
+        return out
+
+    lb = {lex(k): c for k, c in b.items()}
+    qlead = max(lb)
+    qc = lb.pop(qlead)
+    qrest = list(lb.items())
+    rem = {lex(k): c for k, c in a.items()}
+    quot = []
     while rem:
         lead = max(rem)
-        e = tuple(map(_sub, lead, qlead))
-        if any(x < 0 for x in e):
+        if lead & guard:
+            raise _overflow()
+        e = (lead | guard) - qlead
+        if e & guard != guard:
             raise ValueError("inexact polynomial division")
+        e ^= guard
         c = _div(rem.pop(lead), qc)
-        quot[e] = c
+        quot.append((e, c))
         for eb, cb in qrest:
-            key = tuple(map(_add, e, eb))
+            key = e + eb
             s = rem.get(key, 0) - c * cb
             if not s:
                 rem.pop(key, None)
@@ -487,7 +631,15 @@ def divexact(p: Poly, q: Poly) -> Poly:
                 rem[key] = s
             else:
                 rem[key] = s.numerator
-    return Poly(vs, quot)
+    out = {}
+    back = shifts[::-1]
+    for e, c in quot:
+        k = 0
+        for s in back:
+            k |= (e & _MASK) << s
+            e >>= _FIELD
+        out[k] = c
+    return _trusted(out)
 
 
 # -- parsing of polynomial literals -------------------------------------
@@ -557,11 +709,14 @@ class _Parser:
         base = self._atom()
         if self._peek() == "^":
             self.pos += 1
-            return base ** self._int()
-        if self.text[self.pos:self.pos + 2] == "**":
+        elif self.text[self.pos:self.pos + 2] == "**":
             self.pos += 2
+        else:
+            return base
+        try:
             return base ** self._int()
-        return base
+        except OverflowError as exc:
+            raise ParseError(str(exc), self.pos) from None
 
     def _int(self) -> int:
         self._skip()

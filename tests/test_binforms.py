@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -323,6 +324,17 @@ def test_basis_pairing_table_against_oracle():
                             for ij, (t, c) in table.items()}
                     got = transvectant2_omega(u, v, p1, p2).poly
                     assert got.coefficients_in(("s", "t")) == want
+
+
+def test_pairing_table_constants_are_canonical_scalars():
+    # an integral constant is an int, as every stored coefficient, so the
+    # contraction multiplies ints wherever it can; up to (3,3) x (3,3)
+    # every constant is integral
+    for n1, m1, n2, m2 in product(range(4), repeat=4):
+        for p1 in range(min(n1, n2) + 1):
+            for p2 in range(min(m1, m2) + 1):
+                for _t, c in pairing_table(n1, m1, n2, m2, p1, p2).values():
+                    assert type(c) is int
 
 
 def test_pairing_table_is_read_only():

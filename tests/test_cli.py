@@ -178,6 +178,15 @@ def test_constants_command(tmp_path, capsys):
     {"vars": [], "terms": [{"coeff": 0.5, "exps": []}]},
     {"vars": [], "terms": [{"coeff": "x", "exps": []}]},
     {"terms": []},
+    # malformed monomials: an exponent beyond the variables, a repeated
+    # monomial, a repeated variable, negative and non-int exponents
+    {"vars": ["x"], "terms": [{"coeff": 3, "exps": [0, 7]}]},
+    {"vars": ["x"], "terms": [{"coeff": 3, "exps": [0]},
+                              {"coeff": 2, "exps": [0]}]},
+    {"vars": ["x", "x"], "terms": [{"coeff": 3, "exps": [0, 0]}]},
+    {"vars": ["x"], "terms": [{"coeff": 3, "exps": [-1]}]},
+    {"vars": ["x"], "terms": [{"coeff": 3, "exps": [0.5]}]},
+    {"vars": ["x"], "terms": [{"coeff": 3, "exps": [True]}]},
 ])
 def test_constants_rejects_inexact_and_malformed_values(tmp_path, capsys,
                                                          bad):

@@ -1,8 +1,10 @@
 """Property tests of the exact core, and differential tests against sympy.
 
 `Poly` is checked for the ring axioms over mixed int/Fraction
-coefficients, for its canonical int-when-integral storage, for divexact
-round trips and for one-pass `subs` against a term-by-term expansion.
+coefficients, with operands on overlapping or disjoint variable sets, and
+against sympy across those sets; for its canonical int-when-integral
+storage, for divexact round trips, for one-pass `subs` against a
+term-by-term expansion and for exponent overflow.
 `matrix_det`, rank and kernel are checked against sympy on random
 polynomial matrices and on the curvature Jacobian J at seeded points;
 `solve_sparse` and `invert_rational` against sympy on random sparse
@@ -26,16 +28,27 @@ from g12calc.linalg import (PolyMatrix, invert_rational,  # noqa: E402
                             random_rational_point, solve_sparse)
 from g12calc.poly import Poly, _var_key, divexact  # noqa: E402
 
-VARS = ("x1", "y1", "t")
+# every operand draws its own variables: parameter names that sort before
+# ("a", "b_0") and after ("t", "zz") the form variables, so two operands
+# share some, all or none of their variables
+NAMES = ("a", "b_0", "x1", "y1", "x2", "y2", "t", "zz")
 
 coeffs = st.one_of(
     st.integers(-30, 30),
     st.fractions(min_value=-30, max_value=30, max_denominator=12),
     # integral values held as Fraction must come out as int
     st.integers(-30, 30).map(Fraction))
-exponents = st.tuples(*[st.integers(0, 3)] * len(VARS))
-polys = st.dictionaries(exponents, coeffs, max_size=5).map(
-    lambda terms: Poly(VARS, terms))
+
+
+def polys_on(names):
+    exponents = st.tuples(*[st.integers(0, 3)] * len(names))
+    return st.dictionaries(exponents, coeffs, max_size=5).map(
+        lambda terms: Poly(names, terms))
+
+
+var_sets = st.lists(st.sampled_from(NAMES), max_size=4, unique=True).map(
+    tuple)
+polys = var_sets.flatmap(polys_on)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
@@ -67,8 +80,19 @@ def test_ring_axioms_mixed_coefficients(a, b, c):
 @given(polys, polys, coeffs)
 def test_results_are_canonical(a, b, k):
     for p in (a, a + b, a - b, -a, a * b, a * k, a.diff("x1"), a ** 2,
-              a.subs({"t": k}), a.subs({"x1": b})):
+              a.subs({"t": k}), a.subs({"x1": b}), a.subs({"zz": b})):
         assert canonical(p)
+
+
+def test_exponent_overflow_across_contexts():
+    """An exponent never wraps into the next variable's field."""
+    x, a = Poly.var("x1"), Poly.var("a")
+    with pytest.raises(OverflowError):
+        (x ** 200) * (x ** 200)
+    big = Poly.var("x1", 127) * a
+    with pytest.raises(OverflowError):
+        big * x
+    assert big * a == Poly.monomial({"x1": 127, "a": 2})
 
 
 @given(polys, nonzero_polys)
@@ -96,10 +120,10 @@ def reference_subs(p: Poly, assignment: dict) -> Poly:
 
 
 values = st.one_of(coeffs, coeffs.map(Poly.const), polys,
-                   st.sampled_from(VARS + ("s",)).map(Poly.var))
+                   st.sampled_from(NAMES + ("s",)).map(Poly.var))
 
 
-@given(polys, st.dictionaries(st.sampled_from(VARS + ("s",)), values))
+@given(polys, st.dictionaries(st.sampled_from(NAMES + ("s",)), values))
 def test_one_pass_subs_matches_reference(p, assignment):
     assert p.subs(assignment) == reference_subs(p, assignment)
 
@@ -117,6 +141,18 @@ def to_sympy(p: Poly):
             term *= s ** k
         expr += term
     return expr
+
+
+@given(polys, polys, st.sampled_from(NAMES))
+def test_arithmetic_across_variable_contexts_against_sympy(a, b, v):
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert to_sympy(a + b) == sympy.expand(sa + sb)
+    assert to_sympy(a * b) == sympy.expand(sa * sb)
+    assert to_sympy(a.diff(v, 2)) == sympy.expand(sympy.diff(sa, v, 2))
+    assert to_sympy(a.subs({v: b})) == sympy.expand(
+        sa.subs(sympy.Symbol(v), sb))
+    if not b.is_zero():
+        assert divexact(a * b, b) == a
 
 
 def sympy_matrix(m: PolyMatrix):

@@ -161,3 +161,100 @@ def test_scalar_accessors_return_fraction():
     value = parse_poly("x1*y1 + 1").eval({"x1": 2, "y1": Fraction(3)})
     assert type(value) is Fraction and value == 7
     assert type(Poly.zero().eval({})) is Fraction
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly(("x1",), {(0, 7): 3}),
+    lambda: Poly(("x1",), {(1, 2): 1}),
+    lambda: Poly(("x1", "y1"), {(1,): 1}),
+    lambda: Poly(("x1", "x1"), {(1, 1): 1}),
+    lambda: Poly(("x1",), {(-1,): 1}),
+    lambda: Poly(("x1",), {(1.0,): 1}),
+    lambda: Poly(("x1",), {(True,): 1}),
+    lambda: Poly(("x1",), {1: 1}),
+    lambda: Poly.from_json({"vars": ["x"], "terms": [
+        {"coeff": 3, "exps": [0]}, {"coeff": 2, "exps": [0]}]}),
+    lambda: Poly.from_json({"vars": ["x"],
+                            "terms": [{"coeff": 3, "exps": [0, 7]}]}),
+])
+def test_malformed_monomials_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_repeated_name_rejected_even_without_terms():
+    with pytest.raises(ValueError):
+        Poly(("x1", "x1"))
+
+
+def test_exponent_overflow_raises_instead_of_wrapping():
+    x, y = Poly.var("x1"), Poly.var("y1")
+    top = Poly.var("x1", 127)
+    assert (x ** 100) * (x ** 27) == top
+    assert (top * y).terms == {(127, 1): 1}
+    assert divexact(top * y, y) == top
+    for build in (lambda: (x ** 100) * (x ** 28),
+                  lambda: (x ** 200) * (x ** 200),
+                  lambda: top * x,
+                  lambda: x ** 128,
+                  lambda: Poly.var("x1", 128),
+                  lambda: (top * y).subs({"y1": x})):
+        with pytest.raises(OverflowError):
+            build()
+    with pytest.raises(ParseError):
+        parse_poly("x1^128")
+
+
+def test_vars_and_terms_are_derived_read_only_views():
+    p = parse_poly("c*x1 + 2*a*y2 - zz")
+    assert p.vars == ("x1", "y2", "a", "c", "zz")
+    assert p.terms == {(1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0): 2,
+                       (0, 0, 0, 0, 1): -1}
+    with pytest.raises(AttributeError):
+        p.vars = ("x1",)
+    p.terms[(9, 9, 9, 9, 9)] = 1  # a copy: the polynomial is unchanged
+    assert p == parse_poly("c*x1 + 2*a*y2 - zz")
+
+
+def test_results_do_not_depend_on_interning_order():
+    """A fresh process that interns names in reverse order first gives
+    the same stripped reports and the same str/to_json output."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import g12calc
+    script = """
+import json, sys
+if sys.argv[1] == "reverse":
+    from g12calc.poly import Poly
+    from g12calc.excalc import PARAM_SYMS
+    for name in ("zz", "tp", "t") + PARAM_SYMS[::-1] + ("a",):
+        Poly.var(name)
+from g12calc.cli import SuiteConfig, run_suites, strip_timings
+from g12calc.integrals import _jmatrix_symbolic
+from g12calc.poly import parse_poly
+report = strip_timings(run_suites(SuiteConfig(
+    ["bianchi", "closure", "jmatrix"], seed=7)))
+j = _jmatrix_symbolic()
+p = parse_poly("a*zz - 3/2*c*x1^2*b_0 + a*y2 + t")
+q = (p * p).subs({"zz": parse_poly("y1 - t"), "a": parse_poly("x1 + t")})
+print(json.dumps([report, j.to_json(), [str(e) for row in j.entries
+                                        for e in row]]
+                 + [[str(r), r.to_json(),
+                     [[list(e), str(c)] for e, c in r.terms.items()]]
+                    for r in (p, q)]))
+"""
+    src = os.path.dirname(os.path.dirname(g12calc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = []
+    for mode in ("plain", "reverse"):
+        proc = subprocess.run([sys.executable, "-c", script, mode],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert json.loads(out[0])[0]["summary"]["fail"] == 0
+    assert out[0] == out[1]
