@@ -121,11 +121,8 @@ _F1, _F2, _F3 = _FIELD, 2 * _FIELD, 3 * _FIELD
 
 
 def form_key(e_x1: int, e_y1: int, e_x2: int, e_y2: int) -> int:
-    """The key of x1^e_x1 y1^e_y1 x2^e_x2 y2^e_y2."""
-    exps = (e_x1, e_y1, e_x2, e_y2)
-    if min(exps) < 0:
-        raise ValueError(f"negative exponent in {exps}")
-    if max(exps) > _MAX_EXP:
+    """The key of x1^e_x1 y1^e_y1 x2^e_x2 y2^e_y2, nonnegative exponents."""
+    if max(e_x1, e_y1, e_x2, e_y2) > _MAX_EXP:
         raise _overflow()
     return e_x1 | e_y1 << _F1 | e_x2 << _F2 | e_y2 << _F3
 
@@ -189,7 +186,8 @@ class Poly:
                 key = 0
                 for u, k in zip(units, e):
                     if type(k) is not int or k < 0:
-                        raise ValueError(f"not a nonnegative int exponent: {k!r}")
+                        raise ValueError(
+                            f"not a nonnegative int exponent: {k!r}")
                     if k > _MAX_EXP:
                         raise _overflow()
                     key += u * k
@@ -333,11 +331,7 @@ class Poly:
             for k2, c2 in b.items():
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        if reduce(or_, out) & _GUARD:
-            raise _overflow()
-        return _trusted({
-            k: c if type(c) is int or c.denominator != 1 else c.numerator
-            for k, c in out.items() if c})
+        return from_packed(out)
 
     __rmul__ = __mul__
 
