@@ -22,6 +22,11 @@ the constants of `pairing_table` (see `_slot_constant`).  `transvectant2`
 contracts the coefficients of its operands with them.  The Cayley Omega
 process, `transvectant2_omega`, shares no code with them and is the oracle.
 
+Coordinates made of several forms are `BlockCoords`, declared by a SHAPE
+of named bidegrees.  One of them is `LieElt`, the algebra g_{1,2} =
+V_{0,0} + V_{2,0} + V_{0,2}; its action on V_{1,2} is read off that
+SHAPE: the block in V_{2a,2b} acts by the (a, b) transvectant.
+
 A module of SL(2) x SL(2) is a `Rep`: for each of the six generators,
 sparse columns X e_j = {row: coefficient}.  V_{n,m} reads them off the
 dense `rep_matrices`; `dual`, `tensor`, `wedge2` and `isotypic_decompose`
@@ -159,8 +164,10 @@ class BlockCoords:
     lies in V_{n,m}, is the attribute `name`, and has the symbols name_0,
     name_1, ... in basis order.  The coordinate vector is the blocks'
     coordinates concatenated in SHAPE order.  Blocks are passed
-    positionally or by name; the `extra` keywords of the constructors
-    below go to a subclass's own arguments (CurvaturePoint's c).
+    positionally or by name; a nonzero block outside its V_{n,m} raises
+    DegreeError, a zero one is stored at its declared bidegree.  The
+    `extra` keywords of the constructors below go to a subclass's own
+    arguments (CurvaturePoint's c).
     """
 
     SHAPE: Tuple[Tuple[str, Tuple[int, int]], ...] = ()
@@ -171,8 +178,13 @@ class BlockCoords:
         if len(blocks) + len(named) != len(names) or set(given) != set(names):
             raise TypeError(f"{type(self).__name__} takes the blocks "
                             f"{', '.join(names)}, each once")
-        for name in names:
-            setattr(self, name, given[name])
+        for name, (n, m) in self.SHAPE:
+            form = given[name]
+            if form.bidegree != (n, m):
+                if not form.is_zero():
+                    raise DegreeError(f"{name} must lie in V_{{{n},{m}}}")
+                form = BiForm(n, m, form.poly)
+            setattr(self, name, form)
 
     @classmethod
     def offsets(cls) -> Dict[str, Tuple[int, int]]:
@@ -506,36 +518,27 @@ def clebsch_gordan2(bideg1: Tuple[int, int],
 # -- the Lie algebra g_{1,2} ----------------------------------------------
 
 
-class LieElt:
-    """Element of the 7-dimensional algebra acting on V_{1,2}.
+class LieElt(BlockCoords):
+    """Element of the 7-dimensional algebra g_{1,2} = V_{0,0} + V_{2,0} +
+    V_{0,2}, which acts on V_{1,2}: 7 coordinates, p00 (1), p20 (3) and
+    p02 (3).
 
-    Stored as (p00, p20, p02) with p00 in V_{0,0}, p20 in V_{2,0} and p02
-    in V_{0,2}; acts on q in V_{n,m}, n, m >= 1, by the double bracket
-    <<self, q>>_1 = p00*q + <p20, q>_{1,0} + <p02, q>_{0,1}.
+    The action rule, stated once: on q in V_{n,m}, n, m >= 1, the block in
+    V_{2a,2b} acts by the (a, b) transvectant <block, q>_{a,b} (`action`),
+    as sl2 = V_2 does by the first transvectant, and in the double bracket
+    <<w, q>>_k the V_{0,0} block's term is also multiplied by k.  The
+    action on V_{1,2} is act(q) = <<self, q>>_1.
     """
 
-    __slots__ = ("p00", "p20", "p02")
+    SHAPE = (("p00", (0, 0)), ("p20", (2, 0)), ("p02", (0, 2)))
 
-    def __init__(self, p00: BiForm, p20: BiForm, p02: BiForm):
-        if p00.bidegree != (0, 0) and not p00.is_zero():
-            raise DegreeError("p00 must lie in V_{0,0}")
-        if p20.bidegree != (2, 0) and not p20.is_zero():
-            raise DegreeError("p20 must lie in V_{2,0}")
-        if p02.bidegree != (0, 2) and not p02.is_zero():
-            raise DegreeError("p02 must lie in V_{0,2}")
-        self.p00 = p00
-        self.p20 = p20
-        self.p02 = p02
-
-    @staticmethod
-    def from_coords(coeffs: Sequence) -> "LieElt":
-        """7 coordinates: [p00, p20 (3), p02 (3)] in weight-basis order."""
-        return LieElt(from_coords(0, 0, coeffs[0:1]),
-                      from_coords(2, 0, coeffs[1:4]),
-                      from_coords(0, 2, coeffs[4:7]))
-
-    def coords(self) -> List[Poly]:
-        return (self.p00.coords() + self.p20.coords() + self.p02.coords())
+    @classmethod
+    def action(cls) -> Tuple[Tuple[str, Tuple[int, int], Tuple[int, int]],
+                             ...]:
+        """(block name, bidegree (2a, 2b), pairing orders (a, b)) of each
+        block, in SHAPE order."""
+        return tuple((name, (n, m), (n // 2, m // 2))
+                     for name, (n, m) in cls.SHAPE)
 
     def act(self, q: BiForm) -> BiForm:
         return double_bracket(self, q, 1)
@@ -547,24 +550,22 @@ class LieElt:
 
 
 def double_bracket(w: LieElt, q: BiForm, k) -> BiForm:
-    """<<p00 + p20 + p02, q>>_k = k <p00,q>_{0,0} + <p20,q>_{1,0} + <p02,q>_{0,1}."""
-    res = BiForm(q.n, q.m, k * w.p00.poly * q.poly)
-    if not w.p20.is_zero():
-        res = res + transvectant2(w.p20, q, 1, 0)
-    if not w.p02.is_zero():
-        res = res + transvectant2(w.p02, q, 0, 1)
+    """<<w, q>>_k: the sum over the blocks of w of <block, q> at the orders
+    of LieElt.action, the V_{0,0} block's term multiplied by k."""
+    res = BiForm(q.n, q.m, Poly.zero())
+    for name, bidegree, orders in LieElt.action():
+        block = getattr(w, name)
+        if not block.is_zero():
+            term = transvectant2(block, q, *orders)
+            res = res + (term * k if bidegree == (0, 0) else term)
     return res
 
 
 def g12_basis_elts() -> List[LieElt]:
     """The 7 weight-basis elements of the algebra: id, V_{2,0}, V_{0,2}."""
-    elts = []
-    one = Poly.const(1)
-    for k in range(7):
-        coeffs = [one * 0] * 7
-        coeffs[k] = Poly.const(1)
-        elts.append(LieElt.from_coords(coeffs))
-    return elts
+    d = len(LieElt.symbols())
+    return [LieElt.from_vector([int(i == k) for i in range(d)])
+            for k in range(d)]
 
 
 @lru_cache(maxsize=None)
@@ -574,11 +575,6 @@ def g1k_matrices(k: int = 2) -> Tuple:
         tuple(tuple(_exact(e.constant_value()) for e in row)
               for row in elt.action_matrix(1, k).entries)
         for elt in g12_basis_elts())
-
-
-def g12_matrices() -> Tuple:
-    """6x6 rational action matrices of the 7 basis elements on V_{1,2}."""
-    return g1k_matrices(2)
 
 
 # -- exact sequence 0 -> V_{k-1} -> V_{1,k} -> V_{k+1} -> 0 ---------------
@@ -669,12 +665,10 @@ def divides(r: BiForm, p: BiForm) -> bool:
 # -- property checks -------------------------------------------------------
 
 
-def random_biform(n: int, m: int, rng: _Lcg, max_mag: int = 9) -> BiForm:
-    coeffs = []
-    for _ in range(dim_v(n, m)):
-        num = rng.next_int(2 * max_mag + 1) - max_mag
-        coeffs.append(Fraction(num))
-    return from_coords(n, m, coeffs)
+def random_biform(n: int, m: int, rng: _Lcg) -> BiForm:
+    """A seeded form with integer coefficients in [-9, 9]."""
+    return from_coords(n, m, [Fraction(rng.next_int(19) - 9)
+                              for _ in range(dim_v(n, m))])
 
 
 def equivariance_check(p1: int, p2: int, bideg1: Tuple[int, int],

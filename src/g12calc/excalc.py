@@ -250,15 +250,6 @@ class StructureSystem:
     gen_rules: Dict[int, FormExpr]
     param_rules: Dict[str, FormExpr]
 
-    def theta(self) -> VForm:
-        return VForm.from_gens(self.cf, 1, 2, THETA_NAMES)
-
-    def d(self, expr: FormExpr) -> FormExpr:
-        return exterior_d(expr, self)
-
-    def d_vform(self, v: VForm) -> VForm:
-        return VForm(v.n, v.m, [self.d(c) for c in v.comps])
-
 
 def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
     """Anti-derivation extension of the rule set; degree raised by one.
@@ -339,7 +330,7 @@ def omega_wedge_omega(cf: Coframe, om_gens: List[FormExpr]) -> List[FormExpr]:
 def _g12_apply(k: int, q: VForm) -> VForm:
     """Action of the k-th algebra basis element on a V_{1,2}-valued form."""
     cf = q.comps[0].cf
-    mat = bf.g12_matrices()[k]
+    mat = bf.g1k_matrices(2)[k]
     out = VForm.zero(cf, q.n, q.m)
     for r in range(6):
         acc = FormExpr.zero(cf)
@@ -816,7 +807,7 @@ def torsion_mode_structure_check() -> dict:
     tor = pair_vforms(s30, pair_vforms(theta, theta, 0, 1), 2, 0)
     residual = VForm(1, 2, [exterior_d(sys.gen_rules[cf.index[n]], sys)
                             for n in THETA_NAMES])
-    dtor = sys.d_vform(tor)
+    dtor = VForm(tor.n, tor.m, [exterior_d(c, sys) for c in tor.comps])
     om_tor = dbl_bracket(om00, om20, om02, tor, 1)
     _o00, o20, o02 = curvature_vform(cf, theta)
     omega_theta = (pair_vforms(o20, theta, 1, 0)

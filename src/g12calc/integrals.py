@@ -212,14 +212,14 @@ def _gram_inverse(n: int, m: int, p1: int, p2: int) -> tuple:
     return tuple(tuple(r) for r in invert_rational(gramT))
 
 
-def gradient_rows(coeff_72=Fraction(72)) -> dict:
+def gradient_rows() -> dict:
     """Solve the defining display for the r-components of df_k.
 
     df_k = (1/6) <r20, da20>_{2,0} + (1/2) <r02, da02>_{0,2}
          + (1/2) <r12, db>_{1,2}: the pairing against coordinate
     differentials is an invertible relabeling of the gradient.
     """
-    f1, f2 = first_integrals(coeff_72=coeff_72)
+    f1, f2 = first_integrals()
     out = {}
     for k, f in (("1", f1), ("2", f2)):
         for bname, (n, m) in CurvaturePoint.SHAPE:
@@ -238,11 +238,11 @@ def gradient_rows(coeff_72=Fraction(72)) -> dict:
     return out
 
 
-def gradient_rows_consistent(coeff_72=Fraction(72)) -> bool:
+def gradient_rows_consistent() -> bool:
     """Re-assemble df_k from the solved r-components and compare with the
     coordinate gradient (the same data read two ways)."""
-    f1, f2 = first_integrals(coeff_72=coeff_72)
-    rows = gradient_rows(coeff_72=coeff_72)
+    f1, f2 = first_integrals()
+    rows = gradient_rows()
     for k, f in (("1", f1), ("2", f2)):
         for bname, (n, m) in CurvaturePoint.SHAPE:
             r = rows[f"r{k}_{bname}"]
@@ -323,13 +323,14 @@ def sigma_c_membership(assignment: Dict[str, Scalar]) -> bool:
     return True
 
 
-def rank_certificate(c_value: Scalar, seed: int, retries: int = 10) -> dict:
+def rank_certificate(c_value: Scalar, seed: int) -> dict:
     """Generic rank 10: exact kernel columns give rank <= 10 wherever the
     two gradients are independent; an exact evaluation at a seeded
-    rational point off the singular locus gives rank >= 10.  Also checks
-    the degenerate point a = b = 0 where both gradients vanish."""
+    rational point off the singular locus gives rank >= 10 (the seeds
+    seed, seed + 1, ... are tried, at most 10).  Also checks the
+    degenerate point a = b = 0 where both gradients vanish."""
     used_seed = seed
-    for _ in range(retries):
+    for _ in range(10):
         assignment = random_rational_point(list(K_SYMS), used_seed)
         assignment[C_SYM] = Fraction(c_value)
         if not sigma_c_membership(assignment):
@@ -416,15 +417,15 @@ def integrals_equivariant() -> bool:
 
 
 def _field_values(sys: StructureSystem, r12: BiForm, r20: BiForm,
-                  r02: BiForm, theta_sign=1, omega_sign=1) -> Dict[int, Poly]:
-    cf = sys.cf
-    values = {}
-    for idx, name in enumerate(THETA_NAMES):
-        values[cf.index[name]] = r12.coords()[idx] * theta_sign
-    for idx, name in enumerate(OM20_NAMES):
-        values[cf.index[name]] = r20.coords()[idx] * omega_sign
-    for idx, name in enumerate(OM02_NAMES):
-        values[cf.index[name]] = r02.coords()[idx] * omega_sign
+                  r02: BiForm) -> Dict[int, Poly]:
+    """Coframe values of a gradient field: theta components -r12,
+    connection components r20 and r02."""
+    index = sys.cf.index
+    values = {index[name]: c * -1
+              for name, c in zip(THETA_NAMES, r12.coords())}
+    for names, form in ((OM20_NAMES, r20), (OM02_NAMES, r02)):
+        values.update((index[name], c)
+                      for name, c in zip(names, form.coords()))
     return values
 
 
@@ -461,7 +462,7 @@ def symmetry_fields_check() -> Mapping:
     lie_display_scaling = {}
     for k in ("1", "2"):
         vals = _field_values(sys, rows[f"r{k}_b"], rows[f"r{k}_a20"],
-                             rows[f"r{k}_a02"], Fraction(-1), Fraction(1))
+                             rows[f"r{k}_a02"])
         values[k] = vals
         inv_ok = True
         scale_ok = True

@@ -294,10 +294,6 @@ TORSION_TERMS = (("s12", (1, 0), (0, 2)), ("s14", (1, 0), (0, 3)),
                  ("s30", (0, 1), (2, 0)), ("s32", (0, 1), (2, 1)),
                  ("s34", (0, 1), (2, 2)), ("s12pp", (1, 2), (0, 0)))
 
-# LieElt component -> (its bidegree, its pairing orders in LieElt.act)
-_ACTION = {"p00": ((0, 0), (0, 0)), "p20": ((2, 0), (1, 0)),
-           "p02": ((0, 2), (0, 1))}
-
 _PAIRS = {pair: at for at, pair in enumerate(combinations(range(6), 2))}
 
 
@@ -552,14 +548,16 @@ def torsion_criterion_s16_pair() -> dict:
 @lru_cache(maxsize=None)
 def _spencer_coordinate_matrix() -> tuple:
     """90 x 42 matrix of Sp in pairing coordinates: per term, unit phi_k
-    has phi_k(e_i).comp = c1 e_t and comp acts on e_j as c2 e_u, adding
-    c1 c2 to Sp(phi_k)(e_i, e_j); the values are decoded to coordinates."""
+    has phi_k(e_i).comp = c1 e_t and comp acts on e_j as c2 e_u, at the
+    pairing orders of LieElt.action, adding c1 c2 to Sp(phi_k)(e_i, e_j);
+    the values are decoded to coordinates."""
     off = PhiCoords.offsets()
     shape = dict(PhiCoords.SHAPE)
+    action = {comp: rule for comp, *rule in LieElt.action()}
     values = [defaultdict(int) for _ in range(42)]
     for block, comp, orders in PHI_TERMS:
         (n, m), start = shape[block], off[block][0]
-        bidegree, act_orders = _ACTION[comp]
+        bidegree, act_orders = action[comp]
         act = bf.pairing_table(*bidegree, 1, 2, *act_orders)
         for (k, i), (t, c1) in bf.pairing_table(n, m, 1, 2,
                                                  *orders).items():

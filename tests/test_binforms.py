@@ -18,8 +18,10 @@ from g12calc.poly import Poly, parse_poly
 from g12calc.spencer import PhiCoords, TorsionCoords
 
 
-@pytest.mark.parametrize("cls", [PhiCoords, TorsionCoords, CurvaturePoint],
-                         ids=lambda cls: cls.__name__)
+BLOCK_CLASSES = [PhiCoords, TorsionCoords, CurvaturePoint, LieElt]
+
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES, ids=lambda cls: cls.__name__)
 def test_block_coords_roundtrip(cls):
     syms = cls.symbols()
     vec = [Fraction(2 * k - len(syms), 3) for k in range(len(syms))]
@@ -34,6 +36,37 @@ def test_block_coords_roundtrip(cls):
         cls(*pt.blocks()[:-1])
     with pytest.raises(TypeError):
         cls(*pt.blocks(), **{cls.SHAPE[0][0]: pt.blocks()[0]})
+
+
+def _refusal(name, n, m):
+    return rf"^{name} must lie in V_\{{{n},{m}\}}$"
+
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES, ids=lambda cls: cls.__name__)
+def test_block_coords_enforce_shape(cls):
+    # every block is checked against its SHAPE entry: a nonzero form of
+    # another bidegree is refused and named, a zero one is stored at the
+    # declared bidegree, so vector() always has len(symbols()) entries
+    good = cls.symbolic().blocks()
+    for at, (name, (n, m)) in enumerate(cls.SHAPE):
+        for wrong in ((n + 1, m), (n, m + 1)):
+            blocks = list(good)
+            blocks[at] = symbolic(*wrong, "w")
+            with pytest.raises(DegreeError, match=_refusal(name, n, m)):
+                cls(*blocks)
+            blocks[at] = BiForm(*wrong, Poly.zero())
+            pt = cls(*blocks)
+            assert getattr(pt, name).bidegree == (n, m)
+            assert len(pt.vector()) == len(cls.symbols())
+            assert pt.vector()[slice(*cls.offsets()[name])] == (
+                [Poly.zero()] * dim_v(n, m))
+    # one V_{1,2} form for every block (ten for TorsionCoords) is refused
+    # at the first block declared elsewhere: s14 for TorsionCoords
+    name, (n, m) = next(entry for entry in cls.SHAPE if entry[1] != (1, 2))
+    with pytest.raises(DegreeError, match=_refusal(name, n, m)):
+        cls(*[bform(1, 2, "x1*x2^2")] * len(cls.SHAPE))
+    zeros = [BiForm(1, 2, Poly.zero())] * len(cls.SHAPE)
+    assert len(cls(*zeros).vector()) == len(cls.symbols())
 
 
 def bform(n, m, text):
@@ -184,14 +217,14 @@ def test_equivariance_every_order_in_range():
 
 def test_double_bracket_scalar_part():
     q = bform(1, 2, "x1*x2*y2 - y1*y2^2")
-    w = LieElt.from_coords([Fraction(1)] + [Fraction(0)] * 6)
+    w = LieElt.from_vector([Fraction(1)] + [Fraction(0)] * 6)
     assert (double_bracket(w, q, 1).poly - q.poly).is_zero()
     assert (double_bracket(w, q, -2).poly + 2 * q.poly).is_zero()
 
 
 def test_double_bracket_single_summand():
     q = bform(1, 2, "x1*x2^2")
-    w = LieElt.from_coords([0, 1, 0, 0, 0, 0, 0])
+    w = LieElt.from_vector([0, 1, 0, 0, 0, 0, 0])
     lhs = double_bracket(w, q, 1)
     rhs = transvectant2(bform(2, 0, "x1^2"), q, 1, 0)
     assert (lhs - rhs).is_zero()
