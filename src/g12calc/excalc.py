@@ -32,7 +32,7 @@ from . import binforms as bf
 from .binforms import BiForm, basis, dim_v, from_coords, pairing_table
 from .linalg import (PolyMatrix, kernel_basis, linear_rows, linsolve, rank,
                      reduced_echelon, solve_sparse)
-from .poly import Poly, _var_key, fields_mask, var_key
+from .poly import Poly, Substitution, _var_key, fields_mask, var_key
 from .spencer import g12_algebra
 
 # -- coframe ----------------------------------------------------------------
@@ -157,7 +157,8 @@ class FormExpr:
         return FormExpr(self.cf, out)
 
     def subs_params(self, assignment) -> "FormExpr":
-        return FormExpr(self.cf, {m: c.subs(assignment)
+        sub = Substitution(assignment)
+        return FormExpr(self.cf, {m: c.subs(sub)
                                   for m, c in self.terms.items()})
 
     def coefficient(self, mono: tuple) -> Poly:
@@ -229,13 +230,14 @@ def pair_vforms(a: VForm, b: VForm, p1: int, p2: int) -> VForm:
 
 def dbl_bracket(om00: FormExpr, om20: VForm, om02: VForm, q: VForm,
                 k) -> VForm:
-    """<<omega, q>>_k = k om00 q + <om20, q>_{1,0} + <om02, q>_{0,1},
-    slot pairings dropped when out of range for q's bidegree."""
-    out = VForm(q.n, q.m, [om00.wedge(c).scale(k) for c in q.comps])
-    if q.n >= 1:
-        out = out + pair_vforms(om20, q, 1, 0)
-    if q.m >= 1:
-        out = out + pair_vforms(om02, q, 0, 1)
+    """<<omega, q>>_k for the form-valued omega = (om00, om20, om02): the
+    sum over its blocks of <block, q> at the orders of `LieElt.action`,
+    the V_{0,0} block's term multiplied by k."""
+    blocks = {"p00": VForm(0, 0, [om00]), "p20": om20, "p02": om02}
+    out = VForm.zero(om00.cf, q.n, q.m)
+    for name, bidegree, orders in bf.LieElt.action():
+        term = pair_vforms(blocks[name], q, *orders)
+        out = out + (term.scale(k) if bidegree == (0, 0) else term)
     return out
 
 

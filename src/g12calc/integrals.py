@@ -23,7 +23,7 @@ from .excalc import (A02_SYMS, A20_SYMS, C_SYM, CURVATURE_SHAPE, OM02_NAMES,
                      build_system, contract, exterior_d)
 from .linalg import (PolyMatrix, invert_rational, matrix_det, rank,
                      random_rational_point)
-from .poly import Poly, Scalar
+from .poly import Poly, Scalar, declare
 
 COFRAME_COLS = THETA_NAMES + OM20_NAMES + OM02_NAMES
 
@@ -48,6 +48,13 @@ class CurvaturePoint(BlockCoords):
 
 
 K_SYMS = tuple(CurvaturePoint.symbols())
+# the parameters of the specialization a20 = t xy, a02 = t' xy
+XY_PARAMS = ("t", "tp")
+
+# The curvature ring and the jmatrix parameters live for the whole process:
+# they take the registry fields right after the form variables, so the keys
+# of J and of the first integrals stay short (see g12calc.poly).
+declare(K_SYMS + (C_SYM,) + XY_PARAMS)
 
 
 # the weight of each block's pairing in the display of df_k (gradient_rows)
@@ -298,9 +305,10 @@ def det_vanishes_symbolically() -> dict:
     grad = gradient(f1)
     nonzero_left_kernel = any(not g.is_zero() for g in grad)
     annihilates = all(r.is_zero() for r in row_times_j(grad))
-    xy_family = {A20_SYMS[0]: Poly.const(0), A20_SYMS[1]: Poly.var("t"),
+    t, tp = XY_PARAMS
+    xy_family = {A20_SYMS[0]: Poly.const(0), A20_SYMS[1]: Poly.var(t),
                  A20_SYMS[2]: Poly.const(0),
-                 A02_SYMS[0]: Poly.const(0), A02_SYMS[1]: Poly.var("tp"),
+                 A02_SYMS[0]: Poly.const(0), A02_SYMS[1]: Poly.var(tp),
                  A02_SYMS[2]: Poly.const(0)}
     jspec = _jmatrix_symbolic().subs(xy_family)
     det = matrix_det(jspec)

@@ -29,7 +29,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence
 
-from .poly import Poly, Scalar, _exact, divexact, fields_mask, var_key
+from .poly import (Poly, Scalar, Substitution, _exact, divexact, fields_mask,
+                   var_key)
 
 
 class PolyMatrix:
@@ -67,7 +68,10 @@ class PolyMatrix:
                            for j in range(self.cols)])
 
     def subs(self, assignment) -> "PolyMatrix":
-        return PolyMatrix([[e.subs(assignment) for e in row]
+        """Substitute one point into every entry; the point is validated
+        once, not once per entry."""
+        sub = Substitution(assignment)
+        return PolyMatrix([[e.subs(sub) for e in row]
                            for row in self.entries])
 
     def to_json(self) -> dict:

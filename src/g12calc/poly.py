@@ -11,9 +11,17 @@ Maple 17", 2013), and no operation aligns the variables of its operands.
 The top bit of each field is a guard bit.  An exponent is at most
 _MAX_EXP = 127, so the sum of two valid fields never carries into the
 next field; a product, a power or a constructed term whose exponent
-would exceed _MAX_EXP raises OverflowError instead of wrapping.  Fields
-are kept narrow because a key is as long as the index of its highest
-variable: a run of `verify` interns about 340 names.
+would exceed _MAX_EXP raises OverflowError instead of wrapping.
+
+A key is as long as the index of its highest variable, so the names that
+live for the whole process are declared first: `integrals` calls
+`declare` once, at import, with the curvature ring (the 12 curvature
+coordinates and `c`) and the jmatrix parameters `t` and `tp`, which then
+hold indices 4-18.  Every key of the curvature Jacobian and of the first
+integrals fits in 19 fields (152 bits), however many names later work
+interns.  Transient names (unknown coefficients such as `k_*` and `u_*`,
+the Spencer and torsion coordinates) stay interned on demand, after the
+prefix.  Fields are kept narrow for the same reason.
 
 A polynomial stores `packed`, a dict from key to nonzero exact
 coefficient: an `int` whenever it is integral and a `Fraction` otherwise,
@@ -85,6 +93,14 @@ def _intern(name: str) -> int:
 
 for _v in _FORM_VARS:
     _intern(_v)
+
+
+def declare(names: Iterable[str]) -> None:
+    """Intern `names` in order; a name already interned keeps its index.
+    Called at import, before any other name is seen, it fixes the prefix
+    of the registry after the form variables."""
+    for name in names:
+        _intern(name)
 
 
 def _overflow() -> OverflowError:
@@ -387,38 +403,26 @@ class Poly:
                     else c.numerator
         return _trusted(out)
 
-    def subs(self, assignment: Mapping[str, Union["Poly", Scalar, int]]) -> "Poly":
+    def subs(self, assignment: Union[Mapping[str, Union["Poly", Scalar, int]],
+                                     "Substitution"]) -> "Poly":
         """Simultaneous substitution; unassigned variables stay.
 
-        Scalar and constant-Poly values are folded into the coefficients
-        in one pass over the terms, keyed by the exponents that remain;
-        the fold runs on integer numerators and denominators and makes one
-        canonical coefficient per key.  Only non-constant Poly values are
-        expanded through their powers, in the canonical variable order.
+        `assignment` is a mapping or a `Substitution` prepared from one;
+        a caller that substitutes the same point into many polynomials
+        prepares it once.  Scalar and constant-Poly values are folded
+        into the coefficients in one pass over the terms, keyed by the
+        exponents that remain; the fold runs on integer numerators and
+        denominators and makes one canonical coefficient per key.  Only
+        non-constant Poly values are expanded through their powers, in
+        the canonical variable order.
         """
-        scalars = []  # (shift, numerator, denominator)
-        polys = []    # (canonical sort key, shift, non-constant Poly value)
-        assigned = 0  # fields of the assigned variables that occur
-        for i in _indices(self.support()):
-            name = _NAMES[i]
-            if name not in assignment:
-                continue
-            val = assignment[name]
-            s = i * _FIELD
-            assigned |= _MASK << s
-            if isinstance(val, Poly):
-                if not val.is_constant():
-                    polys.append((_ORDER[i], s, val))
-                    continue
-                val = val.packed.get(0, 0)
-            else:
-                val = _exact(val)
-            scalars.append((s, val.numerator, val.denominator))
-        if not assigned:
+        sub = assignment if type(assignment) is Substitution \
+            else Substitution(assignment)
+        used = self.support()
+        if not used & sub.assigned:
             return self
-        polys.sort(key=lambda t: t[0])
-        pmask = reduce(or_, (_MASK << s for _, s, _ in polys), 0)
-        keep = ~assigned
+        scalars = [t for t in sub.scalars if used >> t[0] & _MASK]
+        polys, pmask, keep = sub.polys, sub.pmask, ~sub.assigned
         groups = {}  # key of the Poly-valued fields -> {kept key: [n, d]}
         for k, c in self.packed.items():
             n, d = c.numerator, c.denominator
@@ -443,11 +447,11 @@ class Poly:
                 acc[0] = acc[0] * d + n * acc[1]
                 acc[1] *= d
         total = None
-        pows = {}
+        pows = sub.pows
         for pk, part in groups.items():
             term = _trusted({ke: n if d == 1 else _exact(Fraction(n, d))
                              for ke, (n, d) in part.items() if n})
-            for _, s, val in polys:
+            for s, val in polys:
                 e = pk >> s & _MASK
                 if e:
                     f = pows.get((s, e))
@@ -538,6 +542,46 @@ class Poly:
 
 
 _set_packed = Poly.packed.__set__
+
+
+class Substitution:
+    """An assignment {name: value} validated once, for `Poly.subs`.
+
+    Each value is checked for exactness here, whether or not a later
+    polynomial contains its variable.  A scalar or constant-Poly value
+    becomes a (field shift, numerator, denominator) triple; a
+    non-constant Poly value stays a Poly, and the powers of it that
+    substitutions build are kept for the next one.  A name not yet
+    interned occurs in no existing polynomial and is skipped, so a
+    Substitution serves the polynomials that exist when it is made.
+    """
+
+    __slots__ = ("scalars", "polys", "assigned", "pmask", "pows")
+
+    def __init__(self, assignment: Mapping[str, Union[Poly, Scalar, int]]):
+        scalars = []  # (shift, numerator, denominator)
+        polys = []    # (canonical sort key, shift, non-constant Poly value)
+        assigned = 0  # fields of the assigned variables
+        for name, val in assignment.items():
+            if not isinstance(val, Poly):
+                val = _exact(val)
+            elif val.is_constant():
+                val = val.packed.get(0, 0)
+            i = _INDEX.get(name)
+            if i is None:
+                continue
+            s = i * _FIELD
+            assigned |= _MASK << s
+            if isinstance(val, Poly):
+                polys.append((_ORDER[i], s, val))
+            else:
+                scalars.append((s, val.numerator, val.denominator))
+        polys.sort(key=lambda t: t[0])
+        self.scalars = scalars
+        self.polys = [(s, val) for _, s, val in polys]
+        self.assigned = assigned
+        self.pmask = reduce(or_, (_MASK << s for s, _ in self.polys), 0)
+        self.pows = {}
 
 
 def _trusted(tm: dict) -> Poly:

@@ -3,8 +3,9 @@
 `Poly` is checked for the ring axioms over mixed int/Fraction
 coefficients, with operands on overlapping or disjoint variable sets, and
 against sympy across those sets; for its canonical int-when-integral
-storage, for divexact round trips, for one-pass `subs` against a
-term-by-term expansion and for exponent overflow.
+storage, for divexact round trips, for one-pass `subs` (a mapping or a
+reused `Substitution`) against a term-by-term expansion and for exponent
+overflow.
 `matrix_det`, rank and kernel are checked against sympy on random
 polynomial matrices and on the curvature Jacobian J at seeded points;
 `solve_sparse` and `invert_rational` against sympy on random sparse
@@ -26,7 +27,8 @@ from g12calc.integrals import K_SYMS, _jmatrix_symbolic  # noqa: E402
 from g12calc.linalg import (PolyMatrix, invert_rational,  # noqa: E402
                             matrix_det, matrix_rank_kernel,
                             random_rational_point, solve_sparse)
-from g12calc.poly import Poly, _var_key, divexact  # noqa: E402
+from g12calc.poly import (Poly, Substitution, _var_key,  # noqa: E402
+                          divexact)
 
 # every operand draws its own variables: parameter names that sort before
 # ("a", "b_0") and after ("t", "zz") the form variables, so two operands
@@ -123,9 +125,16 @@ values = st.one_of(coeffs, coeffs.map(Poly.const), polys,
                    st.sampled_from(NAMES + ("s",)).map(Poly.var))
 
 
-@given(polys, st.dictionaries(st.sampled_from(NAMES + ("s",)), values))
-def test_one_pass_subs_matches_reference(p, assignment):
-    assert p.subs(assignment) == reference_subs(p, assignment)
+@given(st.lists(polys, min_size=1, max_size=3),
+       st.dictionaries(st.sampled_from(NAMES + ("s",)), values))
+def test_one_pass_subs_matches_reference(ps, assignment):
+    # one prepared Substitution serves every polynomial, as in
+    # PolyMatrix.subs, and keeps the powers it built for the next one
+    sub = Substitution(assignment)
+    for p in ps:
+        want = reference_subs(p, assignment)
+        assert p.subs(assignment) == want
+        assert p.subs(sub) == want
 
 
 # -- differential tests against sympy -----------------------------------------

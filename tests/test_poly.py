@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from g12calc.linalg import _Lcg
+from g12calc.linalg import PolyMatrix, _Lcg
 from g12calc.poly import ParseError, Poly, divexact, parse_poly
 
 
@@ -147,6 +147,9 @@ def test_integral_coefficients_stored_as_int():
     lambda: Poly.var("x1").eval({"x1": 0.5}),
     lambda: Poly.from_json({"vars": ["x1"],
                             "terms": [{"coeff": 0.5, "exps": [1]}]}),
+    # a value is checked even where its variable does not occur
+    lambda: Poly.var("x1").subs({"x1": 2, "y2": 0.5}),
+    lambda: PolyMatrix([[Poly.var("x1")]]).subs({"y2": 0.5}),
 ])
 def test_float_rejected_on_every_constructor_path(build):
     with pytest.raises(TypeError):
@@ -258,3 +261,74 @@ print(json.dumps([report, j.to_json(), [str(e) for row in j.entries
         out.append(proc.stdout)
     assert json.loads(out[0])[0]["summary"]["fail"] == 0
     assert out[0] == out[1]
+
+
+def _run_fresh(script, *args):
+    """stdout of `script` run by a fresh interpreter on this checkout."""
+    import os
+    import subprocess
+    import sys
+
+    import g12calc
+    src = os.path.dirname(os.path.dirname(g12calc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_reverse_interning_really_reorders_the_curvature_names():
+    """The "reverse" branch of the interning-order test above interns the
+    curvature names before the declaration in `integrals` runs, so they
+    get another index order than in a default process; otherwise that
+    test would compare two identical registries and pass vacuously."""
+    import json
+
+    # the same preamble as test_results_do_not_depend_on_interning_order
+    script = """
+import json, sys
+if sys.argv[1] == "reverse":
+    from g12calc.poly import Poly
+    from g12calc.excalc import PARAM_SYMS
+    for name in ("zz", "tp", "t") + PARAM_SYMS[::-1] + ("a",):
+        Poly.var(name)
+import g12calc.cli  # imports integrals, which declares the prefix
+from g12calc.excalc import PARAM_SYMS
+from g12calc.poly import _INDEX
+print(json.dumps(sorted(PARAM_SYMS + ("t", "tp"), key=_INDEX.__getitem__)))
+"""
+    from g12calc.excalc import PARAM_SYMS
+    plain, reverse = (json.loads(_run_fresh(script, mode))
+                      for mode in ("plain", "reverse"))
+    assert plain == list(PARAM_SYMS + ("t", "tp"))
+    assert reverse == ["tp", "t"] + list(PARAM_SYMS[::-1])
+
+
+def test_declared_names_keep_keys_short_after_other_suites():
+    """The spencer and torsion suites intern well over a hundred
+    coordinate and unknown names; run first, they must not push the
+    curvature ring or t, tp past the fields right after the form
+    variables, and every key of J stays short."""
+    import json
+
+    script = """
+import json
+from g12calc.cli import SuiteConfig, run_suites
+report = run_suites(SuiteConfig(["spencer", "torsion"], seed=7))
+from g12calc import poly
+from g12calc.excalc import PARAM_SYMS
+from g12calc.integrals import XY_PARAMS, _jmatrix_symbolic
+keys = [k for row in _jmatrix_symbolic().entries for e in row for k in e.packed]
+n = len(poly._NAMES)  # where a name not yet interned would land
+print(json.dumps({"fail": report["summary"]["fail"], "interned": n,
+                  "top": max(poly._INDEX.get(v, n)
+                             for v in PARAM_SYMS + XY_PARAMS),
+                  "bits": max(k.bit_length() for k in keys)}))
+"""
+    out = json.loads(_run_fresh(script))
+    assert out["fail"] == 0
+    assert out["interned"] > 100
+    assert out["top"] < 4 + 15
+    assert out["bits"] < 200
