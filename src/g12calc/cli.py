@@ -1,10 +1,12 @@
 """Batch verification runner, expression tools and report emission.
 
-Commands: verify, decompose, transvect, jmatrix, rank, integrals,
-constants.  Every check record carries a stable claim identifier, a
-status and a machine-readable certificate, so reports can be re-verified
-without re-running the eliminations.  Exit codes: 0 all pass, 1 check
-failure, 2 usage error.
+Commands: verify, decompose, transvect, closure, jmatrix, rank,
+integrals, constants.  Each `verify` check is one function, registered
+in report order by `@check(suite, name, claim)`, that returns
+`(ok, certificate)`.  Every check record carries a stable claim
+identifier, a status and a machine-readable certificate, so reports can
+be re-verified without re-running the eliminations.  Exit codes: 0 all
+pass, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import sys
 import time
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from . import binforms as bf
@@ -27,10 +30,6 @@ from .linalg import random_rational_point
 from .poly import ParseError, Poly, _exact, parse_poly
 
 ENV_PREFIX = "G12CALC_"
-
-SUITE_ORDER = ("pairings", "spencer", "torsion", "bianchi", "closure",
-               "jmatrix", "integrals", "restriction", "frobenius")
-
 
 def _json_safe(value, path: str = "$"):
     """JSON-ready copy of a certificate; exact values become strings.
@@ -77,471 +76,423 @@ class SuiteConfig:
         return Fraction(self.c_value)
 
 
-def _check(name: str, claim: str, fn: Callable[[], dict]) -> dict:
+class Check(NamedTuple):
+    """One `verify` check; `run(cfg)` returns (ok, certificate)."""
+    suite: str
+    name: str
+    claim: str
+    run: Callable[[SuiteConfig], Tuple[bool, object]]
+
+
+# every check, in report order; a suite's checks are contiguous
+CHECKS: List[Check] = []
+
+
+def check(suite: str, name: str, claim: str):
+    """Register the decorated `run(cfg) -> (ok, certificate)` as the next
+    check of the report."""
+    def register(run):
+        CHECKS.append(Check(suite, name, claim, run))
+        return run
+    return register
+
+
+def _check(chk: Check, cfg: SuiteConfig) -> dict:
+    """Run one check into its report record.
+
+    Only an `ok` that is exactly True passes; an `ok` that is not a bool
+    fails with an error naming its type, as a `float` in the certificate
+    does.
+    """
     start = time.monotonic()
     try:
-        result = fn()
-        status = "pass" if result.pop("_ok") else "fail"
-        certificate = _json_safe(result, "certificate")
+        ok, certificate = chk.run(cfg)
+        if not isinstance(ok, bool):
+            raise TypeError(f"outcome of type {type(ok).__name__}, not bool")
+        status = "pass" if ok else "fail"
+        certificate = _json_safe(certificate, "certificate")
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         certificate = {"error": f"{type(exc).__name__}: {exc}"}
         status = "fail"
-    return {"check": name, "claim": claim, "status": status,
+    return {"check": chk.name, "claim": chk.claim, "status": status,
             "certificate": certificate,
-            "wall_time": round(time.monotonic() - start, 6)}
+            "wall_time": round(time.monotonic() - start, 6),
+            "suite": chk.suite}
 
 
-# -- suites ------------------------------------------------------------------
+def _fields(rep: Mapping, *keys: str) -> dict:
+    return {k: rep[k] for k in keys}
 
 
-def suite_pairings(cfg: SuiteConfig) -> List[dict]:
-    checks = []
-
-    def cg_small_range():
-        ok = True
-        tested = 0
-        for n in range(5):
-            for m in range(5):
-                want = bf.clebsch_gordan(n, m)
-                got = bf.isotypic_decompose(
-                    bf.Rep.space(n, 0).tensor(bf.Rep.space(m, 0)))
-                ok = ok and got == want
-                tested += 1
-        return {"_ok": ok, "pairs_tested": tested}
-    checks.append(_check("clebsch_gordan_single", "tensor products of "
-                         "single-slot forms decompose by the double-sum "
-                         "formula, n,m <= 4", cg_small_range))
-
-    def cg_double():
-        ok = True
-        tested = 0
-        for bideg1 in ((0, 0), (1, 0), (0, 1), (1, 1), (1, 2)):
-            for bideg2 in ((1, 2), (0, 2), (1, 1)):
-                want = bf.clebsch_gordan2(bideg1, bideg2)
-                got = bf.isotypic_decompose(
-                    bf.Rep.space(*bideg1).tensor(bf.Rep.space(*bideg2)))
-                ok = ok and got == want
-                tested += 1
-        return {"_ok": ok, "pairs_tested": tested}
-    checks.append(_check("clebsch_gordan_double", "tensor products of "
-                         "two-slot modules decompose by the double-sum "
-                         "formula for indices up to (1,2)", cg_double))
-
-    def equivariance():
-        rep = bf.equivariance_check(1, 1, (1, 2), (1, 2),
-                                    trials=60, seed=cfg.seed)
-        rep2 = bf.equivariance_check(1, 2, (1, 2), (3, 2),
-                                     trials=40, seed=cfg.seed + 1)
-        return {"_ok": rep["ok"] and rep2["ok"],
-                "trials": rep["trials"] + rep2["trials"],
-                "failures": rep["failures"] + rep2["failures"]}
-    checks.append(_check("pairing_equivariance", "the pairings commute "
-                         "with all six infinitesimal generators on seeded "
-                         "random inputs, exactly", equivariance))
-
-    def oracle_agreement():
-        rng = bf._Lcg(cfg.seed)
-        ok = True
-        for (n1, m1, n2, m2, p1, p2) in ((2, 0, 2, 0, 2, 0), (1, 2, 1, 2, 1, 1),
-                                         (3, 2, 1, 2, 1, 2), (2, 4, 2, 4, 2, 4),
-                                         (1, 2, 1, 2, 0, 1)):
-            u = bf.random_biform(n1, m1, rng)
-            v = bf.random_biform(n2, m2, rng)
-            diff = bf.transvectant2(u, v, p1, p2) - \
-                bf.transvectant2_omega(u, v, p1, p2)
-            ok = ok and diff.is_zero()
-        return {"_ok": ok}
-    checks.append(_check("omega_process_oracle", "the alternating-sum "
-                         "pairing agrees with the independent doubled-"
-                         "variable operator implementation", oracle_agreement))
-
-    def mutation():
-        rep = bf.equivariance_check(1, 1, (1, 2), (1, 2), trials=5,
-                                    seed=cfg.seed, mutate=True)
-        return {"_ok": not rep["ok"], "failures": rep["failures"]}
-    checks.append(_check("equivariance_mutation_control", "a deliberately "
-                         "wrong sign in the Leibniz rule makes the "
-                         "equivariance check fail", mutation))
-    return checks
+# -- checks ------------------------------------------------------------------
 
 
-def suite_spencer(cfg: SuiteConfig) -> List[dict]:
-    checks = []
-
-    def dims():
-        rep = sp.g12_spencer_report()
-        coker_ok = rep["cokernel_isotypic"] == {(1, 4): 1, (1, 6): 1,
-                                                (3, 0): 1, (3, 4): 1}
-        rep3 = sp.gk1_spencer_report(2)
-        ok = (rep["dim_domain"] == 42 and rep["dim_target"] == 90
-              and rep["dim_g1"] == 0 and rep["dim_h02"] == 48
-              and rep3["dim_g1"] == 0 and coker_ok)
-        return {"_ok": ok,
-                "dims": {k: rep[k] for k in ("dim_domain", "dim_target",
-                                             "dim_g1", "dim_h02")},
-                "domain_isotypic": {str(k): v for k, v in
-                                    rep["domain_isotypic"].items()},
-                "restricted_algebra_g1": rep3["dim_g1"],
-                "restricted_cokernel_isotypic": {str(k): v for k, v in
-                                                 rep3["cokernel_isotypic"].items()},
-                "cokernel_isotypic": {str(k): v for k, v in
-                                      rep["cokernel_isotypic"].items()}}
-    checks.append(_check("spencer_dimensions", "domain 42, target 90, zero "
-                         "prolongations, torsion space 48 with cokernel "
-                         "type V14+V16+V30+V34", dims))
-
-    def sanity_so3():
-        rep = sp.prolongation_and_h02(sp.so3_algebra())
-        return {"_ok": rep["dim_g1"] == 0 and rep["dim_h02"] == 0,
-                "rank": rep["rank"]}
-    checks.append(_check("spencer_orthogonal_sanity", "the skew-symmetrization "
-                         "is an isomorphism for the orthogonal algebra",
-                         sanity_so3))
-
-    def codec():
-        rank = sp.torsion_encode_rank()
-        vec = [Fraction(k * 3 - 7, 2) for k in range(90)]
-        s = sp.TorsionCoords.from_vector(vec)
-        rt = sp.decode_torsion(sp.encode_torsion(s))
-        ok = rank == 90 and \
-            [p.constant_value() for p in rt.vector()] == vec
-        return {"_ok": ok, "encode_rank": rank}
-    checks.append(_check("torsion_codec_roundtrip", "the 90-coordinate "
-                         "torsion encoding is a bijection and decodes "
-                         "exactly", codec))
-
-    def coords():
-        return {"_ok": sp.spencer_coords_match()}
-    checks.append(_check("spencer_coordinate_formula", "the closed-form "
-                         "coordinate expression of the skew-symmetrization "
-                         "holds for 42 symbolic parameters", coords))
-
-    def coords_mutation():
-        bad = sp.spencer_coords_match({"s32_r32": Fraction(1, 4)})
-        return {"_ok": not bad}
-    checks.append(_check("spencer_coords_mutation_control", "perturbing the "
-                         "-1/4 coefficient breaks the coordinate formula",
-                         coords_mutation))
-    return checks
+@check("pairings", "clebsch_gordan_single", "tensor products of single-slot "
+       "forms decompose by the double-sum formula, n,m <= 4")
+def clebsch_gordan_single(cfg):
+    pairs = [(n, m) for n in range(5) for m in range(5)]
+    ok = all(bf.clebsch_gordan(n, m) == bf.isotypic_decompose(
+        bf.Rep.space(n, 0).tensor(bf.Rep.space(m, 0))) for n, m in pairs)
+    return ok, {"pairs_tested": len(pairs)}
 
 
-def suite_torsion(cfg: SuiteConfig) -> List[dict]:
-    checks = []
-
-    def criterion():
-        rep = sp.torsion_criterion_solve()
-        return {"_ok": rep["solution_dim"] == 30
-                and rep["matches_closed_form"]
-                and rep["free_s30_dim"] == 4,
-                "solution_dim": rep["solution_dim"],
-                "free_s30_dim": rep["free_s30_dim"],
-                "constraint_rows": rep["constraint_rows"]}
-    checks.append(_check("divisibility_criterion", "the divisibility "
-                         "constraint space is exactly {s14=s14p=s16=s34=0, "
-                         "s12pp=2 s12}, dimension 30, free rank-4 s30 block",
-                         criterion))
-
-    def s16pair():
-        rep = sp.torsion_criterion_s16_pair()
-        return {"_ok": rep["only_s16_block"] and rep["s16_forced_zero"]}
-    checks.append(_check("s16_single_pair", "the pair x (x) r^2, y (x) r^2 "
-                         "alone forces the s16 block to vanish", s16pair))
-
-    def adjustment():
-        vec = [Fraction(0)] * 90
-        offs = sp.TorsionCoords.offsets()
-        free = [i for blk in ("s12", "s10", "s12p", "s30", "s32")
-                for i in range(*offs[blk])]
-        rng_point = random_rational_point(
-            [f"v{k}" for k in range(len(free))], cfg.seed)
-        for i, v in zip(free, rng_point.values()):
-            vec[i] = v
-        a12, app = offs["s12"][0], offs["s12pp"][0]
-        for t in range(6):
-            vec[app + t] = 2 * vec[a12 + t]
-        tc = sp.TorsionCoords.from_vector(vec)
-        phi = sp.intrinsic_adjustment(tc)
-        got = sp.spencer_in_coords(phi)
-        want = list(vec)
-        a30, b30 = offs["s30"]
-        want[a30:b30] = [Fraction(0)] * (b30 - a30)
-        ok = ([p.constant_value() for p in got.vector()] == want
-              and phi.r14.is_zero() and phi.r12pp.is_zero())
-        return {"_ok": ok}
-    checks.append(_check("intrinsic_adjustment", "a unique special "
-                         "adjustment removes everything but the rank-four "
-                         "block, with the constrained shape components zero",
-                         adjustment))
-
-    def restriction_identity():
-        return {"_ok": sp.contact_restriction_identity()}
-    checks.append(_check("projected_torsion_vanishes", "the adjusted "
-                         "torsion projects to zero on the contact subspace "
-                         "for a symbolic cubic", restriction_identity))
-
-    def splitting():
-        r2 = sp.splitting_correction_vanishes(2)
-        r3 = sp.splitting_correction_vanishes(3)
-        return {"_ok": r2["forced_zero"] and r3["forced_zero"]
-                and r2["single_r_check"],
-                "unknowns": [r2["unknowns"], r3["unknowns"]]}
-    checks.append(_check("splitting_correction_vanishes", "the divisibility "
-                         "condition forces the correction map to vanish at "
-                         "levels 2 and 3", splitting))
-    return checks
+@check("pairings", "clebsch_gordan_double", "tensor products of two-slot "
+       "modules decompose by the double-sum formula for indices up to (1,2)")
+def clebsch_gordan_double(cfg):
+    pairs = [(b1, b2) for b1 in ((0, 0), (1, 0), (0, 1), (1, 1), (1, 2))
+             for b2 in ((1, 2), (0, 2), (1, 1))]
+    ok = all(bf.clebsch_gordan2(b1, b2) == bf.isotypic_decompose(
+        bf.Rep.space(*b1).tensor(bf.Rep.space(*b2))) for b1, b2 in pairs)
+    return ok, {"pairs_tested": len(pairs)}
 
 
-def suite_bianchi(cfg: SuiteConfig) -> List[dict]:
-    checks = []
-
-    def solve():
-        rep = ex.bianchi_solve()
-        return {"_ok": rep["solution_dim"] == 6
-                and rep["ansatz_spans_solutions"],
-                "solution_dim": rep["solution_dim"],
-                "display_coefficients": rep["display_coefficients"],
-                "kernel_basis": rep["kernel"]}
-    checks.append(_check("curvature_space", "the algebraic Bianchi kernel "
-                         "is 6-dimensional and spanned by the displayed "
-                         "ansatz (-4,3;1,1,-7)", solve))
-
-    def derived():
-        rep = ex.derived_rule_report()
-        return {"_ok": rep["matches_display_up_to_scale"]
-                and rep["b_parametrization_matches_display"],
-                "uniform_rhs_scale": rep["uniform_rhs_scale"],
-                "derived_coefficients": rep["derived_coefficients"]}
-    checks.append(_check("parameter_rules_derived", "the solved parameter "
-                         "differential rules match the expected displays up "
-                         "to one uniform reported scale", derived))
-
-    def wedge_scale():
-        rep = ex.omega_wedge_pairing_scale()
-        # the componentwise check gates; the certificate carries the scale
-        ok = rep.pop("fits_every_component")
-        return {"_ok": ok, **rep}
-    checks.append(_check("connection_square_scale", "the connection square "
-                         "is a fitted multiple of the paired expression "
-                         "(open normalization, value reported)", wedge_scale))
-    return checks
+@check("pairings", "pairing_equivariance", "the pairings commute with all "
+       "six infinitesimal generators on seeded random inputs, exactly")
+def pairing_equivariance(cfg):
+    rep = bf.equivariance_check(1, 1, (1, 2), (1, 2), trials=60, seed=cfg.seed)
+    rep2 = bf.equivariance_check(1, 2, (1, 2), (3, 2), trials=40,
+                                 seed=cfg.seed + 1)
+    return rep["ok"] and rep2["ok"], {
+        "trials": rep["trials"] + rep2["trials"],
+        "failures": rep["failures"] + rep2["failures"]}
 
 
-def suite_closure(cfg: SuiteConfig) -> List[dict]:
-    checks = []
-    for mode in ("h12", "g12"):
-        def closure(mode=mode):
-            rep = ex.d_squared_report(ex.build_system(mode))
-            return {"_ok": rep["all_zero"], "residuals_checked": rep["count"]}
-        checks.append(_check(f"closure_{mode}", f"d^2 = 0 on every generator "
-                             f"and parameter in the torsion-free {mode} "
-                             "system", closure))
-
-    def torsion_mode():
-        rep = ex.torsion_mode_structure_check()
-        return {"_ok": rep["residual_is_predicted_torsion_terms"]
-                and rep["residual_nonzero"], **rep}
-    checks.append(_check("torsionful_residual_structure", "with the rank-"
-                         "four torsion block the theta-residual equals "
-                         "exactly the predicted torsion derivative terms",
-                         torsion_mode))
-
-    def bianchi_comb():
-        rep = ex.bianchi_combination_check()
-        return {"_ok": rep["difference_is_bianchi_combination"], **rep}
-    checks.append(_check("bianchi_combination", "omitting the curvature "
-                         "shifts the theta-residual by exactly the Bianchi "
-                         "combination", bianchi_comb))
-
-    def mutation():
-        bad = ex.build_system("h12", curvature_coeffs=(
-            Fraction(-4), Fraction(3), Fraction(1), Fraction(1),
-            Fraction(-6)))
-        rep = ex.d_squared_report(bad)
-        return {"_ok": not rep["all_zero"]}
-    checks.append(_check("closure_mutation_control", "perturbing the "
-                         "curvature coefficient -7 to -6 breaks closure",
-                         mutation))
-    return checks
+@check("pairings", "omega_process_oracle", "the alternating-sum pairing "
+       "agrees with the independent doubled-variable operator implementation")
+def omega_process_oracle(cfg):
+    rng = bf._Lcg(cfg.seed)
+    ok = True
+    for (n1, m1, n2, m2, p1, p2) in ((2, 0, 2, 0, 2, 0), (1, 2, 1, 2, 1, 1),
+                                     (3, 2, 1, 2, 1, 2), (2, 4, 2, 4, 2, 4),
+                                     (1, 2, 1, 2, 0, 1)):
+        u = bf.random_biform(n1, m1, rng)
+        v = bf.random_biform(n2, m2, rng)
+        diff = bf.transvectant2(u, v, p1, p2) - \
+            bf.transvectant2_omega(u, v, p1, p2)
+        ok = ok and diff.is_zero()
+    return ok, {}
 
 
-def suite_jmatrix(cfg: SuiteConfig) -> List[dict]:
-    checks = []
-
-    def contraction():
-        return {"_ok": ig.contraction_identity_holds()}
-    checks.append(_check("jacobian_contraction", "dK = J (theta + omega_0) "
-                         "reproduces the parameter rules exactly",
-                         contraction))
-
-    def det():
-        rep = ig.det_vanishes_symbolically()
-        return {"_ok": rep["det_identically_zero"], **rep}
-    checks.append(_check("jacobian_determinant_vanishes", "det J = 0 "
-                         "identically: nonzero left-kernel row plus "
-                         "fraction-free determinant on the xy-specialization",
-                         det))
-
-    def rank():
-        rep = ig.rank_certificate(cfg.numeric_c(), cfg.seed)
-        return {"_ok": rep["rank_is_10"] and rep["flat_point_rank_below_10"],
-                **rep}
-    checks.append(_check("generic_rank_10", "rank exactly 10 at a seeded "
-                         "rational point off the singular locus, lower at "
-                         "the flat point", rank))
-
-    def dichotomy():
-        rep = ig.rank_dichotomy_samples(cfg.numeric_c(),
-                                        range(cfg.seed, cfg.seed + 20))
-        return {"_ok": rep["all_consistent"],
-                "samples": len(rep["samples"])}
-    checks.append(_check("rank_dichotomy", "rank 10 exactly where the two "
-                         "gradients are independent, on 20+ seeded points "
-                         "and engineered singular members", dichotomy))
-    return checks
+@check("pairings", "equivariance_mutation_control", "a deliberately wrong "
+       "sign in the Leibniz rule makes the equivariance check fail")
+def equivariance_mutation_control(cfg):
+    rep = bf.equivariance_check(1, 1, (1, 2), (1, 2), trials=5,
+                                seed=cfg.seed, mutate=True)
+    return not rep["ok"], {"failures": rep["failures"]}
 
 
-def suite_integrals(cfg: SuiteConfig) -> List[dict]:
-    checks = []
+@check("spencer", "spencer_dimensions", "domain 42, target 90, zero "
+       "prolongations, torsion space 48 with cokernel type V14+V16+V30+V34")
+def spencer_dimensions(cfg):
+    rep = sp.g12_spencer_report()
+    rep3 = sp.gk1_spencer_report(2)
+    ok = (rep["dim_domain"] == 42 and rep["dim_target"] == 90
+          and rep["dim_g1"] == 0 and rep["dim_h02"] == 48
+          and rep3["dim_g1"] == 0
+          and rep["cokernel_isotypic"] == {(1, 4): 1, (1, 6): 1,
+                                           (3, 0): 1, (3, 4): 1})
+    return ok, {
+        "dims": _fields(rep, "dim_domain", "dim_target", "dim_g1", "dim_h02"),
+        "domain_isotypic": rep["domain_isotypic"],
+        "restricted_algebra_g1": rep3["dim_g1"],
+        "restricted_cokernel_isotypic": rep3["cokernel_isotypic"],
+        "cokernel_isotypic": rep["cokernel_isotypic"]}
 
-    def conservation():
-        rep = ig.conservation_identity()
-        return {"_ok": rep["both"]}
-    checks.append(_check("conservation_identity", "grad(f_i) . J = 0 "
-                         "identically for both first integrals",
-                         conservation))
 
-    def gradrows():
-        return {"_ok": ig.gradient_rows_consistent()}
-    checks.append(_check("gradient_rows", "the pairing-coordinate gradient "
-                         "components solve their defining display exactly",
-                         gradrows))
+@check("spencer", "spencer_orthogonal_sanity", "the skew-symmetrization is "
+       "an isomorphism for the orthogonal algebra")
+def spencer_orthogonal_sanity(cfg):
+    rep = sp.prolongation_and_h02(sp.so3_algebra())
+    return rep["dim_g1"] == 0 and rep["dim_h02"] == 0, {"rank": rep["rank"]}
 
-    def kernel():
-        return {"_ok": ig.kernel_membership()}
-    checks.append(_check("kernel_membership", "the gradient columns span "
-                         "the right kernel of J identically", kernel))
 
-    def equivariance():
-        return {"_ok": ig.integrals_equivariant()}
-    checks.append(_check("integrals_equivariant", "both first integrals "
-                         "are killed by all six infinitesimal generators",
-                         equivariance))
+@check("spencer", "torsion_codec_roundtrip", "the 90-coordinate torsion "
+       "encoding is a bijection and decodes exactly")
+def torsion_codec_roundtrip(cfg):
+    rank = sp.torsion_encode_rank()
+    vec = [Fraction(k * 3 - 7, 2) for k in range(90)]
+    s = sp.TorsionCoords.from_vector(vec)
+    rt = sp.decode_torsion(sp.encode_torsion(s))
+    ok = rank == 90 and [p.constant_value() for p in rt.vector()] == vec
+    return ok, {"encode_rank": rank}
 
-    def symmetry():
-        rep = ig.symmetry_fields_check()
-        return {"_ok": rep["all"], **{k: v for k, v in rep.items()
-                                      if k != "all"}}
-    checks.append(_check("symmetry_fields", "the two gradient fields "
-                         "preserve the full coframe and commute",
-                         symmetry))
 
-    def flat():
-        return {"_ok": ig.fields_vanish_at_flat_point()}
-    checks.append(_check("fields_vanish_flat", "both fields vanish at the "
-                         "flat point a = b = 0", flat))
+@check("spencer", "spencer_coordinate_formula", "the closed-form coordinate "
+       "expression of the skew-symmetrization holds for 42 symbolic "
+       "parameters")
+def spencer_coordinate_formula(cfg):
+    return sp.spencer_coords_match(), {}
 
-    def mutation():
-        rep = ig.conservation_identity(coeff_72=Fraction(71))
-        return {"_ok": not rep["f1"]}
-    checks.append(_check("conservation_mutation_control", "perturbing the "
-                         "72 to 71 breaks the conservation identity",
-                         mutation))
 
-    def determinism():
+@check("spencer", "spencer_coords_mutation_control", "perturbing the -1/4 "
+       "coefficient breaks the coordinate formula")
+def spencer_coords_mutation_control(cfg):
+    return not sp.spencer_coords_match({"s32_r32": Fraction(1, 4)}), {}
+
+
+@check("torsion", "divisibility_criterion", "the divisibility constraint "
+       "space is exactly {s14=s14p=s16=s34=0, s12pp=2 s12}, dimension 30, "
+       "free rank-4 s30 block")
+def divisibility_criterion(cfg):
+    rep = sp.torsion_criterion_solve()
+    ok = (rep["solution_dim"] == 30 and rep["matches_closed_form"]
+          and rep["free_s30_dim"] == 4)
+    return ok, _fields(rep, "solution_dim", "free_s30_dim", "constraint_rows")
+
+
+@check("torsion", "s16_single_pair", "the pair x (x) r^2, y (x) r^2 alone "
+       "forces the s16 block to vanish")
+def s16_single_pair(cfg):
+    rep = sp.torsion_criterion_s16_pair()
+    return rep["only_s16_block"] and rep["s16_forced_zero"], {}
+
+
+@check("torsion", "intrinsic_adjustment", "a unique special adjustment "
+       "removes everything but the rank-four block, with the constrained "
+       "shape components zero")
+def intrinsic_adjustment(cfg):
+    vec = [Fraction(0)] * 90
+    offs = sp.TorsionCoords.offsets()
+    free = [i for blk in ("s12", "s10", "s12p", "s30", "s32")
+            for i in range(*offs[blk])]
+    rng_point = random_rational_point(
+        [f"v{k}" for k in range(len(free))], cfg.seed)
+    for i, v in zip(free, rng_point.values()):
+        vec[i] = v
+    a12, app = offs["s12"][0], offs["s12pp"][0]
+    for t in range(6):
+        vec[app + t] = 2 * vec[a12 + t]
+    phi = sp.intrinsic_adjustment(sp.TorsionCoords.from_vector(vec))
+    got = sp.spencer_in_coords(phi)
+    want = list(vec)
+    a30, b30 = offs["s30"]
+    want[a30:b30] = [Fraction(0)] * (b30 - a30)
+    ok = ([p.constant_value() for p in got.vector()] == want
+          and phi.r14.is_zero() and phi.r12pp.is_zero())
+    return ok, {}
+
+
+@check("torsion", "projected_torsion_vanishes", "the adjusted torsion "
+       "projects to zero on the contact subspace for a symbolic cubic")
+def projected_torsion_vanishes(cfg):
+    return sp.contact_restriction_identity(), {}
+
+
+@check("torsion", "splitting_correction_vanishes", "the divisibility "
+       "condition forces the correction map to vanish at levels 2 and 3")
+def splitting_correction_vanishes(cfg):
+    r2 = sp.splitting_correction_vanishes(2)
+    r3 = sp.splitting_correction_vanishes(3)
+    ok = r2["forced_zero"] and r3["forced_zero"] and r2["single_r_check"]
+    return ok, {"unknowns": [r2["unknowns"], r3["unknowns"]]}
+
+
+@check("bianchi", "curvature_space", "the algebraic Bianchi kernel is "
+       "6-dimensional and spanned by the displayed ansatz (-4,3;1,1,-7)")
+def curvature_space(cfg):
+    rep = ex.bianchi_solve()
+    return rep["solution_dim"] == 6 and rep["ansatz_spans_solutions"], {
+        "solution_dim": rep["solution_dim"],
+        "display_coefficients": rep["display_coefficients"],
+        "kernel_basis": rep["kernel"]}
+
+
+@check("bianchi", "parameter_rules_derived", "the solved parameter "
+       "differential rules match the expected displays up to one uniform "
+       "reported scale")
+def parameter_rules_derived(cfg):
+    rep = ex.derived_rule_report()
+    ok = (rep["matches_display_up_to_scale"]
+          and rep["b_parametrization_matches_display"])
+    return ok, _fields(rep, "uniform_rhs_scale", "derived_coefficients")
+
+
+@check("bianchi", "connection_square_scale", "the connection square is a "
+       "fitted multiple of the paired expression (open normalization, value "
+       "reported)")
+def connection_square_scale(cfg):
+    rep = ex.omega_wedge_pairing_scale()
+    # the componentwise fit gates; the certificate carries the scale
+    return rep["fits_every_component"], _fields(
+        rep, "matches_minus_half_pairing", "fitted_scale")
+
+
+def _closure(cfg, mode):
+    rep = ex.d_squared_report(ex.build_system(mode))
+    return rep["all_zero"], {"residuals_checked": rep["count"]}
+
+
+for _mode in ("h12", "g12"):
+    check("closure", f"closure_{_mode}", f"d^2 = 0 on every generator and "
+          f"parameter in the torsion-free {_mode} system")(
+        partial(_closure, mode=_mode))
+
+
+@check("closure", "torsionful_residual_structure", "with the rank-four "
+       "torsion block the theta-residual equals exactly the predicted "
+       "torsion derivative terms")
+def torsionful_residual_structure(cfg):
+    rep = ex.torsion_mode_structure_check()
+    return (rep["residual_is_predicted_torsion_terms"]
+            and rep["residual_nonzero"]), rep
+
+
+@check("closure", "bianchi_combination", "omitting the curvature shifts the "
+       "theta-residual by exactly the Bianchi combination")
+def bianchi_combination(cfg):
+    rep = ex.bianchi_combination_check()
+    return rep["difference_is_bianchi_combination"], rep
+
+
+@check("closure", "closure_mutation_control", "perturbing the curvature "
+       "coefficient -7 to -6 breaks closure")
+def closure_mutation_control(cfg):
+    bad = ex.build_system("h12", curvature_coeffs=(
+        Fraction(-4), Fraction(3), Fraction(1), Fraction(1), Fraction(-6)))
+    return not ex.d_squared_report(bad)["all_zero"], {}
+
+
+@check("jmatrix", "jacobian_contraction", "dK = J (theta + omega_0) "
+       "reproduces the parameter rules exactly")
+def jacobian_contraction(cfg):
+    return ig.contraction_identity_holds(), {}
+
+
+@check("jmatrix", "jacobian_determinant_vanishes", "det J = 0 identically: "
+       "nonzero left-kernel row plus fraction-free determinant on the "
+       "xy-specialization")
+def jacobian_determinant_vanishes(cfg):
+    rep = ig.det_vanishes_symbolically()
+    return rep["det_identically_zero"], rep
+
+
+@check("jmatrix", "generic_rank_10", "rank exactly 10 at a seeded rational "
+       "point off the singular locus, lower at the flat point")
+def generic_rank_10(cfg):
+    rep = ig.rank_certificate(cfg.numeric_c(), cfg.seed)
+    return rep["rank_is_10"] and rep["flat_point_rank_below_10"], rep
+
+
+@check("jmatrix", "rank_dichotomy", "rank 10 exactly where the two gradients "
+       "are independent, on 20+ seeded points and engineered singular "
+       "members")
+def rank_dichotomy(cfg):
+    rep = ig.rank_dichotomy_samples(cfg.numeric_c(),
+                                    range(cfg.seed, cfg.seed + 20))
+    return rep["all_consistent"], {"samples": len(rep["samples"])}
+
+
+@check("integrals", "conservation_identity", "grad(f_i) . J = 0 identically "
+       "for both first integrals")
+def conservation_identity(cfg):
+    return ig.conservation_identity()["both"], {}
+
+
+@check("integrals", "gradient_rows", "the pairing-coordinate gradient "
+       "components solve their defining display exactly")
+def gradient_rows(cfg):
+    return ig.gradient_rows_consistent(), {}
+
+
+@check("integrals", "kernel_membership", "the gradient columns span the "
+       "right kernel of J identically")
+def kernel_membership(cfg):
+    return ig.kernel_membership(), {}
+
+
+@check("integrals", "integrals_equivariant", "both first integrals are "
+       "killed by all six infinitesimal generators")
+def integrals_equivariant(cfg):
+    return ig.integrals_equivariant(), {}
+
+
+@check("integrals", "symmetry_fields", "the two gradient fields preserve the "
+       "full coframe and commute")
+def symmetry_fields(cfg):
+    rep = ig.symmetry_fields_check()
+    return rep["all"], _fields(rep, "lie_derivative_vanishes",
+                               "display_scaling_variant_holds",
+                               "bracket_vanishes")
+
+
+@check("integrals", "fields_vanish_flat", "both fields vanish at the flat "
+       "point a = b = 0")
+def fields_vanish_flat(cfg):
+    return ig.fields_vanish_at_flat_point(), {}
+
+
+@check("integrals", "conservation_mutation_control", "perturbing the 72 to "
+       "71 breaks the conservation identity")
+def conservation_mutation_control(cfg):
+    return not ig.conservation_identity(coeff_72=Fraction(71))["f1"], {}
+
+
+@check("integrals", "constants_replay", "structure constants are "
+       "reproducible under seed replay")
+def constants_replay(cfg):
+    def constants():
         pt = random_rational_point(list(ig.K_SYMS) + ["c"], cfg.seed)
-        const1 = ig.structure_constants(
-            ig.CurvaturePoint.from_assignment(pt))
-        const2 = ig.structure_constants(
-            ig.CurvaturePoint.from_assignment(
-                random_rational_point(list(ig.K_SYMS) + ["c"], cfg.seed)))
-        return {"_ok": const1 == const2,
-                "c1": const1["c1"], "c2": const1["c2"]}
-    checks.append(_check("constants_replay", "structure constants are "
-                         "reproducible under seed replay", determinism))
-    return checks
+        return ig.structure_constants(ig.CurvaturePoint.from_assignment(pt))
+    const1, const2 = constants(), constants()
+    return const1 == const2, _fields(const1, "c1", "c2")
 
 
-def suite_restriction(cfg: SuiteConfig) -> List[dict]:
-    checks = []
-
-    def chain():
-        rep = ex.restriction_chain()
-        return {"_ok": rep["a_constraints_match_display"]
-                and rep["b_constraint_rank"] == 2
-                and rep["b_solution_is_gradient_subspace"]
-                and rep["blocks_independent"]
-                and rep["admissible_submanifold_dim"] == 8,
-                **rep}
-    checks.append(_check("restriction_chain", "the compatibility ideal "
-                         "forces 2 a20 = 3 a02 and the gradient form of b; "
-                         "constraint blocks have ranks 3 and 2 and cut an "
-                         "8-dimensional admissible set", chain))
-
-    def f1zero():
-        return {"_ok": ig.f1_vanishes_on_restriction_locus()}
-    checks.append(_check("first_integral_vanishes", "the first integral "
-                         "vanishes identically on the admissible locus",
-                         f1zero))
-
-    def admissibility():
-        a20 = bf.from_coords(2, 0, [Fraction(3), Fraction(0), Fraction(-3)])
-        a02 = bf.from_coords(0, 2, [Fraction(2), Fraction(0), Fraction(-2)])
-        u = bf.slot2_form(parse_poly("x2^3 - 2*x2*y2^2"), 3)
-        bgrad = bf.BiForm(1, 2, Poly.var("x1") * u.poly.diff("x2")
-                          + Poly.var("y1") * u.poly.diff("y2"))
-        pt = ig.CurvaturePoint(a20, a02, bgrad, Fraction(5))
-        const = ig.structure_constants(pt)
-        return {"_ok": const["restriction_admissible"],
-                "c1": const["c1"], "c2": const["c2"]}
-    checks.append(_check("admissibility_flag", "a point satisfying both "
-                         "restriction conditions is flagged admissible "
-                         "(first constant zero)", admissibility))
-    return checks
+@check("restriction", "restriction_chain", "the compatibility ideal forces "
+       "2 a20 = 3 a02 and the gradient form of b; constraint blocks have "
+       "ranks 3 and 2 and cut an 8-dimensional admissible set")
+def restriction_chain(cfg):
+    rep = ex.restriction_chain()
+    ok = (rep["a_constraints_match_display"]
+          and rep["b_constraint_rank"] == 2
+          and rep["b_solution_is_gradient_subspace"]
+          and rep["blocks_independent"]
+          and rep["admissible_submanifold_dim"] == 8)
+    return ok, rep
 
 
-def suite_frobenius(cfg: SuiteConfig) -> List[dict]:
-    checks = []
-
-    def obstruction():
-        rep = ex.local_symmetry_obstruction()
-        return {"_ok": rep["matches_display"],
-                "residual": str(rep["residual"])}
-    checks.append(_check("local_symmetry_obstruction", "the reduced "
-                         "differential of the lowest connection component "
-                         "is 9 <a02, x^2>_2 theta(1,0)^theta(-1,0) exactly",
-                         obstruction))
-
-    def full_coframe():
-        sys_g = ex.build_system("g12")
-        gens = [ex.FormExpr.gen(sys_g.cf, i) for i in range(13)]
-        rep = ex.frobenius_residual(gens, sys_g)
-        return {"_ok": rep["frobenius_holds_identically"]}
-    checks.append(_check("full_coframe_trivial", "the ideal spanned by the "
-                         "entire coframe has identically zero residuals",
-                         full_coframe))
-    return checks
+@check("restriction", "first_integral_vanishes", "the first integral "
+       "vanishes identically on the admissible locus")
+def first_integral_vanishes(cfg):
+    return ig.f1_vanishes_on_restriction_locus(), {}
 
 
-SUITES: Dict[str, Callable[[SuiteConfig], List[dict]]] = {
-    "pairings": suite_pairings,
-    "spencer": suite_spencer,
-    "torsion": suite_torsion,
-    "bianchi": suite_bianchi,
-    "closure": suite_closure,
-    "jmatrix": suite_jmatrix,
-    "integrals": suite_integrals,
-    "restriction": suite_restriction,
-    "frobenius": suite_frobenius,
-}
+@check("restriction", "admissibility_flag", "a point satisfying both "
+       "restriction conditions is flagged admissible (first constant zero)")
+def admissibility_flag(cfg):
+    a20 = bf.from_coords(2, 0, [Fraction(3), Fraction(0), Fraction(-3)])
+    a02 = bf.from_coords(0, 2, [Fraction(2), Fraction(0), Fraction(-2)])
+    u = bf.slot2_form(parse_poly("x2^3 - 2*x2*y2^2"), 3)
+    bgrad = bf.BiForm(1, 2, Poly.var("x1") * u.poly.diff("x2")
+                      + Poly.var("y1") * u.poly.diff("y2"))
+    const = ig.structure_constants(ig.CurvaturePoint(a20, a02, bgrad,
+                                                     Fraction(5)))
+    return const["restriction_admissible"], _fields(const, "c1", "c2")
+
+
+@check("frobenius", "local_symmetry_obstruction", "the reduced differential "
+       "of the lowest connection component is 9 <a02, x^2>_2 "
+       "theta(1,0)^theta(-1,0) exactly")
+def local_symmetry_obstruction(cfg):
+    rep = ex.local_symmetry_obstruction()
+    return rep["matches_display"], {"residual": str(rep["residual"])}
+
+
+@check("frobenius", "full_coframe_trivial", "the ideal spanned by the entire "
+       "coframe has identically zero residuals")
+def full_coframe_trivial(cfg):
+    sys_g = ex.build_system("g12")
+    gens = [ex.FormExpr.gen(sys_g.cf, i) for i in range(13)]
+    rep = ex.frobenius_residual(gens, sys_g)
+    return rep["frobenius_holds_identically"], {}
+
+
+# suites in order of their first check
+SUITE_ORDER = tuple(dict.fromkeys(c.suite for c in CHECKS))
 
 
 def run_suites(cfg: SuiteConfig) -> dict:
     started = time.monotonic()
-    checks = []
-    for name in cfg.suites:
-        for record in SUITES[name](cfg):
-            record["suite"] = name
-            checks.append(record)
+    checks = [_check(c, cfg) for c in CHECKS if c.suite in cfg.suites]
     summary = {"pass": sum(1 for c in checks if c["status"] == "pass"),
                "fail": sum(1 for c in checks if c["status"] == "fail"),
                "skip": sum(1 for c in checks if c["status"] == "skip")}
@@ -623,8 +574,12 @@ def _parse_t_expr(text: str):
     if split_at is None:
         raise ParseError("expected two forms separated by ','", 0)
     u_text, v_text = forms[:split_at], forms[split_at + 1:]
-    p1_text, p2_text = orders.split(",")
-    return u_text, v_text, int(p1_text), int(p2_text)
+    try:
+        p1, p2 = (int(p) for p in orders.split(","))
+    except ValueError:
+        raise ParseError("expected two integer orders after ';'",
+                         text.rindex(";") + 1) from None
+    return u_text, v_text, p1, p2
 
 
 def _biform_from_literal(text: str) -> bf.BiForm:
@@ -712,11 +667,11 @@ def cmd_rank(c_text: str, seed: int) -> int:
 
 
 def cmd_integrals_check() -> int:
-    rep = ig.conservation_identity()
-    ok = rep["both"] and ig.kernel_membership()
-    print(f"conservation identities: {'pass' if rep['both'] else 'fail'}")
-    print(f"kernel membership: {'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+    conserved = ig.conservation_identity()["both"]
+    in_kernel = ig.kernel_membership()
+    print(f"conservation identities: {'pass' if conserved else 'fail'}")
+    print(f"kernel membership: {'pass' if in_kernel else 'fail'}")
+    return 0 if conserved and in_kernel else 1
 
 
 def cmd_constants(point_path: str) -> int:

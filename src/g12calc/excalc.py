@@ -31,7 +31,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from . import binforms as bf
 from .binforms import BiForm, basis, dim_v, from_coords, pairing_table
 from .linalg import (PolyMatrix, kernel_basis, linear_rows, linsolve, rank,
-                     reduced_echelon, solve_sparse)
+                     reduced_echelon, solve_sparse, spans_equal)
 from .poly import Poly, Substitution, _var_key, fields_mask, var_key
 from .spencer import g12_algebra
 
@@ -382,14 +382,10 @@ def bianchi_solve() -> dict:
         comps = [o00] + o20.comps + o02.comps
         unit_vecs.append([comps[k].coefficient(pq).constant_value()
                           for pq in pairs for k in range(7)])
-    # is span(unit_vecs) == kernel?
-    rk_kernel = rank(PolyMatrix(kernel))
-    rk_ansatz = rank(PolyMatrix(unit_vecs))
-    rk_both = rank(PolyMatrix(kernel + unit_vecs))
     return {
         "solution_dim": len(kernel),
-        "ansatz_rank": rk_ansatz,
-        "ansatz_spans_solutions": (rk_kernel == rk_both == rk_ansatz == 6),
+        "ansatz_rank": rank(PolyMatrix(unit_vecs)),
+        "ansatz_spans_solutions": spans_equal(kernel, unit_vecs, 6),
         "display_coefficients": [str(x) for x in CURVATURE_DISPLAY],
         "kernel": kernel,
     }
@@ -548,14 +544,11 @@ def derive_da() -> Mapping:
     disp = _b_theta_part(fr)
     disp_vecs = [[disp[w].coefficient(th[t]).diff(s).constant_value()
                   for w in range(6) for t in range(6)] for s in B_SYMS]
-    ker_u = [v[4:] for v in kernel]
-    rk_ker = rank(PolyMatrix(ker_u))
-    rk_disp = rank(PolyMatrix(disp_vecs))
-    rk_both = rank(PolyMatrix(ker_u + disp_vecs))
     return MappingProxyType({
         "alphas": tuple(part[:4]),
         "freedom_dim": len(kernel),
-        "display_matches_freedom": rk_ker == rk_disp == rk_both == 6,
+        "display_matches_freedom": spans_equal([v[4:] for v in kernel],
+                                               disp_vecs, 6),
     })
 
 
@@ -999,10 +992,7 @@ def restriction_chain() -> dict:
         gb = BiForm(1, 2, Poly.var("x1") * u.poly.diff("x2")
                     + Poly.var("y1") * u.poly.diff("y2"))
         grad_vecs.append([c.constant_value() for c in gb.coords()])
-    rk_ker = rank(PolyMatrix(b_kernel))
-    rk_grad = rank(PolyMatrix(grad_vecs))
-    rk_both = rank(PolyMatrix(b_kernel + grad_vecs))
-    b_matches_gradient = (rk_ker == rk_grad == rk_both == 4)
+    b_matches_gradient = spans_equal(b_kernel, grad_vecs, 4)
 
     # step 3: rank of the five constraint differentials at an admissible
     # random rational point

@@ -6,7 +6,8 @@ scaled to coprime integers (the one place values enter, and where
 fraction-free, forward and back, and returns the pivot columns with the
 reduced integer rows.  The public operations are views of it:
 
-- `rank` runs the forward pass only and counts pivots;
+- `rank` runs the forward pass only and counts pivots, and
+  `spans_equal` compares two row spans by three ranks;
 - `kernel_basis`, `linsolve` and `solve_sparse` share one read-out of
   (particular solution, kernel basis) from the reduced rows of [A | b];
 - `invert_rational` reduces [A | I] and divides the right half by the
@@ -245,6 +246,14 @@ def _solution(pivots: List[int], rows: List[List[int]], n: int):
 def rank(m: PolyMatrix) -> int:
     """Exact rank of a constant matrix (forward elimination only)."""
     return len(_row_echelon([_int_row(row) for row in _stored_rows(m)]))
+
+
+def spans_equal(a: Sequence[Sequence[Scalar]],
+                b: Sequence[Sequence[Scalar]], dim: int) -> bool:
+    """Whether the rows of `a` and of `b` span one `dim`-dimensional
+    space: each block, and the two together, have rank `dim`."""
+    return (rank(PolyMatrix(a)) == rank(PolyMatrix(b))
+            == rank(PolyMatrix(list(a) + list(b))) == dim)
 
 
 def kernel_basis(m: PolyMatrix) -> List[List[Scalar]]:

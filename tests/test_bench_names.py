@@ -5,10 +5,12 @@ function, or a method found in its class's own namespace), and
 perfbench/run.py reports the hit counts of each LAYER_CACHES entry, an
 lru_cache defined in its layer module.  A rename or deletion in the
 program would otherwise break `perfbench/run.py --trace 1` unnoticed by
-this suite.  The benchmark's files are read, not imported as a package:
-run.py changes sys.path when imported, so LAYER_CACHES is read from its
-source, and tracer.py (standard library only) is loaded under a private
-name.
+this suite.  The `verify` check registry must also list exactly the
+suites and checks, in order, that perfbench/answers.py expects of a
+report.  The benchmark's files are read, not imported as a package:
+run.py changes sys.path when imported, so LAYER_CACHES and
+EXPECTED_CHECKS are read from their source, and tracer.py (standard
+library only) is loaded under a private name.
 """
 
 import ast
@@ -30,13 +32,17 @@ def _tracer_targets():
             for attr, _name in targets]
 
 
-def _layer_caches():
-    tree = ast.parse((BENCH / "run.py").read_text())
+def _literal(filename, name):
+    tree = ast.parse((BENCH / filename).read_text())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and [t.id for t in node.targets] == ["LAYER_CACHES"]):
+                and [t.id for t in node.targets] == [name]):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/run.py defines no LAYER_CACHES")
+    raise AssertionError(f"perfbench/{filename} defines no {name}")
+
+
+def _layer_caches():
+    return _literal("run.py", "LAYER_CACHES")
 
 
 @pytest.mark.parametrize("layer,attr", _tracer_targets())
@@ -58,3 +64,17 @@ def test_metered_cache_is_an_lru_cache(cache):
     assert fn.__module__ == home.__name__
     assert callable(getattr(fn, "cache_info", None))
     assert callable(getattr(fn, "cache_clear", None))
+
+
+def test_check_registry_matches_the_benchmark_answers():
+    from g12calc import cli
+    expected = _literal("answers.py", "EXPECTED_CHECKS")
+    registered = [(c.suite, c.name) for c in cli.CHECKS]
+    assert registered == [(suite, name) for suite, names in expected.items()
+                          for name in names]
+    assert cli.SUITE_ORDER == tuple(expected)
+    names = [name for _suite, name in registered]
+    assert len(set(names)) == len(names)
+    suites = [suite for suite, _name in registered]
+    runs = [s for i, s in enumerate(suites) if i == 0 or suites[i - 1] != s]
+    assert len(runs) == len(set(runs))

@@ -38,10 +38,8 @@ def test_all_expands_to_every_suite():
 
 
 def test_exit_codes_pass_and_fail(monkeypatch, capsys):
-    def fake_suite(cfg):
-        return [{"check": "doomed", "claim": "always fails",
-                 "status": "fail", "certificate": {}, "wall_time": 0.0}]
-    monkeypatch.setitem(cli.SUITES, "pairings", fake_suite)
+    monkeypatch.setattr(cli, "CHECKS", [cli.Check(
+        "pairings", "doomed", "always fails", lambda cfg: (False, {}))])
     assert main(["verify", "--suites", "pairings", "--format", "text"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -132,6 +130,12 @@ def test_t_expression_routes_to_transvect(capsys):
     assert "bidegree (0,0)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("orders", ["1", "a, 1", "1, 2, 3"])
+def test_t_expression_with_malformed_orders_is_a_usage_error(orders, capsys):
+    assert main(["decompose", f"T(x1, x1; {orders})"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_jmatrix_json(capsys):
     assert main(["jmatrix", "--c", "1", "--emit", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -158,6 +162,15 @@ def test_rank_command(capsys):
 def test_integrals_command(capsys):
     assert main(["integrals", "--check"]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+def test_integrals_command_runs_kernel_membership_on_its_own(monkeypatch,
+                                                               capsys):
+    monkeypatch.setattr(cli.ig, "conservation_identity",
+                        lambda: {"f1": False, "f2": True, "both": False})
+    assert main(["integrals", "--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "conservation identities: fail", "kernel membership: pass"]
 
 
 def test_constants_command(tmp_path, capsys):
@@ -284,11 +297,17 @@ def test_json_safe_rejects_float_with_key_path():
 
 
 def test_check_with_float_certificate_fails_and_names_the_path():
-    rec = cli._check("inexact", "a float in a certificate",
-                     lambda: {"_ok": True, "scale": [Fraction(1), -1.0]})
-    assert rec["status"] == "fail"
-    assert rec["certificate"] == {
-        "error": "TypeError: inexact value -1.0 at certificate.scale[1]"}
+    # an outcome that is not a bool is refused like a float
+    for outcome, error in (
+            ((True, {"scale": [Fraction(1), -1.0]}),
+             "TypeError: inexact value -1.0 at certificate.scale[1]"),
+            ((1, {}), "TypeError: outcome of type int, not bool"),
+            ((None, {}), "TypeError: outcome of type NoneType, not bool")):
+        chk = cli.Check("pairings", "inexact", "a float in a certificate",
+                        lambda cfg, outcome=outcome: outcome)
+        rec = cli._check(chk, SuiteConfig(["pairings"]))
+        assert rec["status"] == "fail"
+        assert rec["certificate"] == {"error": error}
 
 
 def _bianchi_record(name):

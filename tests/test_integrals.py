@@ -182,12 +182,11 @@ def test_symmetry_fields():
 
 
 def test_symmetry_fields_check_is_read_only():
-    from g12calc.cli import suite_integrals, SuiteConfig
+    from g12calc.cli import CHECKS, SuiteConfig, _check
 
     def certificate():
-        checks = suite_integrals(SuiteConfig(["integrals"]))
-        return next(c["certificate"] for c in checks
-                    if c["check"] == "symmetry_fields")
+        chk = next(c for c in CHECKS if c.name == "symmetry_fields")
+        return _check(chk, SuiteConfig(["integrals"]))["certificate"]
 
     before = certificate()
     assert json.loads(json.dumps(before)) == before

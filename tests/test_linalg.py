@@ -5,7 +5,8 @@ import pytest
 from g12calc.linalg import (DEFAULT_MAX_MAGNITUDE, PolyMatrix, _Lcg,
                             invert_rational, linear_rows, linsolve,
                             matrix_det, matrix_rank_kernel,
-                            random_rational_point, solve_sparse)
+                            random_rational_point, solve_sparse,
+                            spans_equal)
 from g12calc.poly import Poly, parse_poly
 
 
@@ -63,6 +64,17 @@ def test_rank_kernel_relation_random():
             assert all(sum(rows[i][j] * v[j] for j in range(5)) == 0
                        for i in range(5))
         assert (rank == 5) == (not matrix_det(m).is_zero())
+
+
+def test_spans_equal():
+    a = [[1, 0, 2, 0], [0, 1, 0, 3]]
+    other_basis = [[1, 1, 2, 3], [Fraction(1, 2), -1, 1, -3]]
+    assert spans_equal(a, other_basis, 2)
+    assert not spans_equal(a, other_basis, 3)
+    assert not spans_equal(a, [[1, 1, 2, 3], [0, 0, 0, 1]], 2)
+    # a spanning set with a dependent row still spans the same plane
+    assert spans_equal(a, other_basis + [[2, 2, 4, 6]], 2)
+    assert not spans_equal(a, a[:1], 2)
 
 
 def test_identity_and_zero():
