@@ -90,6 +90,16 @@ def assemble_J(c=None) -> PolyMatrix:
     return j.subs({C_SYM: c if isinstance(c, Poly) else Poly.const(c)})
 
 
+def xy_specialised_jacobian() -> PolyMatrix:
+    """J on the family a20 = t xy, a02 = t' xy (t, t' = XY_PARAMS), with b
+    and c symbolic: mostly one-term entries in b, c, t and t'."""
+    t, tp = XY_PARAMS
+    zero = Poly.const(0)
+    return _jmatrix_symbolic().subs({
+        A20_SYMS[0]: zero, A20_SYMS[1]: Poly.var(t), A20_SYMS[2]: zero,
+        A02_SYMS[0]: zero, A02_SYMS[1]: Poly.var(tp), A02_SYMS[2]: zero})
+
+
 def contraction_identity_holds() -> bool:
     """dK = J (theta + omega_0), checked as an exact identity of forms."""
     sys = build_system("h12")
@@ -305,13 +315,7 @@ def det_vanishes_symbolically() -> dict:
     grad = gradient(f1)
     nonzero_left_kernel = any(not g.is_zero() for g in grad)
     annihilates = all(r.is_zero() for r in row_times_j(grad))
-    t, tp = XY_PARAMS
-    xy_family = {A20_SYMS[0]: Poly.const(0), A20_SYMS[1]: Poly.var(t),
-                 A20_SYMS[2]: Poly.const(0),
-                 A02_SYMS[0]: Poly.const(0), A02_SYMS[1]: Poly.var(tp),
-                 A02_SYMS[2]: Poly.const(0)}
-    jspec = _jmatrix_symbolic().subs(xy_family)
-    det = matrix_det(jspec)
+    det = matrix_det(xy_specialised_jacobian())
     return {"left_kernel_nonzero": nonzero_left_kernel,
             "left_kernel_row_annihilates_J": annihilates,
             "specialized_det_zero": det.is_zero(),

@@ -20,8 +20,14 @@ named unknowns and gives one row per monomial in the other variables.
 
 A Fraction appears only when a result is written out.  Determinants also
 accept polynomial entries and use Bareiss one-step elimination over
-Z[x], whose pivots divide exactly.  Everything is deterministic and
-exact.
+Z[x] with full pivoting chosen for sparsity: at each step the nonzero
+entry of the trailing block with the fewest terms, ties broken by the
+Markowitz count (r - 1)(c - 1) and then by row-major position.  Every
+Bareiss entry is a minor of the row- and column-permuted matrix, so each
+division by the previous pivot is exact.  The determinant is the last
+such quotient, so when that divisor is not a constant its terms come out
+in `divexact`'s lex order, whatever pivots were taken.  Everything is
+deterministic and exact.
 """
 
 from __future__ import annotations
@@ -89,13 +95,55 @@ class PolyMatrix:
             self.entries == other.entries
 
 
+def _pivot(a: List[List[Poly]], k: int):
+    """(i, j) of the pivot for Bareiss step k, or None when the trailing
+    block a[k:][k:] is zero.
+
+    The nonzero entry with the fewest terms wins; ties go to the smallest
+    Markowitz count (r_i - 1)(c_j - 1), with r_i and c_j the nonzeros of
+    its row and column in the trailing block, and then to the first entry
+    in row-major order.
+    """
+    n = len(a)
+    nz = [[j for j in range(k, n) if a[i][j].packed] for i in range(k, n)]
+    col_count = [0] * n
+    for row in nz:
+        for j in row:
+            col_count[j] += 1
+    best = None
+    for i, row in zip(range(k, n), nz):
+        for j in row:
+            cost = (len(a[i][j].packed), (len(row) - 1) * (col_count[j] - 1))
+            if best is None or cost < best[0]:
+                best = (cost, i, j)
+    return None if best is None else best[1:]
+
+
 def matrix_det(m: PolyMatrix) -> Poly:
-    """Exact determinant by Bareiss fraction-free elimination in Z[x].
+    """Exact determinant by Bareiss fraction-free elimination in Z[x],
+    with full pivoting chosen for sparsity.
 
     Each row is first scaled to integer coefficients by the lcm of its
-    coefficient denominators.  The Bareiss divisions are then exact in
-    Z[x] by the Sylvester identity, and the product of the row scales is
-    divided out once at the end.
+    coefficient denominators, and the product of the row scales is
+    divided out once at the end.  At step k the pivot is the nonzero entry
+    of the trailing block with the fewest terms, ties broken by the
+    Markowitz count and then by row-major position (`_pivot`), so a
+    sparse matrix stays sparse and the choice is deterministic.  Its row
+    and column are swapped into place, each swap flipping the sign; a
+    zero trailing block means det = 0.
+
+    Exactness: after step k every trailing entry is a (k+1)-minor of the
+    row- and column-permuted matrix, and by the Sylvester identity the
+    previous pivot (a k-minor of it) divides each update exactly in Z[x].
+    Permuting rows and columns between steps only reorders the minors,
+    so every `divexact` is exact and still raises on an inexact division.
+
+    Term order: the result is the last `divexact` quotient.  When its
+    divisor, the previous pivot, is not a constant (as for the
+    xy-specialised curvature Jacobian and its minors), `divexact` emits
+    the terms in lex-descending order of the canonical variable order, so
+    the order does not depend on the pivot path; a constant divisor keeps
+    the order of the numerator.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -112,24 +160,25 @@ def matrix_det(m: PolyMatrix) -> Poly:
         a.append(list(row))
     sign = 1
     prev = Poly.const(1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
+    for k in range(n):
+        at = _pivot(a, k)
+        if at is None:
+            return Poly.zero()
+        pi, pj = at
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            sign = -sign
+        if pj != k:
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
+        piv = a[k][k]
         for i in range(k + 1, n):
+            ai, aik = a[i], a[i][k]
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = divexact(num, prev)
-            a[i][k] = Poly.zero()
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    if sign != 1:
-        det = -det
+                ai[j] = divexact(piv * ai[j] - aik * a[k][j], prev)
+        prev = piv
+    det = prev if sign == 1 else -prev
     return det if scale == 1 else det * Fraction(1, scale)
 
 

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import g12calc
+from g12calc import binforms as bf
 from g12calc import cli
 from g12calc.cli import (SuiteConfig, main, run_suites, strip_timings)
 
@@ -97,6 +99,31 @@ def test_decompose_double_sum_formula(capsys):
     for label in ("V(4,6)", "V(4,4)", "V(4,2)", "V(2,6)", "V(2,4)", "V(2,2)"):
         assert label in out
     assert "total dimension 120" in out
+
+
+def test_decompose_cross_checks_up_to_the_size_limit(monkeypatch, capsys):
+    """V(6,6)*V(6,6) (dimension 2401) is answered, and its closed-formula
+    answer is checked against the tensor representation."""
+    checked = []
+    isotypic = bf.isotypic_decompose
+
+    def counted(rep):
+        checked.append(rep.dim)
+        return isotypic(rep)
+
+    monkeypatch.setattr(bf, "isotypic_decompose", counted)
+    assert main(["decompose", "V(6,6)*V(6,6)"]) == 0
+    assert checked == [2401]
+    assert "total dimension 2401" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("expr", ["V(20,20)*V(20,20)", "V(0,200)*V(0,0)"])
+def test_decompose_refuses_products_past_the_limit(expr, capsys):
+    start = time.perf_counter()
+    assert main(["decompose", expr]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_decompose_parse_error(capsys):

@@ -7,7 +7,8 @@ storage, for divexact round trips, for one-pass `subs` (a mapping or a
 reused `Substitution`) against a term-by-term expansion and for exponent
 overflow.
 `matrix_det`, rank and kernel are checked against sympy on random
-polynomial matrices and on the curvature Jacobian J at seeded points;
+polynomial matrices, dense and half zero, and on the curvature Jacobian J
+at seeded points;
 `solve_sparse` and `invert_rational` against sympy on random sparse
 rational systems.
 """
@@ -20,7 +21,7 @@ import pytest
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from g12calc.excalc import C_SYM  # noqa: E402
 from g12calc.integrals import K_SYMS, _jmatrix_symbolic  # noqa: E402
@@ -178,6 +179,22 @@ small_entries = st.dictionaries(st.tuples(st.integers(0, 2),
     lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n),
                        min_size=n, max_size=n)))
 def test_det_of_polynomial_matrices_against_sympy(rows):
+    m = PolyMatrix(rows)
+    want = sympy.expand(sympy_matrix(m).det(method="berkowitz"))
+    assert sympy.expand(to_sympy(matrix_det(m)) - want) == 0
+
+
+# each entry zero with probability about one half, so the pivot search
+# has to swap rows and columns
+sparse_entries = st.booleans().flatmap(
+    lambda zero: st.just(Poly.zero()) if zero else small_entries)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_det_of_sparse_polynomial_matrices_against_sympy(rows):
     m = PolyMatrix(rows)
     want = sympy.expand(sympy_matrix(m).det(method="berkowitz"))
     assert sympy.expand(to_sympy(matrix_det(m)) - want) == 0

@@ -17,7 +17,7 @@ from g12calc.integrals import (CurvaturePoint, K_SYMS,
                                kernel_columns, kernel_membership,
                                rank_certificate, rank_dichotomy_samples,
                                sigma_c_membership, structure_constants,
-                               symmetry_fields_check)
+                               symmetry_fields_check, xy_specialised_jacobian)
 from g12calc.linalg import matrix_rank_kernel, random_rational_point
 from g12calc.poly import Poly, parse_poly
 
@@ -121,6 +121,23 @@ def test_det_vanishes():
     rep = det_vanishes_symbolically()
     assert rep["left_kernel_row_annihilates_J"]
     assert rep["det_identically_zero"]
+
+
+def test_specialised_det_does_not_fill_in(monkeypatch):
+    """The xy-specialised J has mostly one-term entries; with sparsity-
+    chosen pivots no Bareiss numerator exceeds 200 terms (a pivot taken
+    only where a[k][k] = 0 reached 1372)."""
+    import g12calc.linalg as la
+    sizes = []
+    divexact = la.divexact
+
+    def counted(p, q):
+        sizes.append(len(p.packed))
+        return divexact(p, q)
+
+    monkeypatch.setattr(la, "divexact", counted)
+    assert la.matrix_det(xy_specialised_jacobian()).is_zero()
+    assert sizes and max(sizes) <= 200
 
 
 def test_det_certificate_rejects_a_row_outside_the_left_kernel(monkeypatch):

@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 
-from g12calc.linalg import (DEFAULT_MAX_MAGNITUDE, PolyMatrix, _Lcg,
+from g12calc.linalg import (DEFAULT_MAX_MAGNITUDE, PolyMatrix, _Lcg, _pivot,
                             invert_rational, linear_rows, linsolve,
                             matrix_det, matrix_rank_kernel,
                             random_rational_point, solve_sparse,
@@ -51,6 +57,114 @@ def test_det_polynomial_entries_bareiss():
                 - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
                 + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
     assert matrix_det(m) == det3(m.entries)
+
+
+def permutation_sign(perm) -> int:
+    n = len(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(n)
+                     for j in range(i + 1, n))
+    return -1 if inversions % 2 else 1
+
+
+def leibniz_det(m: PolyMatrix) -> Poly:
+    """The determinant as the signed sum over all permutations."""
+    n = m.rows
+    return sum((prod((m[i, p[i]] for i in range(n)), start=Poly.const(1))
+                * permutation_sign(p) for p in permutations(range(n))),
+               Poly.zero())
+
+
+def test_pivot_rule():
+    """Fewest terms first, then the smallest Markowitz count in the
+    trailing block, then row-major order; None on a zero block."""
+    p, q = Poly.var("p"), Poly.var("q")
+    z = Poly.zero()
+    # (0, 0) has Markowitz count 1, (0, 1) and (1, 0) count 0
+    assert _pivot([[p, q], [q, z]], 0) == (0, 1)
+    # a one-term entry beats a two-term entry of lower count
+    assert _pivot([[p + q, z], [p, z]], 0) == (1, 0)
+    # a pure tie goes to the first entry in row-major order
+    assert _pivot([[z, p], [q, z]], 0) == (0, 1)
+    # only the trailing block counts: at k = 1 row 0 and column 0 are out
+    assert _pivot([[p, p, p], [p, q, z], [p, q, q]], 1) == (1, 1)
+    assert _pivot([[p, p, p], [p, p + q, z], [p, q, q]], 1) == (2, 2)
+    assert _pivot([[p, q], [q, z]], 1) is None
+
+
+PERMUTATIONS = [(1, 0), (2, 0, 1), (0, 2, 1), (3, 1, 0, 2), (4, 3, 2, 1, 0),
+                (1, 2, 3, 4, 0)]
+
+
+@pytest.mark.parametrize("perm", PERMUTATIONS)
+def test_det_of_permuted_diagonal_matrices(perm):
+    """det = sign(perm) * prod of the entries, whichever swaps the pivots
+    need."""
+    n = len(perm)
+    # one-term entries tie everywhere, so row k wins step k and only
+    # columns move
+    single = [Poly.var("p", i + 1) * (i + 2) for i in range(n)]
+    # fewer terms further down: the pivots come from the later rows, so
+    # rows move as well
+    layered = [sum((Poly.var("q", d) for d in range(n - i)), Poly.zero())
+               for i in range(n)]
+    for entries, first in ((single, (0, perm[0])),
+                           (layered, (n - 1, perm[n - 1]))):
+        m = PolyMatrix([[entries[i] if j == perm[i] else Poly.zero()
+                         for j in range(n)] for i in range(n)])
+        assert _pivot(m.entries, 0) == first
+        assert matrix_det(m) == prod(entries) * permutation_sign(perm)
+
+
+def rand_sparse_poly_matrix(rng, n):
+    """About half the entries zero, the rest 1-3 terms in p and q with
+    small rational coefficients."""
+    def entry():
+        if rng.next_int(2):
+            return Poly.zero()
+        return sum((Poly.monomial({"p": rng.next_int(3), "q": rng.next_int(2)},
+                                  Fraction(rng.next_int(9) - 4,
+                                           1 + rng.next_int(3)))
+                    for _ in range(1 + rng.next_int(3))), Poly.zero())
+    return PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def test_det_of_transpose_on_sparse_polynomial_matrices():
+    rng = _Lcg(41)
+    nonzero = 0
+    for n in range(1, 7):
+        for _ in range(4):
+            m = rand_sparse_poly_matrix(rng, n)
+            det = matrix_det(m)
+            assert det == matrix_det(m.transpose()) == leibniz_det(m)
+            nonzero += not det.is_zero()
+    assert nonzero >= 12
+
+
+def all_ties_det_terms() -> str:
+    """The det of a 4x4 matrix of distinct one-term entries, its terms in
+    their stored order, as JSON."""
+    m = PolyMatrix([[Poly.var(f"m{i}{j}", 1, i + j + 1) for j in range(4)]
+                    for i in range(4)])
+    return json.dumps([[list(e), str(c)]
+                       for e, c in matrix_det(m).terms.items()])
+
+
+def test_all_ties_det_is_reproducible():
+    """Every entry has one term and every Markowitz count is 9, so the
+    first pivot is a pure tie.  Two runs, and a third in a fresh process
+    with its own hash seed and variable registry, give the same Poly with
+    its terms in the same order."""
+    runs = [all_ties_det_terms(), all_ties_det_terms()]
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join([here] + sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from test_linalg import all_ties_det_terms as f; print(f())"],
+        capture_output=True, text=True, env=env, check=True)
+    runs.append(proc.stdout.strip())
+    assert runs[0] == runs[1] == runs[2]
+    assert len(json.loads(runs[0])) == 24
 
 
 def test_rank_kernel_relation_random():
