@@ -17,6 +17,15 @@ in them, and `linalg.linear_rows` turns it into the sparse system.  The
 solved constants are then compared against the expected displays; a
 mismatch would surface as a solver inconsistency or a reported delta,
 never a silently wrong rule.
+
+`exterior_d`, `FormExpr.wedge` and `contract` are sums of coefficient
+products.  Each keeps one accumulator, {exterior monomial: packed dict},
+adds every product into it with `poly.add_product` (the ring's one
+product loop) and wraps each dict as a Poly once, at the end.  The term
+order is the one that adding the products as Polys would give: a
+monomial goes last when it first appears or when its coefficient
+cancels and comes back, and within a coefficient `add_product`'s order
+applies.
 """
 
 from __future__ import annotations
@@ -32,7 +41,8 @@ from . import binforms as bf
 from .binforms import BiForm, basis, dim_v, from_coords, pairing_table
 from .linalg import (PolyMatrix, kernel_basis, linear_rows, linsolve, rank,
                      reduced_echelon, solve_sparse, spans_equal)
-from .poly import Poly, Substitution, _var_key, fields_mask, var_key
+from .poly import (Poly, Substitution, _trusted, _var_key, add_product,
+                   fields_mask, var_key)
 from .spencer import g12_algebra
 
 # -- coframe ----------------------------------------------------------------
@@ -65,14 +75,23 @@ class Coframe:
         return isinstance(other, Coframe) and self.names == other.names
 
 
-def _add_term(out: Dict[tuple, Poly], mono: tuple, c: Poly) -> None:
-    """out[mono] += c in place, dropping the term when it cancels."""
-    s = out.get(mono)
-    s = c if s is None else s + c
-    if s.is_zero():
-        out.pop(mono, None)
-    else:
-        out[mono] = s
+def _add_product(out: Dict[tuple, dict], mono: tuple, p: Poly, q: Poly,
+                 negate: bool) -> None:
+    """out[mono] += p * q (-= when `negate`) in place on packed dicts,
+    dropping the monomial when its coefficient cancels."""
+    acc = out.get(mono)
+    if acc is None:
+        acc = out[mono] = {}
+    add_product(acc, p, q, negate)
+    if not acc:
+        del out[mono]
+
+
+def _form(cf: "Coframe", out: Dict[tuple, dict]) -> "FormExpr":
+    """The FormExpr of an accumulator filled by _add_product."""
+    fe = FormExpr(cf)
+    fe.terms = {mono: _trusted(acc) for mono, acc in out.items()}
+    return fe
 
 
 def _wedge_tuples(a: tuple, b: tuple):
@@ -136,7 +155,12 @@ class FormExpr:
     def __add__(self, other: "FormExpr") -> "FormExpr":
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            _add_term(out, mono, coeff)
+            s = out.get(mono)
+            s = coeff if s is None else s + coeff
+            if s.is_zero():
+                out.pop(mono, None)
+            else:
+                out[mono] = s
         return FormExpr(self.cf, out)
 
     def __sub__(self, other: "FormExpr") -> "FormExpr":
@@ -146,15 +170,13 @@ class FormExpr:
         return FormExpr(self.cf, {m: k * c for m, k in self.terms.items()})
 
     def wedge(self, other: "FormExpr") -> "FormExpr":
-        out: Dict[tuple, Poly] = {}
+        out: Dict[tuple, dict] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 w = _wedge_tuples(m1, m2)
-                if w is None:
-                    continue
-                sign, mono = w
-                _add_term(out, mono, c1 * c2 if sign == 1 else -(c1 * c2))
-        return FormExpr(self.cf, out)
+                if w is not None:
+                    _add_product(out, w[1], c1, c2, w[0] != 1)
+        return _form(self.cf, out)
 
     def subs_params(self, assignment) -> "FormExpr":
         sub = Substitution(assignment)
@@ -162,7 +184,17 @@ class FormExpr:
                                   for m, c in self.terms.items()})
 
     def coefficient(self, mono: tuple) -> Poly:
-        return self.terms.get(tuple(mono), Poly.zero())
+        """The coefficient of the exterior monomial `mono`, zero when it
+        does not occur.  Raises ValueError unless `mono` is a strictly
+        increasing tuple of generator indices of the coframe: any other
+        tuple names no stored monomial, and reading it as 0 would let a
+        comparison pass vacuously."""
+        mono = tuple(mono)
+        if not all(a < b for a, b in zip((-1,) + mono,
+                                         mono + (len(self.cf),))):
+            raise ValueError(f"not an exterior monomial of the coframe: "
+                             f"{mono}")
+        return self.terms.get(mono, Poly.zero())
 
     def __eq__(self, other):
         if not isinstance(other, FormExpr):
@@ -256,7 +288,7 @@ class StructureSystem:
 def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
     """Anti-derivation extension of the rule set; degree raised by one.
     Every term is added, in order, into one accumulator."""
-    out: Dict[tuple, Poly] = {}
+    out: Dict[tuple, dict] = {}
     # the parameters with a nonzero rule, in the canonical variable order
     params = [(pname, fields_mask((pname,)), rule)
               for pname, rule in sorted(sys.param_rules.items(),
@@ -272,8 +304,7 @@ def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
             for m, c in rule.terms.items():
                 w = _wedge_tuples(m, mono)
                 if w is not None:
-                    c = c * dpart
-                    _add_term(out, w[1], c if w[0] == 1 else -c)
+                    _add_product(out, w[1], c, dpart, w[0] != 1)
         # coeff * sum_j (-1)^(j-1) e_{i1..} ^ d(e_ij) ^ e_{..ik}
         for j, gidx in enumerate(mono):
             rule = sys.gen_rules.get(gidx)
@@ -283,23 +314,23 @@ def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
                 w1 = _wedge_tuples(mono[:j], m)
                 w2 = w1 and _wedge_tuples(w1[1], mono[j + 1:])
                 if w2:
-                    c = coeff * c
                     sign = w1[0] * w2[0] * (-1 if j % 2 else 1)
-                    _add_term(out, w2[1], c if sign == 1 else -c)
-    return FormExpr(expr.cf, out)
+                    _add_product(out, w2[1], coeff, c, sign != 1)
+    return _form(expr.cf, out)
 
 
 def contract(expr: FormExpr, values: Dict[int, Poly]) -> FormExpr:
-    """Interior product with a vector field given by its coframe values."""
-    out: Dict[tuple, Poly] = {}
+    """Interior product with a vector field given by its coframe values,
+    one Poly per generator index (a missing or zero value contributes
+    nothing)."""
+    out: Dict[tuple, dict] = {}
     for mono, coeff in expr.terms.items():
         for j, gidx in enumerate(mono):
             v = values.get(gidx)
-            if v is None or (isinstance(v, Poly) and v.is_zero()):
-                continue
-            c = coeff * v
-            _add_term(out, mono[:j] + mono[j + 1:], -c if j % 2 else c)
-    return FormExpr(expr.cf, out)
+            if v:
+                _add_product(out, mono[:j] + mono[j + 1:], coeff, v,
+                             j % 2 == 1)
+    return _form(expr.cf, out)
 
 
 # -- Lie algebra structure constants ----------------------------------------

@@ -40,6 +40,15 @@ are independent of the order in which names were interned.  Term order is
 dict insertion order: the order in which an operation first produced each
 monomial.
 
+There is one product loop, `add_product(acc, p, q)`: acc += p * q in
+place on a packed dict.  `Poly.__mul__` runs it into a fresh dict, and
+`excalc` runs it into one dict per exterior monomial, so a sum of many
+products builds no intermediate Poly.  Its term order is that of
+`Poly(acc) + p * q`: the product's terms in loop order (a product with
+at least two terms on both sides summed first, zero sums dropped), each
+then added as `__add__` adds it, a new or a cancelled-and-returning key
+last.
+
 The zero polynomial has no variables and no terms.
 """
 
@@ -295,7 +304,8 @@ class Poly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = _coerce(other)
+        if type(other) is not Poly:
+            other = _coerce(other)
         if not other.packed:
             return self
         if not self.packed:
@@ -327,27 +337,21 @@ class Poly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = _exact(other)
-            if c == 0:
-                return Poly()
-            out = {}
-            for k, v in self.packed.items():
-                v = v * c
-                out[k] = v if type(v) is int or v.denominator != 1 \
-                    else v.numerator
-            return _trusted(out)
-        other = _coerce(other)
-        a, b = self.packed, other.packed
-        if not a or not b:
-            return Poly()
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                c = _exact(other)
+                if c == 0:
+                    return Poly()
+                out = {}
+                for k, v in self.packed.items():
+                    v = v * c
+                    out[k] = v if type(v) is int or v.denominator != 1 \
+                        else v.numerator
+                return _trusted(out)
+            other = _coerce(other)
         out = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return from_packed(out)
+        add_product(out, self, other)
+        return _trusted(out)
 
     __rmul__ = __mul__
 
@@ -591,6 +595,66 @@ def _trusted(tm: dict) -> Poly:
     p = object.__new__(Poly)
     _set_packed(p, tm)
     return p
+
+
+def add_product(acc: dict, p: Poly, q: Poly, negate: bool = False) -> None:
+    """acc += p * q (acc -= p * q when `negate`), in place: the one
+    product loop of the ring, behind `Poly.__mul__` and the exterior
+    calculus.
+
+    `acc` is a canonical packed dict ({key: nonzero coefficient},
+    integral values as `int`) and stays one.  Afterwards it equals the
+    packed dict of `Poly(acc) + p * q` (or `- p * q`) in values and in
+    order.  The product's terms come in loop order, the terms of p outer
+    and those of q inner; when both sides have at least two terms the
+    product is summed first, each key where it first appears, and its
+    zero sums are dropped.  Each term is then added as `Poly.__add__`
+    adds it: a new key goes last, and a cancelled key is deleted, so it
+    comes back last.  A product key with an exponent above _MAX_EXP
+    raises OverflowError before `acc` changes.
+    """
+    a, b = p.packed, q.packed
+    if not a or not b:
+        return
+    if len(a) > 1 and len(b) > 1:
+        # keys may repeat: sum the product first
+        prod = {}
+        get = prod.get
+        for k1, c1 in a.items():
+            if negate:
+                c1 = -c1
+            for k2, c2 in b.items():
+                k = k1 + k2
+                prod[k] = get(k, 0) + c1 * c2
+        if reduce(or_, prod) & _GUARD:
+            raise _overflow()
+        terms, scale = prod.items(), None
+    else:
+        # one side is a single term: it shifts and scales the other's
+        # terms, whose keys stay distinct, in their order
+        if len(a) > 1:
+            a, b = b, a
+        (shift, scale), = a.items()
+        if negate:
+            scale = -scale
+        for k in b:
+            if (k + shift) & _GUARD:
+                raise _overflow()
+        terms = b.items()
+    get = acc.get
+    for k, c in terms:
+        if scale is not None:
+            k += shift
+            c *= scale
+        elif not c:
+            continue
+        s = get(k)
+        if s is not None:
+            c += s
+            if not c:
+                del acc[k]
+                continue
+        acc[k] = c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 def from_packed(tm: Mapping[int, Scalar]) -> Poly:

@@ -275,3 +275,40 @@ def test_restriction_chain():
 def test_mode_validation():
     with pytest.raises(ValueError):
         build_system("nonsense")
+
+
+def test_wedge_and_exterior_d_raise_on_exponent_overflow():
+    """A coefficient product past exponent 127 raises, on the one-term
+    and on the summed path of the product loop."""
+    sys = build_system("g12")
+    cf = sys.cf
+    c100, c27, c28 = (Poly.var("c", e) for e in (100, 27, 28))
+    gen = FormExpr.gen(cf, 0)
+    assert FormExpr.scalar(cf, c100).wedge(gen.scale(c27)).coefficient(
+        (0,)) == Poly.var("c", 127)
+    for left, right in ((c100, c28), (c100 + 1, c28 + 1)):
+        with pytest.raises(OverflowError):
+            FormExpr.scalar(cf, left).wedge(gen.scale(right))
+    # the om20_0 rule is linear in a20_1: the generator part overflows
+    om = FormExpr.gen(cf, "om20_0")
+    assert not exterior_d(om.scale(Poly.var("a20_1", 126)), sys).is_zero()
+    top = Poly.var("a20_1", 127)
+    for coeff in (top, top + 1):
+        with pytest.raises(OverflowError):
+            exterior_d(om.scale(coeff), sys)
+    # the b_0 rule is quadratic in a02_0: the parameter part overflows
+    with pytest.raises(OverflowError):
+        exterior_d(FormExpr.scalar(
+            cf, Poly.var("b_0", 127) * Poly.var("a02_0", 127)), sys)
+
+
+def test_coefficient_rejects_tuples_that_name_no_monomial():
+    cf = Coframe(COFRAME_NAMES)
+    two = FormExpr.gen(cf, 0).wedge(FormExpr.gen(cf, 3))
+    assert two.coefficient((0, 3)) == Poly.const(1)
+    assert two.coefficient([0, 3]) == Poly.const(1)
+    assert two.coefficient((1, 3)).is_zero()
+    assert two.coefficient(()).is_zero()
+    for bad in ((3, 0), (0, 0), (0, len(cf)), (-1, 3)):
+        with pytest.raises(ValueError):
+            two.coefficient(bad)

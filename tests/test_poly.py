@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from g12calc.linalg import PolyMatrix, _Lcg
-from g12calc.poly import ParseError, Poly, divexact, parse_poly
+from g12calc.poly import (ParseError, Poly, add_product, divexact,
+                          from_packed, parse_poly, var_key)
 
 
 def rand_poly(rng, nvars=3, nterms=4, maxdeg=3):
@@ -332,3 +333,120 @@ print(json.dumps({"fail": report["summary"]["fail"], "interned": n,
     assert out["interned"] > 100
     assert out["top"] < 4 + 15
     assert out["bits"] < 200
+
+
+# -- the in-place product loop ----------------------------------------------
+
+
+def rand_half_poly(rng, nterms, maxdeg=2):
+    """Up to `nterms` terms over x1, y1 with small integer and half-integer
+    coefficients, so products share keys, cancel and sum to integers."""
+    total = Poly.zero()
+    for _ in range(nterms):
+        coeff = Fraction(rng.next_int(5) - 2, 1 + rng.next_int(2))
+        mono = {"x1": rng.next_int(maxdeg + 1), "y1": rng.next_int(maxdeg + 1)}
+        total = total + Poly.monomial(mono, coeff)
+    return total
+
+
+def reference_product(p, q):
+    """p * q by the textbook double loop: each key where it is first
+    produced, zero sums dropped."""
+    out = {}
+    for k1, c1 in p.packed.items():
+        for k2, c2 in q.packed.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return [(k, c) for k, c in out.items() if c]
+
+
+def is_canonical(packed):
+    return all(type(c) is int and c or type(c) is Fraction
+               and c.denominator != 1 for c in packed.values())
+
+
+def prefilled(rng, prod, negate):
+    """An accumulator with keys of its own, int and Fraction values, and
+    on some keys of `prod` a value that cancels the product's term, one
+    that makes the sum integral, or a plain int."""
+    acc = dict(rand_half_poly(rng, 3, maxdeg=4).packed)
+    for k, c in prod.packed.items():
+        r = rng.next_int(4)
+        if r == 0:
+            acc[k] = c if negate else -c
+        elif r == 1 and type(c) is Fraction:
+            acc[k] = Fraction(1, 2)
+        elif r == 2:
+            acc[k] = 1 + rng.next_int(3)
+    assert is_canonical(acc)
+    return acc
+
+
+def test_add_product_equals_poly_add_of_the_product():
+    rng = _Lcg(1414)
+    shapes = ((1, 1), (1, 4), (4, 1), (3, 3), (4, 5), (0, 3), (3, 0))
+    seen = {"cancel": 0, "integral": 0, "summed_zero": 0}
+    for _ in range(40):
+        pairs = [(rand_half_poly(rng, n, 1), rand_half_poly(rng, m, 1))
+                 for n, m in shapes]
+        # (a + b)(a - b): the cross terms sum to zero inside the product
+        a, b = rand_half_poly(rng, 2, 1), rand_half_poly(rng, 2, 1)
+        pairs.append((a + b, a - b))
+        for p, q in pairs:
+            prod = p * q
+            assert list(prod.packed.items()) == reference_product(p, q)
+            assert is_canonical(prod.packed)
+            if len(reference_product(p, q)) < len(
+                    {k1 + k2 for k1 in p.packed for k2 in q.packed}):
+                seen["summed_zero"] += 1
+            for negate in (False, True):
+                acc = prefilled(rng, prod, negate)
+                before = dict(acc)
+                want = from_packed(before) + (-prod if negate else prod)
+                add_product(acc, p, q, negate)
+                assert list(acc.items()) == list(want.packed.items())
+                assert is_canonical(acc)
+                for k, c in before.items():
+                    if k in prod.packed and k not in acc:
+                        seen["cancel"] += 1
+                    elif type(c) is Fraction and type(acc.get(k)) is int:
+                        seen["integral"] += 1
+    assert min(seen.values()) > 10, seen
+
+
+def test_add_product_term_order_rules():
+    x, y = Poly.var("x1"), Poly.var("y1")
+    kx, ky = var_key("x1"), var_key("y1")
+    kxy = kx + ky
+    # a cancelled key is deleted, so it comes back last
+    acc = {kx: 1, ky: Fraction(1, 2)}
+    add_product(acc, x, Poly.const(1), negate=True)
+    assert acc == {ky: Fraction(1, 2)}
+    add_product(acc, x, Poly.const(3))
+    assert list(acc.items()) == [(ky, Fraction(1, 2)), (kx, 3)]
+    # a Fraction sum that comes out integral is stored as int
+    add_product(acc, y, Poly.const(Fraction(3, 2)))
+    assert list(acc.items()) == [(ky, 2), (kx, 3)]
+    assert type(acc[ky]) is int
+    # an n x m product is summed first: its zero xy term leaves acc[xy]
+    # in place, where adding -xy and then +xy one by one would move it
+    acc = {kxy: 1}
+    add_product(acc, x + y, x - y)
+    assert list(acc.items()) == [(kxy, 1), (2 * kx, 1), (2 * ky, -1)]
+    # a product with a zero factor changes nothing
+    add_product(acc, Poly.zero(), x + y)
+    add_product(acc, x + y, Poly.zero())
+    assert list(acc.items()) == [(kxy, 1), (2 * kx, 1), (2 * ky, -1)]
+
+
+def test_add_product_overflow_leaves_the_accumulator_unchanged():
+    x, y = Poly.var("x1"), Poly.var("y1")
+    top = Poly.var("x1", 127)
+    # the overflowing product comes after ones that fit
+    for p, q in ((x ** 100, x ** 28), (x, 1 + y + top),
+                 (y + x, top * y + 1), (x ** 100 + y, x ** 28 + 1)):
+        acc = {0: 5, var_key("y1"): Fraction(1, 3)}
+        before = list(acc.items())
+        with pytest.raises(OverflowError):
+            add_product(acc, p, q)
+        assert list(acc.items()) == before
+
