@@ -18,9 +18,13 @@ the constants rather than assuming them, so a convention mismatch would
 surface there as a solver inconsistency, not as a silent wrong value).
 
 The pairing is defined by that sum in closed form on basis monomials:
-the constants of `pairing_table` (see `_slot_constant`).  `transvectant2`
-contracts the coefficients of its operands with them.  The Cayley Omega
-process, `transvectant2_omega`, shares no code with them and is the oracle.
+the constants of `pairing_table` (see `_slot_constant`).  They are
+integers by construction, since the 1/p! goes into binomials,
+(a)_r / r! = C(a, r).  `transvectant2` contracts the coefficients of its
+operands with them on integers only: each operand is written as integer
+numerators over one common denominator, and each output coefficient is
+divided once.  The Cayley Omega process, `transvectant2_omega`, shares no
+code with them and is the oracle.
 
 Coordinates made of several forms are `BlockCoords`, declared by a SHAPE
 of named bidegrees.  One of them is `LieElt`, the algebra g_{1,2} =
@@ -38,12 +42,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import PolyMatrix, _Lcg, rank
-from .poly import Poly, Scalar, _exact, form_key, from_packed, split_form
+from .poly import (Poly, Scalar, _div, _exact, form_key, from_packed,
+                   split_form)
 
 SLOT_VARS = (("x1", "y1"), ("x2", "y2"))
 ALL_FORM_VARS = ("x1", "y1", "x2", "y2")
@@ -234,31 +239,45 @@ class BlockCoords:
 # -- transvectants --------------------------------------------------------
 
 
+def _numerators(p: Poly, m: int):
+    """p as integer numerators over one common denominator: (the lcm of
+    its denominators, [(basis index, key of the parameter part,
+    numerator)] in term order), for a form whose second slot has degree
+    m."""
+    den = lcm(*(c.denominator for c in p.packed.values()
+                if type(c) is not int))
+    out = []
+    for k, c in p.packed.items():
+        (_x1, y1, _x2, y2), rest = split_form(k)
+        if type(c) is int:
+            c *= den
+        else:
+            c = c.numerator * (den // c.denominator)
+        out.append((y1 * (m + 1) + y2, rest, c))
+    return den, out
+
+
 def transvectant2(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
     """Slotwise pairing <u, v>_{p1, p2} in the frozen convention: the
-    bilinear contraction of u and v with `pairing_table`."""
+    bilinear contraction of u and v with `pairing_table`, summed on the
+    operands' integer numerators and divided once per output term by the
+    product of their common denominators."""
     table = pairing_table(u.n, u.m, v.n, v.m, p1, p2)
     tn, tm = u.n + v.n - 2 * p1, u.m + v.m - 2 * p2
     targets = [form_key(tn - i, i, tm - j, j)
                for i in range(tn + 1) for j in range(tm + 1)]
-
-    def split(p: Poly, m: int):
-        """(basis index, key of the parameter part, coefficient) of each
-        term."""
-        out = []
-        for k, c in p.packed.items():
-            (_x1, y1, _x2, y2), rest = split_form(k)
-            out.append((y1 * (m + 1) + y2, rest, c))
-        return out
-
+    du, uterms = _numerators(u.poly, u.m)
+    dv, vterms = _numerators(v.poly, v.m)
     out = {}
-    vterms = split(v.poly, v.m)
-    for ia, pa, ca in split(u.poly, u.m):
+    for ia, pa, ca in uterms:
         for ib, pb, cb in vterms:
             hit = table.get((ia, ib))
             if hit is not None:
                 e = targets[hit[0]] + pa + pb
                 out[e] = out.get(e, 0) + ca * cb * hit[1]
+    den = du * dv
+    for e, c in out.items():
+        out[e] = _div(c, den)
     return BiForm(tn, tm, from_packed(out))
 
 
@@ -294,11 +313,13 @@ def transvectant2_omega(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
 
 
 def _slot_constant(n: int, i: int, m: int, j: int, p: int) -> int:
-    """p! times the coefficient of <x^(n-i) y^i, x^(m-j) y^j>_p, whose one
-    monomial is x^(n+m-i-j-p) y^(i+j-p): the integer
-    sum_k (-1)^k C(p,k) (n-i)_(p-k) (i)_k (m-j)_k (j)_(p-k), with the
-    falling factorial (a)_r = perm(a, r), which is 0 for r > a."""
-    return sum((-1) ** k * comb(p, k) * perm(n - i, p - k) * perm(i, k)
+    """The coefficient of <x^(n-i) y^i, x^(m-j) y^j>_p, whose one monomial
+    is x^(n+m-i-j-p) y^(i+j-p): the integer
+    sum_k (-1)^k C(n-i, p-k) C(i, k) (m-j)_k (j)_(p-k), with the falling
+    factorial (a)_r = perm(a, r), which is 0 for r > a.  It is the
+    alternating sum (1/p!) sum_k (-1)^k C(p,k) (n-i)_(p-k) (i)_k (m-j)_k
+    (j)_(p-k) with the 1/p! taken into the first two factors."""
+    return sum((-1) ** k * comb(n - i, p - k) * comb(i, k)
                * perm(m - j, k) * perm(j, p - k) for k in range(p + 1))
 
 
@@ -308,26 +329,27 @@ def pairing_table(n1: int, m1: int, n2: int, m2: int, p1: int, p2: int):
 
     The pairing of basis monomials (i1, j1) of V_{n1,m1} and (i2, j2) of
     V_{n2,m2} is the basis monomial (i1 + i2 - p1, j1 + j2 - p2) of the
-    target, times the product of the two one-slot constants.  Returns a
-    read-only mapping {(idx1, idx2): (target_idx, constant)} with zero
-    entries omitted; a constant is an `int` when integral and a
-    `Fraction` otherwise, as in every stored coefficient.
+    target, times the product of the two one-slot constants, each read
+    from a table of one slot pair.  Returns a read-only mapping
+    {(idx1, idx2): (target_idx, constant)}, ordered by (i1, j1, i2, j2),
+    with zero entries omitted; every constant is an `int`.
     """
     if p1 < 0 or p2 < 0 or p1 > min(n1, n2) or p2 > min(m1, m2):
         raise DegreeError(
             f"pairing orders ({p1},{p2}) out of range for bidegrees "
             f"{(n1, m1)} x {(n2, m2)}")
+    slot1 = [[_slot_constant(n1, i1, n2, i2, p1) for i2 in range(n2 + 1)]
+             for i1 in range(n1 + 1)]
+    slot2 = [[_slot_constant(m1, j1, m2, j2, p2) for j2 in range(m2 + 1)]
+             for j1 in range(m1 + 1)]
     tm = m1 + m2 - 2 * p2
-    scale = factorial(p1) * factorial(p2)
     out = {}
     for i1, j1, i2, j2 in product(range(n1 + 1), range(m1 + 1),
                                   range(n2 + 1), range(m2 + 1)):
-        c = (_slot_constant(n1, i1, n2, i2, p1)
-             * _slot_constant(m1, j1, m2, j2, p2))
+        c = slot1[i1][i2] * slot2[j1][j2]
         if c:
             out[(i1 * (m1 + 1) + j1, i2 * (m2 + 1) + j2)] = (
-                (i1 + i2 - p1) * (tm + 1) + j1 + j2 - p2,
-                _exact(Fraction(c, scale)))
+                (i1 + i2 - p1) * (tm + 1) + j1 + j2 - p2, c)
     return MappingProxyType(out)
 
 

@@ -1,10 +1,15 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial, perm
 
 import pytest
 
-from g12calc.binforms import (BiForm, DegreeError, LieElt, Rep, basis,
-                              basis_monomial, basis_weights, clebsch_gordan,
+from g12calc.binforms import (BiForm, DegreeError, LieElt, Rep,
+                              _slot_constant, basis, basis_monomial,
+                              basis_weights, clebsch_gordan,
                               clebsch_gordan2, dim_v, divides, double_bracket,
                               equivariance_check, from_coords,
                               generator_action, g12_basis_elts, iota_map,
@@ -14,7 +19,7 @@ from g12calc.binforms import (BiForm, DegreeError, LieElt, Rep, basis,
                               transvectant2_omega, vprime_split)
 from g12calc.integrals import CurvaturePoint
 from g12calc.linalg import _Lcg
-from g12calc.poly import Poly, parse_poly
+from g12calc.poly import Poly, form_key, parse_poly, split_form
 from g12calc.spencer import PhiCoords, TorsionCoords
 
 
@@ -176,6 +181,110 @@ def test_pairing_range_errors():
         transvectant(u, u, 2)
     with pytest.raises(DegreeError):
         transvectant2(u, u, 0, 1)
+
+
+# (bidegree of u, bidegree of v, orders): the pairing stream's mix
+PIN_SHAPES = (((1, 2), (1, 2), ((1, 1), (1, 2), (0, 2), (1, 0))),
+              ((2, 2), (1, 2), ((1, 1), (1, 2), (0, 1))),
+              ((2, 2), (2, 2), ((1, 1), (2, 2), (2, 0))),
+              ((3, 2), (2, 3), ((1, 1), (2, 2), (2, 1))),
+              ((3, 3), (3, 3), ((1, 1), (3, 3), (2, 1))),
+              ((4, 4), (4, 4), ((1, 1), (2, 2), (4, 4))))
+PIN_DIGEST = ("d52af9e371d45a77f17d467c93bbb494"
+              "c349e968ebb60cb4047652876ea09de5")
+
+
+def _pin_operand(n, m, kind, prefix, rng):
+    """A seeded form: integer, rational (denominators up to 12, so
+    coprime ones meet) or symbolic (prefix_k times a rational)."""
+    coeffs = []
+    for k in range(dim_v(n, m)):
+        q = Fraction(rng.randint(-12, 12),
+                     1 if kind == "int" else rng.randint(1, 12))
+        coeffs.append(Poly.var(f"{prefix}_{k}") * q if kind == "sym" else q)
+    return from_coords(n, m, coeffs)
+
+
+def test_transvectant2_output_pinned():
+    # keys in their order, values and value types of every output; a key
+    # is written as its exponents over the named variables, so the digest
+    # does not depend on the order in which the process interned them
+    rng = random.Random("transvectant2-pin")
+    record = []
+    for b1, b2, orders in PIN_SHAPES:
+        for p1, p2 in orders:
+            for kinds in product(("int", "frac", "sym"), repeat=2):
+                u = _pin_operand(*b1, kinds[0], "pin_u", rng)
+                v = _pin_operand(*b2, kinds[1], "pin_v", rng)
+                w = transvectant2(u, v, p1, p2)
+                record.append([list(w.bidegree), list(w.poly.vars),
+                               [[list(e), str(c), type(c).__name__]
+                                for e, c in w.poly.terms.items()]])
+    text = json.dumps(record, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PIN_DIGEST
+
+
+def _fraction_contraction(u, v, p1, p2):
+    """The textbook contraction over pairing_table on Fraction values:
+    ({key: sum} with zero sums kept, [(key, canonical value)] without
+    them), keys in the order u's terms, then v's, first reach them."""
+    table = pairing_table(u.n, u.m, v.n, v.m, p1, p2)
+    tn, tm = u.n + v.n - 2 * p1, u.m + v.m - 2 * p2
+    sums = {}
+    for ka, ca in u.poly.packed.items():
+        (_x, ia, _x, ja), pa = split_form(ka)
+        for kb, cb in v.poly.packed.items():
+            (_x, ib, _x, jb), pb = split_form(kb)
+            hit = table.get((ia * (u.m + 1) + ja, ib * (v.m + 1) + jb))
+            if hit is not None:
+                i, j = divmod(hit[0], tm + 1)
+                e = form_key(tn - i, i, tm - j, j) + pa + pb
+                sums[e] = sums.get(e, Fraction(0)) + Fraction(ca) * cb * hit[1]
+    terms = [(e, c.numerator if c.denominator == 1 else c)
+             for e, c in sums.items() if c]
+    return sums, terms
+
+
+def test_transvectant2_integer_numerators():
+    def coords(n, m, *values):
+        return from_coords(n, m, [Fraction(*v) if isinstance(v, tuple) else v
+                                  for v in values])
+
+    a = Poly.var("a")
+    zero22 = BiForm(2, 2, Poly.zero())
+    cases = {
+        # int and Fraction coefficients, coprime denominators on each side
+        "mixed": (coords(1, 2, 3, (1, 3), -2, (2, 5), 0, (-7, 11)),
+                  coords(1, 2, (5, 7), 1, (-3, 13), 4, (1, 2), -6), 1, 1),
+        "mixed-symbolic": (
+            from_coords(2, 1, [a * Fraction(1, 3), 2, Fraction(-4, 7),
+                               a + 1, 0, Fraction(5, 9)]),
+            coords(1, 2, (5, 7), 1, (-3, 13), 4, (1, 2), -6), 1, 1),
+        # the x2 y2 sum is 1/2 * 1/3 - 1/3 * 1/2: dropped, not stored as 0
+        "cancelling": (coords(1, 1, (1, 2), (1, 5), 0, (1, 3)),
+                       coords(1, 1, (1, 2), (1, 7), 0, (1, 3)), 1, 0),
+        # 3/2 * 2/3 * 2 - 3/4 * 2/3 * 2 = 1: stored as the int 1
+        "integral": (coords(1, 2, (3, 2), 0, 0, 0, 0, (3, 4)),
+                     coords(1, 2, (2, 3), 0, 0, 0, 0, (2, 3)), 1, 2),
+        "zero-left": (zero22, coords(2, 2, *[(k, 3) for k in range(9)]), 1, 1),
+        "zero-right": (coords(2, 2, *[(k, 7) for k in range(9)]), zero22,
+                       2, 0),
+    }
+    for name, (u, v, p1, p2) in cases.items():
+        got = transvectant2(u, v, p1, p2)
+        sums, want = _fraction_contraction(u, v, p1, p2)
+        assert got == transvectant2_omega(u, v, p1, p2), name
+        assert [(k, c, type(c)) for k, c in got.poly.packed.items()] == [
+            (k, c, type(c)) for k, c in want], name
+        assert 0 not in got.poly.packed.values(), name
+        if name == "cancelling":
+            assert 0 in sums.values() and got.poly.packed
+        if name == "integral":
+            assert got.poly.packed == {0: 1}
+            assert type(got.poly.packed[0]) is int
+        if name.startswith("zero"):
+            assert got.is_zero() and got.bidegree == (
+                u.n + v.n - 2 * p1, u.m + v.m - 2 * p2)
 
 
 def test_generator_actions_on_weight_vectors():
@@ -360,14 +469,33 @@ def test_basis_pairing_table_against_oracle():
 
 
 def test_pairing_table_constants_are_canonical_scalars():
-    # an integral constant is an int, as every stored coefficient, so the
-    # contraction multiplies ints wherever it can; up to (3,3) x (3,3)
-    # every constant is integral
-    for n1, m1, n2, m2 in product(range(4), repeat=4):
+    # every constant is an int, so the contraction multiplies ints only;
+    # checked up to (4,4) x (4,4), the largest bidegree the pairing stream
+    # meets, on the uncached body so the process cache stays as it was
+    table = pairing_table.__wrapped__
+    for n1, m1, n2, m2 in product(range(5), repeat=4):
         for p1 in range(min(n1, n2) + 1):
             for p2 in range(min(m1, m2) + 1):
-                for _t, c in pairing_table(n1, m1, n2, m2, p1, p2).values():
+                for _t, c in table(n1, m1, n2, m2, p1, p2).values():
                     assert type(c) is int
+
+
+def test_slot_constant_is_the_alternating_sum_over_p_factorial():
+    # the identity the integrality rests on: (a)_r / r! = C(a, r) takes
+    # the 1/p! of sum_k (-1)^k C(p,k) (n-i)_(p-k) (i)_k (m-j)_k (j)_(p-k)
+    # into binomials
+    cases = 0
+    for n, m in product(range(9), repeat=2):
+        for i, j, p in product(range(n + 1), range(m + 1),
+                               range(min(n, m) + 1)):
+            scaled = sum((-1) ** k * comb(p, k) * perm(n - i, p - k)
+                         * perm(i, k) * perm(m - j, k) * perm(j, p - k)
+                         for k in range(p + 1))
+            got = _slot_constant(n, i, m, j, p)
+            assert type(got) is int
+            assert got == Fraction(scaled, factorial(p))
+            cases += 1
+    assert cases == 10317
 
 
 def test_pairing_table_is_read_only():
