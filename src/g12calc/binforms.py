@@ -47,7 +47,7 @@ from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import PolyMatrix, _Lcg, rank
-from .poly import (Poly, Scalar, _div, _exact, form_key, from_packed,
+from .poly import (Poly, Scalar, _div, _exact, dot, form_key, from_packed,
                    split_form)
 
 SLOT_VARS = (("x1", "y1"), ("x2", "y2"))
@@ -141,15 +141,13 @@ def basis_weights(n: int, m: int) -> List[Tuple[int, int]]:
 
 
 def from_coords(n: int, m: int, coeffs: Sequence) -> BiForm:
-    total = Poly.zero()
-    for idx, c in enumerate(coeffs):
-        if isinstance(c, (int, Fraction)):
-            c = Poly.const(c)
-        if c.is_zero():
-            continue
-        i, j = divmod(idx, m + 1)
-        total = total + c * basis_monomial(n, m, i, j)
-    return BiForm(n, m, total)
+    """The form with coordinates `coeffs` (Polys or exact scalars) in the
+    weight basis; ValueError unless there are exactly (n+1)(m+1)."""
+    if len(coeffs) != dim_v(n, m):
+        raise ValueError(f"{len(coeffs)} coordinates for V_{{{n},{m}}}")
+    return BiForm(n, m, dot(
+        (c, basis_monomial(n, m, *divmod(idx, m + 1)))
+        for idx, c in enumerate(coeffs)))
 
 
 def symbolic(n: int, m: int, prefix: str) -> BiForm:
@@ -209,7 +207,11 @@ class BlockCoords:
 
     @classmethod
     def from_vector(cls, vec: Sequence, **extra):
+        """ValueError unless `vec` has one entry per coordinate."""
         off = cls.offsets()
+        size = sum(dim_v(n, m) for _, (n, m) in cls.SHAPE)
+        if len(vec) != size:
+            raise ValueError(f"{len(vec)} coordinates for {cls.__name__}")
         return cls(*(from_coords(n, m, vec[slice(*off[name])])
                      for name, (n, m) in cls.SHAPE), **extra)
 
@@ -625,13 +627,19 @@ def pr_map(p: BiForm) -> BiForm:
     return BiForm(0, p.m + 1, merged)
 
 
+def gradient_form(u: BiForm) -> BiForm:
+    """V_{k+1} -> V_{1,k}: u -> x (x) u_x + y (x) u_y, for a second-slot
+    form u of degree k + 1 >= 1; DegreeError on a nonzero u of another
+    bidegree."""
+    return BiForm(1, u.m - 1, Poly.var("x1") * u.poly.diff("x2")
+                  + Poly.var("y1") * u.poly.diff("y2"))
+
+
 def eta_map(u: BiForm, k: int) -> BiForm:
-    """Splitting V_{k+1} -> V_{1,k}: u -> (x (x) u_x + y (x) u_y)/(k+1)."""
+    """Splitting V_{k+1} -> V_{1,k}: the gradient form of u over k+1."""
     if u.bidegree != (0, k + 1) and not u.is_zero():
         raise DegreeError("eta expects a second-slot form of degree k+1")
-    x1, y1 = Poly.var("x1"), Poly.var("y1")
-    res = x1 * u.poly.diff("x2") + y1 * u.poly.diff("y2")
-    return BiForm(1, k, res * Fraction(1, k + 1))
+    return gradient_form(BiForm(0, k + 1, u.poly)) * Fraction(1, k + 1)
 
 
 def seq_maps(k: int):
@@ -643,7 +651,7 @@ def seq_maps(k: int):
 
 def vprime_basis(k: int) -> List[BiForm]:
     """Basis of V' = {x (x) u_x + y (x) u_y : u in V_{k+1}}."""
-    return [eta_map(u, k) * (k + 1) for u in basis(0, k + 1)]
+    return [gradient_form(u) for u in basis(0, k + 1)]
 
 
 def vsecond_basis(k: int) -> List[BiForm]:

@@ -462,9 +462,8 @@ def admissibility_flag(cfg):
     a20 = bf.from_coords(2, 0, [Fraction(3), Fraction(0), Fraction(-3)])
     a02 = bf.from_coords(0, 2, [Fraction(2), Fraction(0), Fraction(-2)])
     u = bf.slot2_form(parse_poly("x2^3 - 2*x2*y2^2"), 3)
-    bgrad = bf.BiForm(1, 2, Poly.var("x1") * u.poly.diff("x2")
-                      + Poly.var("y1") * u.poly.diff("y2"))
-    const = ig.structure_constants(ig.CurvaturePoint(a20, a02, bgrad,
+    const = ig.structure_constants(ig.CurvaturePoint(a20, a02,
+                                                     bf.gradient_form(u),
                                                      Fraction(5)))
     return const["restriction_admissible"], _fields(const, "c1", "c2")
 

@@ -25,7 +25,8 @@ product loop) and wraps each dict as a Poly once, at the end.  The term
 order is the one that adding the products as Polys would give: a
 monomial goes last when it first appears or when its coefficient
 cancels and comes back, and within a coefficient `add_product`'s order
-applies.
+applies.  A sum of c * form over (form, c) pairs is `form_sum(cf, terms)`
+on the same accumulator, as a sum of Poly products is `poly.dot`.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import binforms as bf
-from .binforms import BiForm, basis, dim_v, from_coords, pairing_table
+from .binforms import (BiForm, basis, dim_v, from_coords, gradient_form,
+                       pairing_table)
 from .linalg import (PolyMatrix, kernel_basis, linear_rows, linsolve, rank,
                      reduced_echelon, solve_sparse, spans_equal)
-from .poly import (Poly, Substitution, _trusted, _var_key, add_product,
-                   fields_mask, var_key)
+from .poly import (Poly, Substitution, _operand, _trusted, _var_key,
+                   add_product, fields_mask, var_key)
 from .spencer import g12_algebra
 
 # -- coframe ----------------------------------------------------------------
@@ -92,6 +94,22 @@ def _form(cf: "Coframe", out: Dict[tuple, dict]) -> "FormExpr":
     fe = FormExpr(cf)
     fe.terms = {mono: _trusted(acc) for mono, acc in out.items()}
     return fe
+
+
+def form_sum(cf: "Coframe", terms) -> "FormExpr":
+    """The sum of c * form over the (form, c) pairs, c a Poly or an exact
+    scalar.  Every coefficient product goes into one accumulator with
+    _add_product, and a pair with c = 0 is skipped, so the value and the
+    order are those of FormExpr.zero(cf) + form1.scale(c1) + ...: a
+    monomial goes last when it first appears or when its coefficient
+    cancels and comes back."""
+    out: Dict[tuple, dict] = {}
+    for form, c in terms:
+        c = _operand(c)
+        if c is not None:
+            for mono, k in form.terms.items():
+                _add_product(out, mono, k, c, False)
+    return _form(cf, out)
 
 
 def _wedge_tuples(a: tuple, b: tuple):
@@ -249,15 +267,14 @@ class VForm:
 def pair_vforms(a: VForm, b: VForm, p1: int, p2: int) -> VForm:
     """<a, b>_{p1,p2} on form-valued arguments: expand over the weight
     bases and wedge component forms."""
-    cf = a.comps[0].cf
     table = pairing_table(a.n, a.m, b.n, b.m, p1, p2)
     tn, tm = a.n + b.n - 2 * p1, a.m + b.m - 2 * p2
-    out = VForm.zero(cf, tn, tm)
+    terms = [[] for _ in range(dim_v(tn, tm))]
     for (i, j), (t, c) in table.items():
-        if a.comps[i].is_zero() or b.comps[j].is_zero():
-            continue
-        out.comps[t] = out.comps[t] + a.comps[i].wedge(b.comps[j]).scale(c)
-    return out
+        if not (a.comps[i].is_zero() or b.comps[j].is_zero()):
+            terms[t].append((a.comps[i].wedge(b.comps[j]), c))
+    cf = a.comps[0].cf
+    return VForm(tn, tm, [form_sum(cf, ts) for ts in terms])
 
 
 def dbl_bracket(om00: FormExpr, om20: VForm, om02: VForm, q: VForm,
@@ -346,15 +363,12 @@ def _g12_bracket_constants() -> tuple:
 def omega_wedge_omega(cf: Coframe, om_gens: List[FormExpr]) -> List[FormExpr]:
     """(omega ^ omega)_k = sum_{i<j} c^k_{ij} om_i ^ om_j in the 7
     algebra components."""
-    out = [FormExpr.zero(cf) for _ in range(7)]
+    terms = [[] for _ in range(7)]
     for (i, j), coords in _g12_bracket_constants():
         wij = om_gens[i].wedge(om_gens[j])
-        if wij.is_zero():
-            continue
         for k, ck in enumerate(coords):
-            if ck:
-                out[k] = out[k] + wij.scale(ck)
-    return out
+            terms[k].append((wij, ck))
+    return [form_sum(cf, ts) for ts in terms]
 
 
 # -- Bianchi: the curvature space -------------------------------------------
@@ -363,15 +377,8 @@ def omega_wedge_omega(cf: Coframe, om_gens: List[FormExpr]) -> List[FormExpr]:
 def _g12_apply(k: int, q: VForm) -> VForm:
     """Action of the k-th algebra basis element on a V_{1,2}-valued form."""
     cf = q.comps[0].cf
-    mat = bf.g1k_matrices(2)[k]
-    out = VForm.zero(cf, q.n, q.m)
-    for r in range(6):
-        acc = FormExpr.zero(cf)
-        for cidx in range(6):
-            if mat[r][cidx]:
-                acc = acc + q.comps[cidx].scale(mat[r][cidx])
-        out.comps[r] = acc
-    return out
+    return VForm(q.n, q.m, [form_sum(cf, zip(q.comps, row))
+                            for row in bf.g1k_matrices(2)[k]])
 
 
 CURVATURE_DISPLAY = (Fraction(-4), Fraction(3), Fraction(1), Fraction(1),
@@ -446,11 +453,12 @@ def curvature_vform(cf: Coframe, theta: VForm, coeffs=CURVATURE_DISPLAY,
 # -- derivation of the parameter differential rules -------------------------
 
 
-def _omega_gens(cf: Coframe, include_om00: bool):
+def _gens(cf: Coframe, include_om00: bool = True):
+    """The connection generators om00, om20, om02 and theta."""
     om00 = FormExpr.gen(cf, "om00") if include_om00 else FormExpr.zero(cf)
     om20 = VForm.from_gens(cf, 2, 0, OM20_NAMES)
     om02 = VForm.from_gens(cf, 0, 2, OM02_NAMES)
-    return om00, om20, om02
+    return om00, om20, om02, VForm.from_gens(cf, 1, 2, THETA_NAMES)
 
 
 def _dtheta_rules(cf: Coframe, om00, om20, om02, theta) -> Dict[int, FormExpr]:
@@ -487,8 +495,7 @@ def _frame(names: Sequence[str] = COFRAME_NAMES, include_om00: bool = True,
     domega rules with the curvature ansatz (the display unless
     `curvature_coeffs` is given)."""
     cf = Coframe(names)
-    om00, om20, om02 = _omega_gens(cf, include_om00)
-    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
+    om00, om20, om02, theta = _gens(cf, include_om00)
     omega_parts = curvature_vform(cf, theta, CURVATURE_DISPLAY
                                   if curvature_coeffs is None
                                   else curvature_coeffs)
@@ -529,10 +536,12 @@ def _a_rules(fr: _Frame, alphas, theta_part) -> Dict[str, FormExpr]:
     p02 = pair_vforms(fr.om02, a02, 0, 1)
     rules = {}
     for w in range(3):
-        rules[A20_SYMS[w]] = (fr.om00.scale(Poly.var(A20_SYMS[w]) * al1)
-                              + p20.comps[w].scale(al2) + theta_part[w])
-        rules[A02_SYMS[w]] = (fr.om00.scale(Poly.var(A02_SYMS[w]) * al3)
-                              + p02.comps[w].scale(al4) + theta_part[3 + w])
+        rules[A20_SYMS[w]] = form_sum(fr.cf, (
+            (fr.om00, Poly.var(A20_SYMS[w]) * al1), (p20.comps[w], al2),
+            (theta_part[w], 1)))
+        rules[A02_SYMS[w]] = form_sum(fr.cf, (
+            (fr.om00, Poly.var(A02_SYMS[w]) * al3), (p02.comps[w], al4),
+            (theta_part[3 + w], 1)))
     return rules
 
 
@@ -617,14 +626,9 @@ def _b_rules(fr: _Frame, coeffs: Mapping) -> Dict[str, FormExpr]:
         "d2_theta": theta.scale(d2),
         "theta": theta,
     }
-    rules = {}
-    for w, s in enumerate(B_SYMS):
-        r = FormExpr.zero(cf)
-        for name in B_SHAPES:
-            if coeffs[name]:
-                r = r + shapes[name].comps[w].scale(coeffs[name])
-        rules[s] = r
-    return rules
+    return {s: form_sum(cf, [(shapes[name].comps[w], coeffs[name])
+                             for name in B_SHAPES])
+            for w, s in enumerate(B_SYMS)}
 
 
 @lru_cache(maxsize=None)
@@ -702,9 +706,7 @@ def derive_dc() -> Mapping:
         pair_vforms(pair_vforms(a20, b, 1, 0), theta, 1, 2).comps[0],
         pair_vforms(pair_vforms(a02, b, 0, 1), theta, 1, 2).comps[0],
     ]
-    c_rule = FormExpr.zero(cf)
-    for k, shape in zip(ks[2:], dc_shapes):
-        c_rule = c_rule + shape.scale(k)
+    c_rule = form_sum(cf, zip(dc_shapes, ks[2:]))
     b_rules = _solved_b_rules(fr, ks[0], ks[1])
     param_rules = {**_a_rules(fr, derive_da()["alphas"], _b_theta_part(fr)),
                    **b_rules, C_SYM: c_rule}
@@ -738,6 +740,18 @@ def derive_dc() -> Mapping:
         "redefinition_freedom": len(kernel)})
 
 
+def _torsion_term(cf: Coframe, theta: VForm) -> VForm:
+    """The torsion-s30 block <s30, <theta, theta>_{0,1}>_{2,0}."""
+    s30 = VForm.from_params(cf, 3, 0, S30_SYMS)
+    return pair_vforms(s30, pair_vforms(theta, theta, 0, 1), 2, 0)
+
+
+def _bianchi_term(cf: Coframe, theta: VForm) -> VForm:
+    """<<Omega, theta>>_1 for the displayed curvature Omega."""
+    _o00, o20, o02 = curvature_vform(cf, theta)
+    return pair_vforms(o20, theta, 1, 0) + pair_vforms(o02, theta, 0, 1)
+
+
 def build_system(mode: str = "g12", curvature_coeffs=None) -> StructureSystem:
     """Assemble the full structure system with the derived rules.
 
@@ -764,8 +778,7 @@ def build_system(mode: str = "g12", curvature_coeffs=None) -> StructureSystem:
     param_rules[C_SYM] = fr.om00.scale(
         Poly.var(C_SYM) * dc["c_om00_coefficient"])
     if mode == "torsion-s30":
-        s30 = VForm.from_params(cf, 3, 0, S30_SYMS)
-        tor = pair_vforms(s30, pair_vforms(fr.theta, fr.theta, 0, 1), 2, 0)
+        tor = _torsion_term(cf, fr.theta)
         for k in range(6):
             idx = cf.index[THETA_NAMES[k]]
             gen_rules[idx] = gen_rules[idx] + tor.comps[k]
@@ -827,17 +840,13 @@ def torsion_mode_structure_check() -> dict:
     extra terms)."""
     sys = build_system("torsion-s30")
     cf = sys.cf
-    om00, om20, om02 = _omega_gens(cf, include_om00=True)
-    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
-    s30 = VForm.from_params(cf, 3, 0, S30_SYMS)
-    tor = pair_vforms(s30, pair_vforms(theta, theta, 0, 1), 2, 0)
+    om00, om20, om02, theta = _gens(cf)
+    tor = _torsion_term(cf, theta)
     residual = VForm(1, 2, [exterior_d(sys.gen_rules[cf.index[n]], sys)
                             for n in THETA_NAMES])
     dtor = VForm(tor.n, tor.m, [exterior_d(c, sys) for c in tor.comps])
     om_tor = dbl_bracket(om00, om20, om02, tor, 1)
-    _o00, o20, o02 = curvature_vform(cf, theta)
-    omega_theta = (pair_vforms(o20, theta, 1, 0)
-                   + pair_vforms(o02, theta, 0, 1))
+    omega_theta = _bianchi_term(cf, theta)
     combo = residual - dtor - om_tor + omega_theta
     return {
         "residual_is_predicted_torsion_terms": combo.is_zero(),
@@ -851,18 +860,14 @@ def bianchi_combination_check() -> dict:
     theta-residual by exactly the Bianchi combination <<Omega,theta>>_1."""
     full = build_system("g12")
     cf = full.cf
-    om00, om20, om02 = _omega_gens(cf, include_om00=True)
-    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
+    om00, om20, om02, theta = _gens(cf)
     omitted_rules = dict(full.gen_rules)
-    omega_parts = curvature_vform(cf, theta)
     zero_parts = (FormExpr.zero(cf), VForm.zero(cf, 2, 0),
                   VForm.zero(cf, 0, 2))
     omitted_rules.update(_domega_rules(cf, om00, om20, om02, zero_parts))
     omitted = StructureSystem("g12-no-curvature", cf, omitted_rules,
                               full.param_rules)
-    _o00, o20, o02 = omega_parts
-    omega_theta = (pair_vforms(o20, theta, 1, 0)
-                   + pair_vforms(o02, theta, 0, 1))
+    omega_theta = _bianchi_term(cf, theta)
     ok = True
     for k, name in enumerate(THETA_NAMES):
         rule = full.gen_rules[cf.index[name]]
@@ -895,15 +900,10 @@ def ideal_substitution(cf: Coframe,
             row[mono[0]] = coeff.constant_value()
         rows.append(row)
     pivots, work = reduced_echelon(rows)
-    subs = {}
-    for r, c in enumerate(pivots):
-        repl = FormExpr.zero(cf)
-        for j in range(n):
-            if j != c and work[r][j]:
-                repl = repl + FormExpr.gen(cf, j).scale(
-                    Fraction(-work[r][j], work[r][c]))
-        subs[c] = repl
-    return subs
+    return {c: form_sum(cf, [(FormExpr.gen(cf, j),
+                              Fraction(-work[r][j], work[r][c]))
+                             for j in range(n) if j != c])
+            for r, c in enumerate(pivots)}
 
 
 def reduce_mod_ideal(expr: FormExpr, subs: Dict[int, FormExpr]) -> FormExpr:
@@ -1008,21 +1008,19 @@ def restriction_chain() -> dict:
     subs = ideal_substitution(cf, gens)
     fivedashone = {A02_SYMS[k]: Poly.var(A20_SYMS[k]) * Fraction(2, 3)
                    for k in range(3)}
+    diffs = [form_sum(cf, ((sys.param_rules[A20_SYMS[k]], 2),
+                           (sys.param_rules[A02_SYMS[k]], -3)))
+             for k in range(3)]
     b_conds = []
-    for k in range(3):
-        dg = (sys.param_rules[A20_SYMS[k]].scale(2)
-              - sys.param_rules[A02_SYMS[k]].scale(3))
+    for dg in diffs:
         red = reduce_mod_ideal(dg, subs).subs_params(fivedashone)
         b_conds.extend(red.terms.values())
     b_rows = _homogeneous_rows(b_conds, B_SYMS,
                                "b-conditions are not linear in b")
     _pb, b_kernel = solve_sparse(b_rows, 6)
     # gradient subspace: b = x (x) u_x + y (x) u_y for u in V_3 (slot 2)
-    grad_vecs = []
-    for u in basis(0, 3):
-        gb = BiForm(1, 2, Poly.var("x1") * u.poly.diff("x2")
-                    + Poly.var("y1") * u.poly.diff("y2"))
-        grad_vecs.append([c.constant_value() for c in gb.coords()])
+    grad_vecs = [[c.constant_value() for c in gradient_form(u).coords()]
+                 for u in basis(0, 3)]
     b_matches_gradient = spans_equal(b_kernel, grad_vecs, 4)
 
     # step 3: rank of the five constraint differentials at an admissible
@@ -1035,22 +1033,12 @@ def restriction_chain() -> dict:
     for k in range(3):
         assignment[A02_SYMS[k]] = Fraction(2, 3) * pt[A20_SYMS[k]]
     ucubic = from_coords(0, 3, [pt["u0"], pt["u1"], pt["u2"], pt["u3"]])
-    bgrad = BiForm(1, 2, Poly.var("x1") * ucubic.poly.diff("x2")
-                   + Poly.var("y1") * ucubic.poly.diff("y2"))
-    for j, cval in enumerate(bgrad.coords()):
+    for j, cval in enumerate(gradient_form(ucubic).coords()):
         assignment[B_SYMS[j]] = cval.constant_value()
     # two functionals cutting the gradient subspace out of b-space
-    cut = kernel_basis(PolyMatrix(grad_vecs))
-    diffs = []
-    for k in range(3):
-        diffs.append(sys.param_rules[A20_SYMS[k]].scale(2)
-                     - sys.param_rules[A02_SYMS[k]].scale(3))
-    for functional in cut:
-        fe = FormExpr.zero(cf)
-        for j, cval in enumerate(functional):
-            if cval:
-                fe = fe + sys.param_rules[B_SYMS[j]].scale(cval)
-        diffs.append(fe)
+    b_rules = [sys.param_rules[s] for s in B_SYMS]
+    diffs += [form_sum(cf, zip(b_rules, functional))
+              for functional in kernel_basis(PolyMatrix(grad_vecs))]
     live = [cf.index[n] for n in THETA_NAMES + OM20_NAMES + OM02_NAMES]
     mat = []
     for fe in diffs:
@@ -1086,7 +1074,7 @@ def omega_wedge_and_pairing() -> Tuple[list, list]:
     -(1/2)(<om20,om20>_{1,0} + <om02,om02>_{0,1}), whose om00 component
     is 0."""
     cf = Coframe(COFRAME_NAMES)
-    om00, om20, om02 = _omega_gens(cf, include_om00=True)
+    om00, om20, om02, _theta = _gens(cf)
     om_list = [om00] + list(om20.comps) + list(om02.comps)
     ww = omega_wedge_omega(cf, om_list)
     p20 = pair_vforms(om20, om20, 1, 0)

@@ -17,13 +17,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import binforms as bf
 from .binforms import (BiForm, BlockCoords, basis, dim_v, from_coords,
-                       pairing_table, transvectant2)
+                       gradient_form, pairing_table, transvectant2)
 from .excalc import (A02_SYMS, A20_SYMS, C_SYM, CURVATURE_SHAPE, OM02_NAMES,
                      OM20_NAMES, THETA_NAMES, FormExpr, StructureSystem,
-                     build_system, contract, exterior_d)
+                     build_system, contract, exterior_d, form_sum)
 from .linalg import (PolyMatrix, invert_rational, matrix_det, rank,
                      random_rational_point)
-from .poly import Poly, Scalar, declare
+from .poly import Poly, Scalar, declare, dot
 
 COFRAME_COLS = THETA_NAMES + OM20_NAMES + OM02_NAMES
 
@@ -106,9 +106,8 @@ def contraction_identity_holds() -> bool:
     cf = sys.cf
     j = _jmatrix_symbolic()
     for i, s in enumerate(K_SYMS):
-        recon = FormExpr.zero(cf)
-        for k, col in enumerate(COFRAME_COLS):
-            recon = recon + FormExpr.gen(cf, col).scale(j[i, k])
+        recon = form_sum(cf, [(FormExpr.gen(cf, col), j[i, k])
+                              for k, col in enumerate(COFRAME_COLS)])
         if not (recon - sys.param_rules[s]).is_zero():
             return False
     return True
@@ -192,15 +191,7 @@ def gradient(f: Poly) -> List[Poly]:
 def row_times_j(row: List[Poly]) -> List[Poly]:
     """The row vector `row` times J, one polynomial per column."""
     j = _jmatrix_symbolic()
-    out = []
-    for col in range(12):
-        acc = Poly.zero()
-        for i in range(12):
-            if row[i].is_zero() or j[i, col].is_zero():
-                continue
-            acc = acc + row[i] * j[i, col]
-        out.append(acc)
-    return out
+    return [dot((row[i], j[i, col]) for i in range(12)) for col in range(12)]
 
 
 def conservation_identity(coeff_72=Fraction(72)) -> dict:
@@ -243,15 +234,9 @@ def gradient_rows() -> dict:
             ginv = _gram_inverse(n, m, n, m)
             factor = _DISPLAY_WEIGHTS[bname]
             grad = [f.diff(s) for s in bf.symbol_names(n, m, bname)]
-            comps = []
-            d = len(grad)
-            for i in range(d):
-                acc = Poly.zero()
-                for jj in range(d):
-                    if ginv[i][jj]:
-                        acc = acc + grad[jj] * (ginv[i][jj] / factor)
-                comps.append(acc)
-            out[f"r{k}_{bname}"] = from_coords(n, m, comps)
+            out[f"r{k}_{bname}"] = from_coords(n, m, [
+                dot((g, x / factor) for g, x in zip(grad, row))
+                for row in ginv])
     return out
 
 
@@ -291,16 +276,8 @@ def kernel_columns() -> List[List[Poly]]:
 def kernel_membership() -> bool:
     """J . R_k = 0 identically for both gradient columns."""
     j = _jmatrix_symbolic()
-    for col in kernel_columns():
-        for i in range(12):
-            acc = Poly.zero()
-            for k in range(12):
-                if j[i, k].is_zero() or col[k].is_zero():
-                    continue
-                acc = acc + j[i, k] * col[k]
-            if not acc.is_zero():
-                return False
-    return True
+    return all(dot((j[i, k], col[k]) for k in range(12)).is_zero()
+               for col in kernel_columns() for i in range(12))
 
 
 # -- rank certificates -------------------------------------------------------
@@ -417,13 +394,7 @@ def integrals_equivariant() -> bool:
         flow = CurvaturePoint(*(bf.generator_action(name, form)
                                 for form in pt.blocks())).assignment()
         for f in (f1, f2):
-            acc = Poly.zero()
-            for s in K_SYMS:
-                df = f.diff(s)
-                if df.is_zero() or flow[s].is_zero():
-                    continue
-                acc = acc + df * flow[s]
-            if not acc.is_zero():
+            if not dot((f.diff(s), flow[s]) for s in K_SYMS).is_zero():
                 return False
     return True
 
@@ -525,9 +496,7 @@ def fields_vanish_at_flat_point() -> bool:
 def f1_vanishes_on_restriction_locus() -> bool:
     """Substituting the admissibility constraints (a02 = 2/3 a20 and
     b of gradient form) into the first integral yields identically 0."""
-    u = bf.symbolic(0, 3, "u")
-    bgrad = BiForm(1, 2, Poly.var("x1") * u.poly.diff("x2")
-                   + Poly.var("y1") * u.poly.diff("y2"))
+    bgrad = gradient_form(bf.symbolic(0, 3, "u"))
     a20 = bf.symbolic(2, 0, "a20")
     a02 = from_coords(0, 2, [p * Fraction(2, 3) for p in a20.coords()])
     pt = CurvaturePoint(a20, a02, bgrad)

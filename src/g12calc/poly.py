@@ -49,6 +49,11 @@ at least two terms on both sides summed first, zero sums dropped), each
 then added as `__add__` adds it, a new or a cancelled-and-returning key
 last.
 
+A sum of products is `dot(pairs)`, the sum of p * q over (p, q) pairs of
+Polys or exact scalars: every product goes into one accumulator through
+`add_product`, and a pair with a zero factor is skipped.  Its value and
+term order are those of `Poly.zero() + p1 * q1 + p2 * q2 + ...`.
+
 The zero polynomial has no variables and no terms.
 """
 
@@ -655,6 +660,32 @@ def add_product(acc: dict, p: Poly, q: Poly, negate: bool = False) -> None:
                 del acc[k]
                 continue
         acc[k] = c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _operand(x):
+    """A factor of `dot` as a Poly, or None when it is zero; TypeError
+    unless it is a Poly or an exact scalar."""
+    if type(x) is Poly:
+        return x if x.packed else None
+    if isinstance(x, (int, Fraction)):
+        return Poly.const(x) if x else None
+    raise TypeError(f"not a Poly or an exact scalar: {x!r}")
+
+
+def dot(pairs: Iterable) -> Poly:
+    """The sum of p * q over the (p, q) pairs, each factor a Poly or an
+    exact scalar (`int` or `Fraction`; anything else raises TypeError).
+
+    Every product is added with `add_product` into one packed dict, and
+    a pair with a zero factor is skipped, so the value and the term order
+    are those of `Poly.zero() + p1 * q1 + p2 * q2 + ...`.
+    """
+    acc = {}
+    for p, q in pairs:
+        p, q = _operand(p), _operand(q)
+        if p is not None and q is not None:
+            add_product(acc, p, q)
+    return _trusted(acc)
 
 
 def from_packed(tm: Mapping[int, Scalar]) -> Poly:

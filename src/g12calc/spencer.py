@@ -37,11 +37,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import binforms as bf
 from .binforms import (BiForm, BlockCoords, LieElt, Rep, basis, from_coords,
-                       isotypic_decompose, rep_matrices, symbolic,
-                       transvectant2)
+                       gradient_form, isotypic_decompose, rep_matrices,
+                       symbolic, transvectant2)
 from .linalg import (PolyMatrix, invert_rational, linear_rows, linsolve,
                      rank, reduced_echelon, solve_sparse)
-from .poly import Poly, _exact
+from .poly import Poly, _exact, dot
 
 
 class LinearLieAlgebra:
@@ -364,7 +364,10 @@ def _torsion_encode_matrix() -> tuple:
 
 @lru_cache(maxsize=None)
 def _torsion_decode_matrix() -> tuple:
-    return tuple(map(tuple, invert_rational(_torsion_encode_matrix())))
+    """The inverse of _torsion_encode_matrix as sparse rows: row i holds
+    (j, c) for each nonzero entry c at column j, j ascending."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                 for row in invert_rational(_torsion_encode_matrix()))
 
 
 def encode_torsion(s: TorsionCoords) -> List[Poly]:
@@ -372,23 +375,18 @@ def encode_torsion(s: TorsionCoords) -> List[Poly]:
 
 
 def decode_torsion(values: Sequence[Poly]) -> TorsionCoords:
-    """Exact inverse of encode_torsion on 90 tensor values.
+    """Exact inverse of encode_torsion on 90 tensor values (Polys or
+    exact scalars); ValueError on any other number of values.
 
     Tensors are represented by their values on ordered basis pairs, so
     the alternating property is structural; a non-alternating input is
     unrepresentable rather than an error case.
     """
-    dec = _torsion_decode_matrix()
     vals = [v if isinstance(v, Poly) else Poly.const(v) for v in values]
-    out = []
-    for i in range(90):
-        acc = Poly.zero()
-        for j in range(90):
-            c = dec[i][j]
-            if c:
-                acc = acc + vals[j] * c
-        out.append(acc)
-    return TorsionCoords.from_vector(out)
+    if len(vals) != 90:
+        raise ValueError(f"a torsion tensor has 90 values, got {len(vals)}")
+    return TorsionCoords.from_vector([dot((vals[j], c) for j, c in row)
+                                      for row in _torsion_decode_matrix()])
 
 
 def torsion_encode_rank() -> int:
@@ -460,9 +458,14 @@ def spencer_coords_match(overrides: Optional[dict] = None) -> bool:
                for g, w in zip(got.vector(), want.vector()))
 
 
+def _generic_line() -> Poly:
+    """r = al*x2 + be*y2, a second-slot linear form with symbolic al, be."""
+    return Poly.var("al") * Poly.var("x2") + Poly.var("be") * Poly.var("y2")
+
+
 def _divisible_basis() -> List[BiForm]:
-    """Spanning set of {p in V_{1,2} : r | p} for r = al*x2 + be*y2."""
-    r = Poly.var("al") * Poly.var("x2") + Poly.var("be") * Poly.var("y2")
+    """Spanning set of {p in V_{1,2} : r | p} for r = _generic_line()."""
+    r = _generic_line()
     x1, y1 = Poly.var("x1"), Poly.var("y1")
     x2, y2 = Poly.var("x2"), Poly.var("y2")
     return [BiForm(1, 2, a * r * l)
@@ -531,7 +534,7 @@ def torsion_criterion_s16_pair() -> dict:
     """The single pair p = x (x) r^2, q = y (x) r^2 already forces the s16
     block to vanish, and touches no other block."""
     syms = TorsionCoords.symbols()
-    r = Poly.var("al") * Poly.var("x2") + Poly.var("be") * Poly.var("y2")
+    r = _generic_line()
     p = BiForm(1, 2, Poly.var("x1") * r * r)
     q = BiForm(1, 2, Poly.var("y1") * r * r)
     rows = _divisibility_rows(torsion_tensor(TorsionCoords.symbolic()),
@@ -567,9 +570,9 @@ def _spencer_coordinate_matrix() -> tuple:
                     row = _PAIRS[min(i, j), max(i, j)] * 6 + hit[0]
                     c = c1 * hit[1]
                     values[start + k][row] += c if i < j else -c
-    dec = [{r: x for r, x in enumerate(col) if x}
-           for col in zip(*_torsion_decode_matrix())]
-    return _dense_rows([bf.apply_columns(dec, col) for col in values], 90)
+    return tuple(tuple(_exact(sum(c * col.get(j, 0) for j, c in row))
+                       for col in values)
+                 for row in _torsion_decode_matrix())
 
 
 def intrinsic_adjustment(t: TorsionCoords) -> PhiCoords:
@@ -616,8 +619,7 @@ def contact_restriction_identity(coeffs: Tuple = (Fraction(1), Fraction(-1, 2),
         s3 = symbolic(0, 3, "s3c")
     c0, c1, c2, c3 = coeffs
     s30 = from_coords(3, 0, s3.coords())
-    x1, y1 = Poly.var("x1"), Poly.var("y1")
-    s12 = BiForm(1, 2, x1 * s3.poly.diff("x2") + y1 * s3.poly.diff("y2"))
+    s12 = gradient_form(s3)
 
     def tensor(p: BiForm, q: BiForm) -> BiForm:
         pq01 = transvectant2(p, q, 0, 1)
@@ -656,7 +658,7 @@ def splitting_correction_vanishes(k: int) -> dict:
             acc = term if acc is None else acc + term
         return acc
 
-    r = Poly.var("al") * Poly.var("x2") + Poly.var("be") * Poly.var("y2")
+    r = _generic_line()
     rows = linear_rows([_at_root(delta(BiForm(0, k + 1, r * r * w.poly)))
                         for w in basis(0, k - 1)], sym_names)
     nvars = len(sym_names)

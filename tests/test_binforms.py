@@ -11,8 +11,9 @@ from g12calc.binforms import (BiForm, DegreeError, LieElt, Rep,
                               _slot_constant, basis, basis_monomial,
                               basis_weights, clebsch_gordan,
                               clebsch_gordan2, dim_v, divides, double_bracket,
-                              equivariance_check, from_coords,
-                              generator_action, g12_basis_elts, iota_map,
+                              equivariance_check, eta_map, from_coords,
+                              generator_action, g12_basis_elts,
+                              gradient_form, iota_map,
                               isotypic_decompose, pairing_table,
                               random_biform, seq_maps, slot2_form, symbolic,
                               transvectant, transvectant2,
@@ -41,6 +42,23 @@ def test_block_coords_roundtrip(cls):
         cls(*pt.blocks()[:-1])
     with pytest.raises(TypeError):
         cls(*pt.blocks(), **{cls.SHAPE[0][0]: pt.blocks()[0]})
+
+
+@pytest.mark.parametrize("cls", BLOCK_CLASSES, ids=lambda cls: cls.__name__)
+def test_block_coords_reject_a_vector_of_the_wrong_length(cls):
+    size = len(cls.symbols())
+    for wrong in (size - 1, size + 1):
+        with pytest.raises(ValueError, match=f"^{wrong} coordinates for"):
+            cls.from_vector([1] * wrong)
+
+
+def test_from_coords_rejects_the_wrong_number_of_coefficients():
+    # one coefficient short used to be padded with zero
+    for n, m, count in ((1, 2, 5), (1, 2, 7), (0, 0, 0), (2, 1, 1)):
+        with pytest.raises(ValueError, match="coordinates"):
+            from_coords(n, m, [1] * count)
+    assert from_coords(1, 2, [1] * 6) == BiForm(1, 2, sum(
+        (b.poly for b in basis(1, 2)), Poly.zero()))
 
 
 def _refusal(name, n, m):
@@ -373,6 +391,19 @@ def test_exact_sequence_maps():
             assert pr(iota(u)).is_zero()
         for u in basis(0, k + 1):
             assert (pr(eta(u)) - u).is_zero()
+
+
+def test_gradient_form_is_eta_times_k_plus_one():
+    u = slot2_form(parse_poly("x2^3 - 2*x2*y2^2"), 3)
+    assert gradient_form(u).poly == parse_poly(
+        "3*x1*x2^2 - 2*x1*y2^2 - 4*y1*x2*y2")
+    for k in range(1, 4):
+        for u in basis(0, k + 1):
+            assert gradient_form(u) == eta_map(u, k) * (k + 1)
+    with pytest.raises(DegreeError):
+        gradient_form(basis(1, 2)[0])
+    with pytest.raises(DegreeError):
+        gradient_form(BiForm(0, 0, Poly.const(1)))
 
 
 def test_iota_explicit_value():

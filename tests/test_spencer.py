@@ -128,6 +128,13 @@ def test_codec_bijection_and_roundtrip():
     assert [p.constant_value() for p in back.vector()] == vec
 
 
+def test_decode_torsion_rejects_the_wrong_number_of_values():
+    # 91 values used to lose the last one, and 89 to raise IndexError
+    for count in (89, 91, 0):
+        with pytest.raises(ValueError, match="90 values"):
+            decode_torsion([Fraction(1)] * count)
+
+
 def test_decode_encode_on_basis_coordinates():
     for k in (0, 17, 47, 89):
         vec = [Fraction(0)] * 90
