@@ -18,20 +18,37 @@ solved constants are then compared against the expected displays; a
 mismatch would surface as a solver inconsistency or a reported delta,
 never a silently wrong rule.
 
+An exterior monomial is an `int` bitmask over the coframe, bit i for
+generator i; `FormExpr.terms` shows it as the increasing index tuple.
+Every sign is the parity of a popcount against a mask computed ahead of
+time.  The wedge of the monomials A and B is zero when A & B, and
+otherwise A | B with the sign (-1)^((B & V(A)).bit_count()), V(A) being
+the XOR of (1 << a) - 1 over the bits a of A.  Putting the monomial R
+in the slot of the generator g of M gives R | Mp, Mp being M without g,
+with the sign (-1)^((Mp & W).bit_count()); W = W(g, R) is (1 << g) - 1
+XOR, for each bit of R, the bits strictly between it and g.  A
+StructureSystem freezes its rules and computes their V and W masks
+once.  The part of a system that does not
+depend on the curvature tuple (coframe, generators, dtheta rules,
+omega ^ omega, curvature blocks and the a-, b- and c-rules) is built
+once per mode by `_mode_skeleton`; `build_system` adds the curvature
+parts and the domega rules.
+
 `exterior_d`, `FormExpr.wedge` and `contract` are sums of coefficient
-products.  Each keeps one accumulator, {exterior monomial: packed dict},
+products.  Each keeps one accumulator, {monomial bitmask: packed dict},
 adds every product into it with `poly.add_product` (the ring's one
 product loop) and wraps each dict as a Poly once, at the end.  The term
 order is the one that adding the products as Polys would give: a
 monomial goes last when it first appears or when its coefficient
 cancels and comes back, and within a coefficient `add_product`'s order
 applies.  A sum of c * form over (form, c) pairs is `form_sum(cf, terms)`
-on the same accumulator, as a sum of Poly products is `poly.dot`.
+on the same accumulator, as a sum of Poly products is `poly.dot`, and a
+sum of c * vform is `vform_sum`, one `form_sum` per component.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -77,23 +94,75 @@ class Coframe:
         return isinstance(other, Coframe) and self.names == other.names
 
 
-def _add_product(out: Dict[tuple, dict], mono: tuple, p: Poly, q: Poly,
-                 negate: bool) -> None:
-    """out[mono] += p * q (-= when `negate`) in place on packed dicts,
+# -- exterior monomials as bitmasks -----------------------------------------
+
+_MONOS: Dict[int, tuple] = {}
+
+
+def _mono(mask: int) -> tuple:
+    """The generator indices of the monomial `mask`, increasing: its bits
+    from low to high."""
+    mono = _MONOS.get(mask)
+    if mono is None:
+        mono = _MONOS[mask] = tuple(i for i in range(mask.bit_length())
+                                    if mask >> i & 1)
+    return mono
+
+
+def _mask_of(cf: Coframe, mono) -> int:
+    """The bitmask of the exterior monomial `mono`.  Raises ValueError
+    unless it is a strictly increasing tuple of generator indices of the
+    coframe: any other tuple names no monomial."""
+    mono = tuple(mono)
+    if not (all(isinstance(a, int) for a in mono)
+            and all(a < b for a, b in zip((-1,) + mono,
+                                          mono + (len(cf),)))):
+        raise ValueError(f"not an exterior monomial of the coframe: {mono}")
+    mask = 0
+    for a in mono:
+        mask |= 1 << a
+    return mask
+
+
+def _below_xor(mask: int) -> int:
+    """V(mask), the XOR of (1 << a) - 1 over the bits a of `mask`: bit i is
+    set when an odd number of the mask's generators lie above i.  So the
+    wedge of the monomials `mask` and `other` (disjoint) is mask | other
+    with the sign (-1)^((other & V(mask)).bit_count())."""
+    v = 0
+    for a in _mono(mask):
+        v ^= (1 << a) - 1
+    return v
+
+
+def _slot_mask(g: int, rule_mask: int) -> int:
+    """W(g, R): the sign mask of putting the monomial R in the slot of the
+    generator g.  It is (1 << g) - 1 XOR, for each bit r of R, the bits
+    strictly between r and g, so that for a monomial M = Mp | (1 << g)
+    with Mp disjoint from R, replacing g by R in M gives R | Mp with the
+    sign (-1)^((Mp & W).bit_count())."""
+    w = (1 << g) - 1
+    for r in _mono(rule_mask):
+        lo, hi = min(r, g), max(r, g)
+        w ^= ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
+    return w
+
+
+def _add_product(out: Dict[int, dict], mask: int, p: Poly, q: Poly,
+                 negate) -> None:
+    """out[mask] += p * q (-= when `negate`) in place on packed dicts,
     dropping the monomial when its coefficient cancels."""
-    acc = out.get(mono)
+    acc = out.get(mask)
     if acc is None:
-        acc = out[mono] = {}
+        acc = out[mask] = {}
     add_product(acc, p, q, negate)
     if not acc:
-        del out[mono]
+        del out[mask]
 
 
-def _form(cf: "Coframe", out: Dict[tuple, dict]) -> "FormExpr":
+def _form(cf: "Coframe", out: Dict[int, dict]) -> "FormExpr":
     """The FormExpr of an accumulator filled by _add_product."""
-    fe = FormExpr(cf)
-    fe.terms = {mono: _trusted(acc) for mono, acc in out.items()}
-    return fe
+    return FormExpr._of(cf, {mask: _trusted(acc) for mask, acc in out.items()})
 
 
 def form_sum(cf: "Coframe", terms) -> "FormExpr":
@@ -103,57 +172,51 @@ def form_sum(cf: "Coframe", terms) -> "FormExpr":
     order are those of FormExpr.zero(cf) + form1.scale(c1) + ...: a
     monomial goes last when it first appears or when its coefficient
     cancels and comes back."""
-    out: Dict[tuple, dict] = {}
+    out: Dict[int, dict] = {}
     for form, c in terms:
         c = _operand(c)
         if c is not None:
-            for mono, k in form.terms.items():
-                _add_product(out, mono, k, c, False)
+            for mask, k in form._by_mask.items():
+                _add_product(out, mask, k, c, False)
     return _form(cf, out)
 
 
-def _wedge_tuples(a: tuple, b: tuple):
-    """Merge two strictly increasing index tuples; (sign, merged) or None."""
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a) - i generators of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return sign, tuple(merged)
-
-
 class FormExpr:
-    """Graded sum of exterior monomials with Poly coefficients."""
+    """Graded sum of exterior monomials with Poly coefficients, stored as
+    {monomial bitmask: nonzero Poly} in term order."""
 
-    __slots__ = ("cf", "terms")
+    __slots__ = ("cf", "_by_mask")
 
-    def __init__(self, cf: Coframe, terms: Optional[Dict[tuple, Poly]] = None):
+    def __init__(self, cf: Coframe, terms: Optional[Mapping[tuple, Poly]] = None):
+        """`terms` maps strictly increasing tuples of generator indices to
+        coefficients; any other key raises ValueError, and zero
+        coefficients are dropped."""
         self.cf = cf
-        self.terms = {}
+        self._by_mask = {}
         if terms:
             for mono, coeff in terms.items():
+                mask = _mask_of(cf, mono)
                 if not coeff.is_zero():
-                    self.terms[mono] = coeff
+                    self._by_mask[mask] = coeff
+
+    @staticmethod
+    def _of(cf: Coframe, by_mask: Dict[int, Poly]) -> "FormExpr":
+        """Wrap {bitmask: nonzero Poly} without checking it."""
+        fe = object.__new__(FormExpr)
+        fe.cf = cf
+        fe._by_mask = by_mask
+        return fe
+
+    @property
+    def terms(self) -> Mapping[tuple, Poly]:
+        """A read-only {increasing index tuple: coefficient}, in term
+        order."""
+        return MappingProxyType({_mono(mask): c
+                                 for mask, c in self._by_mask.items()})
 
     @staticmethod
     def zero(cf: Coframe) -> "FormExpr":
-        return FormExpr(cf)
+        return FormExpr._of(cf, {})
 
     @staticmethod
     def scalar(cf: Coframe, coeff) -> "FormExpr":
@@ -168,38 +231,47 @@ class FormExpr:
         return FormExpr(cf, {(idx,): Poly.const(1)})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._by_mask
 
     def __add__(self, other: "FormExpr") -> "FormExpr":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono)
+        out = dict(self._by_mask)
+        for mask, coeff in other._by_mask.items():
+            s = out.get(mask)
             s = coeff if s is None else s + coeff
             if s.is_zero():
-                out.pop(mono, None)
+                out.pop(mask, None)
             else:
-                out[mono] = s
-        return FormExpr(self.cf, out)
+                out[mask] = s
+        return FormExpr._of(self.cf, out)
 
     def __sub__(self, other: "FormExpr") -> "FormExpr":
         return self + other.scale(-1)
 
+    def _map(self, fn) -> "FormExpr":
+        """fn applied to every coefficient, zero results dropped."""
+        out = {}
+        for mask, c in self._by_mask.items():
+            c = fn(c)
+            if not c.is_zero():
+                out[mask] = c
+        return FormExpr._of(self.cf, out)
+
     def scale(self, c) -> "FormExpr":
-        return FormExpr(self.cf, {m: k * c for m, k in self.terms.items()})
+        return self._map(lambda k: k * c)
 
     def wedge(self, other: "FormExpr") -> "FormExpr":
-        out: Dict[tuple, dict] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                w = _wedge_tuples(m1, m2)
-                if w is not None:
-                    _add_product(out, w[1], c1, c2, w[0] != 1)
+        out: Dict[int, dict] = {}
+        for m1, c1 in self._by_mask.items():
+            v = _below_xor(m1)
+            for m2, c2 in other._by_mask.items():
+                if not m1 & m2:
+                    _add_product(out, m1 | m2, c1, c2,
+                                 (m2 & v).bit_count() & 1)
         return _form(self.cf, out)
 
     def subs_params(self, assignment) -> "FormExpr":
         sub = Substitution(assignment)
-        return FormExpr(self.cf, {m: c.subs(sub)
-                                  for m, c in self.terms.items()})
+        return self._map(lambda c: c.subs(sub))
 
     def coefficient(self, mono: tuple) -> Poly:
         """The coefficient of the exterior monomial `mono`, zero when it
@@ -207,24 +279,19 @@ class FormExpr:
         increasing tuple of generator indices of the coframe: any other
         tuple names no stored monomial, and reading it as 0 would let a
         comparison pass vacuously."""
-        mono = tuple(mono)
-        if not all(a < b for a, b in zip((-1,) + mono,
-                                         mono + (len(self.cf),))):
-            raise ValueError(f"not an exterior monomial of the coframe: "
-                             f"{mono}")
-        return self.terms.get(mono, Poly.zero())
+        return self._by_mask.get(_mask_of(self.cf, mono), Poly.zero())
 
     def __eq__(self, other):
         if not isinstance(other, FormExpr):
             return NotImplemented
-        return self.cf == other.cf and self.terms == other.terms
+        return self.cf == other.cf and self._by_mask == other._by_mask
 
     def __str__(self):
-        if not self.terms:
+        if not self._by_mask:
             return "0"
         bits = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            c = self.terms[mono]
+        for mono, c in sorted(self.terms.items(),
+                              key=lambda mc: (len(mc[0]), mc[0])):
             names = "^".join(self.cf.names[i] for i in mono) or "1"
             bits.append(f"({c})*{names}")
         return " + ".join(bits)
@@ -249,19 +316,21 @@ class VForm:
     def from_params(cf: Coframe, n: int, m: int, names: Sequence[str]) -> "VForm":
         return VForm(n, m, [FormExpr.scalar(cf, Poly.var(nm)) for nm in names])
 
-    def __add__(self, other: "VForm") -> "VForm":
-        assert (self.n, self.m) == (other.n, other.m)
-        return VForm(self.n, self.m,
-                     [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other: "VForm") -> "VForm":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "VForm":
         return VForm(self.n, self.m, [x.scale(c) for x in self.comps])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
+
+
+def vform_sum(cf: Coframe, n: int, m: int, terms) -> VForm:
+    """The sum of c * vform over the (vform, c) pairs, every vform
+    V_{n,m}-valued: one form_sum per component."""
+    terms = list(terms)
+    if any((v.n, v.m) != (n, m) for v, _c in terms):
+        raise ValueError(f"not every term is V_{{{n},{m}}}-valued")
+    return VForm(n, m, [form_sum(cf, [(v.comps[i], c) for v, c in terms])
+                        for i in range(dim_v(n, m))])
 
 
 def pair_vforms(a: VForm, b: VForm, p1: int, p2: int) -> VForm:
@@ -283,56 +352,88 @@ def dbl_bracket(om00: FormExpr, om20: VForm, om02: VForm, q: VForm,
     sum over its blocks of <block, q> at the orders of `LieElt.action`,
     the V_{0,0} block's term multiplied by k."""
     blocks = {"p00": VForm(0, 0, [om00]), "p20": om20, "p02": om02}
-    out = VForm.zero(om00.cf, q.n, q.m)
-    for name, bidegree, orders in bf.LieElt.action():
-        term = pair_vforms(blocks[name], q, *orders)
-        out = out + (term.scale(k) if bidegree == (0, 0) else term)
-    return out
+    return vform_sum(om00.cf, q.n, q.m, [
+        (pair_vforms(blocks[name], q, *orders), k if bidegree == (0, 0) else 1)
+        for name, bidegree, orders in bf.LieElt.action()])
 
 
 # -- structure system -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructureSystem:
-    """Differential rules for every coframe generator and parameter."""
+    """Differential rules for every coframe generator and parameter.
+
+    The rules are frozen into read-only mappings, and exterior_d's sign
+    masks are computed from them once, here: for each generator g of the
+    coframe, (R, W(g, R), coefficient) per term of its rule (none without
+    a rule); for each parameter with a nonzero rule, in the canonical
+    variable order, its name, its field bits and (R, V(R), coefficient)
+    per term of its rule.  The tables are lists, not tuples: CPython
+    keeps up to 2000 freed tuples of each length below 20 for reuse, and
+    the tables of the systems a stream builds and drops would fill those
+    lists, lengths up to 19, and keep about a megabyte resident."""
     mode: str
     cf: Coframe
-    gen_rules: Dict[int, FormExpr]
-    param_rules: Dict[str, FormExpr]
+    gen_rules: Mapping[int, FormExpr]
+    param_rules: Mapping[str, FormExpr]
+    gen_signs: list = field(init=False, repr=False, compare=False)
+    param_signs: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        gen_rules = MappingProxyType(dict(self.gen_rules))
+        param_rules = MappingProxyType(dict(self.param_rules))
+        gen_signs = [[] for _ in range(len(self.cf))]
+        for g, rule in gen_rules.items():
+            if g not in range(len(self.cf)):
+                raise ValueError(f"a rule for {g!r}, not a generator index "
+                                 f"of the coframe")
+            gen_signs[g] = [(r, _slot_mask(g, r), c)
+                            for r, c in rule._by_mask.items()]
+        param_signs = [
+            (pname, fields_mask((pname,)),
+             [(r, _below_xor(r), c) for r, c in rule._by_mask.items()])
+            for pname, rule in sorted(param_rules.items(),
+                                      key=lambda kv: _var_key(kv[0]))
+            if not rule.is_zero()]
+        for name, value in (("gen_rules", gen_rules),
+                            ("param_rules", param_rules),
+                            ("gen_signs", gen_signs),
+                            ("param_signs", param_signs)):
+            object.__setattr__(self, name, value)
 
 
 def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
     """Anti-derivation extension of the rule set; degree raised by one.
-    Every term is added, in order, into one accumulator."""
-    out: Dict[tuple, dict] = {}
-    # the parameters with a nonzero rule, in the canonical variable order
-    params = [(pname, fields_mask((pname,)), rule)
-              for pname, rule in sorted(sys.param_rules.items(),
-                                        key=lambda kv: _var_key(kv[0]))
-              if not rule.is_zero()]
-    for mono, coeff in expr.terms.items():
-        # d(coeff) ^ mono
+
+    Every term is added, in order, into one accumulator: per monomial M,
+    first d(coeff) ^ M over the parameters, then for each generator g of
+    M from low to high (the order of the tuple (i1, .., ik)) M with g
+    replaced by its rule.  Each sign is the parity of a popcount against
+    the system's sign masks."""
+    out: Dict[int, dict] = {}
+    gen_signs = sys.gen_signs
+    for mono, coeff in expr._by_mask.items():
+        # d(coeff) ^ mono: the rule term R goes in front of mono
         used = coeff.support()
-        for pname, field, rule in params:
-            if not used & field:
+        for pname, field_bits, rule in sys.param_signs:
+            if not used & field_bits:
                 continue
             dpart = coeff.diff(pname)
-            for m, c in rule.terms.items():
-                w = _wedge_tuples(m, mono)
-                if w is not None:
-                    _add_product(out, w[1], c, dpart, w[0] != 1)
+            for r, v, c in rule:
+                if not r & mono:
+                    _add_product(out, r | mono, c, dpart,
+                                 (mono & v).bit_count() & 1)
         # coeff * sum_j (-1)^(j-1) e_{i1..} ^ d(e_ij) ^ e_{..ik}
-        for j, gidx in enumerate(mono):
-            rule = sys.gen_rules.get(gidx)
-            if rule is None:
+        for g in _mono(mono):
+            rule = gen_signs[g]
+            if not rule:
                 continue
-            for m, c in rule.terms.items():
-                w1 = _wedge_tuples(mono[:j], m)
-                w2 = w1 and _wedge_tuples(w1[1], mono[j + 1:])
-                if w2:
-                    sign = w1[0] * w2[0] * (-1 if j % 2 else 1)
-                    _add_product(out, w2[1], coeff, c, sign != 1)
+            rest = mono ^ (1 << g)
+            for r, w, c in rule:
+                if not r & rest:
+                    _add_product(out, r | rest, coeff, c,
+                                 (rest & w).bit_count() & 1)
     return _form(expr.cf, out)
 
 
@@ -340,13 +441,14 @@ def contract(expr: FormExpr, values: Dict[int, Poly]) -> FormExpr:
     """Interior product with a vector field given by its coframe values,
     one Poly per generator index (a missing or zero value contributes
     nothing)."""
-    out: Dict[tuple, dict] = {}
-    for mono, coeff in expr.terms.items():
-        for j, gidx in enumerate(mono):
-            v = values.get(gidx)
+    out: Dict[int, dict] = {}
+    for mono, coeff in expr._by_mask.items():
+        for g in _mono(mono):
+            v = values.get(g)
             if v:
-                _add_product(out, mono[:j] + mono[j + 1:], coeff, v,
-                             j % 2 == 1)
+                below = mono & ((1 << g) - 1)
+                _add_product(out, mono ^ (1 << g), coeff, v,
+                             below.bit_count() & 1)
     return _form(expr.cf, out)
 
 
@@ -399,13 +501,14 @@ def bianchi_solve() -> dict:
     # k-th algebra component of W
     syms, ws = _unknowns([f"w{pi}_{k}" for pi in range(len(pairs))
                           for k in range(7)])
-    res = VForm.zero(cf, 1, 2)
+    terms = []
     for k in range(7):
         wk = FormExpr(cf, {pq: ws[pi * 7 + k] for pi, pq in enumerate(pairs)})
         acted = _g12_apply(k, theta)
-        res = res + VForm(1, 2, [wk.wedge(c) for c in acted.comps])
+        terms.append((VForm(1, 2, [wk.wedge(c) for c in acted.comps]), 1))
+    res = vform_sum(cf, 1, 2, terms)
     rows = linear_rows([coeff for fe in res.comps
-                        for coeff in fe.terms.values()], syms)
+                        for coeff in fe._by_mask.values()], syms)
     _part, kernel = solve_sparse(rows, len(syms))
     # the displayed ansatz for each unit curvature parameter, in the same
     # coordinates
@@ -429,12 +532,14 @@ def bianchi_solve() -> dict:
     }
 
 
-def curvature_vform(cf: Coframe, theta: VForm, coeffs=CURVATURE_DISPLAY,
-                    a20: Optional[VForm] = None,
-                    a02: Optional[VForm] = None) -> Tuple[FormExpr, VForm, VForm]:
-    """The curvature 2-form in algebra components (om00, V20, V02 parts),
-    for symbolic curvature parameters."""
-    c1, c2, c3, c4, c5 = coeffs
+def _curvature_blocks(cf: Coframe, theta: VForm,
+                      a20: Optional[VForm] = None,
+                      a02: Optional[VForm] = None) -> Tuple[VForm, ...]:
+    """The five pairings that the curvature coefficients c1..c5 multiply:
+    <a20, th12>_{0,0} and <a02, th01>_{0,2} in V20, then
+    <a20, th01>_{2,0}, <a02, th10>_{0,2} and <a02, th12>_{0,0} in V02,
+    where th_pq = <theta, theta>_{p,q}; symbolic curvature parameters
+    unless a20 or a02 is given."""
     if a20 is None:
         a20 = VForm.from_params(cf, 2, 0, A20_SYMS)
     if a02 is None:
@@ -442,12 +547,29 @@ def curvature_vform(cf: Coframe, theta: VForm, coeffs=CURVATURE_DISPLAY,
     th12 = pair_vforms(theta, theta, 1, 2)
     th01 = pair_vforms(theta, theta, 0, 1)
     th10 = pair_vforms(theta, theta, 1, 0)
-    om20part = (pair_vforms(a20, th12, 0, 0).scale(c1)
-                + pair_vforms(a02, th01, 0, 2).scale(c2))
-    om02part = (pair_vforms(a20, th01, 2, 0).scale(c3)
-                + pair_vforms(a02, th10, 0, 2).scale(c4)
-                + pair_vforms(a02, th12, 0, 0).scale(c5))
-    return FormExpr.zero(cf), om20part, om02part
+    return (pair_vforms(a20, th12, 0, 0), pair_vforms(a02, th01, 0, 2),
+            pair_vforms(a20, th01, 2, 0), pair_vforms(a02, th10, 0, 2),
+            pair_vforms(a02, th12, 0, 0))
+
+
+def _curvature_parts(cf: Coframe, blocks: Sequence[VForm],
+                     coeffs) -> Tuple[FormExpr, VForm, VForm]:
+    """The curvature 2-form in algebra components (om00, V20, V02 parts):
+    c_i times the i-th of the _curvature_blocks."""
+    c1, c2, c3, c4, c5 = coeffs
+    b1, b2, b3, b4, b5 = blocks
+    return (FormExpr.zero(cf),
+            vform_sum(cf, 2, 0, ((b1, c1), (b2, c2))),
+            vform_sum(cf, 0, 2, ((b3, c3), (b4, c4), (b5, c5))))
+
+
+def curvature_vform(cf: Coframe, theta: VForm, coeffs=CURVATURE_DISPLAY,
+                    a20: Optional[VForm] = None,
+                    a02: Optional[VForm] = None) -> Tuple[FormExpr, VForm, VForm]:
+    """The curvature 2-form in algebra components (om00, V20, V02 parts),
+    for symbolic curvature parameters unless a20 or a02 is given."""
+    return _curvature_parts(cf, _curvature_blocks(cf, theta, a20, a02),
+                            coeffs)
 
 
 # -- derivation of the parameter differential rules -------------------------
@@ -466,42 +588,55 @@ def _dtheta_rules(cf: Coframe, om00, om20, om02, theta) -> Dict[int, FormExpr]:
     return {cf.index[THETA_NAMES[k]]: w.comps[k].scale(-1) for k in range(6)}
 
 
-def _domega_rules(cf: Coframe, om00, om20, om02, omega_parts) -> Dict[int, FormExpr]:
-    om_list = [om00] + list(om20.comps) + list(om02.comps)
-    ww = omega_wedge_omega(cf, om_list)
-    _o00, o20, o02 = omega_parts
+class _Frame(NamedTuple):
+    """A mode's coframe and generators, and the parts of the generator
+    rules that do not depend on the curvature tuple."""
+    cf: Coframe
+    om00: FormExpr
+    om20: VForm
+    om02: VForm
+    theta: VForm
+    dtheta_rules: Mapping[int, FormExpr]
+    omega_square: Tuple[FormExpr, ...]
+    curvature_blocks: Tuple[VForm, ...]
+
+
+def _frame(mode: str = "g12") -> _Frame:
+    """The coframe of `mode`, its generators (om00 = 0 in h12 mode), the
+    dtheta rules (with the torsion-s30 block in torsion-s30 mode),
+    omega ^ omega and the curvature blocks."""
+    cf = Coframe(COFRAME_NAMES
+                 + (DS30_NAMES if mode == "torsion-s30" else ()))
+    om00, om20, om02, theta = _gens(cf, mode != "h12")
+    dtheta = _dtheta_rules(cf, om00, om20, om02, theta)
+    if mode == "torsion-s30":
+        tor = _torsion_term(cf, theta)
+        for k, name in enumerate(THETA_NAMES):
+            dtheta[cf.index[name]] = dtheta[cf.index[name]] + tor.comps[k]
+    ww = omega_wedge_omega(cf, [om00] + om20.comps + om02.comps)
+    return _Frame(cf, om00, om20, om02, theta, MappingProxyType(dtheta),
+                  tuple(ww), _curvature_blocks(cf, theta))
+
+
+def _domega_rules(fr: _Frame, omega_parts) -> Dict[int, FormExpr]:
+    """The connection rules: the curvature parts minus omega ^ omega."""
+    cf, ww = fr.cf, fr.omega_square
+    o00, o20, o02 = omega_parts
     rules = {}
-    if not om00.is_zero():
-        rules[cf.index["om00"]] = _o00 - ww[0]
+    if not fr.om00.is_zero():
+        rules[cf.index["om00"]] = o00 - ww[0]
     for k in range(3):
         rules[cf.index[OM20_NAMES[k]]] = o20.comps[k] - ww[1 + k]
         rules[cf.index[OM02_NAMES[k]]] = o02.comps[k] - ww[4 + k]
     return rules
 
 
-class _Frame(NamedTuple):
-    """Coframe generators and their differential rules."""
-    cf: Coframe
-    om00: FormExpr
-    om20: VForm
-    om02: VForm
-    theta: VForm
-    gen_rules: Dict[int, FormExpr]
-
-
-def _frame(names: Sequence[str] = COFRAME_NAMES, include_om00: bool = True,
-           curvature_coeffs=None) -> _Frame:
-    """The coframe, the connection and theta generators, and the dtheta and
-    domega rules with the curvature ansatz (the display unless
-    `curvature_coeffs` is given)."""
-    cf = Coframe(names)
-    om00, om20, om02, theta = _gens(cf, include_om00)
-    omega_parts = curvature_vform(cf, theta, CURVATURE_DISPLAY
-                                  if curvature_coeffs is None
-                                  else curvature_coeffs)
-    gen_rules = _dtheta_rules(cf, om00, om20, om02, theta)
-    gen_rules.update(_domega_rules(cf, om00, om20, om02, omega_parts))
-    return _Frame(cf, om00, om20, om02, theta, gen_rules)
+def _gen_rules(fr: _Frame, coeffs=CURVATURE_DISPLAY) -> Dict[int, FormExpr]:
+    """The dtheta and domega rules with the curvature tuple `coeffs`."""
+    rules = dict(fr.dtheta_rules)
+    rules.update(_domega_rules(fr, _curvature_parts(
+        fr.cf, fr.curvature_blocks, coeffs)))
+    return rules
 
 
 def _unknowns(names: Sequence[str]) -> Tuple[Tuple[str, ...], List[Poly]]:
@@ -521,7 +656,7 @@ def _solve_rules(targets: Sequence[FormExpr], gen_rules, param_rules,
     or None when no choice of the unknowns closes.
     """
     sys = StructureSystem("solve", targets[0].cf, gen_rules, param_rules)
-    polys = [c for t in targets for c in exterior_d(t, sys).terms.values()]
+    polys = [c for t in targets for c in exterior_d(t, sys)._by_mask.values()]
     return solve_sparse(linear_rows(polys, unknowns), len(unknowns))
 
 
@@ -570,9 +705,10 @@ def derive_da() -> Mapping:
                                  for n in THETA_NAMES))
     theta_part = [FormExpr(fr.cf, {th[t]: ks[4 + 6 * w + t] for t in range(6)})
                   for w in range(6)]
-    targets = [fr.gen_rules[fr.cf.index[n]]
+    gen_rules = _gen_rules(fr)
+    targets = [gen_rules[fr.cf.index[n]]
                for n in OM20_NAMES + OM02_NAMES + ("om00",)]
-    sol = _solve_rules(targets, fr.gen_rules,
+    sol = _solve_rules(targets, gen_rules,
                        _a_rules(fr, ks[:4], theta_part), syms)
     if sol is None:
         raise ValueError("no consistent differential rule for the curvature "
@@ -647,7 +783,7 @@ def derive_db() -> Mapping:
     syms, ks = _unknowns(B_SHAPES)
     param_rules = {**a_rules, **_b_rules(fr, dict(zip(B_SHAPES, ks)))}
     sol = _solve_rules([a_rules[s] for s in A20_SYMS + A02_SYMS],
-                       fr.gen_rules, param_rules, syms)
+                       _gen_rules(fr), param_rules, syms)
     if sol is None:
         raise ValueError("no consistent differential rule for b "
                          "(transcription error)")
@@ -710,7 +846,7 @@ def derive_dc() -> Mapping:
     b_rules = _solved_b_rules(fr, ks[0], ks[1])
     param_rules = {**_a_rules(fr, derive_da()["alphas"], _b_theta_part(fr)),
                    **b_rules, C_SYM: c_rule}
-    sol = _solve_rules([b_rules[s] for s in B_SYMS], fr.gen_rules,
+    sol = _solve_rules([b_rules[s] for s in B_SYMS], _gen_rules(fr),
                        param_rules, syms)
     if sol is None:
         raise ValueError("no consistent differential rule for c")
@@ -749,7 +885,33 @@ def _torsion_term(cf: Coframe, theta: VForm) -> VForm:
 def _bianchi_term(cf: Coframe, theta: VForm) -> VForm:
     """<<Omega, theta>>_1 for the displayed curvature Omega."""
     _o00, o20, o02 = curvature_vform(cf, theta)
-    return pair_vforms(o20, theta, 1, 0) + pair_vforms(o02, theta, 0, 1)
+    return vform_sum(cf, 1, 2, ((pair_vforms(o20, theta, 1, 0), 1),
+                                (pair_vforms(o02, theta, 0, 1), 1)))
+
+
+@lru_cache(maxsize=None)
+def _mode_skeleton(mode: str) -> Tuple[_Frame, Mapping[str, FormExpr]]:
+    """Everything of a structure system of `mode` that does not depend on
+    the curvature tuple: the frame (coframe, generators, dtheta rules,
+    omega ^ omega, curvature blocks) and the read-only parameter rules
+    (a, b, c, and s30 in torsion-s30 mode).  Built once per mode."""
+    da = derive_da()
+    if not da["display_matches_freedom"]:
+        raise ValueError("theta-part of the a-rule does not match the "
+                         "displayed parametrization")
+    dc = derive_dc()
+    if not dc["theta_part_vanishes"]:
+        raise ValueError("unexpected theta terms in the c-rule")
+    fr = _frame(mode)
+    param_rules = _a_rules(fr, da["alphas"], _b_theta_part(fr))
+    param_rules.update(_solved_b_rules(fr, dc["q_d1"], dc["q_d2"]))
+    # om00 is zero in h12 mode, and so is this rule
+    param_rules[C_SYM] = fr.om00.scale(
+        Poly.var(C_SYM) * dc["c_om00_coefficient"])
+    if mode == "torsion-s30":
+        for j, s in enumerate(S30_SYMS):
+            param_rules[s] = FormExpr.gen(fr.cf, DS30_NAMES[j])
+    return fr, MappingProxyType(param_rules)
 
 
 def build_system(mode: str = "g12", curvature_coeffs=None) -> StructureSystem:
@@ -759,32 +921,15 @@ def build_system(mode: str = "g12", curvature_coeffs=None) -> StructureSystem:
     "torsion-s30" (dtheta has the rank-four torsion block; its parameter
     differentials become 4 extra coframe symbols).  `curvature_coeffs`
     perturbs the curvature ansatz; only negative-control tests pass it.
+    Only the curvature parts and the domega rules are built here; the
+    rest comes from the mode's cached skeleton.
     """
     if mode not in ("g12", "h12", "torsion-s30"):
         raise ValueError(f"unknown mode: {mode}")
-    fr = _frame(COFRAME_NAMES + (DS30_NAMES if mode == "torsion-s30" else ()),
-                mode != "h12", curvature_coeffs)
-    cf, gen_rules = fr.cf, fr.gen_rules
-    da = derive_da()
-    if not da["display_matches_freedom"]:
-        raise ValueError("theta-part of the a-rule does not match the "
-                         "displayed parametrization")
-    dc = derive_dc()
-    if not dc["theta_part_vanishes"]:
-        raise ValueError("unexpected theta terms in the c-rule")
-    param_rules = _a_rules(fr, da["alphas"], _b_theta_part(fr))
-    param_rules.update(_solved_b_rules(fr, dc["q_d1"], dc["q_d2"]))
-    # om00 is zero in h12 mode, and so is this rule
-    param_rules[C_SYM] = fr.om00.scale(
-        Poly.var(C_SYM) * dc["c_om00_coefficient"])
-    if mode == "torsion-s30":
-        tor = _torsion_term(cf, fr.theta)
-        for k in range(6):
-            idx = cf.index[THETA_NAMES[k]]
-            gen_rules[idx] = gen_rules[idx] + tor.comps[k]
-        for j, s in enumerate(S30_SYMS):
-            param_rules[s] = FormExpr.gen(cf, DS30_NAMES[j])
-    return StructureSystem(mode, cf, gen_rules, param_rules)
+    fr, param_rules = _mode_skeleton(mode)
+    gen_rules = _gen_rules(fr, CURVATURE_DISPLAY if curvature_coeffs is None
+                           else curvature_coeffs)
+    return StructureSystem(mode, fr.cf, gen_rules, param_rules)
 
 
 def d_squared_report(sys: StructureSystem) -> dict:
@@ -847,7 +992,8 @@ def torsion_mode_structure_check() -> dict:
     dtor = VForm(tor.n, tor.m, [exterior_d(c, sys) for c in tor.comps])
     om_tor = dbl_bracket(om00, om20, om02, tor, 1)
     omega_theta = _bianchi_term(cf, theta)
-    combo = residual - dtor - om_tor + omega_theta
+    combo = vform_sum(cf, 1, 2, ((residual, 1), (dtor, -1), (om_tor, -1),
+                                 (omega_theta, 1)))
     return {
         "residual_is_predicted_torsion_terms": combo.is_zero(),
         "bianchi_term_vanishes": omega_theta.is_zero(),
@@ -859,15 +1005,15 @@ def bianchi_combination_check() -> dict:
     """Omitting the curvature from the connection rule shifts the
     theta-residual by exactly the Bianchi combination <<Omega,theta>>_1."""
     full = build_system("g12")
+    fr, _param_rules = _mode_skeleton("g12")
     cf = full.cf
-    om00, om20, om02, theta = _gens(cf)
     omitted_rules = dict(full.gen_rules)
     zero_parts = (FormExpr.zero(cf), VForm.zero(cf, 2, 0),
                   VForm.zero(cf, 0, 2))
-    omitted_rules.update(_domega_rules(cf, om00, om20, om02, zero_parts))
+    omitted_rules.update(_domega_rules(fr, zero_parts))
     omitted = StructureSystem("g12-no-curvature", cf, omitted_rules,
                               full.param_rules)
-    omega_theta = _bianchi_term(cf, theta)
+    omega_theta = _bianchi_term(cf, fr.theta)
     ok = True
     for k, name in enumerate(THETA_NAMES):
         rule = full.gen_rules[cf.index[name]]
@@ -910,14 +1056,14 @@ def reduce_mod_ideal(expr: FormExpr, subs: Dict[int, FormExpr]) -> FormExpr:
     """Substitute the pivot generators and expand; terms supported on the
     ideal vanish."""
     cf = expr.cf
-    out = FormExpr.zero(cf)
+    pieces = []
     for mono, coeff in expr.terms.items():
         piece = FormExpr.scalar(cf, coeff)
         for gidx in mono:
             factor = subs.get(gidx, FormExpr.gen(cf, gidx))
             piece = piece.wedge(factor)
-        out = out + piece
-    return out
+        pieces.append((piece, 1))
+    return form_sum(cf, pieces)
 
 
 def frobenius_residual(ideal_forms: Sequence[FormExpr],
@@ -930,8 +1076,7 @@ def frobenius_residual(ideal_forms: Sequence[FormExpr],
     for g in ideal_forms:
         red = reduce_mod_ideal(exterior_d(g, sys), subs)
         residuals.append(red)
-        for _mono, coeff in red.terms.items():
-            conditions.append(coeff)
+        conditions.extend(red.terms.values())
     return {"residuals": residuals, "conditions": conditions,
             "frobenius_holds_identically": all(
                 c.is_zero() for c in conditions)}

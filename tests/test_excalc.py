@@ -4,7 +4,7 @@ import pytest
 
 from g12calc import binforms as bf
 from g12calc.excalc import (COFRAME_NAMES, THETA_NAMES, Coframe,
-                            FormExpr, VForm,
+                            FormExpr, StructureSystem, VForm,
                             bianchi_combination_check, bianchi_solve,
                             build_system, contract, curvature_vform,
                             d_squared_report, derive_da, derive_db, derive_dc,
@@ -312,3 +312,60 @@ def test_coefficient_rejects_tuples_that_name_no_monomial():
     for bad in ((3, 0), (0, 0), (0, len(cf)), (-1, 3)):
         with pytest.raises(ValueError):
             two.coefficient(bad)
+
+
+def test_constructor_rejects_tuples_that_name_no_monomial():
+    """A key that is not a strictly increasing tuple of generator indices
+    would be stored as a monomial that nothing matches, or read as a
+    different monomial with the wrong sign."""
+    cf = Coframe(COFRAME_NAMES)
+    one = Poly.const(1)
+    assert FormExpr(cf, {(1, 3): one}).coefficient((1, 3)) == one
+    assert FormExpr(cf, {(): one}) == FormExpr.scalar(cf, 1)
+    for bad in ((3, 1), (0, 0), (0, len(cf)), (-1, 3), (len(cf),)):
+        with pytest.raises(ValueError):
+            FormExpr(cf, {bad: one})
+        with pytest.raises(ValueError):
+            FormExpr(cf, {(2,): one, bad: Poly.zero()})
+
+
+def test_structure_system_rules_are_read_only():
+    sys = build_system("g12")
+    rule = sys.gen_rules[0]
+    with pytest.raises(TypeError):
+        sys.gen_rules[0] = rule
+    with pytest.raises(TypeError):
+        sys.param_rules["c"] = rule
+    with pytest.raises(TypeError):
+        del sys.param_rules["c"]
+    # a system copies the rules it is given
+    mine = {0: rule}
+    own = StructureSystem("own", sys.cf, mine, {})
+    mine[1] = rule
+    assert list(own.gen_rules) == [0]
+    assert build_system("g12") == sys
+
+
+def _system_record(sys) -> list:
+    """Keys, values and the order of both, of every rule and residual."""
+    def form(fe):
+        return [(m, list(c.packed.items())) for m, c in fe.terms.items()]
+    return [[(k, form(r)) for k, r in sys.gen_rules.items()],
+            [(k, form(r)) for k, r in sys.param_rules.items()],
+            [(k, form(r)) for k, r in
+             d_squared_report(sys)["residuals"].items()]]
+
+
+@pytest.mark.parametrize("mode,other", [("g12", "torsion-s30"),
+                                        ("torsion-s30", "g12")])
+def test_build_system_does_not_depend_on_cache_warmth(mode, other):
+    """The same system, residuals included, whether the mode's cached
+    part is built fresh, after another mode's, or reused."""
+    from g12calc.excalc import _mode_skeleton
+    _mode_skeleton.cache_clear()
+    fresh = _system_record(build_system(mode))
+    _mode_skeleton.cache_clear()
+    build_system(other)
+    assert _system_record(build_system(mode)) == fresh
+    build_system("h12")
+    assert _system_record(build_system(mode)) == fresh
