@@ -370,9 +370,9 @@ class StructureSystem:
     a rule); for each parameter with a nonzero rule, in the canonical
     variable order, its name, its field bits and (R, V(R), coefficient)
     per term of its rule.  The tables are lists, not tuples: CPython
-    keeps up to 2000 freed tuples of each length below 20 for reuse, and
-    the tables of the systems a stream builds and drops would fill those
-    lists, lengths up to 19, and keep about a megabyte resident."""
+    keeps up to 2000 freed tuples of each length below 20 for reuse, so
+    the tables of many systems built and dropped in turn would keep
+    about a megabyte resident in those free lists."""
     mode: str
     cf: Coframe
     gen_rules: Mapping[int, FormExpr]
