@@ -520,11 +520,7 @@ def isotypic_decompose(rep: Rep) -> Dict[Tuple[int, int], int]:
 
 def clebsch_gordan(n: int, m: int) -> Dict[Tuple[int, int], int]:
     """Decomposition of V_n (x) V_m for single-slot forms: sum V_{n+m-2p}."""
-    out: Dict[Tuple[int, int], int] = {}
-    for p in range(min(n, m) + 1):
-        key = (n + m - 2 * p, 0)
-        out[key] = out.get(key, 0) + 1
-    return out
+    return clebsch_gordan2((n, 0), (m, 0))
 
 
 def clebsch_gordan2(bideg1: Tuple[int, int],
@@ -576,13 +572,11 @@ class LieElt(BlockCoords):
 def double_bracket(w: LieElt, q: BiForm, k) -> BiForm:
     """<<w, q>>_k: the sum over the blocks of w of <block, q> at the orders
     of LieElt.action, the V_{0,0} block's term multiplied by k."""
-    res = BiForm(q.n, q.m, Poly.zero())
-    for name, bidegree, orders in LieElt.action():
-        block = getattr(w, name)
-        if not block.is_zero():
-            term = transvectant2(block, q, *orders)
-            res = res + (term * k if bidegree == (0, 0) else term)
-    return res
+    return BiForm(q.n, q.m, dot(
+        (transvectant2(getattr(w, name), q, *orders).poly,
+         k if bidegree == (0, 0) else 1)
+        for name, bidegree, orders in LieElt.action()
+        if not getattr(w, name).is_zero()))
 
 
 def g12_basis_elts() -> List[LieElt]:

@@ -28,11 +28,14 @@ in the slot of the generator g of M gives R | Mp, Mp being M without g,
 with the sign (-1)^((Mp & W).bit_count()); W = W(g, R) is (1 << g) - 1
 XOR, for each bit of R, the bits strictly between it and g.  A
 StructureSystem freezes its rules and computes their V and W masks
-once.  The part of a system that does not
-depend on the curvature tuple (coframe, generators, dtheta rules,
-omega ^ omega, curvature blocks and the a-, b- and c-rules) is built
-once per mode by `_mode_skeleton`; `build_system` adds the curvature
-parts and the domega rules.
+once.  Each mode has one cached frame, `_frame(mode)`: the coframe, the
+connection and theta generators, the symbolic a20, a02 and b, the
+torsion-s30 block, the dtheta rules, omega ^ omega and the curvature
+blocks.  It is the one place that builds any of them; the derivations,
+the parameter rules (cached per mode by `_mode_skeleton`) and the checks
+all read it, and `build_system` adds only the curvature parts and the
+domega rules.  The algebra acts on forms only through `dbl_bracket`,
+which reads the action rule from `LieElt.action`.
 
 `exterior_d`, `FormExpr.wedge` and `contract` are sums of coefficient
 products.  Each keeps one accumulator, {monomial bitmask: packed dict},
@@ -476,13 +479,6 @@ def omega_wedge_omega(cf: Coframe, om_gens: List[FormExpr]) -> List[FormExpr]:
 # -- Bianchi: the curvature space -------------------------------------------
 
 
-def _g12_apply(k: int, q: VForm) -> VForm:
-    """Action of the k-th algebra basis element on a V_{1,2}-valued form."""
-    cf = q.comps[0].cf
-    return VForm(q.n, q.m, [form_sum(cf, zip(q.comps, row))
-                            for row in bf.g1k_matrices(2)[k]])
-
-
 CURVATURE_DISPLAY = (Fraction(-4), Fraction(3), Fraction(1), Fraction(1),
                      Fraction(-7))
 
@@ -492,58 +488,46 @@ def bianchi_solve() -> dict:
     2-forms W built on theta ^ theta, and its match against the
     curvature ansatz.
 
-    Returns kernel data (dimension 6) and the fitted ansatz coefficients.
+    Returns kernel data (dimension 6), the six ansatz vectors and the
+    fitted ansatz coefficients.
     """
-    cf = Coframe(COFRAME_NAMES)
-    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
+    fr = _frame("g12")
     pairs = list(combinations(range(6), 2))
     # unknown pair_idx * 7 + k: coefficient of theta_p ^ theta_q in the
     # k-th algebra component of W
     syms, ws = _unknowns([f"w{pi}_{k}" for pi in range(len(pairs))
                           for k in range(7)])
-    terms = []
-    for k in range(7):
-        wk = FormExpr(cf, {pq: ws[pi * 7 + k] for pi, pq in enumerate(pairs)})
-        acted = _g12_apply(k, theta)
-        terms.append((VForm(1, 2, [wk.wedge(c) for c in acted.comps]), 1))
-    res = vform_sum(cf, 1, 2, terms)
+    w = [FormExpr(fr.cf, {pq: ws[pi * 7 + k] for pi, pq in enumerate(pairs)})
+         for k in range(7)]
+    res = dbl_bracket(w[0], VForm(2, 0, w[1:4]), VForm(0, 2, w[4:]),
+                      fr.theta, 1)
     rows = linear_rows([coeff for fe in res.comps
                         for coeff in fe._by_mask.values()], syms)
     _part, kernel = solve_sparse(rows, len(syms))
-    # the displayed ansatz for each unit curvature parameter, in the same
-    # coordinates
-    unit_vecs = []
-    for slot in range(6):
-        a20 = VForm(2, 0, [FormExpr.scalar(cf, int(slot == t))
-                           for t in range(3)])
-        a02 = VForm(0, 2, [FormExpr.scalar(cf, int(slot == 3 + t))
-                           for t in range(3)])
-        o00, o20, o02 = curvature_vform(cf, theta, CURVATURE_DISPLAY,
-                                        a20, a02)
-        comps = [o00] + o20.comps + o02.comps
-        unit_vecs.append([comps[k].coefficient(pq).constant_value()
-                          for pq in pairs for k in range(7)])
+    # the displayed ansatz in the same coordinates: its coefficients are
+    # linear in the curvature parameters, one vector per parameter
+    o00, o20, o02 = _curvature_parts(fr.cf, fr.curvature_blocks,
+                                     CURVATURE_DISPLAY)
+    comps = [o00] + o20.comps + o02.comps
+    ansatz = [[comps[k].coefficient(pq).diff(s).constant_value()
+               for pq in pairs for k in range(7)]
+              for s in A20_SYMS + A02_SYMS]
     return {
         "solution_dim": len(kernel),
-        "ansatz_rank": rank(PolyMatrix(unit_vecs)),
-        "ansatz_spans_solutions": spans_equal(kernel, unit_vecs, 6),
+        "ansatz": ansatz,
+        "ansatz_rank": rank(PolyMatrix(ansatz)),
+        "ansatz_spans_solutions": spans_equal(kernel, ansatz, 6),
         "display_coefficients": [str(x) for x in CURVATURE_DISPLAY],
         "kernel": kernel,
     }
 
 
-def _curvature_blocks(cf: Coframe, theta: VForm,
-                      a20: Optional[VForm] = None,
-                      a02: Optional[VForm] = None) -> Tuple[VForm, ...]:
+def _curvature_blocks(theta: VForm, a20: VForm,
+                      a02: VForm) -> Tuple[VForm, ...]:
     """The five pairings that the curvature coefficients c1..c5 multiply:
     <a20, th12>_{0,0} and <a02, th01>_{0,2} in V20, then
     <a20, th01>_{2,0}, <a02, th10>_{0,2} and <a02, th12>_{0,0} in V02,
-    where th_pq = <theta, theta>_{p,q}; symbolic curvature parameters
-    unless a20 or a02 is given."""
-    if a20 is None:
-        a20 = VForm.from_params(cf, 2, 0, A20_SYMS)
-    if a02 is None:
-        a02 = VForm.from_params(cf, 0, 2, A02_SYMS)
+    where th_pq = <theta, theta>_{p,q}."""
     th12 = pair_vforms(theta, theta, 1, 2)
     th01 = pair_vforms(theta, theta, 0, 1)
     th10 = pair_vforms(theta, theta, 1, 0)
@@ -563,79 +547,83 @@ def _curvature_parts(cf: Coframe, blocks: Sequence[VForm],
             vform_sum(cf, 0, 2, ((b3, c3), (b4, c4), (b5, c5))))
 
 
-def curvature_vform(cf: Coframe, theta: VForm, coeffs=CURVATURE_DISPLAY,
-                    a20: Optional[VForm] = None,
-                    a02: Optional[VForm] = None) -> Tuple[FormExpr, VForm, VForm]:
-    """The curvature 2-form in algebra components (om00, V20, V02 parts),
-    for symbolic curvature parameters unless a20 or a02 is given."""
-    return _curvature_parts(cf, _curvature_blocks(cf, theta, a20, a02),
+def curvature_vform(cf: Coframe, theta: VForm, coeffs=CURVATURE_DISPLAY
+                    ) -> Tuple[FormExpr, VForm, VForm]:
+    """The curvature 2-form on `theta` in algebra components (om00, V20,
+    V02 parts) on the coframe `cf`, for the symbolic curvature
+    parameters."""
+    fr = _frame("g12")
+    return _curvature_parts(cf, _curvature_blocks(theta, fr.a20, fr.a02),
                             coeffs)
 
 
-# -- derivation of the parameter differential rules -------------------------
-
-
-def _gens(cf: Coframe, include_om00: bool = True):
-    """The connection generators om00, om20, om02 and theta."""
-    om00 = FormExpr.gen(cf, "om00") if include_om00 else FormExpr.zero(cf)
-    om20 = VForm.from_gens(cf, 2, 0, OM20_NAMES)
-    om02 = VForm.from_gens(cf, 0, 2, OM02_NAMES)
-    return om00, om20, om02, VForm.from_gens(cf, 1, 2, THETA_NAMES)
-
-
-def _dtheta_rules(cf: Coframe, om00, om20, om02, theta) -> Dict[int, FormExpr]:
-    w = dbl_bracket(om00, om20, om02, theta, 1)
-    return {cf.index[THETA_NAMES[k]]: w.comps[k].scale(-1) for k in range(6)}
+# -- the frame of a mode ----------------------------------------------------
 
 
 class _Frame(NamedTuple):
-    """A mode's coframe and generators, and the parts of the generator
-    rules that do not depend on the curvature tuple."""
+    """A mode's coframe, generators and symbolic parameter forms, and the
+    parts of the generator rules that do not depend on the curvature
+    tuple."""
     cf: Coframe
     om00: FormExpr
     om20: VForm
     om02: VForm
     theta: VForm
+    a20: VForm
+    a02: VForm
+    b: VForm
+    torsion: Optional[VForm]
     dtheta_rules: Mapping[int, FormExpr]
     omega_square: Tuple[FormExpr, ...]
     curvature_blocks: Tuple[VForm, ...]
 
 
-def _frame(mode: str = "g12") -> _Frame:
-    """The coframe of `mode`, its generators (om00 = 0 in h12 mode), the
-    dtheta rules (with the torsion-s30 block in torsion-s30 mode),
-    omega ^ omega and the curvature blocks."""
+@lru_cache(maxsize=None)
+def _frame(mode: str) -> _Frame:
+    """The coframe of `mode` (with the ds30 symbols in torsion-s30 mode),
+    its generators (om00 = 0 in h12 mode), the symbolic a20, a02 and b,
+    the torsion-s30 block <s30, <theta, theta>_{0,1}>_{2,0} (None in the
+    other modes), the dtheta rules -<<omega, theta>>_1 (plus the torsion
+    block), omega ^ omega and the curvature blocks.  Built once per
+    mode."""
     cf = Coframe(COFRAME_NAMES
                  + (DS30_NAMES if mode == "torsion-s30" else ()))
-    om00, om20, om02, theta = _gens(cf, mode != "h12")
-    dtheta = _dtheta_rules(cf, om00, om20, om02, theta)
+    om00 = FormExpr.zero(cf) if mode == "h12" else FormExpr.gen(cf, "om00")
+    om20 = VForm.from_gens(cf, 2, 0, OM20_NAMES)
+    om02 = VForm.from_gens(cf, 0, 2, OM02_NAMES)
+    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
+    a20 = VForm.from_params(cf, 2, 0, A20_SYMS)
+    a02 = VForm.from_params(cf, 0, 2, A02_SYMS)
+    b = VForm.from_params(cf, 1, 2, B_SYMS)
+    w = dbl_bracket(om00, om20, om02, theta, 1)
+    dtheta = {cf.index[name]: w.comps[k].scale(-1)
+              for k, name in enumerate(THETA_NAMES)}
+    torsion = None
     if mode == "torsion-s30":
-        tor = _torsion_term(cf, theta)
+        torsion = pair_vforms(VForm.from_params(cf, 3, 0, S30_SYMS),
+                              pair_vforms(theta, theta, 0, 1), 2, 0)
         for k, name in enumerate(THETA_NAMES):
-            dtheta[cf.index[name]] = dtheta[cf.index[name]] + tor.comps[k]
+            dtheta[cf.index[name]] = dtheta[cf.index[name]] + torsion.comps[k]
     ww = omega_wedge_omega(cf, [om00] + om20.comps + om02.comps)
-    return _Frame(cf, om00, om20, om02, theta, MappingProxyType(dtheta),
-                  tuple(ww), _curvature_blocks(cf, theta))
+    return _Frame(cf, om00, om20, om02, theta, a20, a02, b, torsion,
+                  MappingProxyType(dtheta), tuple(ww),
+                  _curvature_blocks(theta, a20, a02))
 
 
-def _domega_rules(fr: _Frame, omega_parts) -> Dict[int, FormExpr]:
-    """The connection rules: the curvature parts minus omega ^ omega."""
+# -- derivation of the parameter differential rules -------------------------
+
+
+def _gen_rules(fr: _Frame, coeffs=CURVATURE_DISPLAY) -> Dict[int, FormExpr]:
+    """The dtheta rules, then the domega rules with the curvature tuple
+    `coeffs`: the curvature parts minus omega ^ omega."""
     cf, ww = fr.cf, fr.omega_square
-    o00, o20, o02 = omega_parts
-    rules = {}
+    o00, o20, o02 = _curvature_parts(cf, fr.curvature_blocks, coeffs)
+    rules = dict(fr.dtheta_rules)
     if not fr.om00.is_zero():
         rules[cf.index["om00"]] = o00 - ww[0]
     for k in range(3):
         rules[cf.index[OM20_NAMES[k]]] = o20.comps[k] - ww[1 + k]
         rules[cf.index[OM02_NAMES[k]]] = o02.comps[k] - ww[4 + k]
-    return rules
-
-
-def _gen_rules(fr: _Frame, coeffs=CURVATURE_DISPLAY) -> Dict[int, FormExpr]:
-    """The dtheta and domega rules with the curvature tuple `coeffs`."""
-    rules = dict(fr.dtheta_rules)
-    rules.update(_domega_rules(fr, _curvature_parts(
-        fr.cf, fr.curvature_blocks, coeffs)))
     return rules
 
 
@@ -665,10 +653,8 @@ def _a_rules(fr: _Frame, alphas, theta_part) -> Dict[str, FormExpr]:
     equivariant connection terms om00 a20, <om20,a20>_{1,0}, om00 a02,
     <om02,a02>_{0,1}, plus theta_part[w] for the w-th parameter."""
     al1, al2, al3, al4 = alphas
-    a20 = VForm.from_params(fr.cf, 2, 0, A20_SYMS)
-    a02 = VForm.from_params(fr.cf, 0, 2, A02_SYMS)
-    p20 = pair_vforms(fr.om20, a20, 1, 0)
-    p02 = pair_vforms(fr.om02, a02, 0, 1)
+    p20 = pair_vforms(fr.om20, fr.a20, 1, 0)
+    p02 = pair_vforms(fr.om02, fr.a02, 0, 1)
     rules = {}
     for w in range(3):
         rules[A20_SYMS[w]] = form_sum(fr.cf, (
@@ -683,9 +669,8 @@ def _a_rules(fr: _Frame, alphas, theta_part) -> Dict[str, FormExpr]:
 def _b_theta_part(fr: _Frame) -> List[FormExpr]:
     """The displayed theta-part of the a-rule, parametrized by b:
     3<b,theta>_{0,2} for a20, <b,theta>_{1,1} for a02."""
-    b = VForm.from_params(fr.cf, 1, 2, B_SYMS)
-    return (pair_vforms(b, fr.theta, 0, 2).scale(3).comps
-            + pair_vforms(b, fr.theta, 1, 1).comps)
+    return (pair_vforms(fr.b, fr.theta, 0, 2).scale(3).comps
+            + pair_vforms(fr.b, fr.theta, 1, 1).comps)
 
 
 @lru_cache(maxsize=None)
@@ -698,7 +683,7 @@ def derive_da() -> Mapping:
     in the theta-part, which is exactly the image of the displayed
     parametrization (3<b,theta>_{0,2}, <b,theta>_{1,1}).
     """
-    fr = _frame()
+    fr = _frame("g12")
     th = [(fr.cf.index[n],) for n in THETA_NAMES]
     syms, ks = _unknowns(("om00_a20", "om20_a20", "om00_a02", "om02_a02")
                          + tuple(f"{a}_{n}" for a in A20_SYMS + A02_SYMS
@@ -746,10 +731,7 @@ def _b_rules(fr: _Frame, coeffs: Mapping) -> Dict[str, FormExpr]:
     d2 = <a02,a02>_{0,2}, and the bare theta, whose coefficient is the
     parameter c.  A coefficient is a scalar or a Poly.
     """
-    cf, theta = fr.cf, fr.theta
-    a20 = VForm.from_params(cf, 2, 0, A20_SYMS)
-    a02 = VForm.from_params(cf, 0, 2, A02_SYMS)
-    b = VForm.from_params(cf, 1, 2, B_SYMS)
+    cf, theta, a20, a02, b = fr.cf, fr.theta, fr.a20, fr.a02, fr.b
     d1 = pair_vforms(a20, a20, 2, 0).comps[0].coefficient(())
     d2 = pair_vforms(a02, a02, 0, 2).comps[0].coefficient(())
     shapes = {
@@ -778,7 +760,7 @@ def derive_db() -> Mapping:
     d1 theta and d2 theta, fixed at the next stage, and the bare theta,
     whose coefficient is the new parameter c.
     """
-    fr = _frame()
+    fr = _frame("g12")
     a_rules = _a_rules(fr, derive_da()["alphas"], _b_theta_part(fr))
     syms, ks = _unknowns(B_SHAPES)
     param_rules = {**a_rules, **_b_rules(fr, dict(zip(B_SHAPES, ks)))}
@@ -825,15 +807,12 @@ def derive_dc() -> Mapping:
     d2 shows up as a 2-dimensional kernel; it is fixed by requiring dc to
     be a pure multiple of c om00.
     """
-    fr = _frame()
-    cf, theta = fr.cf, fr.theta
+    fr = _frame("g12")
+    cf, theta, a20, a02, b = fr.cf, fr.theta, fr.a20, fr.a02, fr.b
     names = ["q_d1", "q_d2",
              "c_om00", "a20_om20", "a02_om02",
              "b_theta", "a20b_theta", "a02b_theta"]
     syms, ks = _unknowns(names)
-    a20 = VForm.from_params(cf, 2, 0, A20_SYMS)
-    a02 = VForm.from_params(cf, 0, 2, A02_SYMS)
-    b = VForm.from_params(cf, 1, 2, B_SYMS)
     dc_shapes = [
         fr.om00.scale(Poly.var(C_SYM)),
         pair_vforms(a20, fr.om20, 2, 0).comps[0],
@@ -876,25 +855,17 @@ def derive_dc() -> Mapping:
         "redefinition_freedom": len(kernel)})
 
 
-def _torsion_term(cf: Coframe, theta: VForm) -> VForm:
-    """The torsion-s30 block <s30, <theta, theta>_{0,1}>_{2,0}."""
-    s30 = VForm.from_params(cf, 3, 0, S30_SYMS)
-    return pair_vforms(s30, pair_vforms(theta, theta, 0, 1), 2, 0)
-
-
-def _bianchi_term(cf: Coframe, theta: VForm) -> VForm:
+def _bianchi_term(fr: _Frame) -> VForm:
     """<<Omega, theta>>_1 for the displayed curvature Omega."""
-    _o00, o20, o02 = curvature_vform(cf, theta)
-    return vform_sum(cf, 1, 2, ((pair_vforms(o20, theta, 1, 0), 1),
-                                (pair_vforms(o02, theta, 0, 1), 1)))
+    return dbl_bracket(*_curvature_parts(fr.cf, fr.curvature_blocks,
+                                         CURVATURE_DISPLAY), fr.theta, 1)
 
 
 @lru_cache(maxsize=None)
-def _mode_skeleton(mode: str) -> Tuple[_Frame, Mapping[str, FormExpr]]:
-    """Everything of a structure system of `mode` that does not depend on
-    the curvature tuple: the frame (coframe, generators, dtheta rules,
-    omega ^ omega, curvature blocks) and the read-only parameter rules
-    (a, b, c, and s30 in torsion-s30 mode).  Built once per mode."""
+def _mode_skeleton(mode: str) -> Mapping[str, FormExpr]:
+    """The read-only parameter rules of `mode` (a, b, c, and s30 in
+    torsion-s30 mode), on the mode's frame.  Built once per mode, and
+    cached apart from `_frame`, which the derivations read."""
     da = derive_da()
     if not da["display_matches_freedom"]:
         raise ValueError("theta-part of the a-rule does not match the "
@@ -911,7 +882,7 @@ def _mode_skeleton(mode: str) -> Tuple[_Frame, Mapping[str, FormExpr]]:
     if mode == "torsion-s30":
         for j, s in enumerate(S30_SYMS):
             param_rules[s] = FormExpr.gen(fr.cf, DS30_NAMES[j])
-    return fr, MappingProxyType(param_rules)
+    return MappingProxyType(param_rules)
 
 
 def build_system(mode: str = "g12", curvature_coeffs=None) -> StructureSystem:
@@ -922,14 +893,14 @@ def build_system(mode: str = "g12", curvature_coeffs=None) -> StructureSystem:
     differentials become 4 extra coframe symbols).  `curvature_coeffs`
     perturbs the curvature ansatz; only negative-control tests pass it.
     Only the curvature parts and the domega rules are built here; the
-    rest comes from the mode's cached skeleton.
+    rest comes from the mode's cached frame and parameter rules.
     """
     if mode not in ("g12", "h12", "torsion-s30"):
         raise ValueError(f"unknown mode: {mode}")
-    fr, param_rules = _mode_skeleton(mode)
+    fr = _frame(mode)
     gen_rules = _gen_rules(fr, CURVATURE_DISPLAY if curvature_coeffs is None
                            else curvature_coeffs)
-    return StructureSystem(mode, fr.cf, gen_rules, param_rules)
+    return StructureSystem(mode, fr.cf, gen_rules, _mode_skeleton(mode))
 
 
 def d_squared_report(sys: StructureSystem) -> dict:
@@ -984,14 +955,13 @@ def torsion_mode_structure_check() -> dict:
     + <<omega,T>>_1 with every piece expanded independently (no silent
     extra terms)."""
     sys = build_system("torsion-s30")
-    cf = sys.cf
-    om00, om20, om02, theta = _gens(cf)
-    tor = _torsion_term(cf, theta)
+    fr = _frame("torsion-s30")
+    cf, tor = fr.cf, fr.torsion
     residual = VForm(1, 2, [exterior_d(sys.gen_rules[cf.index[n]], sys)
                             for n in THETA_NAMES])
     dtor = VForm(tor.n, tor.m, [exterior_d(c, sys) for c in tor.comps])
-    om_tor = dbl_bracket(om00, om20, om02, tor, 1)
-    omega_theta = _bianchi_term(cf, theta)
+    om_tor = dbl_bracket(fr.om00, fr.om20, fr.om02, tor, 1)
+    omega_theta = _bianchi_term(fr)
     combo = vform_sum(cf, 1, 2, ((residual, 1), (dtor, -1), (om_tor, -1),
                                  (omega_theta, 1)))
     return {
@@ -1005,15 +975,9 @@ def bianchi_combination_check() -> dict:
     """Omitting the curvature from the connection rule shifts the
     theta-residual by exactly the Bianchi combination <<Omega,theta>>_1."""
     full = build_system("g12")
-    fr, _param_rules = _mode_skeleton("g12")
+    omitted = build_system("g12", curvature_coeffs=(0,) * 5)
     cf = full.cf
-    omitted_rules = dict(full.gen_rules)
-    zero_parts = (FormExpr.zero(cf), VForm.zero(cf, 2, 0),
-                  VForm.zero(cf, 0, 2))
-    omitted_rules.update(_domega_rules(fr, zero_parts))
-    omitted = StructureSystem("g12-no-curvature", cf, omitted_rules,
-                              full.param_rules)
-    omega_theta = _bianchi_term(cf, fr.theta)
+    omega_theta = _bianchi_term(_frame("g12"))
     ok = True
     for k, name in enumerate(THETA_NAMES):
         rule = full.gen_rules[cf.index[name]]
@@ -1218,15 +1182,12 @@ def omega_wedge_and_pairing() -> Tuple[list, list]:
     om02) beside the paired expression
     -(1/2)(<om20,om20>_{1,0} + <om02,om02>_{0,1}), whose om00 component
     is 0."""
-    cf = Coframe(COFRAME_NAMES)
-    om00, om20, om02, _theta = _gens(cf)
-    om_list = [om00] + list(om20.comps) + list(om02.comps)
-    ww = omega_wedge_omega(cf, om_list)
-    p20 = pair_vforms(om20, om20, 1, 0)
-    p02 = pair_vforms(om02, om02, 0, 1)
-    cand = [FormExpr.zero(cf)] + [c.scale(Fraction(-1, 2))
-                                  for c in list(p20.comps) + list(p02.comps)]
-    return ww, cand
+    fr = _frame("g12")
+    p20 = pair_vforms(fr.om20, fr.om20, 1, 0)
+    p02 = pair_vforms(fr.om02, fr.om02, 0, 1)
+    cand = [FormExpr.zero(fr.cf)] + [c.scale(Fraction(-1, 2))
+                                     for c in p20.comps + p02.comps]
+    return list(fr.omega_square), cand
 
 
 def fit_pairing_scale(ww: list, cand: list) -> dict:

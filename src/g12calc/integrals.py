@@ -399,19 +399,6 @@ def integrals_equivariant() -> bool:
     return True
 
 
-def _field_values(sys: StructureSystem, r12: BiForm, r20: BiForm,
-                  r02: BiForm) -> Dict[int, Poly]:
-    """Coframe values of a gradient field: theta components -r12,
-    connection components r20 and r02."""
-    index = sys.cf.index
-    values = {index[name]: c * -1
-              for name, c in zip(THETA_NAMES, r12.coords())}
-    for names, form in ((OM20_NAMES, r20), (OM02_NAMES, r02)):
-        values.update((index[name], c)
-                      for name, c in zip(names, form.coords()))
-    return values
-
-
 def _lie_derivative_1form(sys: StructureSystem, gen_name: str,
                           values: Dict[int, Poly]) -> FormExpr:
     """Cartan formula d(iota) + iota(d) for a coframe 1-form."""
@@ -438,18 +425,14 @@ def symmetry_fields_check() -> Mapping:
     """
     sys = build_system("h12")
     cf = sys.cf
-    rows = gradient_rows()
-    live = THETA_NAMES + OM20_NAMES + OM02_NAMES
-    values = {}
+    values = {k: {cf.index[name]: c for name, c in zip(COFRAME_COLS, col)}
+              for k, col in zip(("1", "2"), kernel_columns())}
     lie_invariance = {}
     lie_display_scaling = {}
-    for k in ("1", "2"):
-        vals = _field_values(sys, rows[f"r{k}_b"], rows[f"r{k}_a20"],
-                             rows[f"r{k}_a02"])
-        values[k] = vals
+    for k, vals in values.items():
         inv_ok = True
         scale_ok = True
-        for name in live:
+        for name in COFRAME_COLS:
             lie = _lie_derivative_1form(sys, name, vals)
             if not lie.is_zero():
                 inv_ok = False
@@ -459,7 +442,7 @@ def symmetry_fields_check() -> Mapping:
         lie_display_scaling[k] = scale_ok
     bracket_ok = True
     v1, v2 = values["1"], values["2"]
-    for name in live:
+    for name in COFRAME_COLS:
         gidx = cf.index[name]
         # alpha([Z1,Z2]) = Z1(alpha(Z2)) - Z2(alpha(Z1)) - d(alpha)(Z1,Z2)
         a_z2 = FormExpr.scalar(cf, v2.get(gidx, Poly.zero()))

@@ -301,11 +301,11 @@ def phi_to_map(phi: PhiCoords) -> Callable[[BiForm], LieElt]:
     """The linear map V_{1,2} -> g determined by pairing coordinates."""
 
     def apply(p: BiForm) -> LieElt:
-        comps: Dict[str, BiForm] = {}
-        for block, comp, orders in PHI_TERMS:
-            term = transvectant2(getattr(phi, block), p, *orders)
-            comps[comp] = comps[comp] + term if comp in comps else term
-        return LieElt(**comps)
+        return LieElt(**{
+            comp: BiForm(n, m, dot(
+                (transvectant2(getattr(phi, block), p, *orders).poly, 1)
+                for block, at, orders in PHI_TERMS if at == comp))
+            for comp, (n, m) in LieElt.SHAPE})
 
     return apply
 
@@ -316,11 +316,9 @@ def torsion_tensor(s: TorsionCoords) -> Callable[[BiForm, BiForm], BiForm]:
     def apply(p: BiForm, q: BiForm) -> BiForm:
         pq = {o: transvectant2(p, q, *o)
               for o in {inner for _, inner, _ in TORSION_TERMS}}
-        out = None
-        for block, inner, outer in TORSION_TERMS:
-            term = transvectant2(getattr(s, block), pq[inner], *outer)
-            out = term if out is None else out + term
-        return out
+        return BiForm(1, 2, dot(
+            (transvectant2(getattr(s, block), pq[inner], *outer).poly, 1)
+            for block, inner, outer in TORSION_TERMS))
 
     return apply
 
@@ -652,11 +650,8 @@ def splitting_correction_vanishes(k: int) -> dict:
                  for s in bf.symbol_names(0, 2 * i, f"vv{2 * i}")]
 
     def delta(u: BiForm) -> BiForm:
-        acc = None
-        for i, v in enumerate(vs, start=1):
-            term = transvectant2(u, v, 0, i + 1)
-            acc = term if acc is None else acc + term
-        return acc
+        return BiForm(0, k - 1, dot((transvectant2(u, v, 0, i + 1).poly, 1)
+                                    for i, v in enumerate(vs, start=1)))
 
     r = _generic_line()
     rows = linear_rows([_at_root(delta(BiForm(0, k + 1, r * r * w.poly)))

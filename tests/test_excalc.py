@@ -81,8 +81,15 @@ def test_bianchi_kernel_cross_checked_by_dense_elimination():
     cf = Coframe(COFRAME_NAMES)
     theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
     from itertools import combinations
-    from g12calc.excalc import _g12_apply
+    from g12calc.excalc import form_sum
     from g12calc.linalg import linsolve
+
+    def _g12_apply(k, q):
+        # the k-th algebra basis element acting through its action matrix
+        # on V_{1,2}, independent of the pairing route of dbl_bracket
+        return VForm(q.n, q.m, [form_sum(cf, zip(q.comps, row))
+                                for row in bf.g1k_matrices(2)[k]])
+
     pairs = list(combinations(range(6), 2))
     triples = {t: i for i, t in enumerate(combinations(range(6), 3))}
     rows = [[Fraction(0)] * 105 for _ in range(len(triples) * 6)]
@@ -102,6 +109,39 @@ def test_bianchi_kernel_cross_checked_by_dense_elimination():
     combined = PolyMatrix([list(v) for v in ker]
                           + [list(v) for v in sparse_kernel])
     assert matrix_rank_kernel(combined.transpose())[0] == 6
+
+
+def test_bianchi_ansatz_vectors_match_unit_parameter_route():
+    # the ansatz vectors are read as derivatives of the displayed
+    # curvature's coefficients; rebuild them from unit a20/a02 through
+    # explicit pairings of theta
+    from itertools import combinations
+    from g12calc.excalc import CURVATURE_DISPLAY, pair_vforms
+    cf = Coframe(COFRAME_NAMES)
+    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
+    th12 = pair_vforms(theta, theta, 1, 2)
+    th01 = pair_vforms(theta, theta, 0, 1)
+    th10 = pair_vforms(theta, theta, 1, 0)
+    c1, c2, c3, c4, c5 = CURVATURE_DISPLAY
+    pairs = list(combinations(range(6), 2))
+    unit_vecs = []
+    for slot in range(6):
+        a20 = VForm(2, 0, [FormExpr.scalar(cf, int(slot == t))
+                           for t in range(3)])
+        a02 = VForm(0, 2, [FormExpr.scalar(cf, int(slot == 3 + t))
+                           for t in range(3)])
+        b1, b2 = pair_vforms(a20, th12, 0, 0), pair_vforms(a02, th01, 0, 2)
+        b3, b4 = pair_vforms(a20, th01, 2, 0), pair_vforms(a02, th10, 0, 2)
+        b5 = pair_vforms(a02, th12, 0, 0)
+        comps = ([FormExpr.zero(cf)]
+                 + [x.scale(c1) + y.scale(c2)
+                    for x, y in zip(b1.comps, b2.comps)]
+                 + [x.scale(c3) + y.scale(c4) + z.scale(c5)
+                    for x, y, z in zip(b3.comps, b4.comps, b5.comps)])
+        unit_vecs.append([comps[k].coefficient(pq).constant_value()
+                          for pq in pairs for k in range(7)])
+    assert any(any(v) for v in unit_vecs)
+    assert bianchi_solve()["ansatz"] == unit_vecs
 
 
 def test_bianchi_kernel_vectors_satisfy_condition_reconstructed():
@@ -361,10 +401,12 @@ def _system_record(sys) -> list:
 def test_build_system_does_not_depend_on_cache_warmth(mode, other):
     """The same system, residuals included, whether the mode's cached
     part is built fresh, after another mode's, or reused."""
-    from g12calc.excalc import _mode_skeleton
+    from g12calc.excalc import _frame, _mode_skeleton
     _mode_skeleton.cache_clear()
+    _frame.cache_clear()
     fresh = _system_record(build_system(mode))
     _mode_skeleton.cache_clear()
+    _frame.cache_clear()
     build_system(other)
     assert _system_record(build_system(mode)) == fresh
     build_system("h12")
