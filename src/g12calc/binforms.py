@@ -508,7 +508,7 @@ def isotypic_decompose(rep: Rep) -> Dict[Tuple[int, int], int]:
                 for r, v in rep.cols[e][c].items():
                     by_row.setdefault(r, [0] * len(idxs))[at] = v
             rows.extend(by_row[r] for r in sorted(by_row))
-        mult = len(idxs) - rank(PolyMatrix(rows))
+        mult = len(idxs) - rank(rows)
         if mult:
             out[w] = mult
     total = sum(mult * dim_v(*w) for w, mult in out.items())
@@ -658,8 +658,8 @@ def vprime_split(k: int):
     vp = vprime_basis(k)
     vs = vsecond_basis(k)
     cols = [f.coords() for f in vp + vs]
-    mat = PolyMatrix([[cols[j][i] for j in range(len(cols))]
-                      for i in range(dim_v(1, k))])
+    mat = [[cols[j][i].constant_value() for j in range(len(cols))]
+           for i in range(dim_v(1, k))]
     direct = (rank(mat) == len(vp) + len(vs) == dim_v(1, k))
     return vp, vs, (len(vp), len(vs)), direct
 

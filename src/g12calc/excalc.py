@@ -61,7 +61,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from . import binforms as bf
 from .binforms import (BiForm, basis, dim_v, from_coords, gradient_form,
                        pairing_table)
-from .linalg import (PolyMatrix, kernel_basis, linear_rows, linsolve, rank,
+from .linalg import (kernel_basis, linear_rows, linsolve, rank,
                      reduced_echelon, solve_sparse, spans_equal)
 from .poly import (Poly, Substitution, _operand, _trusted, _var_key,
                    add_product, fields_mask, var_key)
@@ -300,12 +300,18 @@ class FormExpr:
         return " + ".join(bits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VForm:
-    """A V_{n,m}-valued form: one FormExpr per weight-basis component."""
+    """A V_{n,m}-valued form: one FormExpr per weight-basis component.
+
+    Frozen, with the components stored as a tuple, so a form that a cache
+    hands out cannot be changed in place."""
     n: int
     m: int
-    comps: List[FormExpr]
+    comps: Tuple[FormExpr, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "comps", tuple(self.comps))
 
     @staticmethod
     def zero(cf: Coframe, n: int, m: int) -> "VForm":
@@ -465,7 +471,8 @@ def _g12_bracket_constants() -> tuple:
     return tuple(sorted(g12_algebra().brackets.items()))
 
 
-def omega_wedge_omega(cf: Coframe, om_gens: List[FormExpr]) -> List[FormExpr]:
+def omega_wedge_omega(cf: Coframe,
+                      om_gens: Sequence[FormExpr]) -> List[FormExpr]:
     """(omega ^ omega)_k = sum_{i<j} c^k_{ij} om_i ^ om_j in the 7
     algebra components."""
     terms = [[] for _ in range(7)]
@@ -508,14 +515,14 @@ def bianchi_solve() -> dict:
     # linear in the curvature parameters, one vector per parameter
     o00, o20, o02 = _curvature_parts(fr.cf, fr.curvature_blocks,
                                      CURVATURE_DISPLAY)
-    comps = [o00] + o20.comps + o02.comps
+    comps = (o00, *o20.comps, *o02.comps)
     ansatz = [[comps[k].coefficient(pq).diff(s).constant_value()
                for pq in pairs for k in range(7)]
               for s in A20_SYMS + A02_SYMS]
     return {
         "solution_dim": len(kernel),
         "ansatz": ansatz,
-        "ansatz_rank": rank(PolyMatrix(ansatz)),
+        "ansatz_rank": rank(ansatz),
         "ansatz_spans_solutions": spans_equal(kernel, ansatz, 6),
         "display_coefficients": [str(x) for x in CURVATURE_DISPLAY],
         "kernel": kernel,
@@ -545,16 +552,6 @@ def _curvature_parts(cf: Coframe, blocks: Sequence[VForm],
     return (FormExpr.zero(cf),
             vform_sum(cf, 2, 0, ((b1, c1), (b2, c2))),
             vform_sum(cf, 0, 2, ((b3, c3), (b4, c4), (b5, c5))))
-
-
-def curvature_vform(cf: Coframe, theta: VForm, coeffs=CURVATURE_DISPLAY
-                    ) -> Tuple[FormExpr, VForm, VForm]:
-    """The curvature 2-form on `theta` in algebra components (om00, V20,
-    V02 parts) on the coframe `cf`, for the symbolic curvature
-    parameters."""
-    fr = _frame("g12")
-    return _curvature_parts(cf, _curvature_blocks(theta, fr.a20, fr.a02),
-                            coeffs)
 
 
 # -- the frame of a mode ----------------------------------------------------
@@ -604,7 +601,7 @@ def _frame(mode: str) -> _Frame:
                               pair_vforms(theta, theta, 0, 1), 2, 0)
         for k, name in enumerate(THETA_NAMES):
             dtheta[cf.index[name]] = dtheta[cf.index[name]] + torsion.comps[k]
-    ww = omega_wedge_omega(cf, [om00] + om20.comps + om02.comps)
+    ww = omega_wedge_omega(cf, (om00, *om20.comps, *om02.comps))
     return _Frame(cf, om00, om20, om02, theta, a20, a02, b, torsion,
                   MappingProxyType(dtheta), tuple(ww),
                   _curvature_blocks(theta, a20, a02))
@@ -666,7 +663,7 @@ def _a_rules(fr: _Frame, alphas, theta_part) -> Dict[str, FormExpr]:
     return rules
 
 
-def _b_theta_part(fr: _Frame) -> List[FormExpr]:
+def _b_theta_part(fr: _Frame) -> Tuple[FormExpr, ...]:
     """The displayed theta-part of the a-rule, parametrized by b:
     3<b,theta>_{0,2} for a20, <b,theta>_{1,1} for a02."""
     return (pair_vforms(fr.b, fr.theta, 0, 2).scale(3).comps
@@ -835,9 +832,8 @@ def derive_dc() -> Mapping:
                          f"{len(kernel)}")
     # normalize: force the five non-(c om00) dc-shapes to zero
     extra_cols = list(range(3, 8))
-    mat = PolyMatrix([[kv[cidx] for kv in kernel] for cidx in extra_cols])
-    rhs = [-part[cidx] for cidx in extra_cols]
-    fix = linsolve(mat, rhs)
+    fix = linsolve([[kv[cidx] for kv in kernel] for cidx in extra_cols],
+                   [-part[cidx] for cidx in extra_cols])
     if fix is None:
         raise ValueError("cannot normalize the c-rule to pure c om00")
     xs = fix[0]
@@ -1147,17 +1143,14 @@ def restriction_chain() -> dict:
     # two functionals cutting the gradient subspace out of b-space
     b_rules = [sys.param_rules[s] for s in B_SYMS]
     diffs += [form_sum(cf, zip(b_rules, functional))
-              for functional in kernel_basis(PolyMatrix(grad_vecs))]
+              for functional in kernel_basis(grad_vecs)]
     live = [cf.index[n] for n in THETA_NAMES + OM20_NAMES + OM02_NAMES]
-    mat = []
-    for fe in diffs:
-        row = []
-        for gidx in live:
-            row.append(fe.coefficient((gidx,)).subs(assignment))
-        mat.append(row)
-    rank_all = rank(PolyMatrix(mat))
-    rank_a = rank(PolyMatrix(mat[:3]))
-    rank_b = rank(PolyMatrix(mat[3:]))
+    sub = Substitution(assignment)
+    mat = [[fe.coefficient((gidx,)).subs(sub).constant_value()
+            for gidx in live] for fe in diffs]
+    rank_all = rank(mat)
+    rank_a = rank(mat[:3])
+    rank_b = rank(mat[3:])
     # the five differentials satisfy exactly one relation on the locus:
     # the conserved first integral vanishes identically there, so its
     # (identically zero) differential ties the blocks together; rank 4

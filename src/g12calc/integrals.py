@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -23,7 +22,7 @@ from .excalc import (A02_SYMS, A20_SYMS, C_SYM, CURVATURE_SHAPE, OM02_NAMES,
                      build_system, contract, exterior_d, form_sum)
 from .linalg import (PolyMatrix, invert_rational, matrix_det, rank,
                      random_rational_point)
-from .poly import Poly, Scalar, declare, dot
+from .poly import Poly, Scalar, Substitution, declare, dot
 
 COFRAME_COLS = THETA_NAMES + OM20_NAMES + OM02_NAMES
 
@@ -301,15 +300,16 @@ def det_vanishes_symbolically() -> dict:
 
 
 def sigma_c_membership(assignment: Dict[str, Scalar]) -> bool:
-    """Is the point on the singular locus?  Exact: all 2 x 2 minors of
-    the stacked gradient rows vanish."""
-    f1, f2 = first_integrals()
-    g1 = [g.subs(assignment).constant_value() for g in gradient(f1)]
-    g2 = [g.subs(assignment).constant_value() for g in gradient(f2)]
-    for i, jdx in combinations(range(12), 2):
-        if g1[i] * g2[jdx] - g1[jdx] * g2[i] != 0:
-            return False
-    return True
+    """Is the point on the singular locus?  Exact: the gradient rows of
+    f1 and f2 there have rank below 2."""
+    sub = Substitution(assignment)
+    return rank([[g.subs(sub).constant_value() for g in gradient(f)]
+                 for f in first_integrals()]) < 2
+
+
+def _rank_at(assignment: Dict[str, Scalar]) -> int:
+    """Exact rank of J at a rational point."""
+    return rank(_jmatrix_symbolic().subs(assignment).constant_rows())
 
 
 def rank_certificate(c_value: Scalar, seed: int) -> dict:
@@ -327,12 +327,10 @@ def rank_certificate(c_value: Scalar, seed: int) -> dict:
         used_seed += 1
     else:
         raise ValueError("could not find a point off the singular locus")
-    j = _jmatrix_symbolic().subs(assignment)
-    rank_j = rank(j)
+    rank_j = _rank_at(assignment)
     flat = dict.fromkeys(K_SYMS, Fraction(0))
     flat[C_SYM] = Fraction(c_value)
-    jflat = _jmatrix_symbolic().subs(flat)
-    rank_flat = rank(jflat)
+    rank_flat = _rank_at(flat)
     return {
         "seed": used_seed,
         "c": str(Fraction(c_value)),
@@ -348,24 +346,18 @@ def rank_certificate(c_value: Scalar, seed: int) -> dict:
 def rank_dichotomy_samples(c_value: Scalar, seeds: Sequence[int]) -> dict:
     """rank(J) = 10 exactly when the gradients are independent, sampled
     at seeded points plus engineered singular-locus members."""
+    # the seeded points, then engineered singular points: a = b = 0 and
+    # an a20-only point
+    flat = dict.fromkeys(K_SYMS, Fraction(0))
+    points = [(seed, random_rational_point(list(K_SYMS), seed))
+              for seed in seeds]
+    points += [(None, flat), (None, {**flat, A20_SYMS[1]: Fraction(1)})]
     results = []
-    for seed in seeds:
-        assignment = random_rational_point(list(K_SYMS), seed)
-        assignment[C_SYM] = Fraction(c_value)
+    for seed, point in points:
+        assignment = {**point, C_SYM: Fraction(c_value)}
         on_sigma = sigma_c_membership(assignment)
-        rk = rank(_jmatrix_symbolic().subs(assignment))
+        rk = _rank_at(assignment)
         results.append({"seed": seed, "on_sigma": on_sigma, "rank": rk,
-                        "consistent": (rk == 10) == (not on_sigma)})
-    # engineered singular points: a = b = 0 and a20-only points
-    specials = [dict.fromkeys(K_SYMS, Fraction(0))]
-    sp2 = dict.fromkeys(K_SYMS, Fraction(0))
-    sp2[A20_SYMS[1]] = Fraction(1)
-    specials.append(sp2)
-    for assignment in specials:
-        assignment[C_SYM] = Fraction(c_value)
-        on_sigma = sigma_c_membership(assignment)
-        rk = rank(_jmatrix_symbolic().subs(assignment))
-        results.append({"seed": None, "on_sigma": on_sigma, "rank": rk,
                         "consistent": (rk == 10) == (not on_sigma)})
     return {"samples": results,
             "all_consistent": all(r["consistent"] for r in results)}

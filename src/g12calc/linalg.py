@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals and over polynomial rings.
 
-Every elimination over Q goes through one integer core: each row is
-scaled to coprime integers (the one place values enter, and where
-`float` is rejected), then `reduced_echelon` reduces the rows
-fraction-free, forward and back, and returns the pivot columns with the
-reduced integer rows.  The public operations are views of it:
+Every operation over Q takes rows of exact scalars (`int`/`Fraction`),
+and goes through one integer core: each row is scaled to coprime
+integers (the one place values enter, where `float` is rejected and
+rows of unequal length are refused), then `reduced_echelon` reduces the
+rows fraction-free, forward and back, and returns the pivot columns with
+the reduced integer rows.  A matrix has len(rows[0]) columns, or none
+when it has no rows.  The public operations are views of the core:
 
 - `rank` runs the forward pass only and counts pivots, and
   `spans_equal` compares two row spans by three ranks;
@@ -18,7 +20,11 @@ An identity linear in unknown coefficients becomes `solve_sparse` rows
 in one way only: `linear_rows` reads each polynomial as affine in the
 named unknowns and gives one row per monomial in the other variables.
 
-A Fraction appears only when a result is written out.  Determinants also
+`PolyMatrix` holds polynomial entries: the curvature Jacobian, its
+substitutions and determinants.  A matrix of them that is constant at a
+point enters the rational core through `PolyMatrix.constant_rows`.
+
+A Fraction appears only when a result is written out.  Determinants
 accept polynomial entries and use Bareiss one-step elimination over
 Z[x] with full pivoting chosen for sparsity: at each step the nonzero
 entry of the trailing block with the fewest terms, ties broken by the
@@ -29,7 +35,6 @@ such quotient, so when that divisor is not a constant its terms come out
 in `divexact`'s lex order, whatever pivots were taken.  Everything is
 deterministic and exact.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
@@ -41,7 +46,9 @@ from .poly import (Poly, Scalar, Substitution, _exact, divexact, fields_mask,
 
 
 class PolyMatrix:
-    """Dense matrix of Poly entries (constants are degree-0 polys)."""
+    """Dense matrix of Poly entries (scalars are wrapped as constant
+    polys).  Rational linear algebra takes plain rows instead; a matrix
+    that is constant at a point hands them over by `constant_rows`."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -68,7 +75,13 @@ class PolyMatrix:
         return self.entries[i][j]
 
     def constant_rows(self) -> List[List[Scalar]]:
-        return [[e.constant_value() for e in row] for row in self.entries]
+        """The stored int-or-Fraction values of a constant matrix;
+        ValueError on a non-constant entry."""
+        for row in self.entries:
+            for e in row:
+                if any(e.packed):
+                    raise ValueError(f"not a constant: {e}")
+        return [[e.packed.get(0, 0) for e in row] for row in self.entries]
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix([[self.entries[i][j] for i in range(self.rows)]
@@ -185,15 +198,6 @@ def matrix_det(m: PolyMatrix) -> Poly:
 # -- exact elimination over the rationals --------------------------------
 
 
-def _stored_rows(m: PolyMatrix) -> List[list]:
-    """The stored int-or-Fraction values of a constant matrix."""
-    for row in m.entries:
-        for e in row:
-            if not e.is_constant():
-                raise ValueError(f"not a constant: {e}")
-    return [[e.packed.get(0, 0) for e in row] for row in m.entries]
-
-
 def _int_row(values) -> List[int]:
     """Scale one row of exact scalars to coprime integers.
 
@@ -205,6 +209,19 @@ def _int_row(values) -> List[int]:
     if den != 1:
         row = [x.numerator * (den // x.denominator) for x in row]
     return _primitive(row)
+
+
+def _int_rows(rows: Sequence[Sequence[Scalar]]) -> List[List[int]]:
+    """`_int_row` of every row; ValueError when the rows differ in
+    length."""
+    ints = [_int_row(row) for row in rows]
+    if any(len(r) != len(ints[0]) for r in ints):
+        raise ValueError("ragged matrix")
+    return ints
+
+
+def _ncols(rows: Sequence[Sequence[Scalar]]) -> int:
+    return len(rows[0]) if rows else 0
 
 
 def _primitive(row: List[int]) -> List[int]:
@@ -224,7 +241,7 @@ def _row_echelon(int_rows: List[List[int]]):
     """In-place integer row echelon; returns list of pivot columns."""
     rows = int_rows
     nr = len(rows)
-    nc = len(rows[0]) if rows else 0
+    nc = _ncols(rows)
     pivots = []
     r = 0
     for c in range(nc):
@@ -256,7 +273,7 @@ def reduced_echelon(rows: Sequence[Sequence[Scalar]]):
     The rational reduced echelon form is row r divided by
     rows[r][pivots[r]], so a caller divides only in its final read-out.
     """
-    ints = [_int_row(row) for row in rows]
+    ints = _int_rows(rows)
     pivots = _row_echelon(ints)
     for r in range(len(pivots) - 1, 0, -1):
         c = pivots[r]
@@ -292,42 +309,42 @@ def _solution(pivots: List[int], rows: List[List[int]], n: int):
     return x, kernel
 
 
-def rank(m: PolyMatrix) -> int:
-    """Exact rank of a constant matrix (forward elimination only)."""
-    return len(_row_echelon([_int_row(row) for row in _stored_rows(m)]))
+def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank of a matrix of exact scalars (forward elimination
+    only)."""
+    return len(_row_echelon(_int_rows(rows)))
 
 
 def spans_equal(a: Sequence[Sequence[Scalar]],
                 b: Sequence[Sequence[Scalar]], dim: int) -> bool:
     """Whether the rows of `a` and of `b` span one `dim`-dimensional
     space: each block, and the two together, have rank `dim`."""
-    return (rank(PolyMatrix(a)) == rank(PolyMatrix(b))
-            == rank(PolyMatrix(list(a) + list(b))) == dim)
+    return rank(a) == rank(b) == rank(list(a) + list(b)) == dim
 
 
-def kernel_basis(m: PolyMatrix) -> List[List[Scalar]]:
-    """Exact basis of the right kernel of a constant matrix.
+def kernel_basis(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
+    """Exact basis of the right kernel of a matrix of exact scalars.
 
     Each basis vector has a 1 in one free column and 0 in the others.
     """
-    return _solution(*reduced_echelon(_stored_rows(m)), m.cols)[1]
+    return _solution(*reduced_echelon(rows), _ncols(rows))[1]
 
 
 def matrix_rank_kernel(m: PolyMatrix):
-    """(rank, kernel basis) of a constant matrix, both exact."""
-    ker = kernel_basis(m)
+    """(rank, kernel basis) of a constant PolyMatrix, both exact."""
+    ker = kernel_basis(m.constant_rows())
     return m.cols - len(ker), ker
 
 
-def linsolve(m: PolyMatrix, rhs: Sequence[Scalar]):
-    """Solve m x = rhs exactly.
+def linsolve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
+    """Solve A x = rhs exactly for the rows of A, exact scalars.
 
     Returns (particular solution, kernel basis) or None if inconsistent.
     """
-    if len(rhs) != m.rows:
+    if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
-    aug = [row + [rhs[i]] for i, row in enumerate(_stored_rows(m))]
-    return _solution(*reduced_echelon(aug), m.cols)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    return _solution(*reduced_echelon(aug), _ncols(rows))
 
 
 def solve_sparse(rows: List[dict], ncols: int):
@@ -338,12 +355,14 @@ def solve_sparse(rows: List[dict], ncols: int):
     i.e. column `ncols` holds the constant term.  Returns
     (particular solution, kernel basis) over the x's, or None if
     inconsistent.  Each row is written into a dense row of the shared
-    integer elimination.
+    integer elimination; a column outside 0..ncols raises ValueError.
     """
     dense = []
     for row in rows:
         d = [0] * (ncols + 1)
         for c, v in row.items():
+            if not 0 <= c <= ncols:
+                raise ValueError(f"column {c} outside 0..{ncols}")
             d[c] = v
         dense.append(d)
     pivots, ints = reduced_echelon(dense)
@@ -383,6 +402,8 @@ def invert_rational(rows: List[List[Scalar]]) -> List[List[Scalar]]:
     pivots, ints = reduced_echelon(
         [list(row) + [1 if j == i else 0 for j in range(n)]
          for i, row in enumerate(rows)])
+    if _ncols(rows) != n:
+        raise ValueError("not a square matrix")
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [[Fraction(ints[r][n + j], ints[r][r]) for j in range(n)]

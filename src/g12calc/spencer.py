@@ -39,9 +39,9 @@ from . import binforms as bf
 from .binforms import (BiForm, BlockCoords, LieElt, Rep, basis, from_coords,
                        gradient_form, isotypic_decompose, rep_matrices,
                        symbolic, transvectant2)
-from .linalg import (PolyMatrix, invert_rational, linear_rows, linsolve,
-                     rank, reduced_echelon, solve_sparse)
-from .poly import Poly, _exact, dot
+from .linalg import (invert_rational, linear_rows, linsolve, rank,
+                     reduced_echelon, solve_sparse)
+from .poly import Poly, Scalar, _exact, dot
 
 
 class LinearLieAlgebra:
@@ -91,8 +91,9 @@ class LinearLieAlgebra:
         return coords if span == flat else None
 
 
-def spencer_matrix(g: LinearLieAlgebra) -> PolyMatrix:
-    """Matrix of Sp: V* (x) g -> Lambda^2 V* (x) V in canonical bases.
+def spencer_matrix(g: LinearLieAlgebra) -> List[List[Scalar]]:
+    """Rows of the matrix of Sp: V* (x) g -> Lambda^2 V* (x) V in
+    canonical bases.
 
     Domain column (i, a) = i * dim(g) + a; target row (pair (p,q), r) =
     pair_index * n + r with pairs ordered lexicographically.
@@ -112,22 +113,23 @@ def spencer_matrix(g: LinearLieAlgebra) -> PolyMatrix:
                     for r in range(n):
                         if mat[r][p]:
                             rows[pi * n + r][col] -= mat[r][p]
-    return PolyMatrix(rows)
+    return rows
 
 
 def prolongation_and_h02(g: LinearLieAlgebra) -> dict:
     """Dimensions of the Spencer sequence for g, all exact."""
     sp = spencer_matrix(g)
     rk = rank(sp)
+    dim_domain, dim_target = g.n * g.dim, len(sp)
     return {
         "algebra": g.name,
         "dim_V": g.n,
         "dim_g": g.dim,
-        "dim_domain": sp.cols,
-        "dim_target": sp.rows,
+        "dim_domain": dim_domain,
+        "dim_target": dim_target,
         "rank": rk,
-        "dim_g1": sp.cols - rk,
-        "dim_h02": sp.rows - rk,
+        "dim_g1": dim_domain - rk,
+        "dim_h02": dim_target - rk,
     }
 
 
@@ -216,7 +218,7 @@ def spencer_equivariance_ok(g: Optional[LinearLieAlgebra] = None,
         module = Rep.space(1, 2)
         dom, tgt = spencer_domain_rep(g, module), spencer_target_rep(module)
     sp = [{r: v for r, v in enumerate(col) if v}
-          for col in zip(*spencer_matrix(g).constant_rows())]
+          for col in zip(*spencer_matrix(g))]
     for name in bf.GENERATOR_NAMES:
         for col, d_col in zip(sp, dom.cols[name]):
             if (bf.apply_columns(tgt.cols[name], col)
@@ -388,7 +390,7 @@ def decode_torsion(values: Sequence[Poly]) -> TorsionCoords:
 
 
 def torsion_encode_rank() -> int:
-    return rank(PolyMatrix(_torsion_encode_matrix()))
+    return rank(_torsion_encode_matrix())
 
 
 def spencer_of_phi(phi: PhiCoords) -> Callable[[BiForm, BiForm], BiForm]:
@@ -568,7 +570,7 @@ def _spencer_coordinate_matrix() -> tuple:
                     row = _PAIRS[min(i, j), max(i, j)] * 6 + hit[0]
                     c = c1 * hit[1]
                     values[start + k][row] += c if i < j else -c
-    return tuple(tuple(_exact(sum(c * col.get(j, 0) for j, c in row))
+    return tuple(tuple(_exact(sum(c * col[j] for j, c in row if j in col))
                        for col in values)
                  for row in _torsion_decode_matrix())
 
@@ -584,8 +586,7 @@ def intrinsic_adjustment(t: TorsionCoords) -> PhiCoords:
     sp = _spencer_coordinate_matrix()
     allowed = [k for name, (a, b) in PhiCoords.offsets().items()
                if name not in ("r14", "r12pp") for k in range(a, b)]
-    mat = PolyMatrix([[sp[i][k] for k in allowed] for i in range(90)])
-    sol = linsolve(mat, rhs)
+    sol = linsolve([[sp[i][k] for k in allowed] for i in range(90)], rhs)
     if sol is None:
         raise ValueError("torsion lies outside the admissible subspace")
     x, ker = sol

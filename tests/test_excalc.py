@@ -6,7 +6,7 @@ from g12calc import binforms as bf
 from g12calc.excalc import (COFRAME_NAMES, THETA_NAMES, Coframe,
                             FormExpr, StructureSystem, VForm,
                             bianchi_combination_check, bianchi_solve,
-                            build_system, contract, curvature_vform,
+                            build_system, contract,
                             d_squared_report, derive_da, derive_db, derive_dc,
                             derived_rule_report, exterior_d,
                             frobenius_residual, ideal_substitution,
@@ -102,7 +102,7 @@ def test_bianchi_kernel_cross_checked_by_dense_elimination():
                 for mono, coeff in fe.terms.items():
                     rows[triples[mono] * 6 + comp_idx][pi * 7 + k] += \
                         coeff.constant_value()
-    part, ker = linsolve(PolyMatrix(rows), [Fraction(0)] * len(rows))
+    part, ker = linsolve(rows, [Fraction(0)] * len(rows))
     assert part == [Fraction(0)] * 105
     assert len(ker) == 6
     sparse_kernel = bianchi_solve()["kernel"]
@@ -153,24 +153,16 @@ def test_bianchi_kernel_vectors_satisfy_condition_reconstructed():
     from g12calc.excalc import dbl_bracket
     pairs = list(combinations(range(6), 2))
     for v in bianchi_solve()["kernel"]:
-        om00part = FormExpr.zero(cf)
-        om20part = VForm.zero(cf, 2, 0)
-        om02part = VForm.zero(cf, 0, 2)
+        # the algebra components om00, om20 (3) and om02 (3) of the 2-form
+        parts = [FormExpr.zero(cf) for _ in range(7)]
         for pi, (p, q) in enumerate(pairs):
             wform = FormExpr.gen(cf, p).wedge(FormExpr.gen(cf, q))
             for k in range(7):
                 coeff = v[pi * 7 + k]
-                if not coeff:
-                    continue
-                if k == 0:
-                    om00part = om00part + wform.scale(coeff)
-                elif k <= 3:
-                    om20part.comps[k - 1] = om20part.comps[k - 1] + \
-                        wform.scale(coeff)
-                else:
-                    om02part.comps[k - 4] = om02part.comps[k - 4] + \
-                        wform.scale(coeff)
-        res = dbl_bracket(om00part, om20part, om02part, theta, 1)
+                if coeff:
+                    parts[k] = parts[k] + wform.scale(coeff)
+        res = dbl_bracket(parts[0], VForm(2, 0, parts[1:4]),
+                          VForm(0, 2, parts[4:]), theta, 1)
         assert res.is_zero()
 
 
@@ -263,12 +255,27 @@ def test_omega_wedge_scale_reported():
 
 
 def test_curvature_expansion_idempotent():
-    cf = Coframe(COFRAME_NAMES)
-    theta = VForm.from_gens(cf, 1, 2, THETA_NAMES)
-    _o, o20, o02 = curvature_vform(cf, theta)
-    for comp in list(o20.comps) + list(o02.comps):
-        rebuilt = FormExpr(cf, dict(comp.terms))
+    from g12calc.excalc import CURVATURE_DISPLAY, _curvature_parts, _frame
+    fr = _frame("g12")
+    _o, o20, o02 = _curvature_parts(fr.cf, fr.curvature_blocks,
+                                    CURVATURE_DISPLAY)
+    for comp in o20.comps + o02.comps:
+        rebuilt = FormExpr(fr.cf, dict(comp.terms))
         assert (rebuilt - comp).is_zero()
+
+
+def test_cached_frame_forms_are_read_only():
+    # a caller cannot change the cached frame's forms in place, so every
+    # later derivation sees the frame as it was built
+    from dataclasses import FrozenInstanceError
+    from g12calc.excalc import _frame
+    fr = _frame("g12")
+    assert isinstance(fr.theta.comps, tuple)
+    with pytest.raises(TypeError):
+        fr.theta.comps[0] = fr.theta.comps[1]
+    with pytest.raises(FrozenInstanceError):
+        fr.theta.comps = fr.om20.comps
+    assert bianchi_solve()["solution_dim"] == 6
 
 
 def test_ideal_reduction_simple():

@@ -9,10 +9,10 @@ from math import prod
 import pytest
 
 from g12calc.linalg import (DEFAULT_MAX_MAGNITUDE, PolyMatrix, _Lcg, _pivot,
-                            invert_rational, linear_rows, linsolve,
-                            matrix_det, matrix_rank_kernel,
-                            random_rational_point, solve_sparse,
-                            spans_equal)
+                            invert_rational, kernel_basis, linear_rows,
+                            linsolve, matrix_det, matrix_rank_kernel,
+                            random_rational_point, rank, reduced_echelon,
+                            solve_sparse, spans_equal)
 from g12calc.poly import Poly, parse_poly
 
 
@@ -197,17 +197,42 @@ def test_identity_and_zero():
     assert rank == 0 and len(ker) == 2
 
 
+def test_rank_and_kernel_take_scalar_rows():
+    rows = [[1, 2, 3], [2, 4, 6], [0, Fraction(1, 2), 4]]
+    assert rank(rows) == 2
+    assert kernel_basis(rows) == [[Fraction(13), Fraction(-8), Fraction(1)]]
+    # no rows: no columns, rank 0 and an empty kernel
+    assert rank([]) == 0 and kernel_basis([]) == []
+    # rows of width 0 have a 0-dimensional kernel too
+    assert kernel_basis([[], []]) == []
+    m = PolyMatrix(rows)
+    assert matrix_rank_kernel(m) == (2, kernel_basis(rows))
+
+
+def test_constant_rows_are_the_stored_values():
+    m = PolyMatrix([[0, Fraction(1, 2)], [Fraction(4, 2), -3]])
+    rows = m.constant_rows()
+    assert rows == [[0, Fraction(1, 2)], [2, -3]]
+    assert [[type(x) for x in row] for row in rows] == \
+        [[int, Fraction], [int, int]]
+    with pytest.raises(ValueError, match="not a constant"):
+        PolyMatrix([[1, Poly.var("p")]]).constant_rows()
+
+
 def test_linsolve_unique_and_inconsistent():
-    sol = linsolve(PolyMatrix.identity(3),
+    sol = linsolve([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                    [Fraction(1), Fraction(2), Fraction(3)])
     assert sol[0] == [Fraction(1), Fraction(2), Fraction(3)]
     assert sol[1] == []
-    assert linsolve(PolyMatrix.zero(2, 2), [Fraction(1), Fraction(0)]) is None
+    assert linsolve([[0, 0], [0, 0]], [Fraction(1), Fraction(0)]) is None
+    with pytest.raises(ValueError, match="rhs length"):
+        linsolve([[1, 0], [0, 1]], [1])
+    # no rows: no unknowns
+    assert linsolve([], []) == ([], [])
 
 
 def test_linsolve_underdetermined():
-    m = PolyMatrix([[1, 1, 1]])
-    part, ker = linsolve(m, [Fraction(6)])
+    part, ker = linsolve([[1, 1, 1]], [Fraction(6)])
     assert sum(part) == 6
     assert len(ker) == 2
 
@@ -232,7 +257,7 @@ def test_solve_sparse_matches_dense():
             assert sum(rows_d[i][j] * part[j] for j in range(4)) == rhs[i]
         rank, dense_ker = matrix_rank_kernel(m)
         assert ker == dense_ker
-        assert (part, ker) == linsolve(m, rhs)
+        assert (part, ker) == linsolve(rows_d, rhs)
 
 
 def test_solve_sparse_edge_rows():
@@ -251,6 +276,15 @@ def test_solve_sparse_inconsistent():
     assert solve_sparse([{0: 1}, {2: Fraction(1, 3)}], 2) is None
 
 
+def test_solve_sparse_rejects_columns_outside_range():
+    # column ncols is the constant term; -1 must not alias it, and a key
+    # past it must not reach the dense row
+    with pytest.raises(ValueError, match="outside"):
+        solve_sparse([{0: 1, -1: 3}], 2)
+    with pytest.raises(ValueError, match="outside"):
+        solve_sparse([{5: 2}], 2)
+
+
 def test_invert_rational():
     rng = _Lcg(31)
     m = rand_const_matrix(rng, 4)
@@ -267,13 +301,37 @@ def test_invert_rational():
             invert_rational(singular)
 
 
+# every rational entry point, called on dense rows of exact scalars
+DENSE_ENTRY_POINTS = (rank, kernel_basis,
+                      lambda rows: linsolve(rows, [0] * len(rows)),
+                      lambda rows: spans_equal(rows, rows, 2),
+                      reduced_echelon, invert_rational)
+
+
 def test_float_rejected_at_every_entry_point():
-    with pytest.raises(TypeError):
-        linsolve(PolyMatrix([[1, 0], [0, 2]]), [0.5, 1.5])
-    with pytest.raises(TypeError):
+    for entry in DENSE_ENTRY_POINTS:
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            entry([[1, 0], [0, 0.5]])
+    # a float in the right-hand side, and in a sparse row
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        linsolve([[1, 0], [0, 2]], [Fraction(1, 2), 1.5])
+    with pytest.raises(TypeError, match="not an exact scalar"):
         solve_sparse([{0: 0.5, 1: 1}], 1)
-    with pytest.raises(TypeError):
-        invert_rational([[0.5]])
+
+
+def test_ragged_rows_rejected_at_every_entry_point():
+    for entry in DENSE_ENTRY_POINTS:
+        for ragged in ([[1, 0], [0]], [[1], [0, 5]]):
+            with pytest.raises(ValueError, match="ragged"):
+                entry(ragged)
+    # two blocks of even rows but different widths
+    with pytest.raises(ValueError, match="ragged"):
+        spans_equal([[1, 0, 0]], [[1, 0]], 1)
+
+
+def test_invert_rational_rejects_non_square():
+    with pytest.raises(ValueError, match="not a square"):
+        invert_rational([[1, 2]])
 
 
 def _canon(rows):
