@@ -17,14 +17,20 @@ coordinate identities downstream (the structure-equation suite solves for
 the constants rather than assuming them, so a convention mismatch would
 surface there as a solver inconsistency, not as a silent wrong value).
 
-The pairing is defined by that sum in closed form on basis monomials:
-the constants of `pairing_table` (see `_slot_constant`).  They are
-integers by construction, since the 1/p! goes into binomials,
-(a)_r / r! = C(a, r).  `transvectant2` contracts the coefficients of its
-operands with them on integers only: each operand is written as integer
-numerators over one common denominator, and each output coefficient is
-divided once.  The Cayley Omega process, `transvectant2_omega`, shares no
-code with them and is the oracle.
+The pairing is defined by that sum in closed form on basis monomials.
+In one slot it is `_slot_constant`, an integer by construction, since the
+1/p! goes into binomials, (a)_r / r! = C(a, r); `_slot_table(n, m, p)`
+caches those constants of V_n x V_m as rows of tuples.  A two-slot
+constant is the product of two one-slot constants, and the target
+monomial is key arithmetic: exponents add field by field, so basis
+monomials with keys ka and kb pair onto ka + kb - form_key(p1, p1, p2,
+p2).  `transvectant2` contracts the coefficients of its operands on the
+one-slot rows directly and on integers only: each operand is written as
+integer numerators over one common denominator, and each output
+coefficient is divided once.  `pairing_table` is the composed view, the
+two-slot constants by basis index, for callers that contract coordinate
+vectors.  The Cayley Omega process, `transvectant2_omega`, shares no code
+with them and is the oracle.
 
 Coordinates made of several forms are `BlockCoords`, declared by a SHAPE
 of named bidegrees.  One of them is `LieElt`, the algebra g_{1,2} =
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, factorial, lcm, perm
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
@@ -241,46 +247,61 @@ class BlockCoords:
 # -- transvectants --------------------------------------------------------
 
 
-def _numerators(p: Poly, m: int):
+def _numerators(p: Poly):
     """p as integer numerators over one common denominator: (the lcm of
-    its denominators, [(basis index, key of the parameter part,
-    numerator)] in term order), for a form whose second slot has degree
-    m."""
-    den = lcm(*(c.denominator for c in p.packed.values()
-                if type(c) is not int))
+    its denominators, [(y1 exponent, y2 exponent, key, numerator)] in
+    term order)."""
+    den = 1
+    for c in p.packed.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
     out = []
     for k, c in p.packed.items():
-        (_x1, y1, _x2, y2), rest = split_form(k)
+        (_x1, y1, _x2, y2), _rest = split_form(k)
         if type(c) is int:
             c *= den
         else:
             c = c.numerator * (den // c.denominator)
-        out.append((y1 * (m + 1) + y2, rest, c))
+        out.append((y1, y2, k, c))
     return den, out
 
 
 def transvectant2(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
-    """Slotwise pairing <u, v>_{p1, p2} in the frozen convention: the
-    bilinear contraction of u and v with `pairing_table`, summed on the
-    operands' integer numerators and divided once per output term by the
-    product of their common denominators."""
-    table = pairing_table(u.n, u.m, v.n, v.m, p1, p2)
-    tn, tm = u.n + v.n - 2 * p1, u.m + v.m - 2 * p2
-    targets = [form_key(tn - i, i, tm - j, j)
-               for i in range(tn + 1) for j in range(tm + 1)]
-    du, uterms = _numerators(u.poly, u.m)
-    dv, vterms = _numerators(v.poly, v.m)
+    """Slotwise pairing <u, v>_{p1, p2} in the frozen convention.
+
+    The terms of u and v at basis monomials (i1, j1) and (i2, j2) pair
+    with the constant s1[i1][i2] * s2[j1][j2] of the one-slot tables
+    `_slot_table`, s2 read only where s1 is nonzero.  A nonzero pair lands
+    on the key ka + kb - form_key(p1, p1, p2, p2) of the operands' keys:
+    its monomial is x1^(n1-i1 + n2-i2 - p1) y1^(i1+i2-p1) x2^(m1-j1 +
+    m2-j2 - p2) y2^(j1+j2-p2) times both parameter parts, and exponents
+    add field by field in a key.  The sums run on the operands' integer
+    numerators and each output term is divided once by the product of
+    their common denominators.  Output terms are in order of first
+    reach, u's terms outer and v's inner.  DegreeError unless 0 <= p1 <=
+    min(n1, n2) and 0 <= p2 <= min(m1, m2).
+    """
+    _check_orders(u.n, u.m, v.n, v.m, p1, p2)
+    s1 = _slot_table(u.n, v.n, p1)
+    s2 = _slot_table(u.m, v.m, p2)
+    shift = form_key(p1, p1, p2, p2)
+    du, uterms = _numerators(u.poly)
+    dv, vterms = _numerators(v.poly)
     out = {}
-    for ia, pa, ca in uterms:
-        for ib, pb, cb in vterms:
-            hit = table.get((ia, ib))
-            if hit is not None:
-                e = targets[hit[0]] + pa + pb
-                out[e] = out.get(e, 0) + ca * cb * hit[1]
+    for i1, j1, ka, ca in uterms:
+        r1, r2 = s1[i1], s2[j1]
+        ka -= shift
+        for i2, j2, kb, cb in vterms:
+            c = r1[i2]
+            if c:
+                c *= r2[j2]
+                if c:
+                    e = ka + kb
+                    out[e] = out.get(e, 0) + ca * cb * c
     den = du * dv
     for e, c in out.items():
         out[e] = _div(c, den)
-    return BiForm(tn, tm, from_packed(out))
+    return BiForm(u.n + v.n - 2 * p1, u.m + v.m - 2 * p2, from_packed(out))
 
 
 def transvectant(u: BiForm, v: BiForm, p: int) -> BiForm:
@@ -325,33 +346,58 @@ def _slot_constant(n: int, i: int, m: int, j: int, p: int) -> int:
                * perm(m - j, k) * perm(j, p - k) for k in range(p + 1))
 
 
-@lru_cache(maxsize=None)
-def pairing_table(n1: int, m1: int, n2: int, m2: int, p1: int, p2: int):
-    """Structure constants of <.,.>_{p1,p2} on basis monomials.
-
-    The pairing of basis monomials (i1, j1) of V_{n1,m1} and (i2, j2) of
-    V_{n2,m2} is the basis monomial (i1 + i2 - p1, j1 + j2 - p2) of the
-    target, times the product of the two one-slot constants, each read
-    from a table of one slot pair.  Returns a read-only mapping
-    {(idx1, idx2): (target_idx, constant)}, ordered by (i1, j1, i2, j2),
-    with zero entries omitted; every constant is an `int`.
-    """
+def _check_orders(n1: int, m1: int, n2: int, m2: int, p1: int,
+                  p2: int) -> None:
+    """DegreeError unless 0 <= p1 <= min(n1, n2) and
+    0 <= p2 <= min(m1, m2)."""
     if p1 < 0 or p2 < 0 or p1 > min(n1, n2) or p2 > min(m1, m2):
         raise DegreeError(
             f"pairing orders ({p1},{p2}) out of range for bidegrees "
             f"{(n1, m1)} x {(n2, m2)}")
-    slot1 = [[_slot_constant(n1, i1, n2, i2, p1) for i2 in range(n2 + 1)]
-             for i1 in range(n1 + 1)]
-    slot2 = [[_slot_constant(m1, j1, m2, j2, p2) for j2 in range(m2 + 1)]
-             for j1 in range(m1 + 1)]
+
+
+@lru_cache(maxsize=None)
+def _slot_table(n: int, m: int, p: int) -> Tuple[Tuple[int, ...], ...]:
+    """The one-slot constants of <.,.>_p on V_n x V_m: row i, entry j is
+    `_slot_constant(n, i, m, j, p)`.
+
+    The tuples are copied from lists, so that each is allocated at its
+    final length: a tuple grown from a generator is resized, and when the
+    cache is cleared it lands on the interpreter's free list of its size
+    without having been taken from it, so repeated clears and rebuilds
+    leave those free lists full (up to 2000 tuples per size)."""
+    return tuple([tuple([_slot_constant(n, i, m, j, p)
+                         for j in range(m + 1)])
+                  for i in range(n + 1)])
+
+
+@lru_cache(maxsize=None)
+def pairing_table(n1: int, m1: int, n2: int, m2: int, p1: int, p2: int):
+    """Structure constants of <.,.>_{p1,p2} on basis monomials.
+
+    The composed view of the one-slot tables that `transvectant2` reads:
+    the pairing of basis monomials (i1, j1) of V_{n1,m1} and (i2, j2) of
+    V_{n2,m2} is the basis monomial (i1 + i2 - p1, j1 + j2 - p2) of the
+    target times _slot_table(n1, n2, p1)[i1][i2] * _slot_table(m1, m2,
+    p2)[j1][j2].  Returns a read-only mapping {(idx1, idx2): (target_idx,
+    constant)}, ordered by (i1, j1, i2, j2), with zero entries omitted;
+    every constant is an `int`.
+    """
+    _check_orders(n1, m1, n2, m2, p1, p2)
+    slot1 = _slot_table(n1, n2, p1)
+    slot2 = _slot_table(m1, m2, p2)
     tm = m1 + m2 - 2 * p2
     out = {}
-    for i1, j1, i2, j2 in product(range(n1 + 1), range(m1 + 1),
-                                  range(n2 + 1), range(m2 + 1)):
-        c = slot1[i1][i2] * slot2[j1][j2]
-        if c:
-            out[(i1 * (m1 + 1) + j1, i2 * (m2 + 1) + j2)] = (
-                (i1 + i2 - p1) * (tm + 1) + j1 + j2 - p2, c)
+    for i1, row1 in enumerate(slot1):
+        for j1, row2 in enumerate(slot2):
+            for i2, c1 in enumerate(row1):
+                if not c1:
+                    continue
+                for j2, c2 in enumerate(row2):
+                    if c2:
+                        out[(i1 * (m1 + 1) + j1, i2 * (m2 + 1) + j2)] = (
+                            (i1 + i2 - p1) * (tm + 1) + j1 + j2 - p2,
+                            c1 * c2)
     return MappingProxyType(out)
 
 

@@ -61,15 +61,6 @@ class PolyMatrix:
             raise ValueError("ragged matrix")
         self.entries = ents
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix([[Poly.zero()] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix([[Poly.const(1) if i == j else Poly.zero()
-                            for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

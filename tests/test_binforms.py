@@ -8,8 +8,8 @@ from math import comb, factorial, perm
 import pytest
 
 from g12calc.binforms import (BiForm, DegreeError, LieElt, Rep,
-                              _slot_constant, basis, basis_monomial,
-                              basis_weights, clebsch_gordan,
+                              _slot_constant, _slot_table, basis,
+                              basis_monomial, basis_weights, clebsch_gordan,
                               clebsch_gordan2, dim_v, divides, double_bracket,
                               equivariance_check, eta_map, from_coords,
                               generator_action, g12_basis_elts,
@@ -199,6 +199,27 @@ def test_pairing_range_errors():
         transvectant(u, u, 2)
     with pytest.raises(DegreeError):
         transvectant2(u, u, 0, 1)
+
+
+def test_transvectant2_orders_out_of_range():
+    # the same DegreeError as pairing_table, raised by transvectant2
+    # itself: a negative order, or one above the smaller degree of its
+    # slot, whichever operand holds that degree
+    for b1, b2, p1, p2 in (((2, 3), (3, 1), -1, 0),
+                           ((2, 3), (3, 1), 0, -1),
+                           ((2, 3), (3, 1), 3, 0),
+                           ((3, 1), (2, 3), 3, 0),
+                           ((2, 3), (3, 1), 0, 2),
+                           ((3, 1), (2, 3), 0, 2)):
+        u = symbolic(*b1, "u")
+        v = symbolic(*b2, "v")
+        want = (f"pairing orders ({p1},{p2}) out of range for bidegrees "
+                f"{b1} x {b2}")
+        for call in (lambda: transvectant2(u, v, p1, p2),
+                     lambda: pairing_table(*b1, *b2, p1, p2)):
+            with pytest.raises(DegreeError) as err:
+                call()
+            assert str(err.value) == want
 
 
 # (bidegree of u, bidegree of v, orders): the pairing stream's mix
@@ -480,23 +501,50 @@ def test_basis_pairing_table_against_oracle():
     # u = sum_i s^i e_i and v = sum_j t^j e_j the coefficient of s^i t^j
     # of the oracle's <u, v> is its pairing of basis monomials i and j: it
     # must be the table's single monomial, and zero for an omitted pair.
-    def tagged(n, m, tag):
-        return from_coords(n, m, [Poly.var(tag, k)
-                                  for k in range(dim_v(n, m))])
+    for u, v, p1, p2 in _tagged_cases():
+        assert (transvectant2_omega(u, v, p1, p2).poly.coefficients_in(
+            ("s", "t")) == _table_coefficients(u, v, p1, p2))
 
-    bidegrees = [(n, m) for n in range(4) for m in range(4)]
-    for n1, m1 in bidegrees:
-        u = tagged(n1, m1, "s")
-        for n2, m2 in bidegrees:
-            v = tagged(n2, m2, "t")
-            for p1 in range(min(n1, n2) + 1):
-                for p2 in range(min(m1, m2) + 1):
-                    tn, tm = n1 + n2 - 2 * p1, m1 + m2 - 2 * p2
-                    table = pairing_table(n1, m1, n2, m2, p1, p2)
-                    want = {ij: c * basis_monomial(tn, tm, *divmod(t, tm + 1))
-                            for ij, (t, c) in table.items()}
-                    got = transvectant2_omega(u, v, p1, p2).poly
-                    assert got.coefficients_in(("s", "t")) == want
+
+def _tagged(n, m, tag):
+    """sum_k tag^k e_k: the coefficient of tag^k is basis element k."""
+    return from_coords(n, m, [Poly.var(tag, k) for k in range(dim_v(n, m))])
+
+
+def _tagged_cases(shapes=None):
+    """(u, v, p1, p2) with tagged u = sum s^k e_k and v = sum t^l e_l:
+    every bidegree pair up to (3,3) x (3,3) at every order pair in range,
+    or the given (bidegree, bidegree, orders) shapes."""
+    if shapes is None:
+        bidegrees = [(n, m) for n in range(4) for m in range(4)]
+        shapes = [(b1, b2, [(p1, p2) for p1 in range(min(b1[0], b2[0]) + 1)
+                            for p2 in range(min(b1[1], b2[1]) + 1)])
+                  for b1 in bidegrees for b2 in bidegrees]
+    for b1, b2, orders in shapes:
+        u, v = _tagged(*b1, "s"), _tagged(*b2, "t")
+        for p1, p2 in orders:
+            yield u, v, p1, p2
+
+
+def _table_coefficients(u, v, p1, p2):
+    """{(k, l): pairing_table's monomial for the basis pair (k, l)},
+    the coefficient of s^k t^l in <u, v> for tagged u and v."""
+    tn, tm = u.n + v.n - 2 * p1, u.m + v.m - 2 * p2
+    return {kl: c * basis_monomial(tn, tm, *divmod(t, tm + 1))
+            for kl, (t, c) in pairing_table(u.n, u.m, v.n, v.m, p1,
+                                            p2).items()}
+
+
+def test_transvectant2_reads_the_pairing_table_constants():
+    # both readers of the one-slot tables agree: the coefficient of
+    # s^k t^l in transvectant2 of tagged forms is the pairing_table entry
+    # of (k, l), and there is no such term where the table has none;
+    # checked up to (3,3) x (3,3) and on the (4,4) x (4,4) pairing stream
+    # shapes
+    cases = list(_tagged_cases()) + list(_tagged_cases([PIN_SHAPES[-1]]))
+    for u, v, p1, p2 in cases:
+        assert (transvectant2(u, v, p1, p2).poly.coefficients_in(
+            ("s", "t")) == _table_coefficients(u, v, p1, p2))
 
 
 def test_pairing_table_constants_are_canonical_scalars():
@@ -537,6 +585,12 @@ def test_pairing_table_is_read_only():
     with pytest.raises(TypeError):
         table[key] = (0, Fraction(0))
     assert pairing_table(1, 2, 1, 2, 1, 2)[key] == entry
+    rows = _slot_table(2, 2, 1)
+    assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+    with pytest.raises(TypeError):
+        rows[0][0] = 1
+    with pytest.raises(TypeError):
+        rows[0] = (0, 0, 0)
 
 
 def test_pairing_operators_close_under_bracket():
