@@ -30,7 +30,7 @@ integer numerators over one common denominator, and each output
 coefficient is divided once.  `pairing_table` is the composed view, the
 two-slot constants by basis index, for callers that contract coordinate
 vectors.  The Cayley Omega process, `transvectant2_omega`, shares no code
-with them and is the oracle.
+with them but the range check and is the oracle.
 
 Coordinates made of several forms are `BlockCoords`, declared by a SHAPE
 of named bidegrees.  One of them is `LieElt`, the algebra g_{1,2} =
@@ -46,13 +46,13 @@ work on the columns only.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, factorial, lcm, perm
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import PolyMatrix, _Lcg, rank
+from .linalg import _Lcg, rank
 from .poly import (Poly, Scalar, _div, _exact, dot, form_key, from_packed,
                    split_form)
 
@@ -314,10 +314,10 @@ def transvectant2_omega(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
 
     Form u(x, y) * v(z, w) in doubled variables, apply the operator
     (dx dw - dy dz)^{p} per slot, then restrict to the diagonal z = x,
-    w = y.  Shares no code path with the alternating-sum implementation.
+    w = y.  Shares no code with the alternating-sum implementation but the
+    range check `_check_orders`.
     """
-    if p1 < 0 or p2 < 0 or p1 > min(u.n, v.n) or p2 > min(u.m, v.m):
-        raise DegreeError("pairing orders out of range")
+    _check_orders(u.n, u.m, v.n, v.m, p1, p2)
     ren = {"x1": Poly.var("z1"), "y1": Poly.var("w1"),
            "x2": Poly.var("z2"), "y2": Poly.var("w2")}
     prod = u.poly * v.poly.subs(ren)
@@ -410,7 +410,6 @@ _SL2_MATS = {
     "e": ((0, 1), (0, 0)),
     "f": ((0, 0), (1, 0)),
     "h": ((1, 0), (0, -1)),
-    "id": ((1, 0), (0, 1)),
 }
 
 
@@ -431,25 +430,23 @@ def sl2_action(mat, slot: int, p: BiForm) -> BiForm:
 
 
 def generator_action(name: str, p: BiForm) -> BiForm:
-    """Action of one of e1, f1, h1, e2, f2, h2 (or id1, id2)."""
+    """Action of one of e1, f1, h1, e2, f2, h2."""
     slot = int(name[-1])
     return sl2_action(_SL2_MATS[name[:-1]], slot, p)
+
+
+def _matrix_of(f, n: int, m: int) -> Tuple[Tuple[Scalar, ...], ...]:
+    """The exact matrix of a linear map f on V_{n,m}: column j holds the
+    weight-basis coordinates of f(e_j), which must be constants."""
+    return tuple(zip(*([_exact(c.constant_value()) for c in f(v).coords()]
+                       for v in basis(n, m))))
 
 
 @lru_cache(maxsize=None)
 def rep_matrices(n: int, m: int) -> Tuple[Tuple[Tuple[Scalar, ...], ...], ...]:
     """Matrices of the 6 generators on V_{n,m}, columns = basis action."""
-    bas = basis(n, m)
-    d = dim_v(n, m)
-    mats = []
-    for name in GENERATOR_NAMES:
-        cols = []
-        for v in bas:
-            w = generator_action(name, v)
-            cols.append([_exact(c.constant_value()) for c in w.coords()])
-        mats.append(tuple(tuple(cols[j][i] for j in range(d))
-                          for i in range(d)))
-    return tuple(mats)
+    return tuple(_matrix_of(partial(generator_action, name), n, m)
+                 for name in GENERATOR_NAMES)
 
 
 Column = Dict[int, Scalar]
@@ -609,11 +606,6 @@ class LieElt(BlockCoords):
     def act(self, q: BiForm) -> BiForm:
         return double_bracket(self, q, 1)
 
-    def action_matrix(self, n: int = 1, m: int = 2) -> PolyMatrix:
-        cols = [self.act(v).coords() for v in basis(n, m)]
-        d = dim_v(n, m)
-        return PolyMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
-
 
 def double_bracket(w: LieElt, q: BiForm, k) -> BiForm:
     """<<w, q>>_k: the sum over the blocks of w of <block, q> at the orders
@@ -625,20 +617,15 @@ def double_bracket(w: LieElt, q: BiForm, k) -> BiForm:
         if not getattr(w, name).is_zero()))
 
 
-def g12_basis_elts() -> List[LieElt]:
-    """The 7 weight-basis elements of the algebra: id, V_{2,0}, V_{0,2}."""
-    d = len(LieElt.symbols())
-    return [LieElt.from_vector([int(i == k) for i in range(d)])
-            for k in range(d)]
-
-
 @lru_cache(maxsize=None)
 def g1k_matrices(k: int = 2) -> Tuple:
-    """Action matrices of the 7 algebra basis elements on V_{1,k}."""
+    """Action matrices on V_{1,k} of the 7 weight-basis elements of the
+    algebra: id, V_{2,0}, V_{0,2}."""
+    d = len(LieElt.symbols())
     return tuple(
-        tuple(tuple(_exact(e.constant_value()) for e in row)
-              for row in elt.action_matrix(1, k).entries)
-        for elt in g12_basis_elts())
+        _matrix_of(LieElt.from_vector([int(i == a) for i in range(d)]).act,
+                   1, k)
+        for a in range(d))
 
 
 # -- exact sequence 0 -> V_{k-1} -> V_{1,k} -> V_{k+1} -> 0 ---------------
@@ -756,11 +743,9 @@ def equivariance_check(p1: int, p2: int, bideg1: Tuple[int, int],
         v = random_biform(*bideg2, rng)
         for name in GENERATOR_NAMES:
             lhs = generator_action(name, transvectant2(u, v, p1, p2))
-            rhs = (transvectant2(generator_action(name, u), v, p1, p2)
-                   + transvectant2(u, generator_action(name, v), p1, p2))
-            if mutate:
-                rhs = (transvectant2(generator_action(name, u), v, p1, p2)
-                       - transvectant2(u, generator_action(name, v), p1, p2))
+            xu_v = transvectant2(generator_action(name, u), v, p1, p2)
+            u_xv = transvectant2(u, generator_action(name, v), p1, p2)
+            rhs = xu_v - u_xv if mutate else xu_v + u_xv
             if not (lhs - rhs).is_zero():
                 failures += 1
     return {"trials": trials, "generators": len(GENERATOR_NAMES),

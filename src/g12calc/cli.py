@@ -348,7 +348,7 @@ def bianchi_combination(cfg):
        "coefficient -7 to -6 breaks closure")
 def closure_mutation_control(cfg):
     bad = ex.build_system("h12", curvature_coeffs=(
-        Fraction(-4), Fraction(3), Fraction(1), Fraction(1), Fraction(-6)))
+        *ex.CURVATURE_DISPLAY[:-1], ex.CURVATURE_DISPLAY[-1] + 1))
     return not ex.d_squared_report(bad)["all_zero"], {}
 
 
@@ -637,7 +637,11 @@ def cmd_decompose(expr: str) -> int:
 def cmd_transvect(u_text: str, v_text: str, p1: int, p2: int) -> int:
     u = _biform_from_literal(u_text)
     v = _biform_from_literal(v_text)
-    w = bf.transvectant2(u, v, p1, p2)
+    try:
+        w = bf.transvectant2(u, v, p1, p2)
+    except OverflowError as exc:
+        print(f"error: the pairing overflows: {exc}", file=sys.stderr)
+        return 2
     print(f"bidegree ({w.n},{w.m})")
     print(w.poly)
     return 0

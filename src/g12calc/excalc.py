@@ -73,6 +73,9 @@ THETA_NAMES = ("th_1_2", "th_1_0", "th_1_m2", "th_m1_2", "th_m1_0", "th_m1_m2")
 OM20_NAMES = ("om20_2", "om20_0", "om20_m2")
 OM02_NAMES = ("om02_2", "om02_0", "om02_m2")
 COFRAME_NAMES = THETA_NAMES + ("om00",) + OM20_NAMES + OM02_NAMES
+# the live directions: every coframe name but om00, which no curvature
+# coordinate's differential contains (the columns of the Jacobian)
+LIVE_NAMES = THETA_NAMES + OM20_NAMES + OM02_NAMES
 
 # the curvature point: block name and bidegree, in coordinate order
 CURVATURE_SHAPE = (("a20", (2, 0)), ("a02", (0, 2)), ("b", (1, 2)))
@@ -312,10 +315,6 @@ class VForm:
 
     def __post_init__(self):
         object.__setattr__(self, "comps", tuple(self.comps))
-
-    @staticmethod
-    def zero(cf: Coframe, n: int, m: int) -> "VForm":
-        return VForm(n, m, [FormExpr.zero(cf) for _ in range(dim_v(n, m))])
 
     @staticmethod
     def from_gens(cf: Coframe, n: int, m: int, names: Sequence[str]) -> "VForm":
@@ -1144,7 +1143,7 @@ def restriction_chain() -> dict:
     b_rules = [sys.param_rules[s] for s in B_SYMS]
     diffs += [form_sum(cf, zip(b_rules, functional))
               for functional in kernel_basis(grad_vecs)]
-    live = [cf.index[n] for n in THETA_NAMES + OM20_NAMES + OM02_NAMES]
+    live = [cf.index[n] for n in LIVE_NAMES]
     sub = Substitution(assignment)
     mat = [[fe.coefficient((gidx,)).subs(sub).constant_value()
             for gidx in live] for fe in diffs]

@@ -17,14 +17,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import binforms as bf
 from .binforms import (BiForm, BlockCoords, basis, dim_v, from_coords,
                        gradient_form, pairing_table, transvectant2)
-from .excalc import (A02_SYMS, A20_SYMS, C_SYM, CURVATURE_SHAPE, OM02_NAMES,
-                     OM20_NAMES, THETA_NAMES, FormExpr, StructureSystem,
-                     build_system, contract, exterior_d, form_sum)
+from .excalc import (A02_SYMS, A20_SYMS, C_SYM, CURVATURE_SHAPE, LIVE_NAMES,
+                     FormExpr, StructureSystem, build_system, contract,
+                     exterior_d, form_sum)
 from .linalg import (PolyMatrix, invert_rational, matrix_det, rank,
                      random_rational_point)
 from .poly import Poly, Scalar, Substitution, declare, dot
-
-COFRAME_COLS = THETA_NAMES + OM20_NAMES + OM02_NAMES
 
 
 class CurvaturePoint(BlockCoords):
@@ -75,7 +73,7 @@ def _jmatrix_symbolic() -> PolyMatrix:
     for s in K_SYMS:
         rule = sys.param_rules[s]
         row = []
-        for col in COFRAME_COLS:
+        for col in LIVE_NAMES:
             row.append(rule.coefficient((cf.index[col],)))
         rows.append(row)
     return PolyMatrix(rows)
@@ -106,7 +104,7 @@ def contraction_identity_holds() -> bool:
     j = _jmatrix_symbolic()
     for i, s in enumerate(K_SYMS):
         recon = form_sum(cf, [(FormExpr.gen(cf, col), j[i, k])
-                              for k, col in enumerate(COFRAME_COLS)])
+                              for k, col in enumerate(LIVE_NAMES)])
         if not (recon - sys.param_rules[s]).is_zero():
             return False
     return True
@@ -365,12 +363,8 @@ def rank_dichotomy_samples(c_value: Scalar, seeds: Sequence[int]) -> dict:
 
 def structure_constants(pt: CurvaturePoint) -> dict:
     """(c, c1, c2) at a point, with the restriction-admissibility flag."""
-    assignment = {k: v.constant_value() if isinstance(v, Poly) else v
-                  for k, v in pt.assignment().items()}
-    f1, f2 = first_integrals()
-    c1 = f1.subs(assignment).constant_value()
-    c2 = f2.subs(assignment).constant_value()
-    return {"c": assignment[C_SYM], "c1": c1, "c2": c2,
+    c1, c2 = (f.constant_value() for f in first_integrals(pt))
+    return {"c": pt.c.constant_value(), "c1": c1, "c2": c2,
             "restriction_admissible": c1 == 0}
 
 
@@ -417,14 +411,14 @@ def symmetry_fields_check() -> Mapping:
     """
     sys = build_system("h12")
     cf = sys.cf
-    values = {k: {cf.index[name]: c for name, c in zip(COFRAME_COLS, col)}
+    values = {k: {cf.index[name]: c for name, c in zip(LIVE_NAMES, col)}
               for k, col in zip(("1", "2"), kernel_columns())}
     lie_invariance = {}
     lie_display_scaling = {}
     for k, vals in values.items():
         inv_ok = True
         scale_ok = True
-        for name in COFRAME_COLS:
+        for name in LIVE_NAMES:
             lie = _lie_derivative_1form(sys, name, vals)
             if not lie.is_zero():
                 inv_ok = False
@@ -434,7 +428,7 @@ def symmetry_fields_check() -> Mapping:
         lie_display_scaling[k] = scale_ok
     bracket_ok = True
     v1, v2 = values["1"], values["2"]
-    for name in COFRAME_COLS:
+    for name in LIVE_NAMES:
         gidx = cf.index[name]
         # alpha([Z1,Z2]) = Z1(alpha(Z2)) - Z2(alpha(Z1)) - d(alpha)(Z1,Z2)
         a_z2 = FormExpr.scalar(cf, v2.get(gidx, Poly.zero()))

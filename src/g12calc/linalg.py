@@ -74,10 +74,6 @@ class PolyMatrix:
                     raise ValueError(f"not a constant: {e}")
         return [[e.packed.get(0, 0) for e in row] for row in self.entries]
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)])
-
     def subs(self, assignment) -> "PolyMatrix":
         """Substitute one point into every entry; the point is validated
         once, not once per entry."""

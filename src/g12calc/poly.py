@@ -27,8 +27,9 @@ A polynomial stores `packed`, a dict from key to nonzero exact
 coefficient: an `int` whenever it is integral and a `Fraction` otherwise,
 so polynomials over Z (the common case) run on machine-speed integer
 arithmetic.  `float` is rejected at construction: no inexact value can
-enter.  The scalar accessors `constant_value()` and `eval()` always
-return a `Fraction`.
+enter.  The one scalar accessor, `constant_value()`, always returns a
+`Fraction`; a polynomial is evaluated at a point by `subs(point)` and
+then read by `constant_value()`.
 
 The representation is canonical: zero coefficients are never stored and
 integral coefficients are `int`.  Two polynomials are equal iff their
@@ -176,10 +177,6 @@ def _exact(c):
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
-def _as_fraction(c) -> Fraction:
-    return Fraction(_exact(c))
-
-
 def _div(a, b):
     """Exact quotient of two stored coefficients, canonical."""
     if type(a) is int and type(b) is int:
@@ -293,18 +290,6 @@ class Poly:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
         return Fraction(self.packed[0])
-
-    def degree(self, var: str = None) -> int:
-        """Total degree, or degree in one variable; zero poly has degree 0."""
-        if not self.packed:
-            return 0
-        if var is None:
-            return max(sum(e) for e in self.terms)
-        i = _INDEX.get(var)
-        if i is None:
-            return 0
-        s = i * _FIELD
-        return max(k >> s & _MASK for k in self.packed)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -469,21 +454,6 @@ class Poly:
                     term = term * f
             total = term if total is None else total + term
         return Poly() if total is None else total
-
-    def eval(self, assignment: Mapping[str, Scalar]) -> Scalar:
-        """Evaluate at a full rational point."""
-        vs = self.vars
-        missing = [v for v in vs if v not in assignment]
-        if missing:
-            raise ValueError(f"unassigned variables: {missing}")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            val = c
-            for v, k in zip(vs, e):
-                if k:
-                    val *= _as_fraction(assignment[v]) ** k
-            total += val
-        return total
 
     def coefficients_in(self, vars: Iterable[str]) -> dict:
         """Collect by exponents of the given variables.
@@ -824,17 +794,21 @@ class _Parser:
         p = self._power()
         while True:
             ch = self._peek()
-            if ch == "*":
-                self.pos += 1
-                p = p * self._power()
-            elif ch == "/":
+            if ch == "/":
                 self.pos += 1
                 d = self._power()
                 if not d.is_constant():
                     raise ParseError("can only divide by constants", self.pos)
+                if d.is_zero():
+                    raise ParseError("division by zero", self.pos)
                 p = p / d.constant_value()
-            elif ch == "(" or ch.isalpha():
-                p = p * self._power()  # implicit multiplication
+            elif ch == "*" or ch == "(" or ch.isalpha():
+                if ch == "*":
+                    self.pos += 1  # otherwise implicit multiplication
+                try:
+                    p = p * self._power()
+                except OverflowError as exc:
+                    raise ParseError(str(exc), self.pos) from None
             else:
                 return p
 

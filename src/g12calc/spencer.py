@@ -190,10 +190,6 @@ def _adjoint_rep(g: LinearLieAlgebra, module: Rep) -> Rep:
     return Rep(g.dim, gens)
 
 
-def _adjoint_rep_g12() -> Rep:
-    return _adjoint_rep(g12_algebra(), Rep.space(1, 2))
-
-
 def spencer_domain_rep(g: LinearLieAlgebra, module: Rep) -> Rep:
     """V* (x) g with g acted on by brackets."""
     return module.dual().tensor(_adjoint_rep(g, module))

@@ -12,7 +12,7 @@ from g12calc.binforms import (BiForm, DegreeError, LieElt, Rep,
                               basis_monomial, basis_weights, clebsch_gordan,
                               clebsch_gordan2, dim_v, divides, double_bracket,
                               equivariance_check, eta_map, from_coords,
-                              generator_action, g12_basis_elts,
+                              generator_action, g1k_matrices,
                               gradient_form, iota_map,
                               isotypic_decompose, pairing_table,
                               random_biform, seq_maps, slot2_form, symbolic,
@@ -203,8 +203,8 @@ def test_pairing_range_errors():
 
 def test_transvectant2_orders_out_of_range():
     # the same DegreeError as pairing_table, raised by transvectant2
-    # itself: a negative order, or one above the smaller degree of its
-    # slot, whichever operand holds that degree
+    # itself and by the Omega oracle: a negative order, or one above the
+    # smaller degree of its slot, whichever operand holds that degree
     for b1, b2, p1, p2 in (((2, 3), (3, 1), -1, 0),
                            ((2, 3), (3, 1), 0, -1),
                            ((2, 3), (3, 1), 3, 0),
@@ -216,6 +216,7 @@ def test_transvectant2_orders_out_of_range():
         want = (f"pairing orders ({p1},{p2}) out of range for bidegrees "
                 f"{b1} x {b2}")
         for call in (lambda: transvectant2(u, v, p1, p2),
+                     lambda: transvectant2_omega(u, v, p1, p2),
                      lambda: pairing_table(*b1, *b2, p1, p2)):
             with pytest.raises(DegreeError) as err:
                 call()
@@ -380,10 +381,8 @@ def test_double_bracket_single_summand():
 
 def test_lie_elt_trace_convention():
     # the action matrix has trace 6 p00; the sl-parts are trace free
-    for k, elt in enumerate(g12_basis_elts()):
-        mat = elt.action_matrix()
-        tr = sum((mat[i, i] for i in range(6)), Poly.zero())
-        assert tr == (Poly.const(6) if k == 0 else Poly.zero())
+    for k, mat in enumerate(g1k_matrices(2)):
+        assert sum(mat[i][i] for i in range(6)) == (6 if k == 0 else 0)
 
 
 def test_isotypic_small_products():
@@ -435,17 +434,15 @@ def test_iota_explicit_value():
 def test_sequence_exactness_rank_bookkeeping():
     # 0 -> V_{k-1} -> V_{1,k} -> V_{k+1} -> 0: injective, surjective, and
     # rank(iota) + rank(pr) = dim V_{1,k} for k = 1..4
-    from g12calc.linalg import PolyMatrix, matrix_rank_kernel
+    from g12calc.linalg import rank
+
+    def rank_of(cols):
+        return rank([[c.constant_value() for c in row] for row in zip(*cols)])
+
     for k in range(1, 5):
         iota, pr, _eta = seq_maps(k)
-        icols = [iota(u).coords() for u in basis(0, k - 1)]
-        imat = PolyMatrix([[icols[j][i] for j in range(len(icols))]
-                           for i in range(dim_v(1, k))])
-        pcols = [pr(v).coords() for v in basis(1, k)]
-        pmat = PolyMatrix([[pcols[j][i] for j in range(len(pcols))]
-                           for i in range(dim_v(0, k + 1))])
-        ri = matrix_rank_kernel(imat)[0]
-        rp = matrix_rank_kernel(pmat)[0]
+        ri = rank_of([iota(u).coords() for u in basis(0, k - 1)])
+        rp = rank_of([pr(v).coords() for v in basis(1, k)])
         assert ri == k                 # injective
         assert rp == k + 2             # surjective
         assert ri + rp == dim_v(1, k)  # image of iota = kernel of pr

@@ -157,6 +157,29 @@ def test_t_expression_routes_to_transvect(capsys):
     assert "bidegree (0,0)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["transvect", "x1/0", "x1", "0", "0"],
+    ["decompose", "T(x1/0, x1; 0, 0)"],
+    ["transvect", "x1^100*x1^100", "x1", "0", "0"],
+    ["transvect", "x1^100", "x1^100", "0", "0"],
+])
+def test_literal_faults_are_usage_errors(argv, capsys):
+    # a zero divisor or an exponent past the limit, in a literal or in
+    # the pairing's result, is the user's input: exit 2, one error line
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_faults_outside_literals_keep_their_traceback(monkeypatch):
+    def broken(mode):
+        raise ZeroDivisionError("fault in the program")
+
+    monkeypatch.setattr(cli.ex, "build_system", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["closure", "--mode", "h12"])
+
+
 @pytest.mark.parametrize("orders", ["1", "a, 1", "1, 2, 3"])
 def test_t_expression_with_malformed_orders_is_a_usage_error(orders, capsys):
     assert main(["decompose", f"T(x1, x1; {orders})"]) == 2

@@ -16,7 +16,7 @@ from g12calc.excalc import (COFRAME_NAMES, THETA_NAMES, Coframe,
                             torsion_mode_structure_check)
 from g12calc.linalg import _Lcg, rank
 from g12calc.poly import Poly
-from g12calc.spencer import _adjoint_rep_g12
+from g12calc.spencer import _adjoint_rep, g12_algebra
 from g12calc.binforms import Rep
 
 
@@ -168,7 +168,8 @@ def test_bianchi_space_is_invariant():
     # the kernel inside Lambda^2 theta (x) algebra is a submodule
     rep = bianchi_solve()
     kernel = rep["kernel"]
-    action = Rep.space(1, 2).dual().wedge2().tensor(_adjoint_rep_g12())
+    action = Rep.space(1, 2).dual().wedge2().tensor(
+        _adjoint_rep(g12_algebra(), Rep.space(1, 2)))
     base = rank(kernel)
     for name in bf.GENERATOR_NAMES:
         cols = action.cols[name]

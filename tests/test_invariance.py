@@ -1,0 +1,54 @@
+"""Invariance of the reports under the internal term order.
+
+Every `Poly` keeps its terms in insertion order, and the certificates
+must not depend on it.  A small driver runs `verify` in a fresh process,
+either plainly or with `poly._set_packed` wrapped so that every `Poly`
+stores its terms in reverse order; the stripped reports must agree.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import g12calc
+from g12calc.cli import strip_timings
+
+ARGV = ["verify", "--suites", "all", "--seed", "11", "--c", "5/7"]
+
+DRIVER = """
+import sys
+
+from g12calc import poly
+
+if sys.argv[1] == "reversed":
+    set_packed = poly._set_packed
+
+    def reversed_packed(p, tm):
+        set_packed(p, dict(reversed(tm.items())))
+
+    poly._set_packed = reversed_packed
+    x, y = poly.Poly.var("x1"), poly.Poly.var("y1")
+    assert list((x + y).packed) == [poly.var_key("y1"), poly.var_key("x1")]
+
+from g12calc.cli import main
+
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_verify(order: str) -> dict:
+    src = os.path.dirname(os.path.dirname(g12calc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", DRIVER, order, *ARGV], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return strip_timings(json.loads(proc.stdout))
+
+
+def test_report_independent_of_poly_term_order():
+    plain = run_verify("plain")
+    assert plain["summary"] == {"pass": 40, "fail": 0, "skip": 0}
+    assert (json.dumps(run_verify("reversed"), sort_keys=True)
+            == json.dumps(plain, sort_keys=True))

@@ -110,7 +110,8 @@ def test_minimal_variable_context():
 
 def test_eval_full_point():
     p = parse_poly("x1*y1 - 2")
-    assert p.eval({"x1": Fraction(3), "y1": Fraction(1, 3)}) == Fraction(-1)
+    point = {"x1": Fraction(3), "y1": Fraction(1, 3)}
+    assert p.subs(point).constant_value() == Fraction(-1)
 
 
 def test_coefficients_in_collects_remaining_vars():
@@ -145,7 +146,7 @@ def test_integral_coefficients_stored_as_int():
     lambda: -Poly.var("x1") + 1.0,
     lambda: Poly.var("x1").subs({"x1": 0.5}),
     lambda: parse_poly("x1*y1").subs({"x1": 0.5, "y1": Poly.var("t")}),
-    lambda: Poly.var("x1").eval({"x1": 0.5}),
+    lambda: parse_poly("x1*y1 - 2").subs({"x1": Fraction(3), "y1": 0.5}),
     lambda: Poly.from_json({"vars": ["x1"],
                             "terms": [{"coeff": 0.5, "exps": [1]}]}),
     # a value is checked even where its variable does not occur
@@ -162,9 +163,10 @@ def test_scalar_accessors_return_fraction():
     assert type(Poly.zero().constant_value()) is Fraction
     assert type((Poly.var("x1") * 2).subs({"x1": 3}).constant_value()) \
         is Fraction
-    value = parse_poly("x1*y1 + 1").eval({"x1": 2, "y1": Fraction(3)})
+    value = parse_poly("x1*y1 + 1").subs(
+        {"x1": 2, "y1": Fraction(3)}).constant_value()
     assert type(value) is Fraction and value == 7
-    assert type(Poly.zero().eval({})) is Fraction
+    assert type(Poly.zero().subs({}).constant_value()) is Fraction
 
 
 @pytest.mark.parametrize("build", [
