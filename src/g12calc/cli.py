@@ -1,12 +1,14 @@
 """Batch verification runner, expression tools and report emission.
 
 Commands: verify, decompose, transvect, closure, jmatrix, rank,
-integrals, constants.  Each `verify` check is one function, registered
-in report order by `@check(suite, name, claim)`, that returns
+integrals, constants; `build_parser` sets each one's handler on its
+subparser, and `main` calls it.  Each `verify` check is one function,
+registered in report order by `@check(suite, name, claim)`, that returns
 `(ok, certificate)`.  Every check record carries a stable claim
 identifier, a status and a machine-readable certificate, so reports can
-be re-verified without re-running the eliminations.  Exit codes: 0 all
-pass, 1 check failure, 2 usage error.
+be re-verified without re-running the eliminations.  A certificate is
+plain JSON data plus exact rationals; anything else fails the check.
+Exit codes: 0 all pass, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -32,31 +34,30 @@ from .poly import _MAX_EXP, ParseError, Poly, _exact, parse_poly
 ENV_PREFIX = "G12CALC_"
 
 def _json_safe(value, path: str = "$"):
-    """JSON-ready copy of a certificate; exact values become strings.
+    """JSON-ready copy of a certificate: plain JSON data (mappings, lists
+    and tuples, str, int, bool, None) plus exact rationals, which become
+    "p/q" strings.
 
-    A `float` anywhere raises TypeError naming its key path, so no
-    inexact value can reach a report.
+    Anything else raises TypeError naming its key path: a `float` as an
+    inexact value, any other object (a Poly, say) as not JSON data, so
+    neither can reach a report.
     """
-    if isinstance(value, float):
-        raise TypeError(f"inexact value {value!r} at {path}")
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, Poly):
-        return str(value)
-    if isinstance(value, bf.BiForm):
-        return str(value.poly)
     if isinstance(value, Mapping):
         return {str(k): _json_safe(v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if isinstance(value, ex.FormExpr):
-        return str(value)
-    return value
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"inexact value {value!r} at {path}")
+    raise TypeError(f"{type(value).__name__} at {path} is not JSON data or "
+                    f"an exact rational")
 
 
 class SuiteConfig:
-    def __init__(self, suites: List[str], seed: int = 7, c_value="symbolic",
-                 out: Optional[str] = None, fmt: str = "json"):
+    def __init__(self, suites: List[str], seed: int = 7, c_value="symbolic"):
         unknown = [s for s in suites if s not in SUITE_ORDER + ("all",)]
         if unknown:
             raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
@@ -66,8 +67,6 @@ class SuiteConfig:
             self.suites = [s for s in SUITE_ORDER if s in suites]
         self.seed = seed
         self.c_value = c_value
-        self.out = out
-        self.fmt = fmt
 
     def numeric_c(self) -> Fraction:
         if self.c_value == "symbolic":
@@ -647,24 +646,41 @@ def cmd_transvect(u_text: str, v_text: str, p1: int, p2: int) -> int:
     return 0
 
 
+def cmd_verify(suites: List[str], seed: int, c_text: str,
+               out: Optional[str], fmt: str) -> int:
+    """Run the suites, print the report and write it to `out`, if given."""
+    try:
+        cfg = SuiteConfig(suites, seed, c_text)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = run_suites(cfg)
+    payload = (json.dumps(report, sort_keys=True, indent=1)
+               if fmt == "json" else report_text(report))
+    print(payload)
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            print(f"error writing report: {exc}", file=sys.stderr)
+            return 2
+    return 0 if report["summary"]["fail"] == 0 else 1
+
+
 def cmd_closure(mode: str) -> int:
     """Emit the d^2 residual report for one structure-system mode."""
-    sys_m = ex.build_system(mode)
-    rep = ex.d_squared_report(sys_m)
-    payload = {
-        "mode": mode,
-        "all_zero": rep["all_zero"],
-        "residuals": {name: str(res)
-                      for name, res in rep["residuals"].items()},
-    }
     if mode == "torsion-s30":
-        payload["torsion_structure"] = _json_safe(
-            ex.torsion_mode_structure_check())
-        payload["all_zero"] = payload["torsion_structure"][
-            "residual_is_predicted_torsion_terms"]
-        # theta residuals are genuinely nonzero here; the check above is
-        # that they equal the predicted torsion derivative terms
-        payload.pop("residuals")
+        # theta residuals are genuinely nonzero here; the check is that
+        # they equal the predicted torsion derivative terms
+        structure = ex.torsion_mode_structure_check()
+        payload = {"mode": mode, "torsion_structure": structure, "all_zero":
+                   structure["residual_is_predicted_torsion_terms"]}
+    else:
+        rep = ex.d_squared_report(ex.build_system(mode))
+        payload = {"mode": mode, "all_zero": rep["all_zero"],
+                   "residuals": {name: str(res)
+                                 for name, res in rep["residuals"].items()}}
     print(json.dumps(payload, sort_keys=True, indent=1))
     return 0 if payload["all_zero"] else 1
 
@@ -760,11 +776,14 @@ def _c_rational(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; each subcommand's `run(args)` is its
+    handler."""
     parser = argparse.ArgumentParser(
         prog="g12calc",
         description="Exact verification suite for the rank-six "
                     "structure-equation calculus.")
-    sub = parser.add_subparsers(dest="command")
+    parser.set_defaults(run=None)
+    sub = parser.add_subparsers()
 
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("--suites", nargs="+", default=["all"],
@@ -776,33 +795,42 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=_env_default("out", None))
     pv.add_argument("--format", choices=("json", "text"),
                     default=_env_default("format", "json"))
+    pv.set_defaults(run=lambda a: cmd_verify(a.suites, a.seed, a.c, a.out,
+                                             a.format))
 
     pd = sub.add_parser("decompose", help="isotypic decomposition")
     pd.add_argument("expr")
+    pd.set_defaults(run=lambda a: cmd_decompose(a.expr))
 
     pt = sub.add_parser("transvect", help="evaluate a pairing")
     pt.add_argument("u")
     pt.add_argument("v")
     pt.add_argument("p1", type=int)
     pt.add_argument("p2", type=int)
+    pt.set_defaults(run=lambda a: cmd_transvect(a.u, a.v, a.p1, a.p2))
 
     pl = sub.add_parser("closure", help="d^2 residual report for a mode")
     pl.add_argument("--mode", choices=("g12", "h12", "torsion-s30"),
                     default="h12")
+    pl.set_defaults(run=lambda a: cmd_closure(a.mode))
 
     pj = sub.add_parser("jmatrix", help="emit the curvature Jacobian")
     pj.add_argument("--c", type=_c_text, default="symbolic")
     pj.add_argument("--emit", choices=("json", "text"), default="json")
+    pj.set_defaults(run=lambda a: cmd_jmatrix(a.c, a.emit))
 
     pr = sub.add_parser("rank", help="rank certificate at a seeded point")
     pr.add_argument("--seed", type=int, default=_env_default("seed", "7"))
     pr.add_argument("--c", type=_c_rational, default="1")
+    pr.set_defaults(run=lambda a: cmd_rank(a.c, a.seed))
 
     pi = sub.add_parser("integrals", help="conservation identity check")
     pi.add_argument("--check", action="store_true")
+    pi.set_defaults(run=lambda a: cmd_integrals_check())
 
     pc = sub.add_parser("constants", help="structure constants at a point")
     pc.add_argument("--point", required=True)
+    pc.set_defaults(run=lambda a: cmd_constants(a.point))
     return parser
 
 
@@ -812,50 +840,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command is None:
+    if args.run is None:
         parser.print_help()
         return 2
     try:
-        if args.command == "verify":
-            try:
-                cfg = SuiteConfig(args.suites, args.seed, args.c,
-                                  args.out, args.format)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            report = run_suites(cfg)
-            payload = (json.dumps(report, sort_keys=True, indent=1)
-                       if cfg.fmt == "json" else report_text(report))
-            print(payload)
-            if cfg.out:
-                try:
-                    with open(cfg.out, "w", encoding="utf-8") as fh:
-                        fh.write(payload + "\n")
-                except OSError as exc:
-                    print(f"error writing report: {exc}", file=sys.stderr)
-                    return 2
-            return 0 if report["summary"]["fail"] == 0 else 1
-        if args.command == "closure":
-            return cmd_closure(args.mode)
-        if args.command == "decompose":
-            return cmd_decompose(args.expr)
-        if args.command == "transvect":
-            return cmd_transvect(args.u, args.v, args.p1, args.p2)
-        if args.command == "jmatrix":
-            return cmd_jmatrix(args.c, args.emit)
-        if args.command == "rank":
-            return cmd_rank(args.c, args.seed)
-        if args.command == "integrals":
-            return cmd_integrals_check()
-        if args.command == "constants":
-            return cmd_constants(args.point)
-    except (ParseError, bf.DegreeError) as exc:
+        return args.run(args)
+    except (ParseError, bf.DegreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

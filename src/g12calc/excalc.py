@@ -46,7 +46,10 @@ monomial goes last when it first appears or when its coefficient
 cancels and comes back, and within a coefficient `add_product`'s order
 applies.  A sum of c * form over (form, c) pairs is `form_sum(cf, terms)`
 on the same accumulator, as a sum of Poly products is `poly.dot`, and a
-sum of c * vform is `vform_sum`, one `form_sum` per component.
+sum of c * vform is `vform_sum`, one `form_sum` per component.  Forms
+add only through `form_sum`: `+`, `-` and `scale` are one call each, and
+so is each domega rule, c_i times the curvature blocks and then minus
+omega ^ omega.
 """
 
 from __future__ import annotations
@@ -240,30 +243,13 @@ class FormExpr:
         return not self._by_mask
 
     def __add__(self, other: "FormExpr") -> "FormExpr":
-        out = dict(self._by_mask)
-        for mask, coeff in other._by_mask.items():
-            s = out.get(mask)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                out.pop(mask, None)
-            else:
-                out[mask] = s
-        return FormExpr._of(self.cf, out)
+        return form_sum(self.cf, ((self, 1), (other, 1)))
 
     def __sub__(self, other: "FormExpr") -> "FormExpr":
-        return self + other.scale(-1)
-
-    def _map(self, fn) -> "FormExpr":
-        """fn applied to every coefficient, zero results dropped."""
-        out = {}
-        for mask, c in self._by_mask.items():
-            c = fn(c)
-            if not c.is_zero():
-                out[mask] = c
-        return FormExpr._of(self.cf, out)
+        return form_sum(self.cf, ((self, 1), (other, -1)))
 
     def scale(self, c) -> "FormExpr":
-        return self._map(lambda k: k * c)
+        return form_sum(self.cf, ((self, c),))
 
     def wedge(self, other: "FormExpr") -> "FormExpr":
         out: Dict[int, dict] = {}
@@ -276,8 +262,15 @@ class FormExpr:
         return _form(self.cf, out)
 
     def subs_params(self, assignment) -> "FormExpr":
+        """`assignment` substituted into every coefficient, zero results
+        dropped."""
         sub = Substitution(assignment)
-        return self._map(lambda c: c.subs(sub))
+        out = {}
+        for mask, c in self._by_mask.items():
+            c = c.subs(sub)
+            if not c.is_zero():
+                out[mask] = c
+        return FormExpr._of(self.cf, out)
 
     def coefficient(self, mono: tuple) -> Poly:
         """The coefficient of the exterior monomial `mono`, zero when it
@@ -542,15 +535,19 @@ def _curvature_blocks(theta: VForm, a20: VForm,
             pair_vforms(a02, th12, 0, 0))
 
 
+# the _curvature_blocks that each connection part's curvature sums over:
+# c1, c2 for om20 (in V20), c3, c4, c5 for om02 (in V02), none for om00
+_CURVATURE_SPLIT = ((OM20_NAMES, (0, 1)), (OM02_NAMES, (2, 3, 4)))
+
+
 def _curvature_parts(cf: Coframe, blocks: Sequence[VForm],
                      coeffs) -> Tuple[FormExpr, VForm, VForm]:
     """The curvature 2-form in algebra components (om00, V20, V02 parts):
     c_i times the i-th of the _curvature_blocks."""
-    c1, c2, c3, c4, c5 = coeffs
-    b1, b2, b3, b4, b5 = blocks
+    (_n20, at20), (_n02, at02) = _CURVATURE_SPLIT
     return (FormExpr.zero(cf),
-            vform_sum(cf, 2, 0, ((b1, c1), (b2, c2))),
-            vform_sum(cf, 0, 2, ((b3, c3), (b4, c4), (b5, c5))))
+            vform_sum(cf, 2, 0, [(blocks[i], coeffs[i]) for i in at20]),
+            vform_sum(cf, 0, 2, [(blocks[i], coeffs[i]) for i in at02]))
 
 
 # -- the frame of a mode ----------------------------------------------------
@@ -611,15 +608,19 @@ def _frame(mode: str) -> _Frame:
 
 def _gen_rules(fr: _Frame, coeffs=CURVATURE_DISPLAY) -> Dict[int, FormExpr]:
     """The dtheta rules, then the domega rules with the curvature tuple
-    `coeffs`: the curvature parts minus omega ^ omega."""
-    cf, ww = fr.cf, fr.omega_square
-    o00, o20, o02 = _curvature_parts(cf, fr.curvature_blocks, coeffs)
+    `coeffs`.  Each domega rule is one form_sum: c_i times its component
+    of the curvature blocks (c1, c2 for om20, c3, c4, c5 for om02, none
+    for om00), then minus its component of omega ^ omega."""
+    cf, blocks = fr.cf, fr.curvature_blocks
+    ww = dict(zip(("om00",) + OM20_NAMES + OM02_NAMES, fr.omega_square))
     rules = dict(fr.dtheta_rules)
     if not fr.om00.is_zero():
-        rules[cf.index["om00"]] = o00 - ww[0]
+        rules[cf.index["om00"]] = ww["om00"].scale(-1)
     for k in range(3):
-        rules[cf.index[OM20_NAMES[k]]] = o20.comps[k] - ww[1 + k]
-        rules[cf.index[OM02_NAMES[k]]] = o02.comps[k] - ww[4 + k]
+        for names, at in _CURVATURE_SPLIT:
+            rules[cf.index[names[k]]] = form_sum(
+                cf, [(blocks[i].comps[k], coeffs[i]) for i in at]
+                + [(ww[names[k]], -1)])
     return rules
 
 

@@ -16,9 +16,11 @@ expresses Sp itself in them, as a polynomial identity in 42 symbolic
 parameters.
 
 The pairings that make up phi and the tensor are declared once, as
-PHI_TERMS and TORSION_TERMS.  The codec matrix (90 x 90) and Sp's matrix
-in coordinates (90 x 42) contract pairing_table constants over them;
-BiForm evaluation (tensor_values, the route for symbolic input) is the
+PHI_TERMS and TORSION_TERMS, and the closed form of Sp in coordinates
+once, as the table SPENCER_COORDS, which expected_spencer_coords reads
+through dot.  The codec matrix (90 x 90) and Sp's matrix in coordinates
+(90 x 42) contract pairing_table constants over the terms; BiForm
+evaluation (tensor_values, the route for symbolic input) is the
 independent route, which the codec and adjustment checks compare with.
 
 A LinearLieAlgebra computes its structure constants once, as its closure
@@ -331,12 +333,6 @@ def tensor_values(t: Callable[[BiForm, BiForm], BiForm]) -> List[Poly]:
     return out
 
 
-def _dense_rows(cols: Sequence[bf.Column], nrows: int) -> tuple:
-    """Rows of the matrix with sparse columns `cols`, exact scalars."""
-    return tuple(tuple(_exact(col.get(r, 0)) for col in cols)
-                 for r in range(nrows))
-
-
 @lru_cache(maxsize=None)
 def _torsion_encode_matrix() -> tuple:
     """90 x 90 matrix taking torsion coordinates to tensor values: c1 c2
@@ -344,7 +340,7 @@ def _torsion_encode_matrix() -> tuple:
     <e_i, e_j>_inner = c1 e_t and <e_k, e_t>_outer = c2 e_u."""
     off = TorsionCoords.offsets()
     shape = dict(TorsionCoords.SHAPE)
-    cols = [defaultdict(int) for _ in range(90)]
+    rows = [[0] * 90 for _ in range(90)]
     for block, (i1, i2), outer in TORSION_TERMS:
         (n, m), (start, stop) = shape[block], off[block]
         table = bf.pairing_table(n, m, 2 - 2 * i1, 4 - 2 * i2, *outer)
@@ -353,9 +349,9 @@ def _torsion_encode_matrix() -> tuple:
                 for k in range(stop - start):
                     hit = table.get((k, t))
                     if hit is not None:
-                        row = _PAIRS[i, j] * 6 + hit[0]
-                        cols[start + k][row] += c1 * hit[1]
-    return _dense_rows(cols, 90)
+                        rows[_PAIRS[i, j] * 6 + hit[0]][start + k] += \
+                            c1 * hit[1]
+    return tuple(tuple(map(_exact, row)) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -404,44 +400,39 @@ def spencer_in_coords(phi: PhiCoords) -> TorsionCoords:
     return decode_torsion(tensor_values(spencer_of_phi(phi)))
 
 
+# The closed form of Sp(phi) in coordinates, frozen from the exact
+# computation (it reproduces the displayed coordinate formula): torsion
+# block -> ((phi block, coefficient), ...).  A torsion block absent from
+# the table (s16, s30, s34) is zero.
+SPENCER_COORDS = {
+    "s12": (("r12", Fraction(-1, 6)), ("r12p", Fraction(1, 2)),
+            ("r12pp", Fraction(-2, 3))),
+    "s14": (("r14", Fraction(-1, 2)),),
+    "s10": (("r10", Fraction(1)),),
+    "s12p": (("r12", Fraction(-1, 8)), ("r12p", Fraction(-1, 8)),
+             ("r12pp", Fraction(1, 2))),
+    "s14p": (("r14", Fraction(-1, 2)),),
+    "s32": (("r32", Fraction(-1, 4)),),
+    "s12pp": (("r12", Fraction(-1, 3)), ("r12p", Fraction(1)),
+              ("r12pp", Fraction(8, 3))),
+}
+
+
 def expected_spencer_coords(phi: PhiCoords,
                             overrides: Optional[dict] = None) -> TorsionCoords:
-    """The closed-form coordinate expression of Sp(phi).
+    """The closed-form coordinate expression of Sp(phi): each torsion
+    block is the dot of its SPENCER_COORDS entries with phi's blocks.
 
-    Coefficients frozen from the exact computation (they reproduce the
-    displayed coordinate formula); `overrides` lets negative-control
-    tests perturb a single coefficient.
+    `overrides` maps "<torsion block>_<phi block>" (such as "s32_r32") to
+    a coefficient used in place of the table's, so that negative-control
+    tests can perturb a single coefficient.
     """
-    c: Dict[str, Fraction] = {
-        "s12_r12": Fraction(-1, 6), "s12_r12p": Fraction(1, 2),
-        "s12_r12pp": Fraction(-2, 3),
-        "s14_r14": Fraction(-1, 2),
-        "s14p_r14": Fraction(-1, 2),
-        "s12p_r12": Fraction(-1, 8), "s12p_r12p": Fraction(-1, 8),
-        "s12p_r12pp": Fraction(1, 2),
-        "s32_r32": Fraction(-1, 4),
-        "s10_r10": Fraction(1),
-        "s12pp_r12": Fraction(-1, 3), "s12pp_r12p": Fraction(1),
-        "s12pp_r12pp": Fraction(8, 3),
-    }
-    if overrides:
-        c.update(overrides)
-    zero = TorsionCoords.zero()
-    return TorsionCoords(
-        s12=(c["s12_r12"] * phi.r12 + c["s12_r12p"] * phi.r12p
-             + c["s12_r12pp"] * phi.r12pp),
-        s14=c["s14_r14"] * phi.r14,
-        s16=zero.s16,
-        s10=c["s10_r10"] * phi.r10,
-        s12p=(c["s12p_r12"] * phi.r12 + c["s12p_r12p"] * phi.r12p
-              + c["s12p_r12pp"] * phi.r12pp),
-        s14p=c["s14p_r14"] * phi.r14,
-        s30=zero.s30,
-        s32=c["s32_r32"] * phi.r32,
-        s34=zero.s34,
-        s12pp=(c["s12pp_r12"] * phi.r12 + c["s12pp_r12p"] * phi.r12p
-               + c["s12pp_r12pp"] * phi.r12pp),
-    )
+    overrides = overrides or {}
+    return TorsionCoords(**{
+        s: BiForm(n, m, dot(
+            (getattr(phi, r).poly, overrides.get(f"{s}_{r}", c))
+            for r, c in SPENCER_COORDS.get(s, ())))
+        for s, (n, m) in TorsionCoords.SHAPE})
 
 
 def spencer_coords_match(overrides: Optional[dict] = None) -> bool:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import g12calc
 from g12calc import binforms as bf
 from g12calc import cli
 from g12calc.cli import (SuiteConfig, main, run_suites, strip_timings)
+from g12calc.poly import Poly
 
 
 def test_unknown_suite_rejected_before_execution():
@@ -292,6 +294,22 @@ def test_constants_missing_entries(tmp_path, capsys):
     assert main(["constants", "--point", str(path)]) == 2
 
 
+# the required arguments of each subcommand that has any
+MINIMAL_ARGS = {"decompose": ["V(1,2)"], "transvect": ["x1", "x1", "0", "0"],
+                "constants": ["--point", "point.json"]}
+
+
+def test_every_subcommand_parses_to_a_handler():
+    # a subcommand cannot be added without a handler for main to call
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert "verify" in sub.choices
+    for name in sub.choices:
+        args = parser.parse_args([name, *MINIMAL_ARGS.get(name, [])])
+        assert callable(args.run), name
+
+
 def test_env_override_seed(monkeypatch):
     monkeypatch.setenv("G12CALC_SEED", "123")
     parser = cli.build_parser()
@@ -347,10 +365,20 @@ def test_json_safe_rejects_float_with_key_path():
 
 
 def test_check_with_float_certificate_fails_and_names_the_path():
-    # an outcome that is not a bool is refused like a float
+    # a certificate holds JSON data and exact rationals only: a Poly, a
+    # BiForm or a FormExpr is refused like a float, and so is an outcome
+    # that is not a bool
+    x1 = Poly.var("x1")
+    form = cli.ex.FormExpr.gen(cli.ex.Coframe(("e0",)), 0)
     for outcome, error in (
             ((True, {"scale": [Fraction(1), -1.0]}),
              "TypeError: inexact value -1.0 at certificate.scale[1]"),
+            ((True, {"residual": x1}), "TypeError: Poly at "
+             "certificate.residual is not JSON data or an exact rational"),
+            ((True, {"forms": [bf.BiForm(1, 0, x1)]}), "TypeError: BiForm at "
+             "certificate.forms[0] is not JSON data or an exact rational"),
+            ((True, {"d": {"e0": form}}), "TypeError: FormExpr at "
+             "certificate.d.e0 is not JSON data or an exact rational"),
             ((1, {}), "TypeError: outcome of type int, not bool"),
             ((None, {}), "TypeError: outcome of type NoneType, not bool")):
         chk = cli.Check("pairings", "inexact", "a float in a certificate",

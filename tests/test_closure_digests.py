@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from g12calc import excalc as ex
 from g12calc.cli import main
 
 CLOSURE_DIGESTS = {
@@ -24,3 +25,26 @@ def test_closure_output_digest(mode, capsys):
     assert main(["closure", "--mode", mode]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLOSURE_DIGESTS[mode]
+
+
+# The residuals themselves, where they are not zero: the sha256 of the
+# lines "name: residual" of d_squared_report, in report order, for
+# systems whose curvature tuple is not the displayed one.
+RESIDUAL_DIGESTS = {
+    ("h12", (-4, 3, 1, 1, -6)):
+        "603358ed9289e28de96ba68e8b7df4c127f062c761f2db7b70b5851c00c444ae",
+    ("g12", (-4, 3, 1, 1, -6)):
+        "08a49d2092cbd443fdb65a30b2f1be9e0daebaa64dacf0791e7bf9ef81e5f22e",
+    ("g12", (0, 0, 0, 0, 0)):
+        "4b6aad678ff3272c1d7dd16d6ccea0fde22f2e918955741d434a1dc95ec0a51c",
+}
+
+
+@pytest.mark.parametrize("mode,coeffs", sorted(RESIDUAL_DIGESTS))
+def test_nonzero_residual_digest(mode, coeffs):
+    rep = ex.d_squared_report(ex.build_system(mode, curvature_coeffs=coeffs))
+    assert not rep["all_zero"]
+    text = "".join(f"{name}: {res}\n"
+                   for name, res in rep["residuals"].items())
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == RESIDUAL_DIGESTS[mode, coeffs])

@@ -1,11 +1,15 @@
 """Invariance of the reports under the internal term order.
 
-Every `Poly` keeps its terms in insertion order, and the certificates
-must not depend on it.  A small driver runs `verify` in a fresh process,
-either plainly or with `poly._set_packed` wrapped so that every `Poly`
-stores its terms in reverse order; the stripped reports must agree.
+Every `Poly` keeps its terms in insertion order, and every `FormExpr` its
+monomials, and the certificates must not depend on either.  A small
+driver runs `verify` in a fresh process, either plainly, or with
+`poly._set_packed` wrapped so that every `Poly` stores its terms in
+reverse order, or with `excalc.FormExpr._of` wrapped so that every form
+built from an accumulator stores its monomials in reverse order; the
+stripped reports must agree.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -31,12 +35,26 @@ if sys.argv[1] == "reversed":
     x, y = poly.Poly.var("x1"), poly.Poly.var("y1")
     assert list((x + y).packed) == [poly.var_key("y1"), poly.var_key("x1")]
 
+if sys.argv[1] == "reversed-forms":
+    from g12calc import excalc
+
+    form_of = excalc.FormExpr._of
+
+    def reversed_of(cf, by_mask):
+        return form_of(cf, dict(reversed(by_mask.items())))
+
+    excalc.FormExpr._of = staticmethod(reversed_of)
+    cf = excalc.Coframe(("e0", "e1"))
+    e0, e1 = excalc.FormExpr.gen(cf, 0), excalc.FormExpr.gen(cf, 1)
+    assert list((e0 + e1).terms) == [(1,), (0,)]
+
 from g12calc.cli import main
 
 sys.exit(main(sys.argv[2:]))
 """
 
 
+@functools.lru_cache(maxsize=None)
 def run_verify(order: str) -> dict:
     src = os.path.dirname(os.path.dirname(g12calc.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -52,3 +70,8 @@ def test_report_independent_of_poly_term_order():
     assert plain["summary"] == {"pass": 40, "fail": 0, "skip": 0}
     assert (json.dumps(run_verify("reversed"), sort_keys=True)
             == json.dumps(plain, sort_keys=True))
+
+
+def test_report_independent_of_form_term_order():
+    assert (json.dumps(run_verify("reversed-forms"), sort_keys=True)
+            == json.dumps(run_verify("plain"), sort_keys=True))
