@@ -702,7 +702,7 @@ def cmd_rank(c_text: str, seed: int) -> int:
     return 0 if rep["rank_is_10"] else 1
 
 
-def cmd_integrals_check() -> int:
+def cmd_integrals() -> int:
     conserved = ig.conservation_identity()["both"]
     in_kernel = ig.kernel_membership()
     print(f"conservation identities: {'pass' if conserved else 'fail'}")
@@ -825,8 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(run=lambda a: cmd_rank(a.c, a.seed))
 
     pi = sub.add_parser("integrals", help="conservation identity check")
-    pi.add_argument("--check", action="store_true")
-    pi.set_defaults(run=lambda a: cmd_integrals_check())
+    pi.set_defaults(run=lambda a: cmd_integrals())
 
     pc = sub.add_parser("constants", help="structure constants at a point")
     pc.add_argument("--point", required=True)

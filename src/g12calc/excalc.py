@@ -64,8 +64,9 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from . import binforms as bf
 from .binforms import (BiForm, basis, dim_v, from_coords, gradient_form,
                        pairing_table)
-from .linalg import (kernel_basis, linear_rows, linsolve, rank,
-                     reduced_echelon, solve_sparse, spans_equal)
+from .linalg import (kernel_basis, linear_rows, linsolve,
+                     random_rational_point, rank, reduced_echelon,
+                     solve_sparse, spans_equal)
 from .poly import (Poly, Substitution, _operand, _trusted, _var_key,
                    add_product, fields_mask, var_key)
 from .spencer import g12_algebra
@@ -1130,7 +1131,6 @@ def restriction_chain() -> dict:
 
     # step 3: rank of the five constraint differentials at an admissible
     # random rational point
-    from .linalg import random_rational_point
     pt = random_rational_point(list(A20_SYMS) + ["u0", "u1", "u2", "u3",
                                                  C_SYM], seed=31)
     assignment = {s: pt[s] for s in A20_SYMS}

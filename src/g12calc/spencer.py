@@ -17,21 +17,23 @@ parameters.
 
 The pairings that make up phi and the tensor are declared once, as
 PHI_TERMS and TORSION_TERMS, and the closed form of Sp in coordinates
-once, as the table SPENCER_COORDS, which expected_spencer_coords reads
-through dot.  The codec matrix (90 x 90) and Sp's matrix in coordinates
-(90 x 42) contract pairing_table constants over the terms; BiForm
+once, as the table SPENCER_COORDS: expected_spencer_coords reads it
+through dot, and Sp's matrix in coordinates (90 x 42), which the
+intrinsic adjustment solves with, is read off it.  The codec matrix
+(90 x 90) contracts pairing_table constants over the terms.  BiForm
 evaluation (tensor_values, the route for symbolic input) is the
-independent route, which the codec and adjustment checks compare with.
+independent route, which the codec, formula and adjustment checks
+compare with.
 
 A LinearLieAlgebra computes its structure constants once, as its closure
-check; the adjoint action and excalc's omega ^ omega read them.  The
+check, and reads a matrix's coordinates in its basis with one linsolve;
+the adjoint action and excalc's omega ^ omega read the constants.  The
 Spencer domain and target are sparse binforms.Rep modules, and
 T(X) Sp = Sp D(X) is checked as sparse products.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -42,7 +44,7 @@ from .binforms import (BiForm, BlockCoords, LieElt, Rep, basis, from_coords,
                        gradient_form, isotypic_decompose, rep_matrices,
                        symbolic, transvectant2)
 from .linalg import (invert_rational, linear_rows, linsolve, rank,
-                     reduced_echelon, solve_sparse)
+                     solve_sparse)
 from .poly import Poly, Scalar, _exact, dot
 
 
@@ -61,14 +63,11 @@ class LinearLieAlgebra:
         self.basis_mats = [[[_exact(x) for x in row] for row in m]
                            for m in basis_mats]
         self.dim = len(self.basis_mats)
-        self._flat = [[x for row in m for x in row] for m in self.basis_mats]
-        # coordinates are read off a matrix's entries at the pivot
-        # positions of the basis, through the basis's inverse there
-        self._pivots, _ = reduced_echelon(self._flat)
-        if len(self._pivots) != self.dim:
+        flat = [[x for row in m for x in row] for m in self.basis_mats]
+        if rank(flat) != self.dim:
             raise ValueError(f"{name}: basis matrices are linearly dependent")
-        self._read = invert_rational([[v[p] for p in self._pivots]
-                                      for v in self._flat])
+        # one row per matrix entry, one column per basis matrix
+        self._entry_rows = list(zip(*flat))
         self.brackets = {}
         for a, b in combinations(range(self.dim), 2):
             x, y = self.basis_mats[a], self.basis_mats[b]
@@ -84,13 +83,8 @@ class LinearLieAlgebra:
     def coordinates(self, mat) -> Optional[Tuple[Fraction, ...]]:
         """Coordinates of an n x n matrix in the basis, or None when the
         matrix lies outside the algebra."""
-        flat = [x for row in mat for x in row]
-        coords = tuple(sum(flat[p] * r[a] for p, r in zip(self._pivots,
-                                                           self._read)
-                           if flat[p]) for a in range(self.dim))
-        span = [sum(c * v[t] for c, v in zip(coords, self._flat) if c)
-                for t in range(len(flat))]
-        return coords if span == flat else None
+        sol = linsolve(self._entry_rows, [x for row in mat for x in row])
+        return None if sol is None else tuple(sol[0])
 
 
 def spencer_matrix(g: LinearLieAlgebra) -> List[List[Scalar]]:
@@ -143,6 +137,7 @@ def so3_algebra() -> LinearLieAlgebra:
     l2 = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
     l3 = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
     return LinearLieAlgebra("so(3)", 3, [l1, l2, l3])
+
 
 def gl2_algebra() -> LinearLieAlgebra:
     mats = [[[1, 0], [0, 0]], [[0, 1], [0, 0]],
@@ -537,29 +532,17 @@ def torsion_criterion_s16_pair() -> dict:
 
 @lru_cache(maxsize=None)
 def _spencer_coordinate_matrix() -> tuple:
-    """90 x 42 matrix of Sp in pairing coordinates: per term, unit phi_k
-    has phi_k(e_i).comp = c1 e_t and comp acts on e_j as c2 e_u, at the
-    pairing orders of LieElt.action, adding c1 c2 to Sp(phi_k)(e_i, e_j);
-    the values are decoded to coordinates."""
-    off = PhiCoords.offsets()
-    shape = dict(PhiCoords.SHAPE)
-    action = {comp: rule for comp, *rule in LieElt.action()}
-    values = [defaultdict(int) for _ in range(42)]
-    for block, comp, orders in PHI_TERMS:
-        (n, m), start = shape[block], off[block][0]
-        bidegree, act_orders = action[comp]
-        act = bf.pairing_table(*bidegree, 1, 2, *act_orders)
-        for (k, i), (t, c1) in bf.pairing_table(n, m, 1, 2,
-                                                 *orders).items():
-            for j in range(6):
-                hit = act.get((t, j))
-                if hit is not None and i != j:  # the value on (e_i, e_j)
-                    row = _PAIRS[min(i, j), max(i, j)] * 6 + hit[0]
-                    c = c1 * hit[1]
-                    values[start + k][row] += c if i < j else -c
-    return tuple(tuple(_exact(sum(c * col[j] for j, c in row if j in col))
-                       for col in values)
-                 for row in _torsion_decode_matrix())
+    """90 x 42 matrix of Sp in pairing coordinates, read off
+    SPENCER_COORDS: the two blocks of each entry share one bidegree, so
+    its coefficient lies on the diagonal of their (torsion, phi) block."""
+    s_off, r_off = TorsionCoords.offsets(), PhiCoords.offsets()
+    rows = [[0] * 42 for _ in range(90)]
+    for s, terms in SPENCER_COORDS.items():
+        for r, c in terms:
+            (i, _), (j, stop) = s_off[s], r_off[r]
+            for k in range(stop - j):
+                rows[i + k][j + k] = _exact(c)
+    return tuple(map(tuple, rows))
 
 
 def intrinsic_adjustment(t: TorsionCoords) -> PhiCoords:

@@ -212,7 +212,7 @@ def test_rank_command(capsys):
 
 
 def test_integrals_command(capsys):
-    assert main(["integrals", "--check"]) == 0
+    assert main(["integrals"]) == 0
     assert "pass" in capsys.readouterr().out
 
 
@@ -220,7 +220,7 @@ def test_integrals_command_runs_kernel_membership_on_its_own(monkeypatch,
                                                                capsys):
     monkeypatch.setattr(cli.ig, "conservation_identity",
                         lambda: {"f1": False, "f2": True, "both": False})
-    assert main(["integrals", "--check"]) == 1
+    assert main(["integrals"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "conservation identities: fail", "kernel membership: pass"]
 

@@ -35,11 +35,24 @@ def test_closure_check_rejects_non_algebra():
         # span{e, f} is not closed: [e, f] = h lies outside
         LinearLieAlgebra("broken", 2,
                          [[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+    # a matrix outside the algebra has no coordinates
+    assert so3_algebra().coordinates(
+        [[int(i == j) for j in range(3)] for i in range(3)]) is None
+    g = g12_algebra()
+    unit = [[0] * g.n for _ in range(g.n)]
+    unit[0][0] = 1
+    assert g.coordinates(unit) is None
 
 
 def test_structure_constants_reproduce_brackets():
-    for g in (so3_algebra(), gl2_algebra(), g12_algebra(), gk1_algebra(2)):
+    for seed, g in enumerate((so3_algebra(), gl2_algebra(), g12_algebra(),
+                              gk1_algebra(2))):
         n, mats = g.n, g.basis_mats
+        want = list(random_rational_point([f"x{a}" for a in range(g.dim)],
+                                          seed).values())
+        combo = [[sum(c * m[i][j] for c, m in zip(want, mats))
+                  for j in range(n)] for i in range(n)]
+        assert list(g.coordinates(combo)) == want
         assert len(g.brackets) == g.dim * (g.dim - 1) // 2
         for (a, b), coords in g.brackets.items():
             x, y = mats[a], mats[b]
@@ -179,14 +192,13 @@ def test_coordinate_matrices_pinned(name, cols, nnz, digest):
 
 def test_codec_checks_detect_a_perturbed_contraction(monkeypatch):
     # one wrong encode entry in an s12 column (a block Sp reaches): the
-    # BiForm evaluation no longer inverts the decode matrix
+    # BiForm evaluation no longer inverts the decode matrix.  Sp's
+    # coordinate matrix is read off SPENCER_COORDS and stays right; the
+    # adjustment check fails through spencer_in_coords, which decodes
     enc = spencer._torsion_encode_matrix()
     bad = [list(row) for row in enc]
     bad[0][0] += 1
-    caches = (spencer._torsion_decode_matrix,
-              spencer._spencer_coordinate_matrix)
-    for cached in caches:
-        cached.cache_clear()
+    spencer._torsion_decode_matrix.cache_clear()
     monkeypatch.setattr(spencer, "_torsion_encode_matrix",
                         lambda: tuple(map(tuple, bad)))
     try:
@@ -209,8 +221,7 @@ def test_codec_checks_detect_a_perturbed_contraction(monkeypatch):
         assert status["intrinsic_adjustment"] == "fail"
     finally:
         monkeypatch.undo()
-        for cached in caches:
-            cached.cache_clear()
+        spencer._torsion_decode_matrix.cache_clear()
     assert spencer._torsion_encode_matrix() == enc
 
 
@@ -238,6 +249,23 @@ def test_coordinate_formula_single_block():
 def test_coordinate_formula_mutation_fails():
     assert not spencer_coords_match({"s32_r32": Fraction(1, 4)})
     assert not spencer_coords_match({"s14_r14": Fraction(1, 2)})
+
+
+def test_adjustment_reads_the_closed_form_table(monkeypatch):
+    # the adjustment matrix is read off SPENCER_COORDS, so a wrong table
+    # coefficient fails the formula check and, through the independent
+    # BiForm route, the adjustment check too
+    spencer._spencer_coordinate_matrix.cache_clear()
+    monkeypatch.setitem(spencer.SPENCER_COORDS, "s32",
+                        (("r32", Fraction(1, 4)),))
+    try:
+        report = run_suites(SuiteConfig(["spencer", "torsion"]))
+    finally:
+        monkeypatch.undo()
+        spencer._spencer_coordinate_matrix.cache_clear()
+    status = {c["check"]: c["status"] for c in report["checks"]}
+    assert status["spencer_coordinate_formula"] == "fail"
+    assert status["intrinsic_adjustment"] == "fail"
 
 
 def test_torsion_criterion_solution_space():
