@@ -65,8 +65,7 @@ from . import binforms as bf
 from .binforms import (BiForm, basis, dim_v, from_coords, gradient_form,
                        pairing_table)
 from .linalg import (kernel_basis, linear_rows, linsolve,
-                     random_rational_point, rank, reduced_echelon,
-                     solve_sparse, spans_equal)
+                     random_rational_point, rank, solve_sparse, spans_equal)
 from .poly import (Poly, Substitution, _operand, _trusted, _var_key,
                    add_product, fields_mask, var_key)
 from .spencer import g12_algebra
@@ -457,19 +456,13 @@ def contract(expr: FormExpr, values: Dict[int, Poly]) -> FormExpr:
 # -- Lie algebra structure constants ----------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _g12_bracket_constants() -> tuple:
-    """((i, j), c_ij) for i < j with [E_i, E_j] = sum_k c^k_{ij} E_k for
-    the 7 basis elements: the structure constants of g12_algebra()."""
-    return tuple(sorted(g12_algebra().brackets.items()))
-
-
 def omega_wedge_omega(cf: Coframe,
                       om_gens: Sequence[FormExpr]) -> List[FormExpr]:
     """(omega ^ omega)_k = sum_{i<j} c^k_{ij} om_i ^ om_j in the 7
-    algebra components."""
+    algebra components, with [E_i, E_j] = sum_k c^k_{ij} E_k the
+    structure constants of the cached g12_algebra(), i < j ascending."""
     terms = [[] for _ in range(7)]
-    for (i, j), coords in _g12_bracket_constants():
+    for (i, j), coords in g12_algebra().brackets.items():
         wij = om_gens[i].wedge(om_gens[j])
         for k, ck in enumerate(coords):
             terms[k].append((wij, ck))
@@ -1006,11 +999,14 @@ def ideal_substitution(cf: Coframe,
                                  "coefficients")
             row[mono[0]] = coeff.constant_value()
         rows.append(row)
-    pivots, work = reduced_echelon(rows)
-    return {c: form_sum(cf, [(FormExpr.gen(cf, j),
-                              Fraction(-work[r][j], work[r][c]))
-                             for j in range(n) if j != c])
-            for r, c in enumerate(pivots)}
+    if not rows:
+        return {}
+    # each kernel vector is 1 in its free column, its last nonzero entry
+    kernel = kernel_basis(rows)
+    free = [max(j for j, x in enumerate(v) if x) for v in kernel]
+    return {c: form_sum(cf, [(FormExpr.gen(cf, j), v[c])
+                             for j, v in zip(free, kernel)])
+            for c in range(n) if c not in free}
 
 
 def reduce_mod_ideal(expr: FormExpr, subs: Dict[int, FormExpr]) -> FormExpr:

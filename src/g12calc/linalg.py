@@ -3,18 +3,15 @@
 Every operation over Q takes rows of exact scalars (`int`/`Fraction`),
 and goes through one integer core: each row is scaled to coprime
 integers (the one place values enter, where `float` is rejected and
-rows of unequal length are refused), then `reduced_echelon` reduces the
-rows fraction-free, forward and back, and returns the pivot columns with
-the reduced integer rows.  A matrix has len(rows[0]) columns, or none
-when it has no rows.  The public operations are views of the core:
-
-- `rank` runs the forward pass only and counts pivots, and
-  `spans_equal` compares two row spans by three ranks;
-- `kernel_basis`, `linsolve` and `solve_sparse` share one read-out of
-  (particular solution, kernel basis) from the reduced rows of [A | b];
-- `invert_rational` reduces [A | I] and divides the right half by the
-  pivots;
-- `excalc.ideal_substitution` reads its pivot generators from it.
+rows of unequal length are refused), then `_row_echelon` eliminates
+forward, fraction-free, to the pivot columns and integer echelon rows.
+A matrix has len(rows[0]) columns, or none when it has no rows.  `rank`
+counts the pivots (`spans_equal` compares three ranks); every other
+result is one read-out, `_back_substitute`, an exact back-substitution
+on the echelon: (particular solution, kernel basis) of [A | b] for
+`kernel_basis`, `linsolve` and `solve_sparse`, each column of the
+inverse from [A | I] for `invert_rational`.  `excalc.ideal_substitution`
+reads its pivot generators from `kernel_basis`.
 
 An identity linear in unknown coefficients becomes `solve_sparse` rows
 in one way only: `linear_rows` reads each polynomial as affine in the
@@ -37,6 +34,7 @@ deterministic and exact.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence
@@ -224,9 +222,10 @@ def _eliminate(pivot_row: List[int], row: List[int], c: int) -> List[int]:
     return _primitive([f1 * a - f2 * b for a, b in zip(row, pivot_row)])
 
 
-def _row_echelon(int_rows: List[List[int]]):
-    """In-place integer row echelon; returns list of pivot columns."""
-    rows = int_rows
+def _row_echelon(rows: Sequence[Sequence[Scalar]]):
+    """(pivot columns, integer echelon rows) of a matrix of exact
+    scalars: `_int_rows`, then one fraction-free forward elimination."""
+    rows = _int_rows(rows)
     nr = len(rows)
     nc = _ncols(rows)
     pivots = []
@@ -248,58 +247,78 @@ def _row_echelon(int_rows: List[List[int]]):
         r += 1
         if r == nr:
             break
-    return pivots
+    return pivots, rows
 
 
-def reduced_echelon(rows: Sequence[Sequence[Scalar]]):
-    """(pivot columns, reduced integer rows) of a matrix of exact scalars.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
-    Each row is scaled to coprime integers, then reduced fraction-free,
-    forward and back.  Afterwards row r is nonzero in column pivots[r] and
-    zero in every other pivot column; rows past len(pivots) are zero.
-    The rational reduced echelon form is row r divided by
-    rows[r][pivots[r]], so a caller divides only in its final read-out.
+
+def _back_substitute(pivots: List[int], rows: List[List[int]], n: int,
+                     cols: Iterable[int]) -> List[List[Fraction]]:
+    """One vector per column in `cols` of the forward echelon `rows` of
+    [A | B], A in n columns: for a column of B, the x with A x = that
+    column and 0 at the free columns of A; for a free column of A, the
+    kernel vector that is 1 there and 0 at the other free columns.
+
+    One pass up the pivot rows left of the column, each read only at the
+    pivot columns right of its own pivot, on integer numerators over one
+    common denominator that grows only when a pivot does not divide.
     """
-    ints = _int_rows(rows)
-    pivots = _row_echelon(ints)
-    for r in range(len(pivots) - 1, 0, -1):
-        c = pivots[r]
-        for r2 in range(r):
-            if ints[r2][c]:
-                ints[r2] = _eliminate(ints[r], ints[r2], c)
-    return pivots, ints
+    later = [[(c, rows[r][c]) for c in pivots[r + 1:] if rows[r][c]]
+             for r in range(len(pivots))]
+    out = []
+    for col in cols:
+        sign = 1 if col >= n else -1  # a column of A moves to the right
+        num = [0] * n
+        nonzero = []
+        den = 1
+        for r in range(bisect_left(pivots, col) - 1, -1, -1):
+            s = sign * rows[r][col] * den
+            for c, a in later[r]:
+                s -= a * num[c]
+            if not s:
+                continue
+            p = rows[r][pivots[r]]
+            q, rem = divmod(s, p)
+            if rem:
+                g = gcd(s, p)
+                f = p // g
+                for c in nonzero:
+                    num[c] *= f
+                den *= f
+                q = s // g
+            num[pivots[r]] = q
+            nonzero.append(pivots[r])
+        x = [_ZERO] * n
+        for c in nonzero:
+            x[c] = Fraction(num[c], den)
+        if col < n:
+            x[col] = _ONE
+        out.append(x)
+    return out
 
 
 def _solution(pivots: List[int], rows: List[List[int]], n: int):
     """(particular, kernel basis) of A x = b in n unknowns, read off the
-    reduced integer rows of [A | b]; None when b holds a pivot.
+    forward integer echelon of [A | b]; None when b holds a pivot.
 
     Rows of width n (no b column) give the particular solution 0.  Each
     kernel vector has a 1 in one free column and 0 in the others.
     """
     if pivots and pivots[-1] >= n:
         return None
-    x = [Fraction(0)] * n
-    if rows and len(rows[0]) > n:
-        for r, c in enumerate(pivots):
-            x[c] = Fraction(rows[r][n], rows[r][c])
     pivot_set = set(pivots)
-    kernel = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = Fraction(-rows[r][fc], rows[r][c])
-        kernel.append(v)
-    return x, kernel
+    free = [c for c in range(n) if c not in pivot_set]
+    if rows and len(rows[0]) > n:
+        x, *kernel = _back_substitute(pivots, rows, n, [n] + free)
+        return x, kernel
+    return [_ZERO] * n, _back_substitute(pivots, rows, n, free)
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank of a matrix of exact scalars (forward elimination
     only)."""
-    return len(_row_echelon(_int_rows(rows)))
+    return len(_row_echelon(rows)[0])
 
 
 def spans_equal(a: Sequence[Sequence[Scalar]],
@@ -312,9 +331,10 @@ def spans_equal(a: Sequence[Sequence[Scalar]],
 def kernel_basis(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
     """Exact basis of the right kernel of a matrix of exact scalars.
 
-    Each basis vector has a 1 in one free column and 0 in the others.
+    Each basis vector has a 1 in one free column and 0 in the others,
+    and that free column is its last nonzero entry.
     """
-    return _solution(*reduced_echelon(rows), _ncols(rows))[1]
+    return _solution(*_row_echelon(rows), _ncols(rows))[1]
 
 
 def matrix_rank_kernel(m: PolyMatrix):
@@ -331,7 +351,7 @@ def linsolve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    return _solution(*reduced_echelon(aug), _ncols(rows))
+    return _solution(*_row_echelon(aug), _ncols(rows))
 
 
 def solve_sparse(rows: List[dict], ncols: int):
@@ -352,7 +372,7 @@ def solve_sparse(rows: List[dict], ncols: int):
                 raise ValueError(f"column {c} outside 0..{ncols}")
             d[c] = v
         dense.append(d)
-    pivots, ints = reduced_echelon(dense)
+    pivots, ints = _row_echelon(dense)
     for r in ints:  # the constant term moves to the right-hand side
         r[ncols] = -r[ncols]
     return _solution(pivots, ints, ncols)
@@ -384,17 +404,18 @@ def linear_rows(polys: Iterable[Poly], unknowns: Sequence[str]) -> List[dict]:
 
 
 def invert_rational(rows: List[List[Scalar]]) -> List[List[Scalar]]:
-    """Exact inverse of a square rational matrix: reduce [A | I] once."""
+    """Exact inverse of a square rational matrix: the forward echelon of
+    [A | I], then one back-substitution per column of I."""
     n = len(rows)
-    pivots, ints = reduced_echelon(
+    pivots, ints = _row_echelon(
         [list(row) + [1 if j == i else 0 for j in range(n)]
          for i, row in enumerate(rows)])
     if _ncols(rows) != n:
         raise ValueError("not a square matrix")
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(ints[r][n + j], ints[r][r]) for j in range(n)]
-            for r in range(n)]
+    cols = _back_substitute(pivots, ints, n, range(n, 2 * n))
+    return [list(row) for row in zip(*cols)]
 
 
 # -- deterministic random rational points --------------------------------

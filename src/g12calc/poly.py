@@ -404,32 +404,29 @@ class Poly:
         `assignment` is a mapping or a `Substitution` prepared from one;
         a caller that substitutes the same point into many polynomials
         prepares it once.  Scalar and constant-Poly values are folded
-        into the coefficients in one pass over the terms, keyed by the
-        exponents that remain; the fold runs on integer numerators and
-        denominators and makes one canonical coefficient per key.  Only
+        into the coefficients in one pass over the terms, each reading its
+        monomial's value from the Substitution, keyed by the exponents
+        that remain; the fold runs on integer numerators and denominators
+        and makes one canonical coefficient per key.  Only
         non-constant Poly values are expanded through their powers, in
         the canonical variable order.
         """
         sub = assignment if type(assignment) is Substitution \
             else Substitution(assignment)
-        used = self.support()
-        if not used & sub.assigned:
+        if not self.support() & sub.assigned:
             return self
-        scalars = [t for t in sub.scalars if used >> t[0] & _MASK]
+        monos, smask = sub.monos, sub.smask
         polys, pmask, keep = sub.polys, sub.pmask, ~sub.assigned
         groups = {}  # key of the Poly-valued fields -> {kept key: [n, d]}
         for k, c in self.packed.items():
-            n, d = c.numerator, c.denominator
-            for s, xn, xd in scalars:
-                e = k >> s & _MASK
-                if e == 1:
-                    n *= xn
-                    d *= xd
-                elif e:
-                    n *= xn ** e
-                    d *= xd ** e
+            sk = k & smask
+            m = monos.get(sk)
+            if m is None:
+                m = sub.mono_value(sk)
+            n = c.numerator * m[0]
             if not n:
                 continue
+            d = c.denominator * m[1]
             part = groups.setdefault(k & pmask, {})
             ke = k & keep
             acc = part.get(ke)
@@ -528,17 +525,20 @@ class Substitution:
 
     Each value is checked for exactness here, whether or not a later
     polynomial contains its variable.  A scalar or constant-Poly value
-    becomes a (field shift, numerator, denominator) triple; a
-    non-constant Poly value stays a Poly, and the powers of it that
-    substitutions build are kept for the next one.  A name not yet
-    interned occurs in no existing polynomial and is skipped, so a
-    Substitution serves the polynomials that exist when it is made.
+    becomes a (numerator, denominator) pair; a non-constant Poly value
+    stays a Poly.  What substitutions build is kept for the next one: the
+    (numerator, denominator) of each monomial in the scalar-valued
+    variables, keyed by its key masked to their fields, and the powers of
+    each Poly value.  A name not yet interned occurs in no existing
+    polynomial and is skipped, so a Substitution serves the polynomials
+    that exist when it is made.
     """
 
-    __slots__ = ("scalars", "polys", "assigned", "pmask", "pows")
+    __slots__ = ("scalars", "polys", "assigned", "smask", "pmask", "monos",
+                 "pows")
 
     def __init__(self, assignment: Mapping[str, Union[Poly, Scalar, int]]):
-        scalars = []  # (shift, numerator, denominator)
+        scalars = {}  # shift -> (numerator, denominator)
         polys = []    # (canonical sort key, shift, non-constant Poly value)
         assigned = 0  # fields of the assigned variables
         for name, val in assignment.items():
@@ -554,13 +554,35 @@ class Substitution:
             if isinstance(val, Poly):
                 polys.append((_ORDER[i], s, val))
             else:
-                scalars.append((s, val.numerator, val.denominator))
+                scalars[s] = val.numerator, val.denominator
         polys.sort(key=lambda t: t[0])
         self.scalars = scalars
         self.polys = [(s, val) for _, s, val in polys]
         self.assigned = assigned
         self.pmask = reduce(or_, (_MASK << s for s, _ in self.polys), 0)
+        self.smask = assigned & ~self.pmask
+        self.monos = {0: (1, 1)}
         self.pows = {}
+
+    def mono_value(self, key: int) -> tuple:
+        """(numerator, denominator) of the monomial `key` in the
+        scalar-assigned variables, computed once and kept in `monos`."""
+        n = d = 1
+        k = key
+        while k:
+            s = (k & -k).bit_length() - 1
+            s -= s % _FIELD
+            xn, xd = self.scalars[s]
+            e = k >> s & _MASK
+            if e == 1:
+                n *= xn
+                d *= xd
+            else:
+                n *= xn ** e
+                d *= xd ** e
+            k ^= e << s
+        self.monos[key] = n, d
+        return n, d
 
 
 def _trusted(tm: dict) -> Poly:

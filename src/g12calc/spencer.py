@@ -27,7 +27,8 @@ compare with.
 
 A LinearLieAlgebra computes its structure constants once, as its closure
 check, and reads a matrix's coordinates in its basis with one linsolve;
-the adjoint action and excalc's omega ^ omega read the constants.  The
+the adjoint action and excalc's omega ^ omega read the constants.  It is
+immutable, so g12_algebra() is built once per process and shared.  The
 Spencer domain and target are sparse binforms.Rep modules, and
 T(X) Sp = Sp D(X) is checked as sparse products.
 """
@@ -37,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import binforms as bf
@@ -54,23 +56,28 @@ class LinearLieAlgebra:
 
     The structure constants are computed once, on construction, and are
     the closure check: brackets[(a, b)], a < b, holds the coordinates of
-    [B_a, B_b], and a bracket outside the span raises ValueError.
+    [B_a, B_b], and a bracket outside the span raises ValueError.  It is
+    immutable, so a cached algebra can be shared.
     """
 
+    __slots__ = ("name", "n", "basis_mats", "dim", "brackets", "_entry_rows")
+
     def __init__(self, name: str, n: int, basis_mats: Sequence):
-        self.name = name
-        self.n = n
-        self.basis_mats = [[[_exact(x) for x in row] for row in m]
-                           for m in basis_mats]
-        self.dim = len(self.basis_mats)
-        flat = [[x for row in m for x in row] for m in self.basis_mats]
-        if rank(flat) != self.dim:
+        mats = tuple(tuple(tuple(_exact(x) for x in row) for row in m)
+                     for m in basis_mats)
+        flat = [[x for row in m for x in row] for m in mats]
+        if rank(flat) != len(mats):
             raise ValueError(f"{name}: basis matrices are linearly dependent")
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "n", n)
+        init(self, "basis_mats", mats)
+        init(self, "dim", len(mats))
         # one row per matrix entry, one column per basis matrix
-        self._entry_rows = list(zip(*flat))
-        self.brackets = {}
+        init(self, "_entry_rows", tuple(zip(*flat)))
+        brackets = {}
         for a, b in combinations(range(self.dim), 2):
-            x, y = self.basis_mats[a], self.basis_mats[b]
+            x, y = mats[a], mats[b]
             coords = self.coordinates(
                 [[sum(x[i][k] * y[k][j] - y[i][k] * x[k][j]
                       for k in range(n)) for j in range(n)]
@@ -78,7 +85,11 @@ class LinearLieAlgebra:
             if coords is None:
                 raise ValueError(
                     f"{name}: basis is not closed under brackets")
-            self.brackets[(a, b)] = coords
+            brackets[(a, b)] = coords
+        init(self, "brackets", MappingProxyType(brackets))
+
+    def __setattr__(self, *a):
+        raise AttributeError("LinearLieAlgebra is immutable")
 
     def coordinates(self, mat) -> Optional[Tuple[Fraction, ...]]:
         """Coordinates of an n x n matrix in the basis, or None when the
@@ -151,7 +162,9 @@ def g1k_algebra(k: int = 2) -> LinearLieAlgebra:
     return LinearLieAlgebra(f"g_{{1,{k}}}", 2 * (k + 1), bf.g1k_matrices(k))
 
 
+@lru_cache(maxsize=None)
 def g12_algebra() -> LinearLieAlgebra:
+    """g_{1,2}, built once per process and shared: it is immutable."""
     return g1k_algebra(2)
 
 

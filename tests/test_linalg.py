@@ -8,11 +8,14 @@ from math import prod
 
 import pytest
 
+from g12calc.excalc import (COFRAME_NAMES, Coframe, FormExpr, form_sum,
+                            ideal_substitution)
+from g12calc.integrals import C_SYM, K_SYMS, _jmatrix_symbolic
 from g12calc.linalg import (DEFAULT_MAX_MAGNITUDE, PolyMatrix, _Lcg, _pivot,
                             invert_rational, kernel_basis, linear_rows,
                             linsolve, matrix_det, matrix_rank_kernel,
-                            random_rational_point, rank, reduced_echelon,
-                            solve_sparse, spans_equal)
+                            random_rational_point, rank, solve_sparse,
+                            spans_equal)
 from g12calc.poly import Poly, parse_poly
 
 
@@ -301,13 +304,22 @@ def test_invert_rational():
     for singular in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0]]):
         with pytest.raises(ValueError, match="singular"):
             invert_rational(singular)
+    # seeded rational matrices of sizes 1 to 6, inverted on both sides
+    for n in range(1, 7):
+        rows = rand_rational_rows(rng, n, n)
+        while rank(rows) < n:
+            rows = rand_rational_rows(rng, n, n)
+        inv = invert_rational(rows)
+        assert all(type(x) is Fraction for row in inv for x in row)
+        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert mat_mul(inv, rows) == eye and mat_mul(rows, inv) == eye
 
 
 # every rational entry point, called on dense rows of exact scalars
 DENSE_ENTRY_POINTS = (rank, kernel_basis,
                       lambda rows: linsolve(rows, [0] * len(rows)),
                       lambda rows: spans_equal(rows, rows, 2),
-                      reduced_echelon, invert_rational)
+                      invert_rational)
 
 
 def test_float_rejected_at_every_entry_point():
@@ -385,3 +397,183 @@ def test_random_point_determinism_and_bounds():
 def test_random_point_respects_magnitude_config():
     p = random_rational_point(["t"], 3, max_magnitude=5)
     assert abs(p["t"].numerator) <= 5 and p["t"].denominator <= 5
+
+
+# -- the back-substitution read-out ------------------------------------------
+
+
+def rand_rational_rows(rng, nrows, ncols, mag=9):
+    """Seeded rational entries, about a third of them zero."""
+    def entry():
+        if rng.next_int(3) == 0:
+            return 0
+        return Fraction(rng.next_int(2 * mag + 1) - mag, 1 + rng.next_int(mag))
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def rand_low_rank_rows(rng, nrows, ncols, r):
+    """A product of nrows x r and r x ncols factors: rank at most r."""
+    return mat_mul(rand_rational_rows(rng, nrows, r),
+                   rand_rational_rows(rng, r, ncols))
+
+
+def readout_matrices():
+    rng = _Lcg(2024)
+    return [
+        ("wide", rand_rational_rows(rng, 3, 7)),
+        ("tall", rand_rational_rows(rng, 8, 4)),
+        ("square", rand_rational_rows(rng, 5, 5)),
+        ("deficient", rand_low_rank_rows(rng, 6, 6, 3)),
+        ("wide deficient", rand_low_rank_rows(rng, 4, 9, 2)),
+        ("tall deficient", rand_low_rank_rows(rng, 9, 5, 3)),
+        ("zero", [[0] * 4 for _ in range(3)]),
+        ("zero width", [[], [], []]),
+    ]
+
+
+def apply(rows, x):
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+
+
+def assert_all_fractions(values):
+    assert all(type(x) is Fraction for x in values)
+
+
+@pytest.mark.parametrize("name,rows", readout_matrices())
+def test_readout_kernel_and_particular_solution(name, rows):
+    n = len(rows[0])
+    r = rank(rows)
+    ker = kernel_basis(rows)
+    assert len(ker) == n - r
+    # each kernel vector is 1 in its own free column, its last nonzero
+    # entry, and 0 in the free columns of the others
+    free = [max(j for j, x in enumerate(v) if x) for v in ker]
+    assert free == sorted(set(free))
+    for i, v in enumerate(ker):
+        assert_all_fractions(v)
+        assert apply(rows, v) == [0] * len(rows)
+        assert [v[j] for j in free] == [int(k == i) for k in range(len(free))]
+    x0 = [Fraction(k - 3, k + 1) for k in range(n)]
+    b = apply(rows, x0)
+    x, ker2 = linsolve(rows, b)
+    assert_all_fractions(x)
+    assert apply(rows, x) == b and ker2 == ker
+    sparse = [{**{j: a for j, a in enumerate(row) if a},
+               **({n: -bi} if bi else {})} for row, bi in zip(rows, b)]
+    part, sparse_ker = solve_sparse(sparse, n)
+    assert_all_fractions(part + [a for v in sparse_ker for a in v])
+    assert (part, sparse_ker) == (x, ker)
+    # a right-hand side off the column space: add a left kernel vector
+    m = len(rows)
+    left = kernel_basis([list(col) for col in zip(*rows)]) if n else \
+        [[Fraction(int(i == k)) for i in range(m)] for k in range(m)]
+    assert len(left) == m - r
+    for y in left:
+        off = [bi + yi for bi, yi in zip(b, y)]
+        assert linsolve(rows, off) is None
+        assert solve_sparse([{**{j: a for j, a in enumerate(row) if a},
+                              n: -bi} for row, bi in zip(rows, off)],
+                            n) is None
+
+
+def test_readout_rescales_when_a_pivot_does_not_divide():
+    """Neither pivot divides its row's sum (3 into -1, then 2 into 1), so
+    the common denominator grows twice; a negative pivot the same."""
+    assert kernel_basis([[2, 1, 0], [0, 3, 1]]) == \
+        [[Fraction(1, 6), Fraction(-1, 3), Fraction(1)]]
+    assert linsolve([[-2, 1], [0, -3]], [1, 2]) == \
+        ([Fraction(-5, 6), Fraction(-2, 3)], [])
+    assert solve_sparse([{0: 4, 1: 6, 2: -1}, {1: 9, 2: -2}], 2) == \
+        ([Fraction(-1, 12), Fraction(2, 9)], [])
+
+
+def test_results_are_fractions_on_integer_input():
+    rows = [[1, 2, 3], [2, 4, 7]]
+    x, ker = linsolve(rows, [1, 1])
+    assert_all_fractions(x + [a for v in ker for a in v])
+    assert_all_fractions([a for v in kernel_basis(rows) for a in v])
+    x, ker = solve_sparse([{0: 1, 1: 2, 3: -1}], 3)
+    assert_all_fractions(x + [a for v in ker for a in v])
+    assert_all_fractions([a for row in invert_rational([[2, 1], [1, 1]])
+                          for a in row])
+
+
+def rref_substitution(cf, ideal_forms):
+    """The pivot generators of a constant 1-form ideal through the
+    others, read off a plain Fraction Gauss-Jordan reduced row echelon
+    form: the map ideal_substitution gave before its read-out was a
+    back-substitution."""
+    from g12calc.excalc import FormExpr, form_sum
+    n = len(cf)
+    m = []
+    for g in ideal_forms:
+        row = [Fraction(0)] * n
+        for mono, coeff in g.terms.items():
+            row[mono[0]] = coeff.constant_value()
+        m.append(row)
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        at = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if at is None:
+            continue
+        m[r], m[at] = m[at], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * p for a, p in zip(m[i], m[r])]
+        pivots.append(c)
+    return {c: form_sum(cf, [(FormExpr.gen(cf, j), -m[r][j])
+                             for j in range(n) if j != c])
+            for r, c in enumerate(pivots)}
+
+
+def test_ideal_substitution_matches_the_rref_map():
+    cf = Coframe(COFRAME_NAMES)
+    gen = [FormExpr.gen(cf, j) for j in range(len(cf))]
+    rng = _Lcg(77)
+
+    def rand_gen():
+        row = rand_rational_rows(rng, 1, len(cf))[0]
+        return form_sum(cf, zip(gen, row))
+
+    a, b, c = rand_gen(), rand_gen(), rand_gen()
+    ideals = [
+        [gen[0], gen[1] - gen[2].scale(2)],
+        [a, b, c],
+        # dependent and zero generators
+        [a, b, a.scale(3) - b.scale(Fraction(1, 2)), FormExpr.zero(cf)],
+        [gen[5].scale(-3) + gen[12], gen[2].scale(7) + gen[12].scale(2)],
+        gen,
+        [],
+    ]
+
+    def layout(subs):
+        return [(k, [(mask, list(p.packed.items()))
+                     for mask, p in f._by_mask.items()])
+                for k, f in subs.items()]
+
+    for ideal in ideals:
+        assert layout(ideal_substitution(cf, ideal)) == \
+            layout(rref_substitution(cf, ideal))
+
+
+def test_rank_of_the_curvature_jacobian_at_seeded_points():
+    jac = _jmatrix_symbolic()
+    for seed in range(20):
+        point = random_rational_point(K_SYMS + (C_SYM,), seed)
+        at = jac.subs(point)
+        r, ker = matrix_rank_kernel(at)
+        assert r == 10 and len(ker) == 2
+        rows = at.constant_rows()
+        for v in ker:
+            assert_all_fractions(v)
+            assert apply(rows, v) == [0] * 12
+    flat = dict.fromkeys(K_SYMS, Fraction(0))
+    flat[C_SYM] = Fraction(-46, 5)
+    assert matrix_rank_kernel(jac.subs(flat))[0] < 10

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from g12calc.linalg import PolyMatrix, _Lcg
-from g12calc.poly import (ParseError, Poly, add_product, divexact,
-                          from_packed, parse_poly, var_key)
+from g12calc.poly import (ParseError, Poly, Substitution, add_product,
+                          divexact, from_packed, parse_poly, var_key)
 
 
 def rand_poly(rng, nvars=3, nterms=4, maxdeg=3):
@@ -75,6 +75,51 @@ def test_subs_respects_products():
     for _ in range(10):
         p, q = rand_poly(rng), rand_poly(rng)
         assert (p * q).subs(sub) == p.subs(sub) * q.subs(sub)
+
+
+def naive_subs(p: Poly, point: dict) -> Poly:
+    """p at the point, term by term through Poly arithmetic: the oracle
+    for values, not for term order."""
+    total = Poly.zero()
+    for e, c in p.terms.items():
+        term = Poly.const(c)
+        for v, k in zip(p.vars, e):
+            term = term * (point[v] if v in point else Poly.var(v)) ** k
+        total = total + term
+    return total
+
+
+def test_prepared_substitution_reused_across_polynomials():
+    """A point prepared once and substituted into many polynomials in
+    turn gives, for each, the packed dict (values and term order) that a
+    fresh Substitution gives, and the value of a term-by-term oracle.
+    Two prepared points are used alternately, so a monomial value kept
+    by one and read by the other, or keyed on the wrong fields, shows."""
+    points = [{"x1": Fraction(-3, 7), "t": 5, "y1": Poly.const(Fraction(2, 9)),
+               "y2": parse_poly("x2 - 2*t"), "a": Fraction(0)},
+              {"x1": Fraction(5, 4), "t": Fraction(-1, 3),
+               "y1": parse_poly("a + 1"), "y2": Poly.const(7)}]
+    prepared = [Substitution(pt) for pt in points]
+    rng = _Lcg(23)
+    names = ["x1", "y1", "x2", "y2", "t", "a"]
+    polys = []
+    for _ in range(30):
+        total = Poly.zero()
+        for _ in range(1 + rng.next_int(6)):
+            mono = {v: rng.next_int(3) for v in names}
+            total = total + Poly.monomial(
+                mono, Fraction(rng.next_int(19) - 9, 1 + rng.next_int(4)))
+        polys.append(total)
+    for p in polys:
+        for pt, sub in zip(points, prepared):
+            got = p.subs(sub)
+            assert list(got.packed.items()) == \
+                list(p.subs(Substitution(pt)).packed.items())
+            assert got == naive_subs(p, pt)
+    # each prepared point kept one value per scalar monomial it met
+    for sub in prepared:
+        assert set(sub.monos) == {0} | {k & sub.smask for p in polys
+                                        for k in p.packed}
 
 
 def test_divexact_roundtrip_and_failure():

@@ -66,6 +66,21 @@ def test_structure_constants_reproduce_brackets():
         LinearLieAlgebra("twice", 2, [[[0, 1], [0, 0]], [[0, 2], [0, 0]]])
 
 
+def test_g12_algebra_is_built_once_and_cannot_be_changed():
+    g = g12_algebra()
+    assert g12_algebra() is g
+    with pytest.raises(AttributeError):
+        g.brackets = {}
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    with pytest.raises(TypeError):
+        g.brackets[(0, 1)] = ()
+    with pytest.raises(TypeError):
+        g.basis_mats[0][0][0] = 5
+    assert all(type(c) is tuple for c in g.brackets.values())
+    assert type(g._entry_rows) is tuple
+
+
 def test_so3_spencer_isomorphism():
     rep = prolongation_and_h02(so3_algebra())
     assert rep["rank"] == 9
