@@ -250,21 +250,15 @@ def s16_single_pair(cfg):
        "removes everything but the rank-four block, with the constrained "
        "shape components zero")
 def intrinsic_adjustment(cfg):
-    vec = [Fraction(0)] * 90
-    offs = sp.TorsionCoords.offsets()
-    free = [i for blk in ("s12", "s10", "s12p", "s30", "s32")
-            for i in range(*offs[blk])]
-    rng_point = random_rational_point(
-        [f"v{k}" for k in range(len(free))], cfg.seed)
-    for i, v in zip(free, rng_point.values()):
-        vec[i] = v
-    a12, app = offs["s12"][0], offs["s12pp"][0]
-    for t in range(6):
-        vec[app + t] = 2 * vec[a12 + t]
+    basis = sp.criterion_basis()
+    point = random_rational_point(
+        [f"v{k}" for k in range(len(basis))], cfg.seed)
+    vec = [sum(c * x for c, x in zip(point.values(), col))
+           for col in zip(*basis)]
     phi = sp.intrinsic_adjustment(sp.TorsionCoords.from_vector(vec))
     got = sp.spencer_in_coords(phi)
     want = list(vec)
-    a30, b30 = offs["s30"]
+    a30, b30 = sp.TorsionCoords.offsets()["s30"]
     want[a30:b30] = [Fraction(0)] * (b30 - a30)
     ok = ([p.constant_value() for p in got.vector()] == want
           and phi.r14.is_zero() and phi.r12pp.is_zero())

@@ -752,7 +752,7 @@ def derive_db() -> Mapping:
     whose coefficient is the new parameter c.
     """
     fr = _frame("g12")
-    a_rules = _a_rules(fr, derive_da()["alphas"], _b_theta_part(fr))
+    a_rules = _solved_a_rules(fr)
     syms, ks = _unknowns(B_SHAPES)
     param_rules = {**a_rules, **_b_rules(fr, dict(zip(B_SHAPES, ks)))}
     sol = _solve_rules([a_rules[s] for s in A20_SYMS + A02_SYMS],
@@ -778,6 +778,11 @@ def derive_db() -> Mapping:
         "shape_coefficients": MappingProxyType(dict(zip(B_SHAPES, part))),
         "undetermined_shapes": UNDETERMINED_B_SHAPES,
     })
+
+
+def _solved_a_rules(fr: _Frame) -> Dict[str, FormExpr]:
+    """The a-rule with derive_da's alphas and the displayed theta-part."""
+    return _a_rules(fr, derive_da()["alphas"], _b_theta_part(fr))
 
 
 def _solved_b_rules(fr: _Frame, q_d1, q_d2) -> Dict[str, FormExpr]:
@@ -814,8 +819,7 @@ def derive_dc() -> Mapping:
     ]
     c_rule = form_sum(cf, zip(dc_shapes, ks[2:]))
     b_rules = _solved_b_rules(fr, ks[0], ks[1])
-    param_rules = {**_a_rules(fr, derive_da()["alphas"], _b_theta_part(fr)),
-                   **b_rules, C_SYM: c_rule}
+    param_rules = {**_solved_a_rules(fr), **b_rules, C_SYM: c_rule}
     sol = _solve_rules([b_rules[s] for s in B_SYMS], _gen_rules(fr),
                        param_rules, syms)
     if sol is None:
@@ -856,15 +860,12 @@ def _mode_skeleton(mode: str) -> Mapping[str, FormExpr]:
     """The read-only parameter rules of `mode` (a, b, c, and s30 in
     torsion-s30 mode), on the mode's frame.  Built once per mode, and
     cached apart from `_frame`, which the derivations read."""
-    da = derive_da()
-    if not da["display_matches_freedom"]:
+    if not derive_da()["display_matches_freedom"]:
         raise ValueError("theta-part of the a-rule does not match the "
                          "displayed parametrization")
     dc = derive_dc()
-    if not dc["theta_part_vanishes"]:
-        raise ValueError("unexpected theta terms in the c-rule")
     fr = _frame(mode)
-    param_rules = _a_rules(fr, da["alphas"], _b_theta_part(fr))
+    param_rules = _solved_a_rules(fr)
     param_rules.update(_solved_b_rules(fr, dc["q_d1"], dc["q_d2"]))
     # om00 is zero in h12 mode, and so is this rule
     param_rules[C_SYM] = fr.om00.scale(

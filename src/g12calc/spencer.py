@@ -25,12 +25,13 @@ evaluation (tensor_values, the route for symbolic input) is the
 independent route, which the codec, formula and adjustment checks
 compare with.
 
-A LinearLieAlgebra computes its structure constants once, as its closure
-check, and reads a matrix's coordinates in its basis with one linsolve;
-the adjoint action and excalc's omega ^ omega read the constants.  It is
-immutable, so g12_algebra() is built once per process and shared.  The
-Spencer domain and target are sparse binforms.Rep modules, and
-T(X) Sp = Sp D(X) is checked as sparse products.
+A LinearLieAlgebra reads the coordinates of a list of matrices off one
+kernel_basis.  Its structure constants, its closure check, are one read
+of all its commutators; the adjoint action reads the module generators
+in one more and, like excalc's omega ^ omega, expands through the
+constants.  It is immutable, so g12_algebra() is built once per process
+and shared.  The Spencer domain and target are sparse binforms.Rep
+modules, and T(X) Sp = Sp D(X) is checked as sparse products.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from . import binforms as bf
 from .binforms import (BiForm, BlockCoords, LieElt, Rep, basis, from_coords,
                        gradient_form, isotypic_decompose, rep_matrices,
                        symbolic, transvectant2)
-from .linalg import (invert_rational, linear_rows, linsolve, rank,
-                     solve_sparse)
+from .linalg import (invert_rational, kernel_basis, linear_rows, linsolve,
+                     rank, solve_sparse, spans_equal)
 from .poly import Poly, Scalar, _exact, dot
 
 
@@ -54,8 +55,8 @@ class LinearLieAlgebra:
     """A concrete matrix Lie algebra: ambient dim n and a basis B_0, ...
     of linearly independent n x n matrices.
 
-    The structure constants are computed once, on construction, and are
-    the closure check: brackets[(a, b)], a < b, holds the coordinates of
+    The structure constants are read once, on construction, and are the
+    closure check: brackets[(a, b)], a < b, holds the coordinates of
     [B_a, B_b], and a bracket outside the span raises ValueError.  It is
     immutable, so a cached algebra can be shared.
     """
@@ -75,27 +76,31 @@ class LinearLieAlgebra:
         init(self, "dim", len(mats))
         # one row per matrix entry, one column per basis matrix
         init(self, "_entry_rows", tuple(zip(*flat)))
-        brackets = {}
-        for a, b in combinations(range(self.dim), 2):
-            x, y = mats[a], mats[b]
-            coords = self.coordinates(
-                [[sum(x[i][k] * y[k][j] - y[i][k] * x[k][j]
-                      for k in range(n)) for j in range(n)]
-                 for i in range(n)])
-            if coords is None:
-                raise ValueError(
-                    f"{name}: basis is not closed under brackets")
-            brackets[(a, b)] = coords
-        init(self, "brackets", MappingProxyType(brackets))
+        comms = [[[sum(x[i][k] * y[k][j] - y[i][k] * x[k][j]
+                    for k in range(n)) for j in range(n)] for i in range(n)]
+                 for x, y in combinations(mats, 2)]
+        coords = self.coordinates(comms)
+        if coords is None:
+            raise ValueError(f"{name}: basis is not closed under brackets")
+        init(self, "brackets", MappingProxyType(
+            dict(zip(combinations(range(self.dim), 2), coords))))
 
     def __setattr__(self, *a):
         raise AttributeError("LinearLieAlgebra is immutable")
 
-    def coordinates(self, mat) -> Optional[Tuple[Fraction, ...]]:
-        """Coordinates of an n x n matrix in the basis, or None when the
-        matrix lies outside the algebra."""
-        sol = linsolve(self._entry_rows, [x for row in mat for x in row])
-        return None if sol is None else tuple(sol[0])
+    def coordinates(self, mats) -> Optional[List[Tuple[Fraction, ...]]]:
+        """Coordinates in the basis of each n x n matrix in `mats`, or
+        None when any of them lies outside the algebra, read off one
+        kernel_basis of [basis entry columns | -matrices]: a matrix lies
+        in the span exactly when its column is free, and that kernel
+        vector, 1 there and 0 at the other matrices' columns, starts
+        with its coordinates."""
+        flat = [[x for row in m for x in row] for m in mats]
+        kernel = kernel_basis([list(entry) + [-m[e] for m in flat]
+                               for e, entry in enumerate(self._entry_rows)])
+        if len(kernel) != len(flat):
+            return None
+        return [tuple(v[:self.dim]) for v in kernel]
 
 
 def spencer_matrix(g: LinearLieAlgebra) -> List[List[Scalar]]:
@@ -182,15 +187,16 @@ def gk1_algebra(k: int = 2) -> LinearLieAlgebra:
 
 def _adjoint_rep(g: LinearLieAlgebra, module: Rep) -> Rep:
     """Action of the six generators on the algebra by brackets with their
-    module matrices, in the algebra's own basis: each generator is read
-    once in coordinates x, and [X, B_b] = sum_a x_a [B_a, B_b] comes from
-    g's structure constants."""
+    module matrices, in the algebra's own basis: the six generators are
+    read in coordinates x with one call, and [X, B_b] = sum_a x_a
+    [B_a, B_b] comes from g's structure constants."""
+    xs = g.coordinates([[[col.get(i, 0) for col in module.cols[name]]
+                         for i in range(g.n)]
+                        for name in bf.GENERATOR_NAMES])
+    if xs is None:
+        raise ValueError(f"a module generator lies outside {g.name}")
     gens = []
-    for name in bf.GENERATOR_NAMES:
-        x = g.coordinates([[col.get(i, 0) for col in module.cols[name]]
-                           for i in range(g.n)])
-        if x is None:
-            raise ValueError(f"module generator {name} lies outside {g.name}")
+    for x in xs:
         cols: List[Dict[int, Fraction]] = [{} for _ in range(g.dim)]
         for (a, b), coords in g.brackets.items():
             for k, c in enumerate(coords):  # [B_a, B_b] = -[B_b, B_a]
@@ -210,19 +216,10 @@ def spencer_target_rep(module: Rep) -> Rep:
     return module.dual().wedge2().tensor(module)
 
 
-def spencer_equivariance_ok(g: Optional[LinearLieAlgebra] = None,
-                            dom: Optional[Rep] = None,
-                            tgt: Optional[Rep] = None) -> bool:
+def spencer_equivariance_ok(g: LinearLieAlgebra, dom: Rep, tgt: Rep) -> bool:
     """Exact identity T(X) Sp = Sp D(X) for all six generators, compared
-    column by column as sparse products.
-
-    dom and tgt are the Spencer domain and target reps D and T of g; with
-    no arguments the check runs for g_{1,2} on V_{1,2}.
-    """
-    if g is None:
-        g = g12_algebra()
-        module = Rep.space(1, 2)
-        dom, tgt = spencer_domain_rep(g, module), spencer_target_rep(module)
+    column by column as sparse products; dom and tgt are the Spencer
+    domain and target reps D and T of g."""
     sp = [{r: v for r, v in enumerate(col) if v}
           for col in zip(*spencer_matrix(g))]
     for name in bf.GENERATOR_NAMES:
@@ -483,6 +480,31 @@ def _divisibility_rows(tensor, arg_pairs, unknowns: Sequence[str]) -> List[dict]
                        unknowns)
 
 
+# The closed form of the divisibility criterion on torsion coordinates:
+# the zero blocks vanish, s12pp = 2 s12 as (block, factor, source), and
+# every other coordinate is free.
+CRITERION_ZERO_BLOCKS = ("s14", "s14p", "s16", "s34")
+CRITERION_RELATION = ("s12pp", 2, "s12")
+
+
+def criterion_basis() -> List[List[Fraction]]:
+    """Basis of that closed form: a unit vector per free coordinate, in
+    TorsionCoords order, a source coordinate also carrying the factor at
+    the matching coordinate of the related block."""
+    off = TorsionCoords.offsets()
+    block, factor, source = CRITERION_RELATION
+    out = []
+    for name, (a, b) in off.items():
+        if name not in CRITERION_ZERO_BLOCKS + (block,):
+            for i in range(a, b):
+                v = [Fraction(0)] * 90
+                v[i] = Fraction(1)
+                if name == source:
+                    v[off[block][0] + i - a] = Fraction(factor)
+                out.append(v)
+    return out
+
+
 def torsion_criterion_solve() -> dict:
     """Exact solution space of the divisibility criterion on torsion
     coordinates.
@@ -491,35 +513,18 @@ def torsion_criterion_solve() -> dict:
     to finitely many linear conditions by keeping r's coefficients
     symbolic; the conditions are polynomial in them, so requiring every
     (al, be)-coefficient to vanish is sound and complete.  Certifies that
-    the solution space is exactly {s14 = s14p = s16 = s34 = 0,
-    s12pp = 2 s12} of dimension 30, with a free s30 block of dimension 4.
+    the solution space is exactly the span of criterion_basis(), of
+    dimension 30, with a free s30 block of dimension 4.
     """
     rows = _divisibility_rows(torsion_tensor(TorsionCoords.symbolic()),
                               combinations(_divisible_basis(), 2),
                               TorsionCoords.symbols())
-    sol = solve_sparse(rows, 90)
-    assert sol is not None  # homogeneous system
-    _part, kernel = sol
-    off = TorsionCoords.offsets()
-    zero_blocks = ("s14", "s14p", "s16", "s34")
-    expected_ok = True
-    for v in kernel:
-        for blk in zero_blocks:
-            a, b = off[blk]
-            if any(v[i] != 0 for i in range(a, b)):
-                expected_ok = False
-        a12, _ = off["s12"]
-        app, _ = off["s12pp"]
-        for t in range(6):
-            if v[app + t] != 2 * v[a12 + t]:
-                expected_ok = False
-    expected_dim = 90 - sum(off[b][1] - off[b][0] for b in zero_blocks) - 6
-    s30_dim = off["s30"][1] - off["s30"][0]
+    _part, kernel = solve_sparse(rows, 90)  # homogeneous: never None
+    a30, b30 = TorsionCoords.offsets()["s30"]
     return {
         "solution_dim": len(kernel),
-        "expected_dim": expected_dim,
-        "matches_closed_form": expected_ok and len(kernel) == expected_dim,
-        "free_s30_dim": s30_dim,
+        "matches_closed_form": spans_equal(kernel, criterion_basis(), 30),
+        "free_s30_dim": b30 - a30,
         "kernel": kernel,
         "constraint_rows": len(rows),
     }

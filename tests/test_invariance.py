@@ -6,7 +6,9 @@ driver runs `verify` in a fresh process, either plainly, or with
 `poly._set_packed` wrapped so that every `Poly` stores its terms in
 reverse order, or with `excalc.FormExpr._of` wrapped so that every form
 built from an accumulator stores its monomials in reverse order; the
-stripped reports must agree.
+stripped reports must agree.  Each suite run alone in a fresh process,
+where it meets every cache cold, must give the check records of the
+plain `--suites all` run.
 """
 
 import functools
@@ -15,10 +17,12 @@ import os
 import subprocess
 import sys
 
-import g12calc
-from g12calc.cli import strip_timings
+import pytest
 
-ARGV = ["verify", "--suites", "all", "--seed", "11", "--c", "5/7"]
+import g12calc
+from g12calc.cli import SUITE_ORDER, strip_timings
+
+ARGV = ["--seed", "11", "--c", "5/7"]
 
 DRIVER = """
 import sys
@@ -55,12 +59,14 @@ sys.exit(main(sys.argv[2:]))
 
 
 @functools.lru_cache(maxsize=None)
-def run_verify(order: str) -> dict:
+def run_verify(order: str, suite: str = "all") -> dict:
     src = os.path.dirname(os.path.dirname(g12calc.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", DRIVER, order, *ARGV], capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+        [sys.executable, "-c", DRIVER, order, "verify", "--suites", suite,
+         *ARGV],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=300)
     assert proc.returncode == 0, proc.stderr
     return strip_timings(json.loads(proc.stdout))
 
@@ -75,3 +81,11 @@ def test_report_independent_of_poly_term_order():
 def test_report_independent_of_form_term_order():
     assert (json.dumps(run_verify("reversed-forms"), sort_keys=True)
             == json.dumps(run_verify("plain"), sort_keys=True))
+
+
+@pytest.mark.parametrize("suite", SUITE_ORDER)
+def test_report_independent_of_suite_selection(suite):
+    alone = run_verify("plain", suite)
+    assert alone["suites"] == [suite]
+    want = [c for c in run_verify("plain")["checks"] if c["suite"] == suite]
+    assert want and alone["checks"] == want

@@ -37,11 +37,14 @@ def test_closure_check_rejects_non_algebra():
                          [[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
     # a matrix outside the algebra has no coordinates
     assert so3_algebra().coordinates(
-        [[int(i == j) for j in range(3)] for i in range(3)]) is None
+        [[[int(i == j) for j in range(3)] for i in range(3)]]) is None
     g = g12_algebra()
     unit = [[0] * g.n for _ in range(g.n)]
     unit[0][0] = 1
-    assert g.coordinates(unit) is None
+    assert g.coordinates([unit]) is None
+    # nor has a batch holding one, and an empty batch reads nothing
+    assert g.coordinates([g.basis_mats[1], unit, g.basis_mats[2]]) is None
+    assert g.coordinates([]) == []
 
 
 def test_structure_constants_reproduce_brackets():
@@ -52,7 +55,10 @@ def test_structure_constants_reproduce_brackets():
                                           seed).values())
         combo = [[sum(c * m[i][j] for c, m in zip(want, mats))
                   for j in range(n)] for i in range(n)]
-        assert list(g.coordinates(combo)) == want
+        assert list(g.coordinates([combo])[0]) == want
+        # a batch reads each matrix as a read of it alone does, in order
+        pair = [g.basis_mats[-1], combo]
+        assert g.coordinates(pair) == [g.coordinates([m])[0] for m in pair]
         assert len(g.brackets) == g.dim * (g.dim - 1) // 2
         for (a, b), coords in g.brackets.items():
             x, y = mats[a], mats[b]
@@ -138,7 +144,31 @@ def test_module_family_prolongation_vanishes_for_k3():
 
 
 def test_spencer_equivariance_exact():
-    assert spencer_equivariance_ok()
+    g, module = g12_algebra(), bf.Rep.space(1, 2)
+    assert spencer_equivariance_ok(g, spencer_domain_rep(g, module),
+                                   spencer_target_rep(module))
+
+
+def test_coordinates_read_off_one_elimination(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*a, **kw):
+            calls.append(name)
+            return fn(*a, **kw)
+        return wrapped
+
+    for name in ("kernel_basis", "linsolve"):
+        monkeypatch.setattr(spencer, name,
+                            counting(name, getattr(spencer, name)))
+    for build in (spencer.g1k_algebra, spencer.gk1_algebra, so3_algebra):
+        del calls[:]
+        build()
+        assert calls == ["kernel_basis"]
+    g = spencer.g1k_algebra(2)
+    del calls[:]
+    _adjoint_rep(g, bf.Rep.space(1, 2))
+    assert calls == ["kernel_basis"]
 
 
 def test_pairing_coordinate_layouts():
@@ -288,6 +318,14 @@ def test_torsion_criterion_solution_space():
     assert rep["solution_dim"] == 30
     assert rep["matches_closed_form"]
     assert rep["free_s30_dim"] == 4
+
+
+def test_torsion_criterion_detects_a_dropped_zero_block(monkeypatch):
+    monkeypatch.setattr(spencer, "CRITERION_ZERO_BLOCKS",
+                        ("s14", "s14p", "s16"))
+    rep = torsion_criterion_solve()
+    assert rep["solution_dim"] == 30
+    assert not rep["matches_closed_form"]
 
 
 def test_torsion_criterion_invariant_under_action():
