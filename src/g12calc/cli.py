@@ -226,7 +226,8 @@ def spencer_coordinate_formula(cfg):
 @check("spencer", "spencer_coords_mutation_control", "perturbing the -1/4 "
        "coefficient breaks the coordinate formula")
 def spencer_coords_mutation_control(cfg):
-    return not sp.spencer_coords_match({"s32_r32": Fraction(1, 4)}), {}
+    return not sp.spencer_coords_match(
+        {**sp.SPENCER_COORDS, "s32": (("r32", Fraction(1, 4)),)}), {}
 
 
 @check("torsion", "divisibility_criterion", "the divisibility constraint "
@@ -434,7 +435,7 @@ def constants_replay(cfg):
        "2 a20 = 3 a02 and the gradient form of b; constraint blocks have "
        "ranks 3 and 2 and cut an 8-dimensional admissible set")
 def restriction_chain(cfg):
-    rep = ex.restriction_chain()
+    rep = ig.restriction_chain()
     ok = (rep["a_constraints_match_display"]
           and rep["b_constraint_rank"] == 2
           and rep["b_solution_is_gradient_subspace"]
@@ -453,11 +454,8 @@ def first_integral_vanishes(cfg):
        "restriction conditions is flagged admissible (first constant zero)")
 def admissibility_flag(cfg):
     a20 = bf.from_coords(2, 0, [Fraction(3), Fraction(0), Fraction(-3)])
-    a02 = bf.from_coords(0, 2, [Fraction(2), Fraction(0), Fraction(-2)])
     u = bf.slot2_form(parse_poly("x2^3 - 2*x2*y2^2"), 3)
-    const = ig.structure_constants(ig.CurvaturePoint(a20, a02,
-                                                     bf.gradient_form(u),
-                                                     Fraction(5)))
+    const = ig.structure_constants(ig.admissible_point(a20, u, Fraction(5)))
     return const["restriction_admissible"], _fields(const, "c1", "c2")
 
 
@@ -715,6 +713,12 @@ def cmd_constants(point_path: str) -> int:
         print(f"error: {point_path} is not a JSON object of assignments",
               file=sys.stderr)
         return 2
+    params = list(ig.K_SYMS) + ["c"]
+    unknown = [key for key in data if key not in params]
+    if unknown:
+        print(f"error: point file assigns unknown parameters {unknown}",
+              file=sys.stderr)
+        return 2
     assignment = {}
     for key, value in data.items():
         try:
@@ -730,7 +734,7 @@ def cmd_constants(point_path: str) -> int:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             print(f"error: entry {key}: {exc}", file=sys.stderr)
             return 2
-    missing = [s for s in list(ig.K_SYMS) + ["c"] if s not in assignment]
+    missing = [s for s in params if s not in assignment]
     if missing:
         print(f"error: point file lacks assignments for {missing}",
               file=sys.stderr)

@@ -50,6 +50,12 @@ sum of c * vform is `vform_sum`, one `form_sum` per component.  Forms
 add only through `form_sum`: `+`, `-` and `scale` are one call each, and
 so is each domega rule, c_i times the curvature blocks and then minus
 omega ^ omega.
+
+Reduction modulo a constant-coefficient 1-form ideal is substitution of
+its pivot generators (`ideal_substitution`, `reduce_mod_ideal`), and
+`frobenius_residual` reads the integrability conditions off it; the
+restriction chain, which reduces with the same substitution, is
+`integrals.restriction_chain`.
 """
 
 from __future__ import annotations
@@ -62,12 +68,11 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import binforms as bf
-from .binforms import (BiForm, basis, dim_v, from_coords, gradient_form,
-                       pairing_table)
-from .linalg import (kernel_basis, linear_rows, linsolve,
-                     random_rational_point, rank, solve_sparse, spans_equal)
-from .poly import (Poly, Substitution, _operand, _trusted, _var_key,
-                   add_product, fields_mask, var_key)
+from .binforms import BiForm, dim_v, pairing_table
+from .linalg import (kernel_basis, linear_rows, linsolve, rank, solve_sparse,
+                     spans_equal)
+from .poly import (Poly, _operand, _trusted, _var_key, add_product,
+                   fields_mask)
 from .spencer import g12_algebra
 
 # -- coframe ----------------------------------------------------------------
@@ -260,17 +265,6 @@ class FormExpr:
                     _add_product(out, m1 | m2, c1, c2,
                                  (m2 & v).bit_count() & 1)
         return _form(self.cf, out)
-
-    def subs_params(self, assignment) -> "FormExpr":
-        """`assignment` substituted into every coefficient, zero results
-        dropped."""
-        sub = Substitution(assignment)
-        out = {}
-        for mask, c in self._by_mask.items():
-            c = c.subs(sub)
-            if not c.is_zero():
-                out[mask] = c
-        return FormExpr._of(self.cf, out)
 
     def coefficient(self, mono: tuple) -> Poly:
         """The coefficient of the exterior monomial `mono`, zero when it
@@ -1027,7 +1021,8 @@ def reduce_mod_ideal(expr: FormExpr, subs: Dict[int, FormExpr]) -> FormExpr:
 def frobenius_residual(ideal_forms: Sequence[FormExpr],
                        sys: StructureSystem) -> dict:
     """d(g) mod the ideal for each generator g; the coefficient
-    conditions are what Frobenius integrability requires to vanish."""
+    conditions are what Frobenius integrability requires to vanish.  The
+    ideal's substitution is returned too, for further reductions."""
     subs = ideal_substitution(sys.cf, ideal_forms)
     residuals = []
     conditions = []
@@ -1036,6 +1031,7 @@ def frobenius_residual(ideal_forms: Sequence[FormExpr],
         residuals.append(red)
         conditions.extend(red.terms.values())
     return {"residuals": residuals, "conditions": conditions,
+            "substitution": subs,
             "frobenius_holds_identically": all(
                 c.is_zero() for c in conditions)}
 
@@ -1060,110 +1056,6 @@ def local_symmetry_obstruction() -> dict:
         "residual": red,
         "matches_display": (red - expected).is_zero(),
         "expected_coefficient": scalar,
-    }
-
-
-def _homogeneous_rows(polys: Sequence[Poly], unknowns: Sequence[str],
-                      message: str) -> List[dict]:
-    """Rows of the conditions p = 0, each homogeneous linear in the
-    unknowns and free of every other variable; anything else raises
-    ValueError(message)."""
-    allowed = {var_key(u) for u in unknowns}
-    for p in polys:
-        if not allowed.issuperset(p.packed):
-            raise ValueError(message)
-    return linear_rows(polys, unknowns)
-
-
-def restriction_chain() -> dict:
-    """The submanifold-compatibility ideal: Frobenius residual conditions,
-    the induced constraint on b, and the independence of the combined
-    constraint differentials.
-
-    Steps: (1) reduce the differentials of the ideal generators and solve
-    the resulting linear conditions on the curvature parameters;
-    (2) differentiate those conditions along the frozen rules modulo the
-    ideal and the conditions themselves, producing linear conditions on
-    b; certify the solution is the gradient subspace {x (x) u_x +
-    y (x) u_y}; (3) certify the five constraint differentials have rank 5
-    at a generic admissible rational point."""
-    sys = build_system("h12")
-    cf = sys.cf
-    gens = [
-        FormExpr.gen(cf, "th_m1_0") - FormExpr.gen(cf, "th_1_m2").scale(2),
-        FormExpr.gen(cf, "th_1_0") - FormExpr.gen(cf, "th_m1_2").scale(2),
-        FormExpr.gen(cf, "om02_2") - FormExpr.gen(cf, "om20_2"),
-        FormExpr.gen(cf, "om02_0") - FormExpr.gen(cf, "om20_0"),
-        FormExpr.gen(cf, "om02_m2") - FormExpr.gen(cf, "om20_m2"),
-    ]
-    frob = frobenius_residual(gens, sys)
-    cond_rows = _homogeneous_rows(frob["conditions"], PARAM_SYMS,
-                                  "Frobenius conditions are not linear")
-    sol = solve_sparse(cond_rows, len(PARAM_SYMS))
-    _p, kernel = sol
-    # expected: 2 a20_k = 3 a02_k for k = 0, 1, 2 (weight-aligned), with
-    # b and c free
-    expected_ok = all(
-        all(2 * v[k] == 3 * v[3 + k] for k in range(3)) for v in kernel)
-    a_constraint_count = 13 - len(kernel)
-
-    # step 2: differentiate the constraint functions 2 a20_k - 3 a02_k
-    subs = ideal_substitution(cf, gens)
-    fivedashone = {A02_SYMS[k]: Poly.var(A20_SYMS[k]) * Fraction(2, 3)
-                   for k in range(3)}
-    diffs = [form_sum(cf, ((sys.param_rules[A20_SYMS[k]], 2),
-                           (sys.param_rules[A02_SYMS[k]], -3)))
-             for k in range(3)]
-    b_conds = []
-    for dg in diffs:
-        red = reduce_mod_ideal(dg, subs).subs_params(fivedashone)
-        b_conds.extend(red.terms.values())
-    b_rows = _homogeneous_rows(b_conds, B_SYMS,
-                               "b-conditions are not linear in b")
-    _pb, b_kernel = solve_sparse(b_rows, 6)
-    # gradient subspace: b = x (x) u_x + y (x) u_y for u in V_3 (slot 2)
-    grad_vecs = [[c.constant_value() for c in gradient_form(u).coords()]
-                 for u in basis(0, 3)]
-    b_matches_gradient = spans_equal(b_kernel, grad_vecs, 4)
-
-    # step 3: rank of the five constraint differentials at an admissible
-    # random rational point
-    pt = random_rational_point(list(A20_SYMS) + ["u0", "u1", "u2", "u3",
-                                                 C_SYM], seed=31)
-    assignment = {s: pt[s] for s in A20_SYMS}
-    assignment[C_SYM] = pt[C_SYM]
-    for k in range(3):
-        assignment[A02_SYMS[k]] = Fraction(2, 3) * pt[A20_SYMS[k]]
-    ucubic = from_coords(0, 3, [pt["u0"], pt["u1"], pt["u2"], pt["u3"]])
-    for j, cval in enumerate(gradient_form(ucubic).coords()):
-        assignment[B_SYMS[j]] = cval.constant_value()
-    # two functionals cutting the gradient subspace out of b-space
-    b_rules = [sys.param_rules[s] for s in B_SYMS]
-    diffs += [form_sum(cf, zip(b_rules, functional))
-              for functional in kernel_basis(grad_vecs)]
-    live = [cf.index[n] for n in LIVE_NAMES]
-    sub = Substitution(assignment)
-    mat = [[fe.coefficient((gidx,)).subs(sub).constant_value()
-            for gidx in live] for fe in diffs]
-    rank_all = rank(mat)
-    rank_a = rank(mat[:3])
-    rank_b = rank(mat[3:])
-    # the five differentials satisfy exactly one relation on the locus:
-    # the conserved first integral vanishes identically there, so its
-    # (identically zero) differential ties the blocks together; rank 4
-    # makes the admissible set an 8-dimensional submanifold of the
-    # 12-dimensional total space, as claimed
-    return {
-        "frobenius_conditions": len(cond_rows),
-        "a_constraint_count": a_constraint_count,
-        "a_constraints_match_display": expected_ok,
-        "b_constraint_rank": 6 - len(b_kernel),
-        "b_solution_is_gradient_subspace": b_matches_gradient,
-        "a_block_rank": rank_a,
-        "b_block_rank": rank_b,
-        "combined_differential_rank": rank_all,
-        "blocks_independent": rank_a == 3 and rank_b == 2,
-        "admissible_submanifold_dim": 12 - rank_all,
     }
 
 

@@ -1,10 +1,15 @@
 """The curvature map apparatus: the 12 x 12 parameter Jacobian, its rank
 and kernel, the scalar invariants, the two first integrals and their
-conservation identities, and the restriction admissibility test.
+conservation identities, and the restriction chain with its
+admissibility test.
 
 The curvature point space is V_{2,0} + V_{0,2} + V_{1,2} with the 12
 coordinates (a20: 3, a02: 3, b: 6) plus the constant c.  All identities
-are polynomial identities over the rationals in these 13 symbols.
+are polynomial identities over the rationals in these 13 symbols.  The
+flat point a = b = 0 is FLAT, and the admissible locus is stated once,
+by admissible_point.  The restriction chain reads J: its five
+constraint differentials are constant functionals of the 12 coordinates
+times J.
 """
 
 from __future__ import annotations
@@ -17,12 +22,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import binforms as bf
 from .binforms import (BiForm, BlockCoords, basis, dim_v, from_coords,
                        gradient_form, pairing_table, transvectant2)
-from .excalc import (A02_SYMS, A20_SYMS, C_SYM, CURVATURE_SHAPE, LIVE_NAMES,
-                     FormExpr, StructureSystem, build_system, contract,
-                     exterior_d, form_sum)
-from .linalg import (PolyMatrix, invert_rational, matrix_det, rank,
-                     random_rational_point)
-from .poly import Poly, Scalar, Substitution, declare, dot
+from .excalc import (A02_SYMS, A20_SYMS, B_SYMS, C_SYM, CURVATURE_SHAPE,
+                     LIVE_NAMES, PARAM_SYMS, FormExpr, StructureSystem,
+                     build_system, contract, exterior_d, form_sum,
+                     frobenius_residual, reduce_mod_ideal)
+from .linalg import (PolyMatrix, invert_rational, kernel_basis, linear_rows,
+                     matrix_det, rank, random_rational_point, solve_sparse,
+                     spans_equal)
+from .poly import Poly, Scalar, Substitution, declare, dot, var_key
 
 
 class CurvaturePoint(BlockCoords):
@@ -45,6 +52,8 @@ class CurvaturePoint(BlockCoords):
 
 
 K_SYMS = tuple(CurvaturePoint.symbols())
+# the flat point a = b = 0; c is added by each caller
+FLAT = MappingProxyType(dict.fromkeys(K_SYMS, Fraction(0)))
 # the parameters of the specialization a20 = t xy, a02 = t' xy
 XY_PARAMS = ("t", "tp")
 
@@ -207,10 +216,10 @@ def conservation_identity(coeff_72=Fraction(72)) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _gram_inverse(n: int, m: int, p1: int, p2: int) -> tuple:
+def _gram_inverse(n: int, m: int) -> tuple:
     """Inverse transpose-Gram matrix of the full contraction on V_{n,m}:
     entry (i, j) of the Gram matrix is the constant of pairing_table."""
-    table = pairing_table(n, m, n, m, p1, p2)
+    table = pairing_table(n, m, n, m, n, m)
     d = dim_v(n, m)
     gramT = [[table[j, i][1] if (j, i) in table else 0 for j in range(d)]
              for i in range(d)]
@@ -228,7 +237,7 @@ def gradient_rows() -> dict:
     out = {}
     for k, f in (("1", f1), ("2", f2)):
         for bname, (n, m) in CurvaturePoint.SHAPE:
-            ginv = _gram_inverse(n, m, n, m)
+            ginv = _gram_inverse(n, m)
             factor = _DISPLAY_WEIGHTS[bname]
             grad = [f.diff(s) for s in bf.symbol_names(n, m, bname)]
             out[f"r{k}_{bname}"] = from_coords(n, m, [
@@ -326,8 +335,7 @@ def rank_certificate(c_value: Scalar, seed: int) -> dict:
     else:
         raise ValueError("could not find a point off the singular locus")
     rank_j = _rank_at(assignment)
-    flat = dict.fromkeys(K_SYMS, Fraction(0))
-    flat[C_SYM] = Fraction(c_value)
+    flat = {**FLAT, C_SYM: Fraction(c_value)}
     rank_flat = _rank_at(flat)
     return {
         "seed": used_seed,
@@ -346,10 +354,9 @@ def rank_dichotomy_samples(c_value: Scalar, seeds: Sequence[int]) -> dict:
     at seeded points plus engineered singular-locus members."""
     # the seeded points, then engineered singular points: a = b = 0 and
     # an a20-only point
-    flat = dict.fromkeys(K_SYMS, Fraction(0))
     points = [(seed, random_rational_point(list(K_SYMS), seed))
               for seed in seeds]
-    points += [(None, flat), (None, {**flat, A20_SYMS[1]: Fraction(1)})]
+    points += [(None, FLAT), (None, {**FLAT, A20_SYMS[1]: Fraction(1)})]
     results = []
     for seed, point in points:
         assignment = {**point, C_SYM: Fraction(c_value)}
@@ -451,10 +458,9 @@ def symmetry_fields_check() -> Mapping:
 def fields_vanish_at_flat_point() -> bool:
     """At a = b = 0 the gradient data, hence both fields, vanish."""
     rows = gradient_rows()
-    flat = dict.fromkeys(K_SYMS, Fraction(0))
     for key, form in rows.items():
         for comp in form.coords():
-            if not comp.subs(flat).is_zero():
+            if not comp.subs(FLAT).is_zero():
                 return False
     return True
 
@@ -462,12 +468,113 @@ def fields_vanish_at_flat_point() -> bool:
 # -- restriction admissibility ------------------------------------------------
 
 
-def f1_vanishes_on_restriction_locus() -> bool:
-    """Substituting the admissibility constraints (a02 = 2/3 a20 and
-    b of gradient form) into the first integral yields identically 0."""
-    bgrad = gradient_form(bf.symbolic(0, 3, "u"))
-    a20 = bf.symbolic(2, 0, "a20")
+def admissible_point(a20: BiForm, cubic: BiForm, c=None) -> CurvaturePoint:
+    """The point of the admissible locus over a20 and a second-slot cubic:
+    a02 = 2/3 a20, weight by weight, and b the gradient form of the cubic
+    (x (x) u_x + y (x) u_y); c symbolic unless given."""
     a02 = from_coords(0, 2, [p * Fraction(2, 3) for p in a20.coords()])
-    pt = CurvaturePoint(a20, a02, bgrad)
+    return CurvaturePoint(a20, a02, gradient_form(cubic), c)
+
+
+def f1_vanishes_on_restriction_locus() -> bool:
+    """The first integral vanishes identically on the admissible locus
+    over a symbolic a20, cubic and c."""
+    pt = admissible_point(bf.symbolic(2, 0, "a20"), bf.symbolic(0, 3, "u"))
     f1, _f2 = first_integrals(pt)
     return f1.is_zero()
+
+
+def _homogeneous_rows(polys: Sequence[Poly], unknowns: Sequence[str],
+                      message: str) -> List[dict]:
+    """Rows of the conditions p = 0, each homogeneous linear in the
+    unknowns and free of every other variable; anything else raises
+    ValueError(message)."""
+    allowed = {var_key(u) for u in unknowns}
+    for p in polys:
+        if not allowed.issuperset(p.packed):
+            raise ValueError(message)
+    return linear_rows(polys, unknowns)
+
+
+def restriction_chain() -> dict:
+    """The submanifold-compatibility ideal: Frobenius residual conditions,
+    the induced constraint on b, and the independence of the combined
+    constraint differentials.
+
+    Steps: (1) reduce the differentials of the ideal generators and solve
+    the resulting linear conditions on the curvature parameters;
+    (2) differentiate those conditions along the frozen rules modulo the
+    ideal and on the admissible locus, producing linear conditions on
+    b; certify the solution is the gradient subspace {x (x) u_x +
+    y (x) u_y}; (3) the five constraint differentials are constant
+    functionals of the curvature coordinates times J: certify their rank
+    at a generic admissible rational point."""
+    sys = build_system("h12")
+    cf = sys.cf
+    gens = [
+        FormExpr.gen(cf, "th_m1_0") - FormExpr.gen(cf, "th_1_m2").scale(2),
+        FormExpr.gen(cf, "th_1_0") - FormExpr.gen(cf, "th_m1_2").scale(2),
+        FormExpr.gen(cf, "om02_2") - FormExpr.gen(cf, "om20_2"),
+        FormExpr.gen(cf, "om02_0") - FormExpr.gen(cf, "om20_0"),
+        FormExpr.gen(cf, "om02_m2") - FormExpr.gen(cf, "om20_m2"),
+    ]
+    frob = frobenius_residual(gens, sys)
+    cond_rows = _homogeneous_rows(frob["conditions"], PARAM_SYMS,
+                                  "Frobenius conditions are not linear")
+    _p, kernel = solve_sparse(cond_rows, len(PARAM_SYMS))
+    # expected: 2 a20_k = 3 a02_k for k = 0, 1, 2 (weight-aligned), with
+    # b and c free
+    expected_ok = all(
+        all(2 * v[k] == 3 * v[3 + k] for k in range(3)) for v in kernel)
+    a_constraint_count = 13 - len(kernel)
+
+    # step 2: differentiate the constraint functions 2 a20_k - 3 a02_k,
+    # functionals on the 12 curvature coordinates
+    functionals = [[2 if j == k else -3 if j == 3 + k else 0
+                    for j in range(12)] for k in range(3)]
+    rules = [sys.param_rules[s] for s in K_SYMS]
+    locus = admissible_point(CurvaturePoint.symbolic().a20,
+                             bf.symbolic(0, 3, "u"))
+    on_locus = dict(zip(A02_SYMS, locus.a02.coords()))
+    b_conds = [c.subs(on_locus) for f in functionals
+               for c in reduce_mod_ideal(form_sum(cf, zip(rules, f)),
+                                         frob["substitution"]).terms.values()]
+    b_rows = _homogeneous_rows(b_conds, B_SYMS,
+                               "b-conditions are not linear in b")
+    _pb, b_kernel = solve_sparse(b_rows, 6)
+    # gradient subspace: b = x (x) u_x + y (x) u_y for u in V_3 (slot 2)
+    grad_vecs = [[c.constant_value() for c in gradient_form(u).coords()]
+                 for u in basis(0, 3)]
+    b_matches_gradient = spans_equal(b_kernel, grad_vecs, 4)
+
+    # step 3: with the two functionals cutting the gradient subspace out
+    # of b-space, the rank of the five differentials (functional . J) at
+    # an admissible random rational point
+    functionals += [[0] * 6 + f for f in kernel_basis(grad_vecs)]
+    cubic = ["u0", "u1", "u2", "u3"]
+    pt = random_rational_point(list(A20_SYMS) + cubic + [C_SYM], seed=31)
+    point = admissible_point(from_coords(2, 0, [pt[s] for s in A20_SYMS]),
+                             from_coords(0, 3, [pt[u] for u in cubic]),
+                             pt[C_SYM])
+    mat = PolyMatrix([row_times_j(f) for f in functionals]).subs(
+        point.assignment()).constant_rows()
+    rank_all = rank(mat)
+    rank_a = rank(mat[:3])
+    rank_b = rank(mat[3:])
+    # the five differentials satisfy exactly one relation on the locus:
+    # the conserved first integral vanishes identically there, so its
+    # (identically zero) differential ties the blocks together; rank 4
+    # makes the admissible set an 8-dimensional submanifold of the
+    # 12-dimensional total space, as claimed
+    return {
+        "frobenius_conditions": len(cond_rows),
+        "a_constraint_count": a_constraint_count,
+        "a_constraints_match_display": expected_ok,
+        "b_constraint_rank": 6 - len(b_kernel),
+        "b_solution_is_gradient_subspace": b_matches_gradient,
+        "a_block_rank": rank_a,
+        "b_block_rank": rank_b,
+        "combined_differential_rank": rank_all,
+        "blocks_independent": rank_a == 3 and rank_b == 2,
+        "admissible_submanifold_dim": 12 - rank_all,
+    }

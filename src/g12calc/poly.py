@@ -165,12 +165,13 @@ def split_form(key: int):
 
 
 def _exact(c):
-    """Canonical stored coefficient: `int` when integral, else `Fraction`."""
+    """Canonical stored coefficient: `int` when integral, else `Fraction`.
+    A `bool` is not a scalar and raises TypeError, like a `float`."""
     if type(c) is int:
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return int(c)
     if isinstance(c, str):
         return _exact(Fraction(c))

@@ -17,9 +17,9 @@ parameters.
 
 The pairings that make up phi and the tensor are declared once, as
 PHI_TERMS and TORSION_TERMS, and the closed form of Sp in coordinates
-once, as the table SPENCER_COORDS: expected_spencer_coords reads it
-through dot, and Sp's matrix in coordinates (90 x 42), which the
-intrinsic adjustment solves with, is read off it.  The codec matrix
+once, as the table SPENCER_COORDS.  Its one reader is Sp's matrix in
+coordinates (90 x 42): the intrinsic adjustment solves with it, and the
+formula check dots each of its rows with phi.  The codec matrix
 (90 x 90) contracts pairing_table constants over the terms.  BiForm
 evaluation (tensor_values, the route for symbolic input) is the
 independent route, which the codec, formula and adjustment checks
@@ -423,31 +423,16 @@ SPENCER_COORDS = {
 }
 
 
-def expected_spencer_coords(phi: PhiCoords,
-                            overrides: Optional[dict] = None) -> TorsionCoords:
-    """The closed-form coordinate expression of Sp(phi): each torsion
-    block is the dot of its SPENCER_COORDS entries with phi's blocks.
-
-    `overrides` maps "<torsion block>_<phi block>" (such as "s32_r32") to
-    a coefficient used in place of the table's, so that negative-control
-    tests can perturb a single coefficient.
-    """
-    overrides = overrides or {}
-    return TorsionCoords(**{
-        s: BiForm(n, m, dot(
-            (getattr(phi, r).poly, overrides.get(f"{s}_{r}", c))
-            for r, c in SPENCER_COORDS.get(s, ())))
-        for s, (n, m) in TorsionCoords.SHAPE})
-
-
-def spencer_coords_match(overrides: Optional[dict] = None) -> bool:
-    """Does the exact Sp(phi) agree with the closed-form coordinates for
-    fully symbolic phi?  (42 free parameters, exact.)"""
+def spencer_coords_match(table: dict = SPENCER_COORDS) -> bool:
+    """Does the exact Sp(phi) agree with the closed form `table` for fully
+    symbolic phi?  (42 free parameters, exact.)  Each torsion coordinate
+    is compared with its row of the matrix read off `table`, dotted with
+    phi's coordinates."""
     phi = PhiCoords.symbolic()
-    got = spencer_in_coords(phi)
-    want = expected_spencer_coords(phi, overrides)
-    return all((g - w).is_zero()
-               for g, w in zip(got.vector(), want.vector()))
+    coords = phi.vector()
+    return all((g - dot(zip(row, coords))).is_zero()
+               for g, row in zip(spencer_in_coords(phi).vector(),
+                                 _spencer_coordinate_matrix(table)))
 
 
 def _generic_line() -> Poly:
@@ -548,14 +533,13 @@ def torsion_criterion_s16_pair() -> dict:
             "free_dim": len(kernel)}
 
 
-@lru_cache(maxsize=None)
-def _spencer_coordinate_matrix() -> tuple:
-    """90 x 42 matrix of Sp in pairing coordinates, read off
-    SPENCER_COORDS: the two blocks of each entry share one bidegree, so
-    its coefficient lies on the diagonal of their (torsion, phi) block."""
+def _spencer_coordinate_matrix(table: dict = SPENCER_COORDS) -> tuple:
+    """90 x 42 matrix of Sp in pairing coordinates, read off the closed
+    form `table`: the two blocks of each entry share one bidegree, so its
+    coefficient lies on the diagonal of their (torsion, phi) block."""
     s_off, r_off = TorsionCoords.offsets(), PhiCoords.offsets()
     rows = [[0] * 42 for _ in range(90)]
-    for s, terms in SPENCER_COORDS.items():
+    for s, terms in table.items():
         for r, c in terms:
             (i, _), (j, stop) = s_off[s], r_off[r]
             for k in range(stop - j):

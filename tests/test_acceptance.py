@@ -153,7 +153,7 @@ def test_criterion_08_symmetry_fields():
 
 
 def test_criterion_09_restriction_chain():
-    chain = ex.restriction_chain()
+    chain = ig.restriction_chain()
     f1zero = ig.f1_vanishes_on_restriction_locus()
     ok = (chain["a_constraints_match_display"]
           and chain["b_constraint_rank"] == 2
@@ -175,7 +175,8 @@ def test_criterion_10_obstruction_identity():
 def test_criterion_11_negative_controls():
     muts = {
         "coordinate formula coefficient -1/4 -> +1/4":
-            not sp.spencer_coords_match({"s32_r32": Fraction(1, 4)}),
+            not sp.spencer_coords_match(
+                {**sp.SPENCER_COORDS, "s32": (("r32", Fraction(1, 4)),)}),
         "curvature coefficient -7 -> -6 breaks closure":
             not ex.d_squared_report(ex.build_system(
                 "h12", curvature_coeffs=(Fraction(-4), Fraction(3),

@@ -252,6 +252,8 @@ def test_constants_command(tmp_path, capsys):
     {"vars": ["x"], "terms": [{"coeff": 3, "exps": [-1]}]},
     {"vars": ["x"], "terms": [{"coeff": 3, "exps": [0.5]}]},
     {"vars": ["x"], "terms": [{"coeff": 3, "exps": [True]}]},
+    # a JSON boolean is not a number
+    True, False,
 ])
 def test_constants_rejects_inexact_and_malformed_values(tmp_path, capsys,
                                                          bad):
@@ -286,6 +288,17 @@ def test_constants_accepts_ints_and_fraction_strings(tmp_path, capsys):
     path.write_text(json.dumps(point))
     assert main(["constants", "--point", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["c"] == "-5/7"
+
+
+def test_constants_rejects_unknown_names(tmp_path, capsys):
+    point = {s: str(k + 1) for k, s in enumerate(cli.ig.K_SYMS)}
+    point.update({"c": "1", "a20_9": "2", "cc": "3"})
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(point))
+    assert main(["constants", "--point", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a20_9" in captured.err and "cc" in captured.err
 
 
 def test_constants_missing_entries(tmp_path, capsys):

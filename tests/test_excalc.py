@@ -12,8 +12,8 @@ from g12calc.excalc import (COFRAME_NAMES, THETA_NAMES, Coframe,
                             frobenius_residual, ideal_substitution,
                             local_symmetry_obstruction,
                             omega_wedge_pairing_scale,
-                            reduce_mod_ideal, restriction_chain,
-                            torsion_mode_structure_check)
+                            reduce_mod_ideal, torsion_mode_structure_check)
+from g12calc.integrals import restriction_chain
 from g12calc.linalg import _Lcg, rank
 from g12calc.poly import Poly
 from g12calc.spencer import _adjoint_rep, g12_algebra

@@ -5,7 +5,7 @@ import pytest
 
 from g12calc import binforms as bf
 from g12calc.excalc import A02_SYMS, A20_SYMS, C_SYM
-from g12calc.integrals import (CurvaturePoint, K_SYMS,
+from g12calc.integrals import (CurvaturePoint, K_SYMS, admissible_point,
                                assemble_J, conservation_identity,
                                contraction_identity_holds,
                                det_vanishes_symbolically,
@@ -241,6 +241,25 @@ def test_admissible_point_flagged():
     const = structure_constants(CurvaturePoint(a20, a02, bgrad, Fraction(11)))
     assert const["c1"] == 0
     assert const["restriction_admissible"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_admissible_point_is_on_the_locus(seed):
+    names = [f"v{k}" for k in range(8)]
+    point = random_rational_point(names, seed)
+    v = [point[n] for n in names]
+    pt = admissible_point(bf.from_coords(2, 0, v[:3]),
+                          bf.from_coords(0, 3, v[3:7]), v[7])
+    assert [2 * p for p in pt.a20.coords()] == \
+        [3 * p for p in pt.a02.coords()]
+    assert first_integrals(pt)[0].is_zero()
+    assert structure_constants(pt)["restriction_admissible"]
+    # one a02 coordinate moved off the locus breaks both
+    a02 = pt.a02.coords()
+    a02[seed % 3] += 1
+    off = CurvaturePoint(pt.a20, bf.from_coords(0, 2, a02), pt.b, pt.c)
+    assert not first_integrals(off)[0].is_zero()
+    assert not structure_constants(off)["restriction_admissible"]
 
 
 def test_scaling_family_recorded():

@@ -4,7 +4,7 @@ import pytest
 
 from g12calc.linalg import PolyMatrix, _Lcg
 from g12calc.poly import (ParseError, Poly, Substitution, add_product,
-                          divexact, from_packed, parse_poly, var_key)
+                          divexact, dot, from_packed, parse_poly, var_key)
 
 
 def rand_poly(rng, nvars=3, nterms=4, maxdeg=3):
@@ -199,6 +199,18 @@ def test_integral_coefficients_stored_as_int():
     lambda: PolyMatrix([[Poly.var("x1")]]).subs({"y2": 0.5}),
 ])
 def test_float_rejected_on_every_constructor_path(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly.const(True),
+    lambda: Poly.var("x1") * False,
+    lambda: Poly(["x1"], {(1,): True}),
+    lambda: Poly.var("x1").subs({"x1": True}),
+    lambda: dot([(Poly.var("x1"), True)]),
+])
+def test_bool_is_not_an_exact_scalar(build):
     with pytest.raises(TypeError):
         build()
 

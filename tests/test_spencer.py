@@ -9,8 +9,8 @@ from g12calc.cli import SuiteConfig, run_suites
 from g12calc.binforms import rep_matrices
 from g12calc.linalg import random_rational_point, rank
 from g12calc.poly import Poly
-from g12calc.spencer import (LinearLieAlgebra, PhiCoords, TorsionCoords,
-                             _adjoint_rep, contact_restriction_identity,
+from g12calc.spencer import (SPENCER_COORDS, LinearLieAlgebra, PhiCoords,
+                             TorsionCoords, _adjoint_rep, contact_restriction_identity,
                              decode_torsion, encode_torsion,
                              g12_algebra, g12_spencer_report, gk1_algebra,
                              gl2_algebra, intrinsic_adjustment,
@@ -292,22 +292,41 @@ def test_coordinate_formula_single_block():
 
 
 def test_coordinate_formula_mutation_fails():
-    assert not spencer_coords_match({"s32_r32": Fraction(1, 4)})
-    assert not spencer_coords_match({"s14_r14": Fraction(1, 2)})
+    assert not spencer_coords_match(
+        {**SPENCER_COORDS, "s32": (("r32", Fraction(1, 4)),)})
+    assert not spencer_coords_match(
+        {**SPENCER_COORDS, "s14": (("r14", Fraction(1, 2)),)})
+
+
+def _with_coefficient(table, block, k, c):
+    terms = list(table[block])
+    terms[k] = (terms[k][0], c)
+    return {**table, block: tuple(terms)}
+
+
+def test_coordinate_formula_every_table_coefficient_matters():
+    # each of the 13 coefficients changed alone, and a nonzero entry for
+    # a block the table leaves zero, break the formula
+    mutants = [_with_coefficient(SPENCER_COORDS, block, k, c + 1)
+               for block, terms in SPENCER_COORDS.items()
+               for k, (_r, c) in enumerate(terms)]
+    assert len(mutants) == 13
+    mutants.append({**SPENCER_COORDS, "s16": (("r14", Fraction(1)),)})
+    for table in mutants:
+        assert not spencer_coords_match(table)
+    assert spencer_coords_match(dict(SPENCER_COORDS))
 
 
 def test_adjustment_reads_the_closed_form_table(monkeypatch):
     # the adjustment matrix is read off SPENCER_COORDS, so a wrong table
     # coefficient fails the formula check and, through the independent
     # BiForm route, the adjustment check too
-    spencer._spencer_coordinate_matrix.cache_clear()
     monkeypatch.setitem(spencer.SPENCER_COORDS, "s32",
                         (("r32", Fraction(1, 4)),))
     try:
         report = run_suites(SuiteConfig(["spencer", "torsion"]))
     finally:
         monkeypatch.undo()
-        spencer._spencer_coordinate_matrix.cache_clear()
     status = {c["check"]: c["status"] for c in report["checks"]}
     assert status["spencer_coordinate_formula"] == "fail"
     assert status["intrinsic_adjustment"] == "fail"
