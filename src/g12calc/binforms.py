@@ -37,10 +37,14 @@ of named bidegrees.  One of them is `LieElt`, the algebra g_{1,2} =
 V_{0,0} + V_{2,0} + V_{0,2}; its action on V_{1,2} is read off that
 SHAPE: the block in V_{2a,2b} acts by the (a, b) transvectant.
 
-A module of SL(2) x SL(2) is a `Rep`: for each of the six generators,
+The six generators e_k, f_k, h_k of sl(2) x sl(2) act on slot k, in its
+variables x, y, as the vector fields e = x d/dy, f = y d/dx and
+h = x d/dx - y d/dy; `generator_action` is their one statement.  A
+module of SL(2) x SL(2) is a `Rep`: for each of the six generators,
 sparse columns X e_j = {row: coefficient}.  V_{n,m} reads them off the
-dense `rep_matrices`; `dual`, `tensor`, `wedge2` and `isotypic_decompose`
-work on the columns only.
+dense `rep_matrices`, which applies `generator_action` to each basis
+monomial; `dual`, `tensor`, `wedge2` and `isotypic_decompose` work on the
+columns only.
 """
 
 from __future__ import annotations
@@ -406,33 +410,21 @@ def pairing_table(n1: int, m1: int, n2: int, m2: int, p1: int, p2: int):
 
 GENERATOR_NAMES = ("e1", "f1", "h1", "e2", "f2", "h2")
 
-_SL2_MATS = {
-    "e": ((0, 1), (0, 0)),
-    "f": ((0, 0), (1, 0)),
-    "h": ((1, 0), (0, -1)),
-}
-
-
-def sl2_action(mat, slot: int, p: BiForm) -> BiForm:
-    """Infinitesimal transposed action of a 2x2 matrix on one slot.
-
-    For X = [[a, b], [c, d]] the action is (a x + c y) d/dx +
-    (b x + d y) d/dy in the chosen slot's variables; e acts as x d/dy,
-    f as y d/dx, h as x d/dx - y d/dy.
-    """
-    (a, b), (c, d) = mat
-    xv, yv = SLOT_VARS[slot - 1]
-    x = Poly.var(xv)
-    y = Poly.var(yv)
-    res = ((a * x + c * y) * p.poly.diff(xv)
-           + (b * x + d * y) * p.poly.diff(yv))
-    return BiForm(p.n, p.m, res)
-
-
 def generator_action(name: str, p: BiForm) -> BiForm:
-    """Action of one of e1, f1, h1, e2, f2, h2."""
-    slot = int(name[-1])
-    return sl2_action(_SL2_MATS[name[:-1]], slot, p)
+    """Action of one of e1, f1, h1, e2, f2, h2 on the slot its digit
+    names, in that slot's variables x, y: e = x d/dy, f = y d/dx and
+    h = x d/dx - y d/dy."""
+    xv, yv = SLOT_VARS[int(name[-1]) - 1]
+    kind = name[:-1]
+    if kind == "e":
+        res = Poly.var(xv) * p.poly.diff(yv)
+    elif kind == "f":
+        res = Poly.var(yv) * p.poly.diff(xv)
+    elif kind == "h":
+        res = Poly.var(xv) * p.poly.diff(xv) - Poly.var(yv) * p.poly.diff(yv)
+    else:
+        raise KeyError(name)
+    return BiForm(p.n, p.m, res)
 
 
 def _matrix_of(f, n: int, m: int) -> Tuple[Tuple[Scalar, ...], ...]:
@@ -741,8 +733,9 @@ def equivariance_check(p1: int, p2: int, bideg1: Tuple[int, int],
     for _ in range(trials):
         u = random_biform(*bideg1, rng)
         v = random_biform(*bideg2, rng)
+        uv = transvectant2(u, v, p1, p2)
         for name in GENERATOR_NAMES:
-            lhs = generator_action(name, transvectant2(u, v, p1, p2))
+            lhs = generator_action(name, uv)
             xu_v = transvectant2(generator_action(name, u), v, p1, p2)
             u_xv = transvectant2(u, generator_action(name, v), p1, p2)
             rhs = xu_v - u_xv if mutate else xu_v + u_xv

@@ -425,7 +425,7 @@ def conservation_mutation_control(cfg):
        "reproducible under seed replay")
 def constants_replay(cfg):
     def constants():
-        pt = random_rational_point(list(ig.K_SYMS) + ["c"], cfg.seed)
+        pt = random_rational_point(ex.PARAM_SYMS, cfg.seed)
         return ig.structure_constants(ig.CurvaturePoint.from_assignment(pt))
     const1, const2 = constants(), constants()
     return const1 == const2, _fields(const1, "c1", "c2")
@@ -551,19 +551,10 @@ def _parse_t_expr(text: str):
     if ";" not in inner:
         raise ParseError("expected ';' separating forms from orders", 0)
     forms, orders = inner.rsplit(";", 1)
-    depth = 0
-    split_at = None
-    for i, ch in enumerate(forms):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            split_at = i
-            break
-    if split_at is None:
+    # a polynomial literal has no comma, so the first one splits the forms
+    if "," not in forms:
         raise ParseError("expected two forms separated by ','", 0)
-    u_text, v_text = forms[:split_at], forms[split_at + 1:]
+    u_text, v_text = forms.split(",", 1)
     try:
         p1, p2 = (int(p) for p in orders.split(","))
     except ValueError:
@@ -713,8 +704,7 @@ def cmd_constants(point_path: str) -> int:
         print(f"error: {point_path} is not a JSON object of assignments",
               file=sys.stderr)
         return 2
-    params = list(ig.K_SYMS) + ["c"]
-    unknown = [key for key in data if key not in params]
+    unknown = [key for key in data if key not in ex.PARAM_SYMS]
     if unknown:
         print(f"error: point file assigns unknown parameters {unknown}",
               file=sys.stderr)
@@ -734,7 +724,7 @@ def cmd_constants(point_path: str) -> int:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             print(f"error: entry {key}: {exc}", file=sys.stderr)
             return 2
-    missing = [s for s in params if s not in assignment]
+    missing = [s for s in ex.PARAM_SYMS if s not in assignment]
     if missing:
         print(f"error: point file lacks assignments for {missing}",
               file=sys.stderr)

@@ -23,9 +23,9 @@ from . import binforms as bf
 from .binforms import (BiForm, BlockCoords, basis, dim_v, from_coords,
                        gradient_form, pairing_table, transvectant2)
 from .excalc import (A02_SYMS, A20_SYMS, B_SYMS, C_SYM, CURVATURE_SHAPE,
-                     LIVE_NAMES, PARAM_SYMS, FormExpr, StructureSystem,
-                     build_system, contract, exterior_d, form_sum,
-                     frobenius_residual, reduce_mod_ideal)
+                     LIVE_NAMES, PARAM_SYMS, FormExpr, build_system,
+                     contract, exterior_d, form_sum, frobenius_residual,
+                     reduce_mod_ideal)
 from .linalg import (PolyMatrix, invert_rational, kernel_basis, linear_rows,
                      matrix_det, rank, random_rational_point, solve_sparse,
                      spans_equal)
@@ -60,7 +60,7 @@ XY_PARAMS = ("t", "tp")
 # The curvature ring and the jmatrix parameters live for the whole process:
 # they take the registry fields right after the form variables, so the keys
 # of J and of the first integrals stay short (see g12calc.poly).
-declare(K_SYMS + (C_SYM,) + XY_PARAMS)
+declare(PARAM_SYMS + XY_PARAMS)
 
 
 # the weight of each block's pairing in the display of df_k (gradient_rows)
@@ -381,25 +381,15 @@ def structure_constants(pt: CurvaturePoint) -> dict:
 def integrals_equivariant() -> bool:
     """The first integrals are killed by the infinitesimal action on the
     12 coordinates (both sl2 factors, all six generators)."""
-    f1, f2 = first_integrals()
+    grads = [gradient(f) for f in first_integrals()]
     pt = CurvaturePoint.symbolic()
     for name in bf.GENERATOR_NAMES:
         flow = CurvaturePoint(*(bf.generator_action(name, form)
                                 for form in pt.blocks())).assignment()
-        for f in (f1, f2):
-            if not dot((f.diff(s), flow[s]) for s in K_SYMS).is_zero():
+        for grad in grads:
+            if not dot(zip(grad, (flow[s] for s in K_SYMS))).is_zero():
                 return False
     return True
-
-
-def _lie_derivative_1form(sys: StructureSystem, gen_name: str,
-                          values: Dict[int, Poly]) -> FormExpr:
-    """Cartan formula d(iota) + iota(d) for a coframe 1-form."""
-    cf = sys.cf
-    contraction = values.get(cf.index[gen_name], Poly.zero())
-    dpart = exterior_d(FormExpr.scalar(cf, contraction), sys)
-    ipart = contract(sys.gen_rules[cf.index[gen_name]], values)
-    return dpart + ipart
 
 
 @lru_cache(maxsize=None)
@@ -407,12 +397,16 @@ def symmetry_fields_check() -> Mapping:
     """The two gradient fields are symmetries of the coframe and commute.
 
     The fields Z_k are given by the kernel-aligned contraction data
-    (theta components -r12, connection components r20 + r02).  The Lie
-    derivative of every tautological and connection component along Z_k
-    vanishes identically (the fields are infinitesimal automorphisms of
-    the full coframe; this is the invariance the fiber-translation
-    construction needs, and is strictly stronger than a scaling
-    symmetry), and every coframe evaluation of [Z_1, Z_2] vanishes.  All
+    (theta components -r12, connection components r20 + r02).  For each
+    field and each tautological and connection component alpha the two
+    Cartan terms d(alpha(Z_k)) and iota_{Z_k} d(alpha) are formed once.
+    Their sum, the Lie derivative of alpha along Z_k, vanishes
+    identically (the fields are infinitesimal automorphisms of the full
+    coframe; this is the invariance the fiber-translation construction
+    needs, and is strictly stronger than a scaling symmetry).  The
+    bracket is read off the same terms: alpha([Z_1, Z_2]) =
+    iota_{Z_1} d(alpha(Z_2)) - iota_{Z_2} d(alpha(Z_1))
+    - iota_{Z_2} iota_{Z_1} d(alpha) vanishes for every alpha.  All
     checks are exact polynomial identities in the 13 parameters.  The
     cached result is read-only at both levels.
     """
@@ -420,34 +414,33 @@ def symmetry_fields_check() -> Mapping:
     cf = sys.cf
     values = {k: {cf.index[name]: c for name, c in zip(LIVE_NAMES, col)}
               for k, col in zip(("1", "2"), kernel_columns())}
+    # the Cartan terms d(alpha(Z_k)) and iota_{Z_k} d(alpha), by k and alpha
+    d_of_value = {k: {} for k in values}
+    iota_of_d = {k: {} for k in values}
     lie_invariance = {}
     lie_display_scaling = {}
     for k, vals in values.items():
         inv_ok = True
         scale_ok = True
         for name in LIVE_NAMES:
-            lie = _lie_derivative_1form(sys, name, vals)
+            gidx = cf.index[name]
+            dpart = exterior_d(
+                FormExpr.scalar(cf, vals.get(gidx, Poly.zero())), sys)
+            ipart = contract(sys.gen_rules[gidx], vals)
+            d_of_value[k][name], iota_of_d[k][name] = dpart, ipart
+            lie = dpart + ipart
             if not lie.is_zero():
                 inv_ok = False
             if not (lie - FormExpr.gen(cf, name)).is_zero():
                 scale_ok = False
         lie_invariance[k] = inv_ok
         lie_display_scaling[k] = scale_ok
-    bracket_ok = True
     v1, v2 = values["1"], values["2"]
-    for name in LIVE_NAMES:
-        gidx = cf.index[name]
-        # alpha([Z1,Z2]) = Z1(alpha(Z2)) - Z2(alpha(Z1)) - d(alpha)(Z1,Z2)
-        a_z2 = FormExpr.scalar(cf, v2.get(gidx, Poly.zero()))
-        a_z1 = FormExpr.scalar(cf, v1.get(gidx, Poly.zero()))
-        t1 = contract(exterior_d(a_z2, sys), v1)
-        t2 = contract(exterior_d(a_z1, sys), v2)
-        dalpha = sys.gen_rules[gidx]
-        t3 = contract(contract(dalpha, v1), v2)
-        total = t1 - t2 - t3
-        if not total.is_zero():
-            bracket_ok = False
-            break
+    bracket_ok = all(
+        (contract(d_of_value["2"][name], v1)
+         - contract(d_of_value["1"][name], v2)
+         - contract(iota_of_d["1"][name], v2)).is_zero()
+        for name in LIVE_NAMES)
     return MappingProxyType({
         "lie_derivative_vanishes": MappingProxyType(lie_invariance),
         "display_scaling_variant_holds": MappingProxyType(lie_display_scaling),
@@ -522,10 +515,13 @@ def restriction_chain() -> dict:
     cond_rows = _homogeneous_rows(frob["conditions"], PARAM_SYMS,
                                   "Frobenius conditions are not linear")
     _p, kernel = solve_sparse(cond_rows, len(PARAM_SYMS))
-    # expected: 2 a20_k = 3 a02_k for k = 0, 1, 2 (weight-aligned), with
-    # b and c free
-    expected_ok = all(
-        all(2 * v[k] == 3 * v[3 + k] for k in range(3)) for v in kernel)
+    # the display, 2 a20_k = 3 a02_k for k = 0, 1, 2 (weight-aligned) with
+    # b and c free, is the 10-dimensional span of a20_k + 2/3 a02_k, each
+    # b_j and c
+    display = [[1 if j == k else Fraction(2, 3) if j == 3 + k else 0
+                for j in range(13)] for k in range(3)]
+    display += [[int(j == i) for j in range(13)] for i in range(6, 13)]
+    expected_ok = spans_equal(kernel, display, 10)
     a_constraint_count = 13 - len(kernel)
 
     # step 2: differentiate the constraint functions 2 a20_k - 3 a02_k,

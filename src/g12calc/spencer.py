@@ -499,7 +499,8 @@ def torsion_criterion_solve() -> dict:
     symbolic; the conditions are polynomial in them, so requiring every
     (al, be)-coefficient to vanish is sound and complete.  Certifies that
     the solution space is exactly the span of criterion_basis(), of
-    dimension 30, with a free s30 block of dimension 4.
+    dimension 30; free_s30_dim is the rank of the solutions on the s30
+    coordinates (4 when that block is free).
     """
     rows = _divisibility_rows(torsion_tensor(TorsionCoords.symbolic()),
                               combinations(_divisible_basis(), 2),
@@ -509,7 +510,7 @@ def torsion_criterion_solve() -> dict:
     return {
         "solution_dim": len(kernel),
         "matches_closed_form": spans_equal(kernel, criterion_basis(), 30),
-        "free_s30_dim": b30 - a30,
+        "free_s30_dim": rank([v[a30:b30] for v in kernel]),
         "kernel": kernel,
         "constraint_rows": len(rows),
     }

@@ -73,8 +73,8 @@ def test_cold_reports_agree_across_hash_seeds():
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
-            [sys.executable, "-m", "g12calc", "verify", "--suites",
-             "bianchi", "restriction", "frobenius", "--seed", "7"],
+            [sys.executable, "-m", "g12calc", "verify", "--suites", "all",
+             "--seed", "7"],
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         reports.append(json.dumps(strip_timings(json.loads(proc.stdout)),

@@ -13,6 +13,7 @@ from g12calc.excalc import (COFRAME_NAMES, THETA_NAMES, Coframe,
                             local_symmetry_obstruction,
                             omega_wedge_pairing_scale,
                             reduce_mod_ideal, torsion_mode_structure_check)
+from g12calc import integrals
 from g12calc.integrals import restriction_chain
 from g12calc.linalg import _Lcg, rank
 from g12calc.poly import Poly
@@ -314,6 +315,22 @@ def test_restriction_chain():
     assert rep["blocks_independent"]
     assert rep["combined_differential_rank"] == 4
     assert rep["admissible_submanifold_dim"] == 8
+
+
+def test_restriction_chain_display_is_a_span(monkeypatch):
+    # the extra condition a20_0 = 0 keeps 2 a20_k = 3 a02_k on every
+    # kernel vector, but the kernel no longer spans the display
+    residual_of = integrals.frobenius_residual
+
+    def one_more_condition(gens, sys):
+        frob = residual_of(gens, sys)
+        return {**frob,
+                "conditions": frob["conditions"] + [Poly.var("a20_0")]}
+
+    monkeypatch.setattr(integrals, "frobenius_residual", one_more_condition)
+    rep = restriction_chain()
+    assert rep["a_constraint_count"] == 4
+    assert not rep["a_constraints_match_display"]
 
 
 def test_mode_validation():

@@ -1,8 +1,12 @@
-"""Every module-level import in the package is used by name.
+"""Every module-level import in the package is used by name, and every
+private module-level helper is read somewhere in the package.
 
 A refactor that deletes the last use of an imported name leaves the
-import behind; this guard reads each module's syntax tree and fails on a
-name that is imported at module level but never read in the module.
+import behind, and one that deletes the last caller of a private helper
+leaves the helper behind; these guards read the modules' syntax trees
+and fail on a name that is imported at module level but never read in
+the module, or on a module-level name with one leading underscore that
+no module of the package reads.
 """
 
 import ast
@@ -30,3 +34,35 @@ def test_module_level_imports_are_used(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported_names(tree) if name not in read]
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+def _names_read(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_private_module_names_are_read():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    read = {name for tree in trees.values() for name in _names_read(tree)}
+    orphans = [f"{module}:{name}" for module, tree in trees.items()
+               for name in _private_definitions(tree) if name not in read]
+    assert orphans == [], f"private names defined but never read: {orphans}"

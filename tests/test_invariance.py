@@ -8,12 +8,18 @@ reverse order, or with `excalc.FormExpr._of` wrapped so that every form
 built from an accumulator stores its monomials in reverse order; the
 stripped reports must agree.  Each suite run alone in a fresh process,
 where it meets every cache cold, must give the check records of the
-plain `--suites all` run.
+plain `--suites all` run.  Eight other commands print the same bytes in
+all three orders.  Every CPython >= 3.10 that can be found, on
+PATH or under pyenv's versions, must give the pinned digest of
+`verify --suites all --seed 11 --c 5/7`.
 """
 
 import functools
+import glob
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -58,17 +64,38 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
-@functools.lru_cache(maxsize=None)
-def run_verify(order: str, suite: str = "all") -> dict:
+COMMANDS = {
+    "closure-h12": ["closure", "--mode", "h12"],
+    "closure-g12": ["closure", "--mode", "g12"],
+    "closure-torsion-s30": ["closure", "--mode", "torsion-s30"],
+    "jmatrix": ["jmatrix", "--c", "5/7"],
+    "rank": ["rank", "--seed", "11", "--c", "5/7"],
+    "integrals": ["integrals"],
+    "decompose": ["decompose", "V(1,2)*V(3,4)"],
+    "transvect": ["transvect", "x1^2*x2^3+3*x1*y1*x2*y2^2+y1^2*y2^3",
+                  "y1*x2^2-2*x1*y2^2+x1*x2*y2", "1", "1"],
+}
+
+
+def _env() -> dict:
     src = os.path.dirname(os.path.dirname(g12calc.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", DRIVER, order, "verify", "--suites", suite,
-         *ARGV],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-        timeout=300)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@functools.lru_cache(maxsize=None)
+def run_cli(order: str, *argv: str) -> str:
+    """The stdout of `g12calc *argv` in a fresh process under `order`."""
+    proc = subprocess.run([sys.executable, "-c", DRIVER, order, *argv],
+                          capture_output=True, text=True, env=_env(),
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return strip_timings(json.loads(proc.stdout))
+    return proc.stdout
+
+
+def run_verify(order: str, suite: str = "all") -> dict:
+    return strip_timings(json.loads(
+        run_cli(order, "verify", "--suites", suite, *ARGV)))
 
 
 def test_report_independent_of_poly_term_order():
@@ -89,3 +116,59 @@ def test_report_independent_of_suite_selection(suite):
     assert alone["suites"] == [suite]
     want = [c for c in run_verify("plain")["checks"] if c["suite"] == suite]
     assert want and alone["checks"] == want
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_output_independent_of_term_order(name):
+    argv = COMMANDS[name]
+    plain = run_cli("plain", *argv)
+    assert plain
+    for order in ("reversed", "reversed-forms"):
+        assert run_cli(order, *argv) == plain, order
+
+
+def _interpreters() -> dict:
+    """{version: executable} for every CPython >= 3.10 found on PATH or
+    under pyenv's versions that starts; one executable per version."""
+    root = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    candidates += sorted(glob.glob(os.path.join(root, "versions", "*", "bin",
+                                                "python3")))
+    probe = ("import sys; print(sys.implementation.name, "
+             "*sys.version_info[:3])")
+    found = {}
+    for exe in filter(None, candidates):
+        try:
+            proc = subprocess.run([exe, "-c", probe], capture_output=True,
+                                  text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        words = proc.stdout.split()
+        if proc.returncode or len(words) != 4 or words[0] != "cpython":
+            continue
+        version = tuple(map(int, words[1:]))
+        if version >= (3, 10):
+            found.setdefault(version, exe)
+    return found
+
+
+def test_report_digest_on_every_interpreter():
+    """The stripped `verify --suites all --seed 11 --c 5/7` report of each
+    interpreter found has the digest pinned in test_report_digests.py.
+    Those interpreters need no pytest: only the subprocess runs there."""
+    from test_report_digests import REPORT_DIGESTS
+
+    interpreters = _interpreters()
+    if not interpreters:
+        pytest.skip("no CPython >= 3.10 found")
+    env = dict(_env(), PYTHONDONTWRITEBYTECODE="1")
+    for version, exe in sorted(interpreters.items()):
+        proc = subprocess.run([exe, "-m", "g12calc", "verify", "--suites",
+                               "all", *ARGV],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, (version, proc.stderr)
+        text = json.dumps(strip_timings(json.loads(proc.stdout)),
+                          sort_keys=True, indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            REPORT_DIGESTS[11, "5/7"], version

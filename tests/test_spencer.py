@@ -347,6 +347,18 @@ def test_torsion_criterion_detects_a_dropped_zero_block(monkeypatch):
     assert not rep["matches_closed_form"]
 
 
+def test_free_s30_dim_is_read_off_the_kernel(monkeypatch):
+    # the row s30_0 = 0 leaves the s30 block 4 coordinates wide but cuts
+    # the kernel's span on it to 3
+    rows_of = spencer._divisibility_rows
+    s30_0 = TorsionCoords.offsets()["s30"][0]
+    monkeypatch.setattr(spencer, "_divisibility_rows",
+                        lambda *a: rows_of(*a) + [{s30_0: 1}])
+    rep = torsion_criterion_solve()
+    assert rep["free_s30_dim"] == 3
+    assert not rep["matches_closed_form"]
+
+
 def test_torsion_criterion_invariant_under_action():
     # the constraint set is a submodule: the generator actions map the
     # solution space into itself
