@@ -754,6 +754,15 @@ def _c_text(text: str) -> str:
     return text
 
 
+def _format_text(text: str) -> str:
+    """argparse type of verify's --format; unlike `choices`, a type also
+    checks the G12CALC_FORMAT default."""
+    if text not in ("json", "text"):
+        raise argparse.ArgumentTypeError(
+            f"expected 'json' or 'text', got {text!r}")
+    return text
+
+
 def _c_rational(text: str) -> str:
     """argparse type of rank's --c, which is taken at a rational point."""
     if text == "symbolic":
@@ -781,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=_env_default("c", "symbolic"),
                     help="rational value for the constant, or 'symbolic'")
     pv.add_argument("--out", default=_env_default("out", None))
-    pv.add_argument("--format", choices=("json", "text"),
+    pv.add_argument("--format", type=_format_text, metavar="{json,text}",
                     default=_env_default("format", "json"))
     pv.set_defaults(run=lambda a: cmd_verify(a.suites, a.seed, a.c, a.out,
                                              a.format))

@@ -13,10 +13,12 @@ rules (da, db, dc) are solved for as exact linear systems in unknown
 ansatz coefficients.  One rule solver, `_solve_rules`, serves all three
 stages: the unknown coefficients are polynomial variables inside the
 trial rules, one exterior_d pass over the targets gives d^2 = 0 affine
-in them, and `linalg.linear_rows` turns it into the sparse system.  The
-solved constants are then compared against the expected displays; a
-mismatch would surface as a solver inconsistency or a reported delta,
-never a silently wrong rule.
+in them, and `linalg.linear_rows` turns it into the sparse system; a
+system with no solution is a ValueError.  Each stage meets its display
+one way: `derive_da` and `derive_db` compare the whole kernel with the
+display in one `spans_equal`, and `derive_dc` reads the c-rule off the
+particular solution.  A mismatch is an error or a reported false, never
+a silently wrong rule.
 
 An exterior monomial is an `int` bitmask over the coframe, bit i for
 generator i; `FormExpr.terms` shows it as the increasing index tuple.
@@ -69,7 +71,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import binforms as bf
 from .binforms import BiForm, dim_v, pairing_table
-from .linalg import (kernel_basis, linear_rows, linsolve, rank, solve_sparse,
+from .linalg import (kernel_basis, linear_rows, rank, solve_sparse,
                      spans_equal)
 from .poly import (Poly, _operand, _trusted, _var_key, add_product,
                    fields_mask)
@@ -625,12 +627,20 @@ def _solve_rules(targets: Sequence[FormExpr], gen_rules, param_rules,
 
     One exterior_d pass over the targets; every coefficient of the result
     is affine in the unknowns and gives one row per monomial in the
-    curvature parameters.  Returns solve_sparse's (particular, kernel),
-    or None when no choice of the unknowns closes.
+    curvature parameters.  Returns solve_sparse's (particular, kernel):
+    each kernel vector is 1 at its free column, which is its last nonzero
+    entry, and 0 at the other free columns, and the particular solution
+    is 0 at every free column.  Raises ValueError when no choice of the
+    unknowns closes (a transcription error in the rules).
     """
     sys = StructureSystem("solve", targets[0].cf, gen_rules, param_rules)
     polys = [c for t in targets for c in exterior_d(t, sys)._by_mask.values()]
-    return solve_sparse(linear_rows(polys, unknowns), len(unknowns))
+    sol = solve_sparse(linear_rows(polys, unknowns), len(unknowns))
+    if sol is None:
+        raise ValueError(f"no choice of the {len(unknowns)} unknowns "
+                         f"{unknowns[0]}, ... closes d^2 = 0 "
+                         f"(transcription error)")
+    return sol
 
 
 def _a_rules(fr: _Frame, alphas, theta_part) -> Dict[str, FormExpr]:
@@ -666,7 +676,10 @@ def derive_da() -> Mapping:
     36-entry theta-part; the d^2(omega) = 0 requirement fixes the
     connection coefficients uniquely and leaves a 6-dimensional freedom
     in the theta-part, which is exactly the image of the displayed
-    parametrization (3<b,theta>_{0,2}, <b,theta>_{1,1}).
+    parametrization (3<b,theta>_{0,2}, <b,theta>_{1,1}).  The whole
+    kernel is compared with the display vectors, 0 on the four connection
+    unknowns, so a freedom in the connection part reads as
+    `display_matches_freedom` false.
     """
     fr = _frame("g12")
     th = [(fr.cf.index[n],) for n in THETA_NAMES]
@@ -678,23 +691,17 @@ def derive_da() -> Mapping:
     gen_rules = _gen_rules(fr)
     targets = [gen_rules[fr.cf.index[n]]
                for n in OM20_NAMES + OM02_NAMES + ("om00",)]
-    sol = _solve_rules(targets, gen_rules,
-                       _a_rules(fr, ks[:4], theta_part), syms)
-    if sol is None:
-        raise ValueError("no consistent differential rule for the curvature "
-                         "parameters (transcription error)")
-    part, kernel = sol
-    if any(any(v[:4]) for v in kernel):
-        raise ValueError("unexpected freedom in the connection part")
-    # match the kernel with the displayed parametrization by b
+    part, kernel = _solve_rules(targets, gen_rules,
+                                _a_rules(fr, ks[:4], theta_part), syms)
+    # the displayed parametrization by b, 0 on the connection unknowns
     disp = _b_theta_part(fr)
-    disp_vecs = [[disp[w].coefficient(th[t]).diff(s).constant_value()
-                  for w in range(6) for t in range(6)] for s in B_SYMS]
+    disp_vecs = [[0] * 4 + [disp[w].coefficient(th[t]).diff(s).constant_value()
+                            for w in range(6) for t in range(6)]
+                 for s in B_SYMS]
     return MappingProxyType({
         "alphas": tuple(part[:4]),
         "freedom_dim": len(kernel),
-        "display_matches_freedom": spans_equal([v[4:] for v in kernel],
-                                               disp_vecs, 6),
+        "display_matches_freedom": spans_equal(kernel, disp_vecs, 6),
     })
 
 
@@ -743,30 +750,22 @@ def derive_db() -> Mapping:
     and of the equivariant theta-shapes quadratic in the a-parameters.
     The solve leaves exactly the shapes invisible to d^2(a) = 0 free:
     d1 theta and d2 theta, fixed at the next stage, and the bare theta,
-    whose coefficient is the new parameter c.
+    whose coefficient is the new parameter c.  The kernel must span the
+    unit vectors of UNDETERMINED_B_SHAPES, else ValueError; then those
+    are the free columns, and the particular solution, 0 at every free
+    column, leaves them to the next stage.
     """
     fr = _frame("g12")
     a_rules = _solved_a_rules(fr)
     syms, ks = _unknowns(B_SHAPES)
     param_rules = {**a_rules, **_b_rules(fr, dict(zip(B_SHAPES, ks)))}
-    sol = _solve_rules([a_rules[s] for s in A20_SYMS + A02_SYMS],
-                       _gen_rules(fr), param_rules, syms)
-    if sol is None:
-        raise ValueError("no consistent differential rule for b "
-                         "(transcription error)")
-    part, kernel = sol
-    # the kernel must be exactly the span of the invisible shapes
-    invisible = {B_SHAPES.index(n) for n in UNDETERMINED_B_SHAPES}
-    if len(kernel) != len(invisible):
-        raise ValueError(f"unexpected freedom solving for the b-rule: "
-                         f"{len(kernel)}")
-    for kv in kernel:
-        if any(kv[i] for i in range(len(kv)) if i not in invisible):
-            raise ValueError("freedom leaks outside the invisible shapes")
-    for i in invisible:
-        if part[i]:
-            raise ValueError("particular solution touched an undetermined "
-                             "shape")
+    part, kernel = _solve_rules([a_rules[s] for s in A20_SYMS + A02_SYMS],
+                                _gen_rules(fr), param_rules, syms)
+    invisible = [[int(name == n) for name in B_SHAPES]
+                 for n in UNDETERMINED_B_SHAPES]
+    if not spans_equal(kernel, invisible, len(invisible)):
+        raise ValueError(f"the freedom solving for the b-rule is not the "
+                         f"span of {', '.join(UNDETERMINED_B_SHAPES)}")
     return MappingProxyType({
         "gammas": tuple(part[:3]),
         "shape_coefficients": MappingProxyType(dict(zip(B_SHAPES, part))),
@@ -795,7 +794,12 @@ def derive_dc() -> Mapping:
 
     The freedom of redefining c by multiples of the scalar invariants d1,
     d2 shows up as a 2-dimensional kernel; it is fixed by requiring dc to
-    be a pure multiple of c om00.
+    be a pure multiple of c om00, 0 on the last five unknowns.  That rule
+    is unique exactly when the kernel, read on those five columns, has
+    rank len(kernel): every free column is then among them, where the
+    particular solution and the other kernel vectors are 0, so the rule
+    exists only as the particular solution, when it is 0 on all five.
+    Otherwise ValueError.
     """
     fr = _frame("g12")
     cf, theta, a20, a02, b = fr.cf, fr.theta, fr.a20, fr.a02, fr.b
@@ -814,28 +818,14 @@ def derive_dc() -> Mapping:
     c_rule = form_sum(cf, zip(dc_shapes, ks[2:]))
     b_rules = _solved_b_rules(fr, ks[0], ks[1])
     param_rules = {**_solved_a_rules(fr), **b_rules, C_SYM: c_rule}
-    sol = _solve_rules([b_rules[s] for s in B_SYMS], _gen_rules(fr),
-                       param_rules, syms)
-    if sol is None:
-        raise ValueError("no consistent differential rule for c")
-    part, kernel = sol
+    part, kernel = _solve_rules([b_rules[s] for s in B_SYMS], _gen_rules(fr),
+                                param_rules, syms)
     if len(kernel) > 2:
         raise ValueError(f"too much freedom solving for the c-rule: "
                          f"{len(kernel)}")
-    # normalize: force the five non-(c om00) dc-shapes to zero
-    extra_cols = list(range(3, 8))
-    fix = linsolve([[kv[cidx] for kv in kernel] for cidx in extra_cols],
-                   [-part[cidx] for cidx in extra_cols])
-    if fix is None:
+    if rank([kv[3:] for kv in kernel]) < len(kernel) or any(part[3:]):
         raise ValueError("cannot normalize the c-rule to pure c om00")
-    xs = fix[0]
-    final = list(part)
-    for x, kv in zip(xs, kernel):
-        final = [f + x * kvv for f, kvv in zip(final, kv)]
-    coeffs = dict(zip(names, final))
-    if any(coeffs[n] for n in ("a20_om20", "a02_om02", "b_theta",
-                               "a20b_theta", "a02b_theta")):
-        raise ValueError("normalization failed")
+    coeffs = dict(zip(names, part))
     return MappingProxyType({
         "q_d1": coeffs["q_d1"], "q_d2": coeffs["q_d2"],
         "c_om00_coefficient": coeffs["c_om00"],

@@ -527,8 +527,7 @@ def torsion_criterion_s16_pair() -> dict:
                               [(p, q)], syms)
     a, b = TorsionCoords.offsets()["s16"]
     only_s16 = all(syms[col].startswith("s16_") for row in rows for col in row)
-    sol = solve_sparse(rows, 90)
-    _p, kernel = sol
+    _p, kernel = solve_sparse(rows, 90)
     s16_killed = all(all(v[i] == 0 for i in range(a, b)) for v in kernel)
     return {"only_s16_block": only_s16, "s16_forced_zero": s16_killed,
             "free_dim": len(kernel)}

@@ -1,10 +1,12 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +82,36 @@ def test_cold_reports_agree_across_hash_seeds():
         reports.append(json.dumps(strip_timings(json.loads(proc.stdout)),
                                   sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def test_format_from_environment_is_checked(monkeypatch, capsys):
+    monkeypatch.setenv("G12CALC_FORMAT", "xml")
+    assert main(["verify", "--suites", "pairings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'xml'" in captured.err
+
+
+def test_readme_cli_examples_run(monkeypatch, tmp_path):
+    """Every `g12calc ...` line of the README's CLI block exits 0, run
+    in-process with its comment stripped; `point.json` is a point file
+    written here."""
+    for name in ("seed", "c", "out", "format"):
+        monkeypatch.delenv(cli.ENV_PREFIX + name.upper(), raising=False)
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({s: 1 for s in cli.ex.PARAM_SYMS}))
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines()
+             if line.startswith("g12calc ")]
+    failed = []
+    for line in lines:
+        argv = [str(point) if arg == "point.json" else arg
+                for arg in shlex.split(line, comments=True)[1:]]
+        if main(argv) != 0:
+            failed.append(line)
+    assert len(lines) >= 10
+    assert failed == []
 
 
 def test_decompose_product(capsys):

@@ -13,7 +13,7 @@ from g12calc.excalc import (COFRAME_NAMES, THETA_NAMES, Coframe,
                             local_symmetry_obstruction,
                             omega_wedge_pairing_scale,
                             reduce_mod_ideal, torsion_mode_structure_check)
-from g12calc import integrals
+from g12calc import excalc, integrals
 from g12calc.integrals import restriction_chain
 from g12calc.linalg import _Lcg, rank
 from g12calc.poly import Poly
@@ -199,6 +199,54 @@ def test_derivation_stages():
     assert db["undetermined_shapes"] == ("d1_theta", "d2_theta", "theta")
     dc = derive_dc()
     assert dc["theta_part_vanishes"]
+
+
+@pytest.fixture
+def fresh_derivations():
+    """derive_db and derive_dc recomputed inside the test, and again after
+    it, so neither a cached value nor a patched one leaks across tests."""
+    derive_db.cache_clear()
+    derive_dc.cache_clear()
+    yield
+    derive_db.cache_clear()
+    derive_dc.cache_clear()
+
+
+def test_derive_dc_refuses_an_undetermined_coefficient(monkeypatch,
+                                                       fresh_derivations):
+    # a freedom in q_d1 alone leaves the normalized c-rule's q_d1 open
+    solve = excalc._solve_rules
+
+    def solve_with_q_d1_free(targets, gen_rules, param_rules, unknowns):
+        part, kernel = solve(targets, gen_rules, param_rules, unknowns)
+        if unknowns[0] == "k_q_d1":
+            kernel = [kernel[0], [int(k == 0) for k in range(len(unknowns))]]
+        return part, kernel
+
+    monkeypatch.setattr(excalc, "_solve_rules", solve_with_q_d1_free)
+    with pytest.raises(ValueError, match="normalize"):
+        derive_dc()
+
+
+def test_rule_solver_refuses_an_inconsistent_system(monkeypatch,
+                                                    fresh_derivations):
+    # with c2 doubled, no b-rule closes d^2(a) = 0
+    derive_da()
+    gen_rules = excalc._gen_rules
+    c1, c2, *rest = excalc.CURVATURE_DISPLAY
+    perturbed = (c1, 2 * c2, *rest)
+    monkeypatch.setattr(excalc, "_gen_rules",
+                        lambda fr: gen_rules(fr, perturbed))
+    with pytest.raises(ValueError, match="transcription error"):
+        derive_db()
+
+
+def test_derive_db_refuses_a_freedom_off_the_display(monkeypatch,
+                                                     fresh_derivations):
+    monkeypatch.setattr(excalc, "UNDETERMINED_B_SHAPES",
+                        ("d1_theta", "d2_theta"))
+    with pytest.raises(ValueError, match="b-rule"):
+        derive_db()
 
 
 def test_derivations_are_read_only():
