@@ -27,9 +27,9 @@ monomials with keys ka and kb pair onto ka + kb - form_key(p1, p1, p2,
 p2).  `transvectant2` contracts the coefficients of its operands on the
 one-slot rows directly and on integers only: each operand is written as
 integer numerators over one common denominator, and each output
-coefficient is divided once.  `pairing_table` is the composed view, the
-two-slot constants by basis index, for callers that contract coordinate
-vectors.  The Cayley Omega process, `transvectant2_omega`, shares no code
+coefficient is divided once, by `poly.from_packed`.  `pairing_table` is
+the composed view, the two-slot constants by basis index, for callers
+that contract coordinate vectors.  The Cayley Omega process, `transvectant2_omega`, shares no code
 with them but the range check and is the oracle.
 
 Coordinates made of several forms are `BlockCoords`, declared by a SHAPE
@@ -57,7 +57,7 @@ from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import _Lcg, rank
-from .poly import (Poly, Scalar, _div, _exact, dot, form_key, from_packed,
+from .poly import (Poly, Scalar, _exact, dot, form_key, from_packed,
                    split_form)
 
 SLOT_VARS = (("x1", "y1"), ("x2", "y2"))
@@ -84,6 +84,17 @@ class BiForm:
         self.n = n
         self.m = m
         self.poly = poly
+
+    @staticmethod
+    def _of(n: int, m: int, poly: Poly) -> "BiForm":
+        """Wrap a polynomial that is bihomogeneous of bidegree (n, m) by
+        construction, without checking it: `transvectant2`'s outputs,
+        whose keys the contraction shifts onto that bidegree."""
+        form = object.__new__(BiForm)
+        form.n = n
+        form.m = m
+        form.poly = poly
+        return form
 
     @property
     def bidegree(self) -> Tuple[int, int]:
@@ -254,7 +265,8 @@ class BlockCoords:
 def _numerators(p: Poly):
     """p as integer numerators over one common denominator: (the lcm of
     its denominators, [(y1 exponent, y2 exponent, key, numerator)] in
-    term order)."""
+    term order).  With integer coefficients (den = 1) the numerators are
+    the coefficients themselves and nothing is rescaled."""
     den = 1
     for c in p.packed.values():
         if type(c) is not int:
@@ -262,10 +274,9 @@ def _numerators(p: Poly):
     out = []
     for k, c in p.packed.items():
         (_x1, y1, _x2, y2), _rest = split_form(k)
-        if type(c) is int:
-            c *= den
-        else:
-            c = c.numerator * (den // c.denominator)
+        if den != 1:
+            c = c * den if type(c) is int \
+                else c.numerator * (den // c.denominator)
         out.append((y1, y2, k, c))
     return den, out
 
@@ -280,10 +291,13 @@ def transvectant2(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
     its monomial is x1^(n1-i1 + n2-i2 - p1) y1^(i1+i2-p1) x2^(m1-j1 +
     m2-j2 - p2) y2^(j1+j2-p2) times both parameter parts, and exponents
     add field by field in a key.  The sums run on the operands' integer
-    numerators and each output term is divided once by the product of
-    their common denominators.  Output terms are in order of first
-    reach, u's terms outer and v's inner.  DegreeError unless 0 <= p1 <=
-    min(n1, n2) and 0 <= p2 <= min(m1, m2).
+    numerators, and `from_packed` divides each output term once by the
+    product of their common denominators in the pass that builds the
+    Poly.  Every output key has bidegree (n1+n2-2p1, m1+m2-2p2) by that
+    shift, so the result is wrapped by `BiForm._of` without a second
+    check.  Output terms are in order of first reach, u's terms outer and
+    v's inner.  DegreeError unless 0 <= p1 <= min(n1, n2) and
+    0 <= p2 <= min(m1, m2).
     """
     _check_orders(u.n, u.m, v.n, v.m, p1, p2)
     s1 = _slot_table(u.n, v.n, p1)
@@ -302,10 +316,8 @@ def transvectant2(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:
                 if c:
                     e = ka + kb
                     out[e] = out.get(e, 0) + ca * cb * c
-    den = du * dv
-    for e, c in out.items():
-        out[e] = _div(c, den)
-    return BiForm(u.n + v.n - 2 * p1, u.m + v.m - 2 * p2, from_packed(out))
+    return BiForm._of(u.n + v.n - 2 * p1, u.m + v.m - 2 * p2,
+                      from_packed(out, du * dv))
 
 
 def transvectant(u: BiForm, v: BiForm, p: int) -> BiForm:

@@ -681,15 +681,32 @@ def dot(pairs: Iterable) -> Poly:
     return _trusted(acc)
 
 
-def from_packed(tm: Mapping[int, Scalar]) -> Poly:
-    """Poly from {key: int or Fraction} built by key arithmetic: zero
-    coefficients are dropped, integral ones become `int`, and a key with
-    an exponent above _MAX_EXP raises OverflowError."""
+def from_packed(tm: Mapping[int, Scalar], den: int = 1) -> Poly:
+    """Poly from {key: int or Fraction} built by key arithmetic, every
+    value divided by the positive `int` `den`, in one pass over `tm`:
+    zero coefficients are dropped, the quotients are canonical (integral
+    ones `int`), and a key with an exponent above _MAX_EXP raises
+    OverflowError.  `tm` is not changed.
+
+    The guard bits are read here, in `poly`, at call time: interning a
+    variable rebinds `_GUARD`, so a copy taken at import by another
+    module would miss the fields of every variable interned later."""
     if tm and reduce(or_, tm) & _GUARD:
         raise _overflow()
-    return _trusted({
-        k: c if type(c) is int or c.denominator != 1 else c.numerator
-        for k, c in tm.items() if c})
+    if den == 1:
+        return _trusted({
+            k: c if type(c) is int or c.denominator != 1 else c.numerator
+            for k, c in tm.items() if c})
+    out = {}
+    for k, c in tm.items():
+        if c:
+            if type(c) is int:
+                q, r = divmod(c, den)
+                out[k] = Fraction(c, den) if r else q
+            else:
+                c /= den
+                out[k] = c if c.denominator != 1 else c.numerator
+    return _trusted(out)
 
 
 def _coerce(x) -> Poly:

@@ -20,7 +20,7 @@ from g12calc.binforms import (BiForm, DegreeError, LieElt, Rep,
                               transvectant2_omega, vprime_split)
 from g12calc.integrals import CurvaturePoint
 from g12calc.linalg import _Lcg
-from g12calc.poly import Poly, form_key, parse_poly, split_form
+from g12calc.poly import _INDEX, Poly, form_key, parse_poly, split_form
 from g12calc.spencer import PhiCoords, TorsionCoords
 
 
@@ -542,6 +542,65 @@ def test_transvectant2_reads_the_pairing_table_constants():
     for u, v, p1, p2 in cases:
         assert (transvectant2(u, v, p1, p2).poly.coefficients_in(
             ("s", "t")) == _table_coefficients(u, v, p1, p2))
+
+
+def test_transvectant2_output_has_the_bidegree_it_claims():
+    # transvectant2 wraps its output without re-deriving the bidegree, so
+    # the key shift is checked here instead: every bidegree pair up to
+    # (3,3) x (3,3) and the (4,4) x (4,4) stream shape, at every order
+    # pair in range, on tagged (symbolic) operands, whose pairings are
+    # nonzero
+    all_orders = [(p1, p2) for p1 in range(5) for p2 in range(5)]
+    cases = list(_tagged_cases()) + list(
+        _tagged_cases([((4, 4), (4, 4), all_orders)]))
+    for u, v, p1, p2 in cases:
+        w = transvectant2(u, v, p1, p2)
+        assert w.bidegree == (u.n + v.n - 2 * p1, u.m + v.m - 2 * p2)
+        assert w.poly.packed and w.poly.bidegrees() == {w.bidegree}
+    assert len(cases) == 925
+
+
+RATIONAL_SHAPES = (((1, 2), (1, 2)), ((2, 2), (1, 2)), ((3, 2), (2, 3)),
+                   ((0, 3), (2, 1)))
+
+
+def test_transvectant2_is_bilinear_over_the_rationals():
+    # P(e_a / p, e_b / q) = P(e_a, e_b) / (p q) for basis monomials and
+    # distinct primes: the output is divided by the product of both
+    # operands' denominators, not one of them; integer operands give
+    # int coefficients (nothing is divided); the Omega oracle agrees on
+    # the smallest shape
+    p, q = Fraction(1, 5), Fraction(1, 7)
+    checked = 0
+    for b1, b2 in RATIONAL_SHAPES:
+        for p1 in range(min(b1[0], b2[0]) + 1):
+            for p2 in range(min(b1[1], b2[1]) + 1):
+                for ea, eb in product(basis(*b1), basis(*b2)):
+                    whole = transvectant2(ea, eb, p1, p2)
+                    assert all(type(c) is int
+                               for c in whole.poly.packed.values())
+                    scaled = transvectant2(p * ea, q * eb, p1, p2)
+                    assert scaled == (p * q) * whole
+                    assert all(type(c) is int or c.denominator != 1
+                               for c in scaled.poly.packed.values())
+                    if b1 == b2 == (1, 2):
+                        assert scaled == transvectant2_omega(
+                            p * ea, q * eb, p1, p2)
+                    checked += bool(whole.poly.packed)
+    assert checked == 1114
+
+
+def test_transvectant2_overflow_guard_sees_variables_interned_later():
+    # the exponent guard grows with every interned variable, and the
+    # contraction's output is checked against the guard of the moment: a
+    # parameter first seen after binforms was imported still overflows
+    name = "guard_probe_t"
+    assert name not in _INDEX
+    t100 = Poly.var(name, 100)
+    u = BiForm(1, 0, t100 * Poly.var("x1"))
+    v = BiForm(1, 0, t100 * Poly.var("y1"))
+    with pytest.raises(OverflowError):
+        transvectant2(u, v, 0, 0)
 
 
 def test_pairing_table_constants_are_canonical_scalars():
