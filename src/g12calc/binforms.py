@@ -29,8 +29,9 @@ one-slot rows directly and on integers only: each operand is written as
 integer numerators over one common denominator, and each output
 coefficient is divided once, by `poly.from_packed`.  `pairing_table` is
 the composed view, the two-slot constants by basis index, for callers
-that contract coordinate vectors.  The Cayley Omega process, `transvectant2_omega`, shares no code
-with them but the range check and is the oracle.
+that contract coordinate vectors.  The Cayley Omega process,
+`transvectant2_omega`, shares no code with them but the range check and
+is the oracle.
 
 Coordinates made of several forms are `BlockCoords`, declared by a SHAPE
 of named bidegrees.  One of them is `LieElt`, the algebra g_{1,2} =

@@ -39,8 +39,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence
 
-from .poly import (Poly, Scalar, Substitution, _exact, divexact, dot,
-                   fields_mask, var_key)
+from .poly import (Poly, Scalar, Substitution, _exact, divexact, fields_mask,
+                   var_key)
 
 
 class PolyMatrix:
@@ -128,9 +128,7 @@ def matrix_det(m: PolyMatrix) -> Poly:
     Markowitz count and then by row-major position (`_pivot`), so a
     sparse matrix stays sparse and the choice is deterministic.  Its row
     and column are swapped into place, each swap flipping the sign; a
-    zero trailing block means det = 0.  Each update
-    (piv * a_ij - a_ik * a_kj) / prev is one `dot` of two products and
-    one `divexact`.
+    zero trailing block means det = 0.
 
     Exactness: after step k every trailing entry is a (k+1)-minor of the
     row- and column-permuted matrix, and by the Sylvester identity the
@@ -172,13 +170,11 @@ def matrix_det(m: PolyMatrix) -> Poly:
             for row in a:
                 row[k], row[pj] = row[pj], row[k]
             sign = -sign
-        ak = a[k]
-        piv = ak[k]
+        piv = a[k][k]
         for i in range(k + 1, n):
-            ai = a[i]
-            naik = -ai[k]
+            ai, aik = a[i], a[i][k]
             for j in range(k + 1, n):
-                ai[j] = divexact(dot(((piv, ai[j]), (naik, ak[j]))), prev)
+                ai[j] = divexact(piv * ai[j] - aik * a[k][j], prev)
         prev = piv
     det = prev if sign == 1 else -prev
     return det if scale == 1 else det * Fraction(1, scale)

@@ -697,16 +697,7 @@ def from_packed(tm: Mapping[int, Scalar], den: int = 1) -> Poly:
         return _trusted({
             k: c if type(c) is int or c.denominator != 1 else c.numerator
             for k, c in tm.items() if c})
-    out = {}
-    for k, c in tm.items():
-        if c:
-            if type(c) is int:
-                q, r = divmod(c, den)
-                out[k] = Fraction(c, den) if r else q
-            else:
-                c /= den
-                out[k] = c if c.denominator != 1 else c.numerator
-    return _trusted(out)
+    return _trusted({k: _div(c, den) for k, c in tm.items() if c})
 
 
 def _coerce(x) -> Poly:

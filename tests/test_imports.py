@@ -6,9 +6,7 @@ import behind, and one that deletes the last caller of a private helper
 leaves the helper behind; these guards read the modules' syntax trees
 and fail on a name that is imported at module level but never read in
 the module, or on a module-level name with one leading underscore that
-no module of the package reads.  A third guard fails when a module
-imports by name a global that its home module rebinds with a `global`
-statement: the import copies the value of that moment.
+no module of the package reads.
 """
 
 import ast
@@ -68,41 +66,3 @@ def test_private_module_names_are_read():
     orphans = [f"{module}:{name}" for module, tree in trees.items()
                for name in _private_definitions(tree) if name not in read]
     assert orphans == [], f"private names defined but never read: {orphans}"
-
-
-def _rebound_globals(tree):
-    """Module-level names that a function of the module rebinds through a
-    `global` statement."""
-    return {name for node in ast.walk(tree) if isinstance(node, ast.Global)
-            for name in node.names}
-
-
-def _imports_from(tree):
-    """(home module file name, name) of every `from ... import name` of a
-    package module, relative or absolute, at any depth of `tree`."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom) or node.module is None:
-            continue
-        if node.level == 1:
-            home = node.module
-        elif node.level == 0 and node.module.startswith("g12calc."):
-            home = node.module[len("g12calc."):]
-        else:
-            continue
-        for alias in node.names:
-            yield f"{home}.py", alias.name
-
-
-def test_no_module_imports_a_global_its_home_rebinds():
-    # `from .poly import _GUARD` would copy the guard bits of the moment:
-    # interning a variable rebinds poly._GUARD, so the copy would miss
-    # every field interned afterwards and let an exponent overflow pass
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
-    rebound = {name: _rebound_globals(tree) for name, tree in trees.items()}
-    assert "_GUARD" in rebound["poly.py"]
-    frozen = [f"{module} imports {home[:-3]}.{name}"
-              for module, tree in trees.items()
-              for home, name in _imports_from(tree)
-              if name in rebound.get(home, ())]
-    assert frozen == [], f"imported copies of rebound globals: {frozen}"
