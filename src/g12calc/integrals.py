@@ -306,12 +306,17 @@ def det_vanishes_symbolically() -> dict:
                                      and det.is_zero())}
 
 
+@lru_cache(maxsize=None)
+def _integral_gradients() -> Tuple[Tuple[Poly, ...], ...]:
+    """The gradient rows of f1 and f2, built once."""
+    return tuple(tuple(gradient(f)) for f in first_integrals())
+
+
 def sigma_c_membership(assignment: Dict[str, Scalar]) -> bool:
     """Is the point on the singular locus?  Exact: the gradient rows of
     f1 and f2 there have rank below 2."""
     sub = Substitution(assignment)
-    return rank([[g.subs(sub).constant_value() for g in gradient(f)]
-                 for f in first_integrals()]) < 2
+    return rank([sub.values(g) for g in _integral_gradients()]) < 2
 
 
 def _rank_at(assignment: Dict[str, Scalar]) -> int:
@@ -370,7 +375,9 @@ def rank_dichotomy_samples(c_value: Scalar, seeds: Sequence[int]) -> dict:
 
 def structure_constants(pt: CurvaturePoint) -> dict:
     """(c, c1, c2) at a point, with the restriction-admissibility flag."""
-    c1, c2 = (f.constant_value() for f in first_integrals(pt))
+    # Fractions, as `constant_value()` gives c: a report prints each "p/q"
+    c1, c2 = map(Fraction, Substitution(pt.assignment()).values(
+        first_integrals()))
     return {"c": pt.c.constant_value(), "c1": c1, "c2": c2,
             "restriction_admissible": c1 == 0}
 
@@ -381,12 +388,11 @@ def structure_constants(pt: CurvaturePoint) -> dict:
 def integrals_equivariant() -> bool:
     """The first integrals are killed by the infinitesimal action on the
     12 coordinates (both sl2 factors, all six generators)."""
-    grads = [gradient(f) for f in first_integrals()]
     pt = CurvaturePoint.symbolic()
     for name in bf.GENERATOR_NAMES:
         flow = CurvaturePoint(*(bf.generator_action(name, form)
                                 for form in pt.blocks())).assignment()
-        for grad in grads:
+        for grad in _integral_gradients():
             if not dot(zip(grad, (flow[s] for s in K_SYMS))).is_zero():
                 return False
     return True

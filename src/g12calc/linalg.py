@@ -18,8 +18,10 @@ in one way only: `linear_rows` reads each polynomial as affine in the
 named unknowns and gives one row per monomial in the other variables.
 
 `PolyMatrix` holds polynomial entries: the curvature Jacobian, its
-substitutions and determinants.  A matrix of them that is constant at a
-point enters the rational core through `PolyMatrix.constant_rows`.
+substitutions and determinants.  Substituted at a point that gives every
+variable a scalar (one `Substitution.values` pass over all entries), a
+matrix is constant and enters the rational core through
+`PolyMatrix.constant_rows`.
 
 A Fraction appears only when a result is written out.  Determinants
 accept polynomial entries and use Bareiss one-step elimination over
@@ -36,11 +38,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import gcd, lcm
+from operator import or_
 from typing import Dict, Iterable, List, Sequence
 
-from .poly import (Poly, Scalar, Substitution, _exact, divexact, fields_mask,
-                   var_key)
+from .poly import (Poly, Scalar, Substitution, _exact, _trusted, divexact,
+                   fields_mask, var_key)
 
 
 class PolyMatrix:
@@ -74,10 +79,20 @@ class PolyMatrix:
 
     def subs(self, assignment) -> "PolyMatrix":
         """Substitute one point into every entry; the point is validated
-        once, not once per entry."""
+        once, not once per entry.  When it gives a scalar to every
+        variable the entries use, one `Substitution.values` call
+        evaluates all of them and the result is constant; otherwise each
+        entry goes through `Poly.subs`."""
         sub = Substitution(assignment)
-        return PolyMatrix([[e.subs(sub) for e in row]
-                           for row in self.entries])
+        flat = [e for row in self.entries for e in row]
+        used = reduce(or_, chain.from_iterable(e.packed for e in flat), 0)
+        if used & ~sub.smask:
+            return PolyMatrix([[e.subs(sub) for e in row]
+                               for row in self.entries])
+        zero = Poly()
+        vals = [_trusted({0: v}) if v else zero for v in sub.values(flat)]
+        c = self.cols
+        return PolyMatrix([vals[i * c:(i + 1) * c] for i in range(self.rows)])
 
     def to_json(self) -> dict:
         return {
@@ -216,10 +231,12 @@ def _primitive(row: List[int]) -> List[int]:
 
 def _eliminate(pivot_row: List[int], row: List[int], c: int) -> List[int]:
     """Primitive integer combination of `row` and `pivot_row` that is zero
-    in column c."""
+    in column c.  Both rows are zero left of c, so only the columns right
+    of c are combined; the zeros do not change the gcd."""
     g = gcd(pivot_row[c], row[c])
     f1, f2 = pivot_row[c] // g, row[c] // g
-    return _primitive([f1 * a - f2 * b for a, b in zip(row, pivot_row)])
+    return [0] * (c + 1) + _primitive(
+        [f1 * a - f2 * b for a, b in zip(row[c + 1:], pivot_row[c + 1:])])
 
 
 def _row_echelon(rows: Sequence[Sequence[Scalar]]):

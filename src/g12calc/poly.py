@@ -27,9 +27,11 @@ A polynomial stores `packed`, a dict from key to nonzero exact
 coefficient: an `int` whenever it is integral and a `Fraction` otherwise,
 so polynomials over Z (the common case) run on machine-speed integer
 arithmetic.  `float` is rejected at construction: no inexact value can
-enter.  The one scalar accessor, `constant_value()`, always returns a
-`Fraction`; a polynomial is evaluated at a point by `subs(point)` and
-then read by `constant_value()`.
+enter.  The scalar accessor of a constant polynomial, `constant_value()`,
+always returns a `Fraction`.  Polynomials are evaluated at a point that
+gives every variable a scalar by `Substitution(point).values(polys)`,
+which returns canonical `int`/`Fraction` values in one pass over the
+terms; `subs(point)` is the substitution that may leave a polynomial.
 
 The representation is canonical: zero coefficients are never stored and
 integral coefficients are `int`.  Two polynomials are equal iff their
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import perm
+from math import gcd, perm
 from operator import or_
 from typing import Iterable, Mapping, Union
 
@@ -522,7 +524,8 @@ _set_packed = Poly.packed.__set__
 
 
 class Substitution:
-    """An assignment {name: value} validated once, for `Poly.subs`.
+    """An assignment {name: value} validated once, for `Poly.subs` and
+    `values`.
 
     Each value is checked for exactness here, whether or not a later
     polynomial contains its variable.  A scalar or constant-Poly value
@@ -584,6 +587,38 @@ class Substitution:
             k ^= e << s
         self.monos[key] = n, d
         return n, d
+
+    def values(self, polys: Iterable[Poly]) -> list:
+        """The exact value of each polynomial at this point, canonical
+        (`int` when integral, else `Fraction`).
+
+        One pass over each polynomial's terms, on an integer numerator
+        and a running denominator (the lcm of the terms' denominators),
+        each term reading its monomial's value from `monos`.  ValueError
+        when the point leaves a variable of a polynomial unassigned or
+        gives it a non-constant Poly value.
+        """
+        monos, smask = self.monos, self.smask
+        out = []
+        for p in polys:
+            n, d = 0, 1
+            for k, c in p.packed.items():
+                m = monos.get(k)
+                if m is None:
+                    if k & ~smask:
+                        names = [_NAMES[i] for i in
+                                 _canonical_indices(k & ~smask)]
+                        raise ValueError(f"no scalar value for {names}")
+                    m = self.mono_value(k)
+                tn, td = c.numerator * m[0], c.denominator * m[1]
+                if td == d:
+                    n += tn
+                else:
+                    g = gcd(d, td)
+                    n = n * (td // g) + tn * (d // g)
+                    d = d // g * td
+            out.append(n if d == 1 else _exact(Fraction(n, d)))
+        return out
 
 
 def _trusted(tm: dict) -> Poly:

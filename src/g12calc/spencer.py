@@ -423,15 +423,22 @@ SPENCER_COORDS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _symbolic_spencer_coords() -> tuple:
+    """The torsion coordinates of Sp(phi) for fully symbolic phi, decoded
+    exactly once; every table `spencer_coords_match` checks is compared
+    with them."""
+    return tuple(spencer_in_coords(PhiCoords.symbolic()).vector())
+
+
 def spencer_coords_match(table: dict = SPENCER_COORDS) -> bool:
     """Does the exact Sp(phi) agree with the closed form `table` for fully
     symbolic phi?  (42 free parameters, exact.)  Each torsion coordinate
     is compared with its row of the matrix read off `table`, dotted with
     phi's coordinates."""
-    phi = PhiCoords.symbolic()
-    coords = phi.vector()
+    coords = PhiCoords.symbolic().vector()
     return all((g - dot(zip(row, coords))).is_zero()
-               for g, row in zip(spencer_in_coords(phi).vector(),
+               for g, row in zip(_symbolic_spencer_coords(),
                                  _spencer_coordinate_matrix(table)))
 
 

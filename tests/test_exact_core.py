@@ -136,6 +136,36 @@ def test_one_pass_subs_matches_reference(ps, assignment):
         want = reference_subs(p, assignment)
         assert p.subs(assignment) == want
         assert p.subs(sub) == want
+        # a point that gives every variable of p a scalar (a constant
+        # Poly included) evaluates it to one canonical scalar
+        if all(v in assignment and (not isinstance(assignment[v], Poly)
+                                    or assignment[v].is_constant())
+               for v in p.vars):
+            value = want.packed.get(0, 0)
+            got = sub.values([p])
+            assert got == [value] and type(got[0]) is type(value)
+
+
+full_points = st.fixed_dictionaries(
+    {v: st.one_of(coeffs, coeffs.map(Poly.const)) for v in NAMES})
+
+
+@given(st.lists(polys, min_size=1, max_size=3), full_points)
+def test_values_at_a_full_point_match_reference(ps, point):
+    want = [reference_subs(p, point).packed.get(0, 0) for p in ps]
+    got = Substitution(point).values(ps)
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
+
+
+def test_values_refuses_a_variable_without_a_scalar():
+    p = Poly.var("a") * Poly.var("t") + 1
+    with pytest.raises(ValueError, match="'t'"):
+        Substitution({"a": 2}).values([p])
+    with pytest.raises(ValueError, match="'t'"):
+        Substitution({"a": 2, "t": Poly.var("zz")}).values([p])
+    assert Substitution({"a": 2, "t": Poly.const(Fraction(1, 4))}).values(
+        [p, Poly.zero()]) == [Fraction(3, 2), 0]
 
 
 # -- differential tests against sympy -----------------------------------------
@@ -290,6 +320,29 @@ def test_jacobian_rank_and_kernel_against_sympy(seed):
                              for x in v] for v in ker] + theirs)
     assert stacked.rank() == len(ker) == len(theirs)
     assert matrix_det(j).is_zero() and sj.det() == 0
+
+
+J_POINTS = ([jacobian_point(seed) for seed in range(20)]
+            + [{**dict.fromkeys(K_SYMS, 0), C_SYM: Fraction(5, 7)},
+               {s: k - 6 for k, s in enumerate(K_SYMS + (C_SYM,))},
+               jacobian_point(7, ("c", "a20_1"))])
+
+
+@pytest.mark.parametrize("point", J_POINTS)
+def test_matrix_subs_matches_entrywise_subs(point):
+    """PolyMatrix.subs evaluates a full point in one values call and a
+    partial one entry by entry: either way it gives per-entry Poly.subs,
+    coefficient types included."""
+    j = _jmatrix_symbolic()
+    got = j.subs(point)
+    sub = Substitution(point)
+    want = [[e.subs(sub) for e in row] for row in j.entries]
+    assert got.entries == want
+    assert all(e.is_constant() for row in want for e in row) == \
+        (len(point) == 13)
+    assert [[list(map(type, e.packed.values())) for e in row]
+            for row in got.entries] == \
+        [[list(map(type, e.packed.values())) for e in row] for row in want]
 
 
 @pytest.mark.parametrize("seed,free", [(7, ("c", "a20_1")),

@@ -239,11 +239,14 @@ def test_codec_checks_detect_a_perturbed_contraction(monkeypatch):
     # one wrong encode entry in an s12 column (a block Sp reaches): the
     # BiForm evaluation no longer inverts the decode matrix.  Sp's
     # coordinate matrix is read off SPENCER_COORDS and stays right; the
-    # adjustment check fails through spencer_in_coords, which decodes
+    # adjustment check fails through spencer_in_coords, which decodes.
+    # The symbolic decode of Sp is cached on top of the decode matrix, so
+    # it is cleared with it
     enc = spencer._torsion_encode_matrix()
     bad = [list(row) for row in enc]
     bad[0][0] += 1
     spencer._torsion_decode_matrix.cache_clear()
+    spencer._symbolic_spencer_coords.cache_clear()
     monkeypatch.setattr(spencer, "_torsion_encode_matrix",
                         lambda: tuple(map(tuple, bad)))
     try:
@@ -267,6 +270,7 @@ def test_codec_checks_detect_a_perturbed_contraction(monkeypatch):
     finally:
         monkeypatch.undo()
         spencer._torsion_decode_matrix.cache_clear()
+        spencer._symbolic_spencer_coords.cache_clear()
     assert spencer._torsion_encode_matrix() == enc
 
 
