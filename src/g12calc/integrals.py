@@ -171,8 +171,7 @@ def _first_integrals_symbolic(coeff_72=Fraction(72)) -> Tuple[Poly, Poly]:
           + 96 * transvectant2(inv["p20"], inv["b20"], 2, 0).poly
           + 3 * transvectant2(inv["p02"], inv["b02"], 0, 2).poly
           + 48 * transvectant2(inv["p24"], inv["b24"], 2, 4).poly)
-    iota = _involution()
-    return f1.subs(iota), f2.subs(iota)
+    return tuple(Substitution(_involution()).apply((f1, f2)))
 
 
 def first_integrals(pt: Optional[CurvaturePoint] = None,
@@ -183,11 +182,10 @@ def first_integrals(pt: Optional[CurvaturePoint] = None,
     pre-composed with the parameter involution of _involution();
     coeff_72 exists for the negative-control mutation test only.
     """
-    f1, f2 = _first_integrals_symbolic(coeff_72)
+    fs = _first_integrals_symbolic(coeff_72)
     if pt is None:
-        return f1, f2
-    assignment = pt.assignment()
-    return f1.subs(assignment), f2.subs(assignment)
+        return fs
+    return tuple(Substitution(pt.assignment()).apply(fs))
 
 
 def gradient(f: Poly) -> List[Poly]:
@@ -456,12 +454,8 @@ def symmetry_fields_check() -> Mapping:
 
 def fields_vanish_at_flat_point() -> bool:
     """At a = b = 0 the gradient data, hence both fields, vanish."""
-    rows = gradient_rows()
-    for key, form in rows.items():
-        for comp in form.coords():
-            if not comp.subs(FLAT).is_zero():
-                return False
-    return True
+    comps = [c for form in gradient_rows().values() for c in form.coords()]
+    return not any(Substitution(FLAT).apply(comps))
 
 
 # -- restriction admissibility ------------------------------------------------
@@ -479,8 +473,7 @@ def f1_vanishes_on_restriction_locus() -> bool:
     """The first integral vanishes identically on the admissible locus
     over a symbolic a20, cubic and c."""
     pt = admissible_point(bf.symbolic(2, 0, "a20"), bf.symbolic(0, 3, "u"))
-    f1, _f2 = first_integrals(pt)
-    return f1.is_zero()
+    return first_integrals()[0].subs(pt.assignment()).is_zero()
 
 
 def _homogeneous_rows(polys: Sequence[Poly], unknowns: Sequence[str],
@@ -538,9 +531,10 @@ def restriction_chain() -> dict:
     locus = admissible_point(CurvaturePoint.symbolic().a20,
                              bf.symbolic(0, 3, "u"))
     on_locus = dict(zip(A02_SYMS, locus.a02.coords()))
-    b_conds = [c.subs(on_locus) for f in functionals
-               for c in reduce_mod_ideal(form_sum(cf, zip(rules, f)),
-                                         frob["substitution"]).terms.values()]
+    b_conds = Substitution(on_locus).apply(
+        c for f in functionals
+        for c in reduce_mod_ideal(form_sum(cf, zip(rules, f)),
+                                  frob["substitution"]).terms.values())
     b_rows = _homogeneous_rows(b_conds, B_SYMS,
                                "b-conditions are not linear in b")
     _pb, b_kernel = solve_sparse(b_rows, 6)

@@ -18,10 +18,10 @@ in one way only: `linear_rows` reads each polynomial as affine in the
 named unknowns and gives one row per monomial in the other variables.
 
 `PolyMatrix` holds polynomial entries: the curvature Jacobian, its
-substitutions and determinants.  Substituted at a point that gives every
-variable a scalar (one `Substitution.values` pass over all entries), a
-matrix is constant and enters the rational core through
-`PolyMatrix.constant_rows`.
+substitutions and determinants.  `PolyMatrix.subs` is one
+`Substitution.apply` over all entries, whatever the point; at a point
+that gives every variable a scalar the matrix is constant and enters the
+rational core through `PolyMatrix.constant_rows`.
 
 A Fraction appears only when a result is written out.  Determinants
 accept polynomial entries and use Bareiss one-step elimination over
@@ -38,13 +38,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
 from math import gcd, lcm
-from operator import or_
 from typing import Dict, Iterable, List, Sequence
 
-from .poly import (Poly, Scalar, Substitution, _exact, _trusted, divexact,
+from .poly import (Poly, Scalar, Substitution, _exact, divexact,
                    fields_mask, var_key)
 
 
@@ -78,21 +75,14 @@ class PolyMatrix:
         return [[e.packed.get(0, 0) for e in row] for row in self.entries]
 
     def subs(self, assignment) -> "PolyMatrix":
-        """Substitute one point into every entry; the point is validated
-        once, not once per entry.  When it gives a scalar to every
-        variable the entries use, one `Substitution.values` call
-        evaluates all of them and the result is constant; otherwise each
-        entry goes through `Poly.subs`."""
-        sub = Substitution(assignment)
-        flat = [e for row in self.entries for e in row]
-        used = reduce(or_, chain.from_iterable(e.packed for e in flat), 0)
-        if used & ~sub.smask:
-            return PolyMatrix([[e.subs(sub) for e in row]
-                               for row in self.entries])
-        zero = Poly()
-        vals = [_trusted({0: v}) if v else zero for v in sub.values(flat)]
+        """Substitute one point into every entry: one
+        `Substitution.apply` over the entries in row-major order, so the
+        point is validated once and every entry reads the monomial values
+        and powers the others built."""
+        flat = Substitution(assignment).apply(
+            e for row in self.entries for e in row)
         c = self.cols
-        return PolyMatrix([vals[i * c:(i + 1) * c] for i in range(self.rows)])
+        return PolyMatrix([flat[i * c:(i + 1) * c] for i in range(self.rows)])
 
     def to_json(self) -> dict:
         return {

@@ -30,8 +30,8 @@ arithmetic.  `float` is rejected at construction: no inexact value can
 enter.  The scalar accessor of a constant polynomial, `constant_value()`,
 always returns a `Fraction`.  Polynomials are evaluated at a point that
 gives every variable a scalar by `Substitution(point).values(polys)`,
-which returns canonical `int`/`Fraction` values in one pass over the
-terms; `subs(point)` is the substitution that may leave a polynomial.
+which returns canonical `int`/`Fraction` values; `subs(point)` is the
+substitution that may leave a polynomial.
 
 The representation is canonical: zero coefficients are never stored and
 integral coefficients are `int`.  Two polynomials are equal iff their
@@ -51,6 +51,16 @@ products builds no intermediate Poly.  Its term order is that of
 at least two terms on both sides summed first, zero sums dropped), each
 then added as `__add__` adds it, a new or a cancelled-and-returning key
 last.
+
+There is one substitution loop, `Substitution.apply(polys)`: one pass
+over the terms of each polynomial folds every scalar-valued variable
+into the coefficient, on an integer numerator over a running lcm
+denominator, each monomial's value computed once per Substitution, and
+keeps the other monomials in order of first appearance.  Non-constant
+Poly values are expanded through their cached powers afterwards, only
+when the point has some.  `Poly.subs` is one `apply`, `PolyMatrix.subs`
+one `apply` over all its entries, and `Substitution.values` reads the
+constant coefficient of each result.
 
 A sum of products is `dot(pairs)`, the sum of p * q over (p, q) pairs of
 Polys or exact scalars: every product goes into one accumulator through
@@ -405,55 +415,12 @@ class Poly:
         """Simultaneous substitution; unassigned variables stay.
 
         `assignment` is a mapping or a `Substitution` prepared from one;
-        a caller that substitutes the same point into many polynomials
-        prepares it once.  Scalar and constant-Poly values are folded
-        into the coefficients in one pass over the terms, each reading its
-        monomial's value from the Substitution, keyed by the exponents
-        that remain; the fold runs on integer numerators and denominators
-        and makes one canonical coefficient per key.  Only
-        non-constant Poly values are expanded through their powers, in
-        the canonical variable order.
+        this is one `Substitution.apply`, and a caller with many
+        polynomials at one point hands them all to one `apply` instead.
         """
         sub = assignment if type(assignment) is Substitution \
             else Substitution(assignment)
-        if not self.support() & sub.assigned:
-            return self
-        monos, smask = sub.monos, sub.smask
-        polys, pmask, keep = sub.polys, sub.pmask, ~sub.assigned
-        groups = {}  # key of the Poly-valued fields -> {kept key: [n, d]}
-        for k, c in self.packed.items():
-            sk = k & smask
-            m = monos.get(sk)
-            if m is None:
-                m = sub.mono_value(sk)
-            n = c.numerator * m[0]
-            if not n:
-                continue
-            d = c.denominator * m[1]
-            part = groups.setdefault(k & pmask, {})
-            ke = k & keep
-            acc = part.get(ke)
-            if acc is None:
-                part[ke] = [n, d]
-            elif acc[1] == d:
-                acc[0] += n
-            else:
-                acc[0] = acc[0] * d + n * acc[1]
-                acc[1] *= d
-        total = None
-        pows = sub.pows
-        for pk, part in groups.items():
-            term = _trusted({ke: n if d == 1 else _exact(Fraction(n, d))
-                             for ke, (n, d) in part.items() if n})
-            for s, val in polys:
-                e = pk >> s & _MASK
-                if e:
-                    f = pows.get((s, e))
-                    if f is None:
-                        f = pows[(s, e)] = val ** e
-                    term = term * f
-            total = term if total is None else total + term
-        return Poly() if total is None else total
+        return sub.apply((self,))[0]
 
     def coefficients_in(self, vars: Iterable[str]) -> dict:
         """Collect by exponents of the given variables.
@@ -524,13 +491,13 @@ _set_packed = Poly.packed.__set__
 
 
 class Substitution:
-    """An assignment {name: value} validated once, for `Poly.subs` and
-    `values`.
+    """An assignment {name: value} validated once, and the one
+    substitution pass of the ring, `apply`.
 
     Each value is checked for exactness here, whether or not a later
     polynomial contains its variable.  A scalar or constant-Poly value
     becomes a (numerator, denominator) pair; a non-constant Poly value
-    stays a Poly.  What substitutions build is kept for the next one: the
+    stays a Poly.  What a pass builds is kept for the next one: the
     (numerator, denominator) of each monomial in the scalar-valued
     variables, keyed by its key masked to their fields, and the powers of
     each Poly value.  A name not yet interned occurs in no existing
@@ -588,37 +555,79 @@ class Substitution:
         self.monos[key] = n, d
         return n, d
 
-    def values(self, polys: Iterable[Poly]) -> list:
-        """The exact value of each polynomial at this point, canonical
-        (`int` when integral, else `Fraction`).
-
-        One pass over each polynomial's terms, on an integer numerator
-        and a running denominator (the lcm of the terms' denominators),
-        each term reading its monomial's value from `monos`.  ValueError
-        when the point leaves a variable of a polynomial unassigned or
-        gives it a non-constant Poly value.
-        """
-        monos, smask = self.monos, self.smask
+    def apply(self, polys: Iterable[Poly]) -> list:
+        """Each polynomial with the assignment substituted, in the one
+        substitution loop of the module docstring.  A term the point makes
+        zero adds no key; each key makes one canonical coefficient."""
+        monos, smask, rest = self.monos, self.smask, ~self.smask
         out = []
         for p in polys:
-            n, d = 0, 1
+            if not p.packed:
+                out.append(p)
+                continue
+            acc = {}  # key of the other variables -> [numerator, denominator]
             for k, c in p.packed.items():
-                m = monos.get(k)
+                m = monos.get(k & smask)
                 if m is None:
-                    if k & ~smask:
-                        names = [_NAMES[i] for i in
-                                 _canonical_indices(k & ~smask)]
-                        raise ValueError(f"no scalar value for {names}")
-                    m = self.mono_value(k)
-                tn, td = c.numerator * m[0], c.denominator * m[1]
-                if td == d:
-                    n += tn
+                    m = self.mono_value(k & smask)
+                n = c.numerator * m[0]
+                if not n:
+                    continue
+                d = c.denominator * m[1]
+                a = acc.get(k & rest)
+                if a is None:
+                    acc[k & rest] = [n, d]
+                elif a[1] == d:
+                    a[0] += n
                 else:
-                    g = gcd(d, td)
-                    n = n * (td // g) + tn * (d // g)
-                    d = d // g * td
-            out.append(n if d == 1 else _exact(Fraction(n, d)))
+                    g = gcd(a[1], d)
+                    a[0] = a[0] * (d // g) + n * (a[1] // g)
+                    a[1] = a[1] // g * d
+            if self.pmask:
+                out.append(self._expand(acc))
+                continue
+            tm = {}
+            for k, (n, d) in acc.items():
+                if n:
+                    tm[k] = n if d == 1 else _div(n, d)
+            out.append(_trusted(tm))
         return out
+
+    def _expand(self, acc: dict) -> Poly:
+        """The sum, over the exponents of the Poly-valued variables in
+        `acc` in order, of the polynomial in the other variables times
+        the powers of the values, in the canonical variable order."""
+        groups = {}  # key of the Poly-valued fields -> {kept key: [n, d]}
+        for k, a in acc.items():
+            groups.setdefault(k & self.pmask, {})[k & ~self.pmask] = a
+        total = Poly()
+        for pk, part in groups.items():
+            term = _trusted({k: n if d == 1 else _div(n, d)
+                             for k, (n, d) in part.items() if n})
+            for s, val in self.polys:
+                e = pk >> s & _MASK
+                if e:
+                    f = self.pows.get((s, e))
+                    if f is None:
+                        f = self.pows[(s, e)] = val ** e
+                    term = term * f
+            total = total + term
+        return total
+
+    def values(self, polys: Iterable[Poly]) -> list:
+        """The exact value of each polynomial at this point, canonical
+        (`int` when integral, else `Fraction`): the constant coefficient
+        `apply` leaves.  ValueError when the point leaves a variable of a
+        polynomial unassigned or gives it a non-constant Poly value, even
+        in a term the point makes zero.
+        """
+        polys = list(polys)
+        for p in polys:
+            free = p.support() & ~self.smask
+            if free:
+                names = [_NAMES[i] for i in _canonical_indices(free)]
+                raise ValueError(f"no scalar value for {names}")
+        return [q.packed.get(0, 0) for q in self.apply(polys)]
 
 
 def _trusted(tm: dict) -> Poly:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import binforms as bf
 from .binforms import (BiForm, BlockCoords, LieElt, Rep, basis, from_coords,
@@ -48,7 +48,7 @@ from .binforms import (BiForm, BlockCoords, LieElt, Rep, basis, from_coords,
                        symbolic, transvectant2)
 from .linalg import (invert_rational, kernel_basis, linear_rows, linsolve,
                      rank, solve_sparse, spans_equal)
-from .poly import Poly, Scalar, _exact, dot
+from .poly import Poly, Scalar, Substitution, _exact, dot
 
 
 class LinearLieAlgebra:
@@ -456,19 +456,19 @@ def _divisible_basis() -> List[BiForm]:
             for a in (x1, y1) for l in (x2, y2)]
 
 
-def _at_root(form: BiForm) -> Poly:
-    """A second-slot form at the root of r = al*x2 + be*y2: r divides the
-    form exactly when every coefficient of a monomial in (x1, y1, al, be)
-    of x2 -> -be, y2 -> al vanishes."""
-    return form.poly.subs({"x2": Poly.const(0) - Poly.var("be"),
-                           "y2": Poly.var("al")})
+def _at_root(forms: Iterable[BiForm]) -> List[Poly]:
+    """Second-slot forms at the root of r = al*x2 + be*y2, in one
+    substitution: r divides a form exactly when every coefficient of a
+    monomial in (x1, y1, al, be) of x2 -> -be, y2 -> al vanishes."""
+    return Substitution({"x2": -Poly.var("be"), "y2": Poly.var("al")}
+                        ).apply(f.poly for f in forms)
 
 
 def _divisibility_rows(tensor, arg_pairs, unknowns: Sequence[str]) -> List[dict]:
     """Linear constraints on the unknown symbols expressing that
     r = al*x2 + be*y2 divides tensor(p, q) for every (p, q) in arg_pairs
     and all (al, be): one row per monomial in (x1, y1, al, be)."""
-    return linear_rows([_at_root(tensor(p, q)) for p, q in arg_pairs],
+    return linear_rows(_at_root(tensor(p, q) for p, q in arg_pairs),
                        unknowns)
 
 
@@ -634,16 +634,15 @@ def splitting_correction_vanishes(k: int) -> dict:
                                     for i, v in enumerate(vs, start=1)))
 
     r = _generic_line()
-    rows = linear_rows([_at_root(delta(BiForm(0, k + 1, r * r * w.poly)))
-                        for w in basis(0, k - 1)], sym_names)
+    rows = linear_rows(_at_root(delta(BiForm(0, k + 1, r * r * w.poly))
+                                for w in basis(0, k - 1)), sym_names)
     nvars = len(sym_names)
     _part, kernel = solve_sparse(rows, nvars)
     # the single-r cross-check: for r = x2, divisibility of delta(r^{k+1})
     # is equivalent to r | v_{2k}
     u = BiForm(0, k + 1, Poly.var("x2") ** (k + 1))
     du = delta(u)
-    lead = du.poly.subs({"x2": Poly.const(0)})
-    v2k_lead = vs[-1].poly.subs({"x2": Poly.const(0)})
+    lead, v2k_lead = Substitution({"x2": 0}).apply((du.poly, vs[-1].poly))
     single_r_ok = (not lead.is_zero()) and all(
         v.startswith(f"vv{2 * k}_") or not v.startswith("vv")
         for v in lead.vars) and not v2k_lead.is_zero()

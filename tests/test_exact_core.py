@@ -23,8 +23,9 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from g12calc.excalc import C_SYM  # noqa: E402
-from g12calc.integrals import K_SYMS, _jmatrix_symbolic  # noqa: E402
+from g12calc.excalc import A02_SYMS, A20_SYMS, C_SYM  # noqa: E402
+from g12calc.integrals import (K_SYMS, XY_PARAMS,  # noqa: E402
+                               _jmatrix_symbolic)
 from g12calc.linalg import (PolyMatrix, invert_rational,  # noqa: E402
                             matrix_det, matrix_rank_kernel,
                             random_rational_point, solve_sparse)
@@ -162,6 +163,9 @@ def test_values_refuses_a_variable_without_a_scalar():
     p = Poly.var("a") * Poly.var("t") + 1
     with pytest.raises(ValueError, match="'t'"):
         Substitution({"a": 2}).values([p])
+    # a term the point makes zero still needs a value for each variable
+    with pytest.raises(ValueError, match="'t'"):
+        Substitution({"a": 0}).values([p])
     with pytest.raises(ValueError, match="'t'"):
         Substitution({"a": 2, "t": Poly.var("zz")}).values([p])
     assert Substitution({"a": 2, "t": Poly.const(Fraction(1, 4))}).values(
@@ -322,27 +326,35 @@ def test_jacobian_rank_and_kernel_against_sympy(seed):
     assert matrix_det(j).is_zero() and sj.det() == 0
 
 
+# the xy family of xy_specialised_jacobian: a20 = t xy, a02 = t' xy
+XY_FAMILY = {**dict.fromkeys(A20_SYMS + A02_SYMS, Poly.zero()),
+             A20_SYMS[1]: Poly.var(XY_PARAMS[0]),
+             A02_SYMS[1]: Poly.var(XY_PARAMS[1])}
 J_POINTS = ([jacobian_point(seed) for seed in range(20)]
             + [{**dict.fromkeys(K_SYMS, 0), C_SYM: Fraction(5, 7)},
                {s: k - 6 for k, s in enumerate(K_SYMS + (C_SYM,))},
-               jacobian_point(7, ("c", "a20_1"))])
+               jacobian_point(7, ("c", "a20_1")), XY_FAMILY])
 
 
 @pytest.mark.parametrize("point", J_POINTS)
 def test_matrix_subs_matches_entrywise_subs(point):
-    """PolyMatrix.subs evaluates a full point in one values call and a
-    partial one entry by entry: either way it gives per-entry Poly.subs,
-    coefficient types included."""
+    """PolyMatrix.subs is one Substitution.apply over all entries, which
+    share the monomial values and powers it keeps.  Each entry must come
+    out as a substitution into that entry alone gives it and as the
+    term-by-term expansion gives it: in value, term order and
+    coefficient types."""
     j = _jmatrix_symbolic()
     got = j.subs(point)
-    sub = Substitution(point)
-    want = [[e.subs(sub) for e in row] for row in j.entries]
-    assert got.entries == want
+    want = [[e.subs(point) for e in row] for row in j.entries]
+    ref = [[reference_subs(e, point) for e in row] for row in j.entries]
+    assert got.entries == want == ref
     assert all(e.is_constant() for row in want for e in row) == \
         (len(point) == 13)
-    assert [[list(map(type, e.packed.values())) for e in row]
-            for row in got.entries] == \
-        [[list(map(type, e.packed.values())) for e in row] for row in want]
+
+    def terms(m):
+        return [[[(k, type(c)) for k, c in e.packed.items()] for e in row]
+                for row in m]
+    assert terms(got.entries) == terms(want) == terms(ref)
 
 
 @pytest.mark.parametrize("seed,free", [(7, ("c", "a20_1")),
