@@ -28,9 +28,17 @@ otherwise A | B with the sign (-1)^((B & V(A)).bit_count()), V(A) being
 the XOR of (1 << a) - 1 over the bits a of A.  Putting the monomial R
 in the slot of the generator g of M gives R | Mp, Mp being M without g,
 with the sign (-1)^((Mp & W).bit_count()); W = W(g, R) is (1 << g) - 1
-XOR, for each bit of R, the bits strictly between it and g.  A
-StructureSystem freezes its rules and computes their V and W masks
-once.  Each mode has one cached frame, `_frame(mode)`: the coframe, the
+XOR, for each bit of R, the bits strictly between it and g; both masks
+are cached per argument.  A StructureSystem freezes its rules and takes
+exterior_d's tables of them: per rule term R, its V or W mask and its
+coefficient as an integer numerator over D, the lcm of the denominators
+of every rule of the system.  The tables of a rule are built once per D
+and kept on the rule, so the dtheta and parameter rules that every
+system of a mode shares are not tabled again per system.  exterior_d
+scales its input once by E, the lcm of the input's denominators, runs
+every coefficient product on integers, and divides each output
+coefficient by E * D once, as it wraps it; the rules stay rational.
+Each mode has one cached frame, `_frame(mode)`: the coframe, the
 connection and theta generators, the symbolic a20, a02 and b, the
 torsion-s30 block, the dtheta rules, omega ^ omega and the curvature
 blocks.  It is the one place that builds any of them; the derivations,
@@ -66,6 +74,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -74,7 +83,7 @@ from .binforms import BiForm, dim_v, pairing_table
 from .linalg import (kernel_basis, linear_rows, rank, solve_sparse,
                      spans_equal)
 from .poly import (Poly, _operand, _trusted, _var_key, add_product,
-                   fields_mask)
+                   denominator, fields_mask, from_packed, numerators)
 from .spencer import g12_algebra
 
 # -- coframe ----------------------------------------------------------------
@@ -140,6 +149,7 @@ def _mask_of(cf: Coframe, mono) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
 def _below_xor(mask: int) -> int:
     """V(mask), the XOR of (1 << a) - 1 over the bits a of `mask`: bit i is
     set when an odd number of the mask's generators lie above i.  So the
@@ -151,6 +161,7 @@ def _below_xor(mask: int) -> int:
     return v
 
 
+@lru_cache(maxsize=None)
 def _slot_mask(g: int, rule_mask: int) -> int:
     """W(g, R): the sign mask of putting the monomial R in the slot of the
     generator g.  It is (1 << g) - 1 XOR, for each bit r of R, the bits
@@ -176,9 +187,14 @@ def _add_product(out: Dict[int, dict], mask: int, p: Poly, q: Poly,
         del out[mask]
 
 
-def _form(cf: "Coframe", out: Dict[int, dict]) -> "FormExpr":
-    """The FormExpr of an accumulator filled by _add_product."""
-    return FormExpr._of(cf, {mask: _trusted(acc) for mask, acc in out.items()})
+def _form(cf: "Coframe", out: Dict[int, dict], den: int = 1) -> "FormExpr":
+    """The FormExpr of an accumulator filled by _add_product, each
+    coefficient divided by `den` (once, by `from_packed`) when den != 1."""
+    if den == 1:
+        return FormExpr._of(cf, {mask: _trusted(acc)
+                                 for mask, acc in out.items()})
+    return FormExpr._of(cf, {mask: from_packed(acc, den)
+                             for mask, acc in out.items()})
 
 
 def form_sum(cf: "Coframe", terms) -> "FormExpr":
@@ -199,9 +215,11 @@ def form_sum(cf: "Coframe", terms) -> "FormExpr":
 
 class FormExpr:
     """Graded sum of exterior monomials with Poly coefficients, stored as
-    {monomial bitmask: nonzero Poly} in term order."""
+    {monomial bitmask: nonzero Poly} in term order.  A form used as a
+    rule also keeps exterior_d's integer tables of itself
+    (`_rule_table`)."""
 
-    __slots__ = ("cf", "_by_mask")
+    __slots__ = ("cf", "_by_mask", "_tables")
 
     def __init__(self, cf: Coframe, terms: Optional[Mapping[tuple, Poly]] = None):
         """`terms` maps strictly increasing tuples of generator indices to
@@ -361,43 +379,84 @@ def dbl_bracket(om00: FormExpr, om20: VForm, om02: VForm, q: VForm,
 class StructureSystem:
     """Differential rules for every coframe generator and parameter.
 
-    The rules are frozen into read-only mappings, and exterior_d's sign
-    masks are computed from them once, here: for each generator g of the
-    coframe, (R, W(g, R), coefficient) per term of its rule (none without
-    a rule); for each parameter with a nonzero rule, in the canonical
-    variable order, its name, its field bits and (R, V(R), coefficient)
-    per term of its rule.  The tables are lists, not tuples: CPython
-    keeps up to 2000 freed tuples of each length below 20 for reuse, so
-    the tables of many systems built and dropped in turn would keep
-    about a megabyte resident in those free lists."""
+    The rules are frozen into read-only mappings and stay rational.
+    exterior_d's tables of them run on integer numerators: `den` is D,
+    the lcm of the denominators of every coefficient of every rule, and
+    each table coefficient is the integer polynomial D * c, with the keys
+    of c in their order.  For each generator g of the coframe the table
+    holds (R, W(g, R), D * c) per term c * R of its rule (none without a
+    rule); for each parameter with a nonzero rule, in the canonical
+    variable order, its name, its field bits and (R, V(R), D * c) per
+    term of its rule.  Each rule's table is built once per (g, D) and
+    kept on the rule (`_rule_table`), so a system holds the shared lists
+    of the rules it shares with other systems of its mode.  The tables
+    are lists, not tuples: CPython keeps up to 2000 freed tuples of each
+    length below 20 for reuse, so the tables of many systems built and
+    dropped in turn would keep about a megabyte resident in those free
+    lists."""
     mode: str
     cf: Coframe
     gen_rules: Mapping[int, FormExpr]
     param_rules: Mapping[str, FormExpr]
+    den: int = field(init=False, repr=False, compare=False)
     gen_signs: list = field(init=False, repr=False, compare=False)
     param_signs: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gen_rules = MappingProxyType(dict(self.gen_rules))
         param_rules = MappingProxyType(dict(self.param_rules))
+        den = lcm(*(_tables(rule)[None]
+                    for rules in (gen_rules, param_rules)
+                    for rule in rules.values()))
         gen_signs = [[] for _ in range(len(self.cf))]
         for g, rule in gen_rules.items():
             if g not in range(len(self.cf)):
                 raise ValueError(f"a rule for {g!r}, not a generator index "
                                  f"of the coframe")
-            gen_signs[g] = [(r, _slot_mask(g, r), c)
-                            for r, c in rule._by_mask.items()]
+            gen_signs[g] = _rule_table(rule, den, g)
         param_signs = [
-            (pname, fields_mask((pname,)),
-             [(r, _below_xor(r), c) for r, c in rule._by_mask.items()])
+            (pname, fields_mask((pname,)), _rule_table(rule, den))
             for pname, rule in sorted(param_rules.items(),
                                       key=lambda kv: _var_key(kv[0]))
             if not rule.is_zero()]
         for name, value in (("gen_rules", gen_rules),
                             ("param_rules", param_rules),
+                            ("den", den),
                             ("gen_signs", gen_signs),
                             ("param_signs", param_signs)):
             object.__setattr__(self, name, value)
+
+
+# The most (g, D) tables one rule keeps; past it they are dropped and
+# rebuilt on demand, so a long run over many denominators stays bounded.
+_TABLES_PER_RULE = 16
+
+
+def _tables(rule: FormExpr) -> dict:
+    """The tables `rule` keeps for exterior_d: None maps to the lcm of
+    its denominators, (g, D) to its table for the generator g (None for
+    a parameter) on D times its coefficients."""
+    tables = getattr(rule, "_tables", None)
+    if tables is None:
+        tables = rule._tables = {None: denominator(rule._by_mask.values())}
+    return tables
+
+
+def _rule_table(rule: FormExpr, den: int, g: Optional[int] = None) -> list:
+    """[(R, W(g, R), den * c)] over the terms c * R of `rule`, or with V(R)
+    in place of W(g, R) when `g` is None.  Built once per (g, den) and
+    kept on the rule, so the rules that every system of a mode shares
+    (its dtheta and parameter rules) are tabled once per D, not once per
+    system."""
+    tables = _tables(rule)
+    table = tables.get((g, den))
+    if table is None:
+        if len(tables) > _TABLES_PER_RULE:
+            tables = rule._tables = {None: tables[None]}
+        table = tables[(g, den)] = [
+            (r, _below_xor(r) if g is None else _slot_mask(g, r),
+             numerators(c, den)) for r, c in rule._by_mask.items()]
+    return table
 
 
 def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
@@ -407,10 +466,20 @@ def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
     first d(coeff) ^ M over the parameters, then for each generator g of
     M from low to high (the order of the tuple (i1, .., ik)) M with g
     replaced by its rule.  Each sign is the parity of a popcount against
-    the system's sign masks."""
+    the system's sign masks.
+
+    Every product runs on integers: each coefficient of `expr` is scaled
+    once by E, the lcm of its denominators, and the system's tables hold
+    D times the rule coefficients, so each product carries the factor
+    E * D.  That factor is nonzero, so a partial sum is zero exactly when
+    the rational one is, and the value and the term order are those of
+    the rational sums.  Each output coefficient is divided by E * D once,
+    as it is wrapped."""
     out: Dict[int, dict] = {}
     gen_signs = sys.gen_signs
+    e = denominator(expr._by_mask.values())
     for mono, coeff in expr._by_mask.items():
+        coeff = numerators(coeff, e)
         # d(coeff) ^ mono: the rule term R goes in front of mono
         used = coeff.support()
         for pname, field_bits, rule in sys.param_signs:
@@ -431,7 +500,7 @@ def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
                 if not r & rest:
                     _add_product(out, r | rest, coeff, c,
                                  (rest & w).bit_count() & 1)
-    return _form(expr.cf, out)
+    return _form(expr.cf, out, e * sys.den)
 
 
 def contract(expr: FormExpr, values: Dict[int, Poly]) -> FormExpr:
@@ -866,7 +935,10 @@ def build_system(mode: str = "g12", curvature_coeffs=None) -> StructureSystem:
     Modes: "g12" (13-generator coframe), "h12" (om00 = 0, c constant),
     "torsion-s30" (dtheta has the rank-four torsion block; its parameter
     differentials become 4 extra coframe symbols).  `curvature_coeffs`
-    perturbs the curvature ansatz; only negative-control tests pass it.
+    replaces the displayed curvature tuple (c1, .., c5); the negative
+    controls pass it (`cli` `closure_mutation_control`,
+    `bianchi_combination_check`, the tests), and so does the
+    `closure_sweep` benchmark with seeded rational perturbations.
     Only the curvature parts and the domega rules are built here; the
     rest comes from the mode's cached frame and parameter rules.
     """

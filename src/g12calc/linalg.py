@@ -41,8 +41,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence
 
-from .poly import (Poly, Scalar, Substitution, _exact, divexact,
-                   fields_mask, var_key)
+from .poly import (Poly, Scalar, Substitution, _exact, denominator,
+                   divexact, fields_mask, numerators, var_key)
 
 
 class PolyMatrix:
@@ -156,11 +156,9 @@ def matrix_det(m: PolyMatrix) -> Poly:
     a = []
     scale = 1
     for row in m.entries:
-        den = lcm(*(c.denominator for e in row for c in e.packed.values()))
-        if den != 1:
-            scale *= den
-            row = [e * den for e in row]
-        a.append(list(row))
+        den = denominator(row)
+        scale *= den
+        a.append([numerators(e, den) for e in row])
     sign = 1
     prev = Poly.const(1)
     for k in range(n):

@@ -67,6 +67,17 @@ Polys or exact scalars: every product goes into one accumulator through
 `add_product`, and a pair with a zero factor is skipped.  Its value and
 term order are those of `Poly.zero() + p1 * q1 + p2 * q2 + ...`.
 
+A sum of products can run on integer numerators: `denominator(polys)`
+is the lcm D of their denominators, `numerators(p, D)` is D * p with
+`int` coefficients, and `from_packed(acc, den)` divides each summed
+coefficient back once.  A common nonzero factor on every product leaves
+each partial sum zero exactly when the rational one is, so values and
+term order do not change.  `excalc.exterior_d` runs this way, and
+`linalg.matrix_det` scales each row this way before its fraction-free
+elimination.  `binforms.transvectant2` scales its operands the same way
+in its own loop (`binforms._numerators`), which keeps the split
+exponents with each numerator.
+
 The zero polynomial has no variables and no terms.
 """
 
@@ -74,7 +85,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, perm
+from math import gcd, lcm, perm
 from operator import or_
 from typing import Iterable, Mapping, Union
 
@@ -653,10 +664,28 @@ def add_product(acc: dict, p: Poly, q: Poly, negate: bool = False) -> None:
     zero sums are dropped.  Each term is then added as `Poly.__add__`
     adds it: a new key goes last, and a cancelled key is deleted, so it
     comes back last.  A product key with an exponent above _MAX_EXP
-    raises OverflowError before `acc` changes.
+    raises OverflowError before `acc` changes.  One term times one term,
+    the common case in the exterior calculus, takes a short branch under
+    the same rules.
     """
     a, b = p.packed, q.packed
     if not a or not b:
+        return
+    if len(a) == 1 == len(b):
+        # one term times one term: the same rules on a single key
+        (k, c), = a.items()
+        (k2, c2), = b.items()
+        k += k2
+        if k & _GUARD:
+            raise _overflow()
+        c = -c * c2 if negate else c * c2
+        s = acc.get(k)
+        if s is not None:
+            c += s
+            if not c:
+                del acc[k]
+                return
+        acc[k] = c if type(c) is int or c.denominator != 1 else c.numerator
         return
     if len(a) > 1 and len(b) > 1:
         # keys may repeat: sum the product first
@@ -742,6 +771,30 @@ def from_packed(tm: Mapping[int, Scalar], den: int = 1) -> Poly:
             k: c if type(c) is int or c.denominator != 1 else c.numerator
             for k, c in tm.items() if c})
     return _trusted({k: _div(c, den) for k, c in tm.items() if c})
+
+
+def denominator(polys: Iterable[Poly]) -> int:
+    """The lcm of the denominators of every coefficient of `polys`: 1
+    when they are all integral."""
+    den = 1
+    for p in polys:
+        for c in p.packed.values():
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+    return den
+
+
+def numerators(p: Poly, den: int) -> Poly:
+    """den * p on integer numerators, for `den` a multiple of every
+    denominator of p (`denominator`): every coefficient an `int`, the
+    same keys in the same order.  `from_packed(..., den)` divides a sum
+    of such products back, once per coefficient; with den = 1 p itself
+    is returned."""
+    if den == 1:
+        return p
+    return _trusted({k: c * den if type(c) is int
+                     else c.numerator * (den // c.denominator)
+                     for k, c in p.packed.items()})
 
 
 def _coerce(x) -> Poly:

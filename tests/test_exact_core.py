@@ -3,7 +3,8 @@
 `Poly` is checked for the ring axioms over mixed int/Fraction
 coefficients, with operands on overlapping or disjoint variable sets, and
 against sympy across those sets; for its canonical int-when-integral
-storage, for divexact round trips, for one-pass `subs` (a mapping or a
+storage, for divexact round trips, for `add_product` on one term times
+one term against the `Poly` sum, for one-pass `subs` (a mapping or a
 reused `Substitution`) against a term-by-term expansion and for exponent
 overflow.
 `matrix_det`, rank and kernel are checked against sympy on random
@@ -29,8 +30,9 @@ from g12calc.integrals import (K_SYMS, XY_PARAMS,  # noqa: E402
 from g12calc.linalg import (PolyMatrix, invert_rational,  # noqa: E402
                             matrix_det, matrix_rank_kernel,
                             random_rational_point, solve_sparse)
-from g12calc.poly import (Poly, Substitution, _var_key,  # noqa: E402
-                          divexact)
+from g12calc.poly import (Poly, Substitution, _trusted,  # noqa: E402
+                          _var_key, add_product, divexact, from_packed,
+                          var_key)
 
 # every operand draws its own variables: parameter names that sort before
 # ("a", "b_0") and after ("t", "zz") the form variables, so two operands
@@ -108,6 +110,55 @@ def test_divexact_round_trip(p, q):
 def test_divexact_by_constant(p, k):
     assert divexact(p * k, Poly.const(k)) == p
     assert p * k / k == p
+
+
+# one-term operands over two variables, so that products share keys and
+# cancel; coefficients mixed int/Fraction, integral Fractions included
+single_terms = st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         coeffs.filter(bool)).map(
+    lambda t: Poly(("a", "x1"), {t[0]: t[1]}))
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       coeffs.filter(bool), max_size=4),
+       st.lists(st.tuples(single_terms, single_terms, st.booleans()),
+                min_size=1, max_size=8))
+def test_single_term_add_product_matches_the_poly_sum(start, steps):
+    """add_product on one term times one term, step by step, against
+    Poly.__add__ of the product term built apart: the same values in the
+    same order (a cancelled key comes back last), canonical storage."""
+    acc = dict(Poly(("a", "x1"), start).packed)
+    want = Poly(("a", "x1"), start)
+    for p, q, negate in steps:
+        (k1, c1), = p.packed.items()
+        (k2, c2), = q.packed.items()
+        term = from_packed({k1 + k2: -c1 * c2 if negate else c1 * c2})
+        want = want + term
+        add_product(acc, p, q, negate)
+        assert list(acc.items()) == list(want.packed.items())
+        assert canonical(_trusted(acc))
+
+
+def test_single_term_add_product_rules():
+    x, y = Poly.var("x1"), Poly.var("y1")
+    kx, ky = var_key("x1"), var_key("y1")
+    # negate, and a key that cancels and comes back goes last
+    acc = {kx: 2, ky: 1}
+    add_product(acc, Poly.const(2), x, negate=True)
+    assert acc == {ky: 1}
+    add_product(acc, x, Poly.const(5))
+    assert list(acc.items()) == [(ky, 1), (kx, 5)]
+    assert list(acc.items()) == list(
+        (Poly.var("y1") + 2 * x - 2 * x + 5 * x).packed.items())
+    # a Fraction times an int that comes out integral is stored as int
+    add_product(acc, y * Fraction(3, 2), Poly.const(-2))
+    assert list(acc.items()) == [(ky, -2), (kx, 5)]
+    assert type(acc[ky]) is int
+    # an overflowing key raises before acc changes
+    before = list(acc.items())
+    with pytest.raises(OverflowError):
+        add_product(acc, x ** 100, x ** 28)
+    assert list(acc.items()) == before
 
 
 def reference_subs(p: Poly, assignment: dict) -> Poly:

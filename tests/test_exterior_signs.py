@@ -7,8 +7,12 @@ index tuples and counts the transpositions of the merge.  Both add the
 same products in the same order, so on random forms of degree 0-4 over
 the 13- and 17-generator coframes `wedge`, `contract` and `exterior_d`
 must agree with it in every monomial, every coefficient and the order
-of both.
+of both.  The oracle adds rational Polys; `exterior_d` runs on integer
+numerators and divides once, so it is also checked on rules and forms
+with rational coefficients and on a rational curvature tuple.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -122,12 +126,22 @@ PARAMS = ("a20_0", "a02_1", "b_2", "c", "s30_1")
 monomials = st.lists(st.sampled_from(PARAMS), max_size=2).map(
     lambda names: Poly.const(1) if not names
     else Poly.var(names[0]) * (Poly.var(names[1]) if len(names) > 1 else 1))
-coeffs = st.lists(st.tuples(st.integers(-3, 3).filter(bool), monomials),
-                  min_size=1, max_size=2).map(
-    lambda ts: sum((m * k for k, m in ts), Poly.zero()))
 
 
-def forms(cf: ex.Coframe, degrees=range(5)):
+def sums(scalars):
+    """Sums of one or two scalar * monomial terms."""
+    return st.lists(st.tuples(scalars, monomials), min_size=1,
+                    max_size=2).map(
+        lambda ts: sum((m * k for k, m in ts), Poly.zero()))
+
+
+coeffs = sums(st.integers(-3, 3).filter(bool))
+# denominators 2-9, so that exterior_d's E and D are not 1
+rational_coeffs = sums(st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                                 st.integers(2, 9)))
+
+
+def forms(cf: ex.Coframe, degrees=range(5), coeffs=coeffs):
     """FormExprs on the coframe with monomials of the given degrees."""
     monos = st.sampled_from(list(degrees)).flatmap(
         lambda d: st.sets(st.integers(0, len(cf) - 1), min_size=d,
@@ -156,19 +170,22 @@ def test_contract_matches_the_tuple_merge(case):
             == record(oracle_contract(x, values)))
 
 
-def random_systems(cf: ex.Coframe):
+def random_systems(cf: ex.Coframe, coeffs=coeffs):
     """StructureSystems with random 2-form rules on some generators and
     random 1-form rules on the parameters: the signs without the derived
     rules."""
     gen_rules = st.dictionaries(st.integers(0, len(cf) - 1),
-                                forms(cf, (2,)), max_size=len(cf))
-    param_rules = st.dictionaries(st.sampled_from(PARAMS), forms(cf, (1,)))
+                                forms(cf, (2,), coeffs), max_size=len(cf))
+    param_rules = st.dictionaries(st.sampled_from(PARAMS),
+                                  forms(cf, (1,), coeffs))
     return st.builds(lambda g, p: ex.StructureSystem("random", cf, g, p),
                      gen_rules, param_rules)
 
 
 @settings(max_examples=40)
-@given(coframes.flatmap(lambda cf: st.tuples(random_systems(cf), forms(cf))))
+@given(coframes.flatmap(lambda cf: st.tuples(
+    random_systems(cf, st.one_of(coeffs, rational_coeffs)),
+    forms(cf, coeffs=st.one_of(coeffs, rational_coeffs)))))
 def test_exterior_d_on_random_rules_matches_the_tuple_merge(case):
     sys, x = case
     assert record(ex.exterior_d(x, sys).terms) == record(oracle_d(x, sys))
@@ -186,12 +203,15 @@ def test_exterior_d_matches_the_tuple_merge(case):
 @pytest.mark.parametrize("mode", sorted(COFRAMES))
 def test_exterior_d_of_every_rule_matches_the_tuple_merge(mode):
     """d of every generator and parameter rule (the d^2 residuals): every
-    rule's sign mask, and the parameter part."""
-    sys = ex.build_system(mode)
-    for rule in list(sys.gen_rules.values()) + list(
-            sys.param_rules.values()):
-        assert (record(ex.exterior_d(rule, sys).terms)
-                == record(oracle_d(rule, sys)))
+    rule's sign mask, and the parameter part; at the displayed curvature
+    tuple and at a rational one, whose residuals do not vanish."""
+    for curvature in (None, (-4, Fraction(3, 7), 1, Fraction(3, 2),
+                             Fraction(-61, 9))):
+        sys = ex.build_system(mode, curvature)
+        for rule in list(sys.gen_rules.values()) + list(
+                sys.param_rules.values()):
+            assert (record(ex.exterior_d(rule, sys).terms)
+                    == record(oracle_d(rule, sys)))
 
 
 @settings(max_examples=10)
