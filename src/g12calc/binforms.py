@@ -26,8 +26,10 @@ monomial is key arithmetic: exponents add field by field, so basis
 monomials with keys ka and kb pair onto ka + kb - form_key(p1, p1, p2,
 p2).  `transvectant2` contracts the coefficients of its operands on the
 one-slot rows directly and on integers only: each operand is written as
-integer numerators over one common denominator, and each output
-coefficient is divided once, by `poly.from_packed`.  `pairing_table` is
+integer numerators over one common denominator (`poly.denominator`), in
+one pass that also reads each key's y1 and y2 exponents, and each output
+coefficient is divided once, by `poly.from_packed`, with one `divmod`
+and a `Fraction` only where a remainder is left.  `pairing_table` is
 the composed view, the two-slot constants by basis index, for callers
 that contract coordinate vectors.  The Cayley Omega process,
 `transvectant2_omega`, shares no code with them but the range check and
@@ -53,13 +55,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import _Lcg, rank
-from .poly import (Poly, Scalar, _exact, dot, form_key, from_packed,
-                   split_form)
+from .poly import (_F1, _F3, _MASK, Poly, Scalar, _exact, denominator, dot,
+                   form_key, from_packed)
 
 SLOT_VARS = (("x1", "y1"), ("x2", "y2"))
 ALL_FORM_VARS = ("x1", "y1", "x2", "y2")
@@ -264,22 +266,16 @@ class BlockCoords:
 
 
 def _numerators(p: Poly):
-    """p as integer numerators over one common denominator: (the lcm of
-    its denominators, [(y1 exponent, y2 exponent, key, numerator)] in
-    term order).  With integer coefficients (den = 1) the numerators are
-    the coefficients themselves and nothing is rescaled."""
-    den = 1
-    for c in p.packed.values():
-        if type(c) is not int:
-            den = lcm(den, c.denominator)
-    out = []
-    for k, c in p.packed.items():
-        (_x1, y1, _x2, y2), _rest = split_form(k)
-        if den != 1:
-            c = c * den if type(c) is int \
-                else c.numerator * (den // c.denominator)
-        out.append((y1, y2, k, c))
-    return den, out
+    """p as integer numerators over one common denominator, in one pass:
+    (den, [(y1 exponent, y2 exponent, key, den * coefficient)] in term
+    order), den being `poly.denominator` of p.  The y1 and y2 fields of
+    each key are read inline.  With integer coefficients (den = 1) the
+    numerators are the coefficients themselves and nothing is rescaled."""
+    den = denominator((p,))
+    return den, [(k >> _F1 & _MASK, k >> _F3 & _MASK, k,
+                  c if den == 1 else c * den if type(c) is int
+                  else c.numerator * (den // c.denominator))
+                 for k, c in p.packed.items()]
 
 
 def transvectant2(u: BiForm, v: BiForm, p1: int, p2: int) -> BiForm:

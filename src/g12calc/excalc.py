@@ -35,8 +35,11 @@ coefficient as an integer numerator over D, the lcm of the denominators
 of every rule of the system.  The tables of a rule are built once per D
 and kept on the rule, so the dtheta and parameter rules that every
 system of a mode shares are not tabled again per system.  exterior_d
-scales its input once by E, the lcm of the input's denominators, runs
-every coefficient product on integers, and divides each output
+reads its input only through the input table the form keeps next to its
+rule tables: per monomial, its coefficient scaled once by E, the lcm of
+the input's denominators, that coefficient's support and its parameter
+derivatives, each taken on first use and kept for every later system.
+It runs every coefficient product on integers and divides each output
 coefficient by E * D once, as it wraps it; the rules stay rational.
 Each mode has one cached frame, `_frame(mode)`: the coframe, the
 connection and theta generators, the symbolic a20, a02 and b, the
@@ -215,9 +218,11 @@ def form_sum(cf: "Coframe", terms) -> "FormExpr":
 
 class FormExpr:
     """Graded sum of exterior monomials with Poly coefficients, stored as
-    {monomial bitmask: nonzero Poly} in term order.  A form used as a
-    rule also keeps exterior_d's integer tables of itself
-    (`_rule_table`)."""
+    {monomial bitmask: nonzero Poly} in term order.  A form keeps
+    exterior_d's tables of itself in `_tables`: its input table once it
+    has been differentiated (`_input_table`), next to its integer tables
+    as a rule (`_rule_table`).  Forms are not changed after construction,
+    so the tables stay valid."""
 
     __slots__ = ("cf", "_by_mask", "_tables")
 
@@ -430,15 +435,18 @@ class StructureSystem:
 # The most (g, D) tables one rule keeps; past it they are dropped and
 # rebuilt on demand, so a long run over many denominators stays bounded.
 _TABLES_PER_RULE = 16
+# The key of a form's input table among its tables.
+_INPUT = "input"
 
 
-def _tables(rule: FormExpr) -> dict:
-    """The tables `rule` keeps for exterior_d: None maps to the lcm of
-    its denominators, (g, D) to its table for the generator g (None for
-    a parameter) on D times its coefficients."""
-    tables = getattr(rule, "_tables", None)
+def _tables(form: FormExpr) -> dict:
+    """The tables a form keeps for exterior_d: None maps to E, the lcm of
+    its denominators; (g, D) to its table as a rule for the generator g
+    (None for a parameter) on D times its coefficients; `_INPUT` to its
+    input table (`_input_table`)."""
+    tables = getattr(form, "_tables", None)
     if tables is None:
-        tables = rule._tables = {None: denominator(rule._by_mask.values())}
+        tables = form._tables = {None: denominator(form._by_mask.values())}
     return tables
 
 
@@ -447,15 +455,37 @@ def _rule_table(rule: FormExpr, den: int, g: Optional[int] = None) -> list:
     in place of W(g, R) when `g` is None.  Built once per (g, den) and
     kept on the rule, so the rules that every system of a mode shares
     (its dtheta and parameter rules) are tabled once per D, not once per
-    system."""
+    system.  The rule's E and its input table stay when the (g, D) tables
+    are trimmed."""
     tables = _tables(rule)
     table = tables.get((g, den))
     if table is None:
         if len(tables) > _TABLES_PER_RULE:
-            tables = rule._tables = {None: tables[None]}
+            tables = rule._tables = {k: tables[k] for k in (None, _INPUT)
+                                     if k in tables}
         table = tables[(g, den)] = [
             (r, _below_xor(r) if g is None else _slot_mask(g, r),
              numerators(c, den)) for r, c in rule._by_mask.items()]
+    return table
+
+
+def _input_table(expr: FormExpr) -> list:
+    """[mask, E * coeff, its support, {parameter: derivative}] per term
+    coeff * mask of `expr`, in term order, E being the lcm of its
+    denominators (`_tables(expr)[None]`): exterior_d's view of its input.
+    Built once and kept on the form; each derivative of E * coeff is
+    taken on first use and kept, since it does not depend on the system,
+    so a form that exterior_d sees under many systems (a shared rule)
+    scales and differentiates its coefficients once.  Rows are lists, for
+    the free-list reason given under StructureSystem."""
+    tables = _tables(expr)
+    table = tables.get(_INPUT)
+    if table is None:
+        e = tables[None]
+        table = tables[_INPUT] = []
+        for mono, coeff in expr._by_mask.items():
+            coeff = numerators(coeff, e)
+            table.append([mono, coeff, coeff.support(), {}])
     return table
 
 
@@ -468,24 +498,25 @@ def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
     replaced by its rule.  Each sign is the parity of a popcount against
     the system's sign masks.
 
-    Every product runs on integers: each coefficient of `expr` is scaled
-    once by E, the lcm of its denominators, and the system's tables hold
-    D times the rule coefficients, so each product carries the factor
-    E * D.  That factor is nonzero, so a partial sum is zero exactly when
-    the rational one is, and the value and the term order are those of
-    the rational sums.  Each output coefficient is divided by E * D once,
-    as it is wrapped."""
+    Every product runs on integers.  The input is read only through its
+    input table (`_input_table`), kept on the form next to its rule
+    tables: each coefficient scaled once by E, the lcm of its
+    denominators, with its support and its parameter derivatives.  The
+    system's tables hold D times the rule coefficients, so each product
+    carries the factor E * D.  That factor is nonzero, so a partial sum
+    is zero exactly when the rational one is, and the value and the term
+    order are those of the rational sums.  Each output coefficient is
+    divided by E * D once, as it is wrapped."""
     out: Dict[int, dict] = {}
     gen_signs = sys.gen_signs
-    e = denominator(expr._by_mask.values())
-    for mono, coeff in expr._by_mask.items():
-        coeff = numerators(coeff, e)
+    for mono, coeff, used, dparts in _input_table(expr):
         # d(coeff) ^ mono: the rule term R goes in front of mono
-        used = coeff.support()
         for pname, field_bits, rule in sys.param_signs:
             if not used & field_bits:
                 continue
-            dpart = coeff.diff(pname)
+            dpart = dparts.get(pname)
+            if dpart is None:
+                dpart = dparts[pname] = coeff.diff(pname)
             for r, v, c in rule:
                 if not r & mono:
                     _add_product(out, r | mono, c, dpart,
@@ -500,7 +531,7 @@ def exterior_d(expr: FormExpr, sys: StructureSystem) -> FormExpr:
                 if not r & rest:
                     _add_product(out, r | rest, coeff, c,
                                  (rest & w).bit_count() & 1)
-    return _form(expr.cf, out, e * sys.den)
+    return _form(expr.cf, out, expr._tables[None] * sys.den)
 
 
 def contract(expr: FormExpr, values: Dict[int, Poly]) -> FormExpr:

@@ -74,9 +74,9 @@ coefficient back once.  A common nonzero factor on every product leaves
 each partial sum zero exactly when the rational one is, so values and
 term order do not change.  `excalc.exterior_d` runs this way, and
 `linalg.matrix_det` scales each row this way before its fraction-free
-elimination.  `binforms.transvectant2` scales its operands the same way
-in its own loop (`binforms._numerators`), which keeps the split
-exponents with each numerator.
+elimination.  `binforms.transvectant2` takes each operand's denominator
+from `denominator` and scales it in its own loop (`binforms._numerators`),
+which reads the y1 and y2 exponents of each key with its numerator.
 
 The zero polynomial has no variables and no terms.
 """
@@ -759,7 +759,9 @@ def from_packed(tm: Mapping[int, Scalar], den: int = 1) -> Poly:
     value divided by the positive `int` `den`, in one pass over `tm`:
     zero coefficients are dropped, the quotients are canonical (integral
     ones `int`), and a key with an exponent above _MAX_EXP raises
-    OverflowError.  `tm` is not changed.
+    OverflowError.  `tm` is not changed.  An integer numerator is divided
+    inline, one `divmod`, and becomes a `Fraction` only when there is a
+    remainder; `_div` divides only `Fraction` values.
 
     The guard bits are read here, in `poly`, at call time: interning a
     variable rebinds `_GUARD`, so a copy taken at import by another
@@ -770,18 +772,26 @@ def from_packed(tm: Mapping[int, Scalar], den: int = 1) -> Poly:
         return _trusted({
             k: c if type(c) is int or c.denominator != 1 else c.numerator
             for k, c in tm.items() if c})
-    return _trusted({k: _div(c, den) for k, c in tm.items() if c})
+    out = {}
+    for k, c in tm.items():
+        if not c:
+            continue
+        if type(c) is int:
+            q, r = divmod(c, den)
+            out[k] = Fraction(c, den) if r else q
+        else:
+            out[k] = _div(c, den)
+    return _trusted(out)
 
 
 def denominator(polys: Iterable[Poly]) -> int:
-    """The lcm of the denominators of every coefficient of `polys`: 1
-    when they are all integral."""
-    den = 1
-    for p in polys:
-        for c in p.packed.values():
-            if type(c) is not int:
-                den = lcm(den, c.denominator)
-    return den
+    """The lcm of the denominators of every coefficient of `polys`, in one
+    `lcm` call: 1 when they are all integral or there are none.  The
+    arguments are unpacked from a list: unpacked from a generator, the
+    same calls made a stream of pairings grow its peak resident memory
+    with the number of calls (CPython 3.11); from a list they do not."""
+    return lcm(*[c.denominator for p in polys for c in p.packed.values()
+                 if type(c) is not int])
 
 
 def numerators(p: Poly, den: int) -> Poly:

@@ -16,6 +16,7 @@ rational systems.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -24,15 +25,18 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from g12calc import poly  # noqa: E402
+from g12calc.binforms import _numerators, dim_v, from_coords  # noqa: E402
 from g12calc.excalc import A02_SYMS, A20_SYMS, C_SYM  # noqa: E402
 from g12calc.integrals import (K_SYMS, XY_PARAMS,  # noqa: E402
                                _jmatrix_symbolic)
 from g12calc.linalg import (PolyMatrix, invert_rational,  # noqa: E402
                             matrix_det, matrix_rank_kernel,
                             random_rational_point, solve_sparse)
-from g12calc.poly import (Poly, Substitution, _trusted,  # noqa: E402
-                          _var_key, add_product, divexact, from_packed,
-                          var_key)
+from g12calc.poly import (_MAX_EXP, Poly, Substitution,  # noqa: E402
+                          _div, _trusted, _var_key, add_product,
+                          denominator, divexact, form_key, from_packed,
+                          split_form, var_key)
 
 # every operand draws its own variables: parameter names that sort before
 # ("a", "b_0") and after ("t", "zz") the form variables, so two operands
@@ -159,6 +163,73 @@ def test_single_term_add_product_rules():
     with pytest.raises(OverflowError):
         add_product(acc, x ** 100, x ** 28)
     assert list(acc.items()) == before
+
+
+# BiForms for the pairing core: coefficients int, Fraction (integral ones
+# included) or polynomials in parameters on both sides of the form
+# variables in the canonical order
+biform_coeffs = st.one_of(coeffs, polys_on(("a", "t")), polys_on(("b_0",)))
+biforms = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda nm: st.lists(biform_coeffs, min_size=dim_v(*nm),
+                        max_size=dim_v(*nm)).map(
+        lambda cs: from_coords(*nm, cs)))
+
+
+def reference_numerators(p: Poly):
+    """_numerators by split_form and Fraction scaling."""
+    den = lcm(*(Fraction(c).denominator for c in p.packed.values()))
+    out = []
+    for k, c in p.packed.items():
+        (_x1, y1, _x2, y2), _rest = split_form(k)
+        c = Fraction(c) * den
+        assert c.denominator == 1
+        out.append((y1, y2, k, c.numerator))
+    return den, out
+
+
+@given(biforms)
+def test_pairing_numerators_match_the_split_form_reference(u):
+    den, terms = _numerators(u.poly)
+    assert (den, terms) == reference_numerators(u.poly)
+    assert den == denominator([u.poly])
+    assert all(type(c) is int for *_e, c in terms)
+
+
+packed_values = st.one_of(
+    st.integers(-60, 60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12))
+
+
+@given(st.dictionaries(st.integers(0, 1 << 20).map(
+           lambda k: k & ~poly._GUARD), packed_values, max_size=8),
+       st.integers(1, 30))
+def test_from_packed_divides_like_div(tm, den):
+    """from_packed(tm, den) is {k: _div(c, den)} without zero values: the
+    same values, coefficient types and key order, negative numerators
+    and Fraction values included; tm is not changed."""
+    before = list(tm.items())
+    got = from_packed(tm, den)
+    want = [(k, _div(c, den)) for k, c in tm.items() if c]
+    assert [(k, c, type(c)) for k, c in got.packed.items()] == [
+        (k, c, type(c)) for k, c in want]
+    assert list(tm.items()) == before
+
+
+def test_from_packed_and_denominator_edges():
+    guard = form_key(_MAX_EXP, 0, 0, 0) + 1
+    for den in (1, 3):
+        for value in (2, -2, Fraction(1, 3)):
+            with pytest.raises(OverflowError):
+                from_packed({0: 1, guard: value}, den)
+    # -7 / 3 keeps its sign in the Fraction; -6 / 3 is the int -2
+    got = from_packed({1: -7, 2: -6, 3: 0, 4: Fraction(-9, 2)}, 3)
+    assert [(k, c, type(c)) for k, c in got.packed.items()] == [
+        (1, Fraction(-7, 3), Fraction), (2, -2, int),
+        (4, Fraction(-3, 2), Fraction)]
+    assert denominator(()) == 1
+    assert denominator([Poly.zero(), Poly.var("a") * 3 - 5]) == 1
+    assert denominator([Poly.const(Fraction(1, 4)),
+                        Poly.var("a") * Fraction(5, 6)]) == 12
 
 
 def reference_subs(p: Poly, assignment: dict) -> Poly:

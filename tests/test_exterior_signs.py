@@ -222,3 +222,81 @@ def test_leibniz_on_two_forms_in_torsion_mode(a, b):
     lhs = ex.exterior_d(a.wedge(b), sys)
     rhs = ex.exterior_d(a, sys).wedge(b) + a.wedge(ex.exterior_d(b, sys))
     assert (lhs - rhs).is_zero()
+
+
+@settings(max_examples=30)
+@given(coframes.flatmap(lambda cf: st.tuples(
+    st.lists(random_systems(cf, st.one_of(coeffs, rational_coeffs)),
+             min_size=2, max_size=3),
+    forms(cf, coeffs=st.one_of(coeffs, rational_coeffs)))))
+def test_exterior_d_reuses_its_input_table_across_systems(case):
+    """One form under two or three systems in turn: its input table (the
+    scaled coefficients, their supports and the derivatives taken so
+    far) is kept on the form, and every result still matches the oracle
+    and exterior_d of a fresh copy of the form, in values and order."""
+    systems, x = case
+    for sys in systems:
+        got = record(ex.exterior_d(x, sys).terms)
+        assert got == record(oracle_d(x, sys))
+        fresh = ex.FormExpr._of(x.cf, dict(x._by_mask))
+        assert got == record(ex.exterior_d(fresh, sys).terms)
+
+
+def test_trimming_the_rule_tables_keeps_the_input_table():
+    """A rule seen under more values of D than one rule keeps tables for:
+    the (g, D) tables are trimmed, but its E and its input table stay,
+    and d of it still matches the oracle under every system."""
+    cf = COFRAMES["g12"]
+    a, c = Poly.var("a20_0"), Poly.var("c")
+    x = ex.FormExpr(cf, {(0, 7): a * Fraction(1, 2) + 3,
+                         (1, 8): a * c * Fraction(-2, 3)})
+    primes = [p for p in range(5, 200)
+              if all(p % q for q in range(2, p))][:ex._TABLES_PER_RULE + 4]
+    table = None
+    for p in primes:
+        sys = ex.StructureSystem("random", cf, {0: x}, {
+            "a20_0": ex.FormExpr(cf, {(3,): Poly.const(Fraction(1, p))}),
+            "c": ex.FormExpr(cf, {(9,): a})})
+        assert sys.den == 6 * p
+        assert (record(ex.exterior_d(x, sys).terms)
+                == record(oracle_d(x, sys)))
+        if table is None:
+            table = x._tables[ex._INPUT]
+        assert x._tables[ex._INPUT] is table and x._tables[None] == 6
+    assert (0, 6 * primes[0]) not in x._tables
+
+
+def test_a_form_is_differentiated_once_across_systems(monkeypatch):
+    """Poly.diff runs for a form's first exterior_d only; a d^2 report of
+    a second perturbed g12 system differentiates no more often than d of
+    that system's own domega rules alone, on fresh copies."""
+    calls = []
+    diff = Poly.diff
+
+    def counting_diff(self, *args):
+        calls.append(args)
+        return diff(self, *args)
+
+    monkeypatch.setattr(Poly, "diff", counting_diff)
+    cf = COFRAMES["g12"]
+    x = ex.FormExpr(cf, {(0, 7): Poly.var("b_2") * Fraction(1, 3),
+                         (2,): Poly.var("a02_1") * Poly.var("c")})
+    first = ex.build_system("g12", (-4, Fraction(3, 7), 1, 1, -7))
+    second = ex.build_system("g12", (-4, 3, 1, Fraction(3, 2), -7))
+    ex.exterior_d(x, first)
+    assert calls
+    calls.clear()
+    ex.exterior_d(x, second)
+    assert calls == []
+
+    ex.d_squared_report(first)
+    calls.clear()
+    ex.d_squared_report(second)
+    in_report = len(calls)
+    own = [rule for g, rule in second.gen_rules.items()
+           if rule is not first.gen_rules[g]]
+    assert len(own) == 7
+    calls.clear()
+    for rule in own:
+        ex.exterior_d(ex.FormExpr._of(cf, dict(rule._by_mask)), second)
+    assert 0 < in_report <= len(calls)
