@@ -148,44 +148,27 @@ def invariant_functions(pt: Optional[CurvaturePoint] = None) -> dict:
             "p20": p20, "p24": p24, "p02": p02}
 
 
-def _involution() -> Dict[str, Poly]:
-    """(a20, a02, c) -> (-a20, -a02, -c), b fixed.
-
-    The frozen structure system is the displayed one composed with this
-    parameter involution (the uniform -1 on the rule right-hand sides);
-    pre-composing the displayed integrals with it makes them exactly
-    conserved.
-    """
-    return {s: Poly.var(s) * (-1) for s in A20_SYMS + A02_SYMS + (C_SYM,)}
-
-
 @lru_cache(maxsize=None)
-def _first_integrals_symbolic(coeff_72=Fraction(72)) -> Tuple[Poly, Poly]:
-    pt = CurvaturePoint.symbolic()
+def first_integrals() -> Tuple[Poly, Poly]:
+    """The two conserved polynomials in the 13 parameters.
+
+    These are the displayed quartic/sextic invariant combinations
+    evaluated at (-a20, -a02, b, -c).  The frozen structure system is the
+    displayed one composed with this parameter involution (the uniform -1
+    on the rule right-hand sides), so the displays are exactly conserved
+    at this point.
+    """
+    sym = CurvaturePoint.symbolic()
+    pt = CurvaturePoint(sym.a20 * -1, sym.a02 * -1, sym.b, -sym.c)
     inv = invariant_functions(pt)
     d1, d2, e1, e2 = inv["d1"], inv["d2"], inv["e1"], inv["e2"]
     c = pt.c
-    f1 = ((4 * d1 - 9 * d2) * (4 * d1 + 27 * d2 - 6 * c)
-          + coeff_72 * e1 - 54 * e2)
+    f1 = (4 * d1 - 9 * d2) * (4 * d1 + 27 * d2 - 6 * c) + 72 * e1 - 54 * e2
     f2 = (4 * d2 * (4 * d1 + 9 * d2 - 3 * c) ** 2
           + 96 * transvectant2(inv["p20"], inv["b20"], 2, 0).poly
           + 3 * transvectant2(inv["p02"], inv["b02"], 0, 2).poly
           + 48 * transvectant2(inv["p24"], inv["b24"], 2, 4).poly)
-    return tuple(Substitution(_involution()).apply((f1, f2)))
-
-
-def first_integrals(pt: Optional[CurvaturePoint] = None,
-                    coeff_72=Fraction(72)) -> Tuple[Poly, Poly]:
-    """The two conserved polynomials in the 13 parameters.
-
-    These are the displayed quartic/sextic invariant combinations
-    pre-composed with the parameter involution of _involution();
-    coeff_72 exists for the negative-control mutation test only.
-    """
-    fs = _first_integrals_symbolic(coeff_72)
-    if pt is None:
-        return fs
-    return tuple(Substitution(pt.assignment()).apply(fs))
+    return f1, f2
 
 
 def gradient(f: Poly) -> List[Poly]:
@@ -198,12 +181,17 @@ def row_times_j(row: List[Poly]) -> List[Poly]:
     return [dot((row[i], j[i, col]) for i in range(12)) for col in range(12)]
 
 
-def conservation_identity(coeff_72=Fraction(72)) -> dict:
+@lru_cache(maxsize=None)
+def _integral_gradients() -> Tuple[Tuple[Poly, ...], ...]:
+    """The gradient rows of f1 and f2, built once."""
+    return tuple(tuple(gradient(f)) for f in first_integrals())
+
+
+def conservation_identity() -> dict:
     """grad(f_i) . J = 0 as a row-vector polynomial identity, i = 1, 2."""
-    f1, f2 = first_integrals(coeff_72=coeff_72)
     out = {}
-    for name, f in (("f1", f1), ("f2", f2)):
-        residuals = row_times_j(gradient(f))
+    for name, grad in zip(("f1", "f2"), _integral_gradients()):
+        residuals = row_times_j(grad)
         out[name] = all(r.is_zero() for r in residuals)
         out[f"{name}_residuals"] = residuals
     out["both"] = out["f1"] and out["f2"]
@@ -231,15 +219,15 @@ def gradient_rows() -> dict:
          + (1/2) <r12, db>_{1,2}: the pairing against coordinate
     differentials is an invertible relabeling of the gradient.
     """
-    f1, f2 = first_integrals()
+    off = CurvaturePoint.offsets()
     out = {}
-    for k, f in (("1", f1), ("2", f2)):
+    for k, grad in zip(("1", "2"), _integral_gradients()):
         for bname, (n, m) in CurvaturePoint.SHAPE:
             ginv = _gram_inverse(n, m)
             factor = _DISPLAY_WEIGHTS[bname]
-            grad = [f.diff(s) for s in bf.symbol_names(n, m, bname)]
+            block = grad[slice(*off[bname])]
             out[f"r{k}_{bname}"] = from_coords(n, m, [
-                dot((g, x / factor) for g, x in zip(grad, row))
+                dot((g, x / factor) for g, x in zip(block, row))
                 for row in ginv])
     return out
 
@@ -247,16 +235,16 @@ def gradient_rows() -> dict:
 def gradient_rows_consistent() -> bool:
     """Re-assemble df_k from the solved r-components and compare with the
     coordinate gradient (the same data read two ways)."""
-    f1, f2 = first_integrals()
+    off = CurvaturePoint.offsets()
     rows = gradient_rows()
-    for k, f in (("1", f1), ("2", f2)):
+    for k, grad in zip(("1", "2"), _integral_gradients()):
         for bname, (n, m) in CurvaturePoint.SHAPE:
             r = rows[f"r{k}_{bname}"]
-            bas = basis(n, m)
-            for jj, s in enumerate(bf.symbol_names(n, m, bname)):
-                paired = (transvectant2(r, bas[jj], n, m).poly
+            block = grad[slice(*off[bname])]
+            for e, g in zip(basis(n, m), block):
+                paired = (transvectant2(r, e, n, m).poly
                           * _DISPLAY_WEIGHTS[bname])
-                if not (paired - f.diff(s)).is_zero():
+                if not (paired - g).is_zero():
                     return False
     return True
 
@@ -292,8 +280,7 @@ def det_vanishes_symbolically() -> dict:
     is checked here to be a left-kernel row (grad f1 . J = 0 exactly), and
     cross-checked by a fraction-free determinant on the rank-simplifying
     specialization a20 = t xy, a02 = t' xy."""
-    f1, _f2 = first_integrals()
-    grad = gradient(f1)
+    grad = _integral_gradients()[0]
     nonzero_left_kernel = any(not g.is_zero() for g in grad)
     annihilates = all(r.is_zero() for r in row_times_j(grad))
     det = matrix_det(xy_specialised_jacobian())
@@ -302,12 +289,6 @@ def det_vanishes_symbolically() -> dict:
             "specialized_det_zero": det.is_zero(),
             "det_identically_zero": (nonzero_left_kernel and annihilates
                                      and det.is_zero())}
-
-
-@lru_cache(maxsize=None)
-def _integral_gradients() -> Tuple[Tuple[Poly, ...], ...]:
-    """The gradient rows of f1 and f2, built once."""
-    return tuple(tuple(gradient(f)) for f in first_integrals())
 
 
 def sigma_c_membership(assignment: Dict[str, Scalar]) -> bool:

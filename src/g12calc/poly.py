@@ -516,8 +516,7 @@ class Substitution:
     that exist when it is made.
     """
 
-    __slots__ = ("scalars", "polys", "assigned", "smask", "pmask", "monos",
-                 "pows")
+    __slots__ = ("scalars", "polys", "smask", "pmask", "monos", "pows")
 
     def __init__(self, assignment: Mapping[str, Union[Poly, Scalar, int]]):
         scalars = {}  # shift -> (numerator, denominator)
@@ -540,7 +539,6 @@ class Substitution:
         polys.sort(key=lambda t: t[0])
         self.scalars = scalars
         self.polys = [(s, val) for _, s, val in polys]
-        self.assigned = assigned
         self.pmask = reduce(or_, (_MASK << s for s, _ in self.polys), 0)
         self.smask = assigned & ~self.pmask
         self.monos = {0: (1, 1)}

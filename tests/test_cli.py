@@ -257,6 +257,22 @@ def test_integrals_command_runs_kernel_membership_on_its_own(monkeypatch,
         "conservation identities: fail", "kernel membership: pass"]
 
 
+def test_conservation_control_tests_the_71_display(monkeypatch):
+    """The control's mutant is f1 + e1, which
+    test_first_integrals_are_the_display_at_the_involuted_point pins as
+    the display with 71 in place of 72.  f1 - e1 is not conserved
+    either, so the verdict alone cannot tell the two apart."""
+    seen = []
+    gradient = cli.ig.gradient
+    monkeypatch.setattr(cli.ig, "gradient",
+                        lambda f: seen.append(f) or gradient(f))
+    chk = next(c for c in cli.CHECKS
+               if c.name == "conservation_mutation_control")
+    assert chk.run(SuiteConfig(["integrals"]))[0]
+    f1 = cli.ig.first_integrals()[0]
+    assert seen == [f1 + cli.ig.invariant_functions()["e1"]]
+
+
 def test_constants_command(tmp_path, capsys):
     point = {f"a20_{k}": str(Fraction(k + 1, 2)) for k in range(3)}
     point.update({f"a02_{k}": str(Fraction(k - 1, 3)) for k in range(3)})

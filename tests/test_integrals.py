@@ -16,10 +16,11 @@ from g12calc.integrals import (CurvaturePoint, K_SYMS, admissible_point,
                                integrals_equivariant, invariant_functions,
                                kernel_columns, kernel_membership,
                                rank_certificate, rank_dichotomy_samples,
+                               row_times_j,
                                sigma_c_membership, structure_constants,
                                symmetry_fields_check, xy_specialised_jacobian)
 from g12calc.linalg import matrix_rank_kernel, random_rational_point, rank
-from g12calc.poly import Poly, parse_poly
+from g12calc.poly import Poly, Substitution, parse_poly
 
 
 def test_jacobian_shape_and_contraction():
@@ -44,8 +45,34 @@ def test_invariants_at_flat_point_vanish():
 
 
 def test_first_integrals_vanish_at_flat_point():
-    f1, f2 = first_integrals(CurvaturePoint.zero(c=5))
+    flat = CurvaturePoint.zero(c=5).assignment()
+    f1, f2 = (f.subs(flat) for f in first_integrals())
     assert f1.is_zero() and f2.is_zero()
+
+
+def test_first_integrals_are_the_display_at_the_involuted_point():
+    """Oracle: the display built at the symbolic point with the
+    coefficient k, then composed with (a20, a02, c) -> (-a20, -a02, -c).
+    k = 72 gives f1 itself; k = 71 gives f1 + e1, the mutant of the
+    conservation control (e1 is odd in a20, so it changes sign under the
+    involution).  Values and term order both match."""
+    pt = CurvaturePoint.symbolic()
+    inv = invariant_functions(pt)
+    d1, d2, e1, e2 = inv["d1"], inv["d2"], inv["e1"], inv["e2"]
+    c = pt.c
+    f2 = (4 * d2 * (4 * d1 + 9 * d2 - 3 * c) ** 2
+          + 96 * bf.transvectant2(inv["p20"], inv["b20"], 2, 0).poly
+          + 3 * bf.transvectant2(inv["p02"], inv["b02"], 0, 2).poly
+          + 48 * bf.transvectant2(inv["p24"], inv["b24"], 2, 4).poly)
+    involution = Substitution({s: Poly.var(s) * -1
+                               for s in A20_SYMS + A02_SYMS + (C_SYM,)})
+    f1_new, f2_new = first_integrals()
+    for k, expected in ((72, f1_new), (71, f1_new + e1)):
+        f1 = ((4 * d1 - 9 * d2) * (4 * d1 + 27 * d2 - 6 * c)
+              + k * e1 - 54 * e2)
+        for got, want in zip(involution.apply((f1, f2)),
+                             (expected, f2_new)):
+            assert list(got.packed.items()) == list(want.packed.items())
 
 
 def test_self_pairing_parity():
@@ -60,8 +87,9 @@ def test_conservation_identities():
 
 
 def test_conservation_mutation_fails():
-    rep = conservation_identity(coeff_72=Fraction(71))
-    assert not rep["f1"]
+    # f1 + e1 is the display with 71 in place of 72
+    mutant = first_integrals()[0] + invariant_functions()["e1"]
+    assert not all(r.is_zero() for r in row_times_j(gradient(mutant)))
 
 
 def test_conservation_on_rank_simplifying_family():
@@ -139,12 +167,13 @@ def test_specialised_det_does_not_fill_in(monkeypatch):
 
 
 def test_det_certificate_rejects_a_row_outside_the_left_kernel(monkeypatch):
-    """With the mutated coefficient 71 grad f1 is still nonzero but no
-    longer a left-kernel row; the specialized det stays 0, so only the
-    grad f1 . J check can fail the certificate."""
+    """With the mutated coefficient 71 (f1 + e1) the gradient is still
+    nonzero but no longer a left-kernel row; the specialized det stays 0,
+    so only the grad f1 . J check can fail the certificate."""
     import g12calc.integrals as ig
-    mutated = first_integrals(coeff_72=Fraction(71))
-    monkeypatch.setattr(ig, "first_integrals", lambda: mutated)
+    mutant = first_integrals()[0] + invariant_functions()["e1"]
+    grads = (tuple(gradient(mutant)), ig._integral_gradients()[1])
+    monkeypatch.setattr(ig, "_integral_gradients", lambda: grads)
     rep = det_vanishes_symbolically()
     assert rep["left_kernel_nonzero"] and rep["specialized_det_zero"]
     assert not rep["left_kernel_row_annihilates_J"]
@@ -252,13 +281,13 @@ def test_admissible_point_is_on_the_locus(seed):
                           bf.from_coords(0, 3, v[3:7]), v[7])
     assert [2 * p for p in pt.a20.coords()] == \
         [3 * p for p in pt.a02.coords()]
-    assert first_integrals(pt)[0].is_zero()
+    assert first_integrals()[0].subs(pt.assignment()).is_zero()
     assert structure_constants(pt)["restriction_admissible"]
     # one a02 coordinate moved off the locus breaks both
     a02 = pt.a02.coords()
     a02[seed % 3] += 1
     off = CurvaturePoint(pt.a20, bf.from_coords(0, 2, a02), pt.b, pt.c)
-    assert not first_integrals(off)[0].is_zero()
+    assert not first_integrals()[0].subs(off.assignment()).is_zero()
     assert not structure_constants(off)["restriction_admissible"]
 
 
