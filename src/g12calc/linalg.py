@@ -2,9 +2,11 @@
 
 Every operation over Q takes rows of exact scalars (`int`/`Fraction`),
 and goes through one integer core: each row is scaled to coprime
-integers (the one place values enter, where `float` is rejected and
-rows of unequal length are refused), then `_row_echelon` eliminates
-forward, fraction-free, to the pivot columns and integer echelon rows.
+integers in one pass (the one place values enter, where `float` is
+rejected and rows of unequal length are refused), then `_row_echelon`
+eliminates forward, fraction-free and in place on those new integer
+rows, to the pivot columns and integer echelon rows; the caller's rows
+are never written.
 A matrix has len(rows[0]) columns, or none when it has no rows.  `rank`
 counts the pivots (`spans_equal` compares three ranks); every other
 result is one read-out, `_back_substitute`, an exact back-substitution
@@ -21,7 +23,8 @@ named unknowns and gives one row per monomial in the other variables.
 substitutions and determinants.  `PolyMatrix.subs` is one
 `Substitution.apply` over all entries, whatever the point; at a point
 that gives every variable a scalar the matrix is constant and enters the
-rational core through `PolyMatrix.constant_rows`.
+rational core through `PolyMatrix.constant_rows`, one pass that checks
+and reads each entry.
 
 A Fraction appears only when a result is written out.  Determinants
 accept polynomial entries and use Bareiss one-step elimination over
@@ -31,8 +34,10 @@ Markowitz count (r - 1)(c - 1) and then by row-major position.  Every
 Bareiss entry is a minor of the row- and column-permuted matrix, so each
 division by the previous pivot is exact.  The determinant is the last
 such quotient, so when that divisor is not a constant its terms come out
-in `divexact`'s lex order, whatever pivots were taken.  Everything is
-deterministic and exact.
+in `divexact`'s lex order, whatever pivots were taken.  Each row's
+multiplier is negated once and each entry updated as
+piv * x + (-aik) * y; a row whose multiplier is zero is only scaled,
+piv * x, and divided.  Everything is deterministic and exact.
 """
 from __future__ import annotations
 
@@ -68,11 +73,18 @@ class PolyMatrix:
     def constant_rows(self) -> List[List[Scalar]]:
         """The stored int-or-Fraction values of a constant matrix;
         ValueError on a non-constant entry."""
+        out = []
         for row in self.entries:
+            vals = []
             for e in row:
-                if any(e.packed):
+                p = e.packed
+                # stored coefficients are nonzero, so a constant has the
+                # one key 0 or no key at all
+                if len(p) != (0 in p):
                     raise ValueError(f"not a constant: {e}")
-        return [[e.packed.get(0, 0) for e in row] for row in self.entries]
+                vals.append(p.get(0, 0))
+            out.append(vals)
+        return out
 
     def subs(self, assignment) -> "PolyMatrix":
         """Substitute one point into every entry: one
@@ -135,6 +147,14 @@ def matrix_det(m: PolyMatrix) -> Poly:
     and column are swapped into place, each swap flipping the sign; a
     zero trailing block means det = 0.
 
+    The update of entry x of row i under pivot row entry y is
+    divexact(piv * x + naik * y, prev), with naik = -a[i][k] negated once
+    per row: the same packed dict, values and term order, as
+    piv * x - a[i][k] * y, since negating a product negates its summed
+    terms in place.  A row whose multiplier is zero is only scaled,
+    divexact(piv * x, prev) for each nonzero x, which is what that
+    update gives.  Every product goes through `Poly.__mul__`.
+
     Exactness: after step k every trailing entry is a (k+1)-minor of the
     row- and column-permuted matrix, and by the Sylvester identity the
     previous pivot (a k-minor of it) divides each update exactly in Z[x].
@@ -173,11 +193,18 @@ def matrix_det(m: PolyMatrix) -> Poly:
             for row in a:
                 row[k], row[pj] = row[pj], row[k]
             sign = -sign
-        piv = a[k][k]
+        ak = a[k]
+        piv = ak[k]
         for i in range(k + 1, n):
-            ai, aik = a[i], a[i][k]
+            ai = a[i]
+            if not ai[k].packed:
+                for j in range(k + 1, n):
+                    if ai[j].packed:
+                        ai[j] = divexact(piv * ai[j], prev)
+                continue
+            naik = -ai[k]
             for j in range(k + 1, n):
-                ai[j] = divexact(piv * ai[j] - aik * a[k][j], prev)
+                ai[j] = divexact(piv * ai[j] + naik * ak[j], prev)
         prev = piv
     det = prev if sign == 1 else -prev
     return det if scale == 1 else det * Fraction(1, scale)
@@ -191,11 +218,22 @@ def _int_row(values) -> List[int]:
 
     This is the only way values enter the integer core, so the `poly`
     exactness guard here is what rejects a float at every entry point.
+    One pass reads the row: an `int` is taken as it is, any other value
+    goes through `_exact` (which rejects `float` and `bool`), and only the
+    denominators of the non-`int` values enter the `lcm`.
     """
-    row = list(map(_exact, values))
-    den = lcm(*[x.denominator for x in row])
-    if den != 1:
-        row = [x.numerator * (den // x.denominator) for x in row]
+    row = []
+    dens = []
+    for x in values:
+        if type(x) is not int:
+            x = _exact(x)
+            if type(x) is not int:
+                dens.append(x.denominator)
+        row.append(x)
+    if dens:
+        den = lcm(*dens)
+        row = [x * den if type(x) is int
+               else x.numerator * (den // x.denominator) for x in row]
     return _primitive(row)
 
 
@@ -217,19 +255,17 @@ def _primitive(row: List[int]) -> List[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _eliminate(pivot_row: List[int], row: List[int], c: int) -> List[int]:
-    """Primitive integer combination of `row` and `pivot_row` that is zero
-    in column c.  Both rows are zero left of c, so only the columns right
-    of c are combined; the zeros do not change the gcd."""
-    g = gcd(pivot_row[c], row[c])
-    f1, f2 = pivot_row[c] // g, row[c] // g
-    return [0] * (c + 1) + _primitive(
-        [f1 * a - f2 * b for a, b in zip(row[c + 1:], pivot_row[c + 1:])])
-
-
 def _row_echelon(rows: Sequence[Sequence[Scalar]]):
     """(pivot columns, integer echelon rows) of a matrix of exact
-    scalars: `_int_rows`, then one fraction-free forward elimination."""
+    scalars: `_int_rows`, then one fraction-free forward elimination.
+
+    The elimination writes into the new integer rows, so the caller's
+    rows are never changed.  A row with a nonzero entry under the pivot
+    p of column c becomes the primitive part of f1 * row - f2 * pivot
+    row, with f1 = p / g and f2 = row[c] / g for g their gcd; only the
+    columns right of c change, since both rows are zero left of c and
+    the combination is zero at c.
+    """
     rows = _int_rows(rows)
     nr = len(rows)
     nc = _ncols(rows)
@@ -245,9 +281,22 @@ def _row_echelon(rows: Sequence[Sequence[Scalar]]):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pr = rows[r]
+        p = pr[c]
+        right = range(c + 1, nc)
         for i in range(r + 1, nr):
-            if rows[i][c]:
-                rows[i] = _eliminate(pr, rows[i], c)
+            row = rows[i]
+            x = row[c]
+            if not x:
+                continue
+            g = gcd(p, x)
+            f1, f2 = p // g, x // g
+            row[c] = 0
+            for j in right:
+                row[j] = f1 * row[j] - f2 * pr[j]
+            g = gcd(*row)
+            if g > 1:
+                for j in right:
+                    row[j] //= g
         pivots.append(c)
         r += 1
         if r == nr:

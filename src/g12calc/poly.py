@@ -56,7 +56,8 @@ There is one substitution loop, `Substitution.apply(polys)`: one pass
 over the terms of each polynomial folds every scalar-valued variable
 into the coefficient, on an integer numerator over a running lcm
 denominator, each monomial's value computed once per Substitution, and
-keeps the other monomials in order of first appearance.  Non-constant
+keeps the other monomials in order of first appearance; a one-term
+polynomial has nothing to sum and is written out at once.  Non-constant
 Poly values are expanded through their cached powers afterwards, only
 when the point has some.  `Poly.subs` is one `apply`, `PolyMatrix.subs`
 one `apply` over all its entries, and `Substitution.values` reads the
@@ -567,12 +568,32 @@ class Substitution:
     def apply(self, polys: Iterable[Poly]) -> list:
         """Each polynomial with the assignment substituted, in the one
         substitution loop of the module docstring.  A term the point makes
-        zero adds no key; each key makes one canonical coefficient."""
+        zero adds no key; each key makes one canonical coefficient.  A
+        one-term polynomial has one key and nothing to sum, so its
+        (numerator, denominator) is written out at once, without the
+        accumulator."""
         monos, smask, rest = self.monos, self.smask, ~self.smask
+        pmask = self.pmask
         out = []
         for p in polys:
             if not p.packed:
                 out.append(p)
+                continue
+            if len(p.packed) == 1:
+                (k, c), = p.packed.items()
+                m = monos.get(k & smask)
+                if m is None:
+                    m = self.mono_value(k & smask)
+                n = c.numerator * m[0]
+                if not n:
+                    out.append(_trusted({}))
+                    continue
+                d = c.denominator * m[1]
+                if pmask:
+                    out.append(self._expand({k & rest: (n, d)}))
+                else:
+                    out.append(_trusted(
+                        {k & rest: n if d == 1 else _div(n, d)}))
                 continue
             acc = {}  # key of the other variables -> [numerator, denominator]
             for k, c in p.packed.items():
@@ -592,7 +613,7 @@ class Substitution:
                     g = gcd(a[1], d)
                     a[0] = a[0] * (d // g) + n * (a[1] // g)
                     a[1] = a[1] // g * d
-            if self.pmask:
+            if pmask:
                 out.append(self._expand(acc))
                 continue
             tm = {}

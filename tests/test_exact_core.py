@@ -294,6 +294,50 @@ def test_values_refuses_a_variable_without_a_scalar():
         [p, Poly.zero()]) == [Fraction(3, 2), 0]
 
 
+ONE_TERM_CASES = [
+    # the point makes the term zero
+    (Poly.monomial({"a": 2, "t": 1}, Fraction(3, 4)), {"a": 0, "zz": 5}),
+    (Poly.monomial({"a": 1}, 7), {"a": Fraction(0)}),
+    # a residual key in the unassigned variables
+    (Poly.monomial({"a": 2, "t": 1}, Fraction(2, 3)),
+     {"a": Fraction(5, 7)}),
+    (Poly.monomial({"a": 1, "b_0": 3, "zz": 2}, -6),
+     {"a": Fraction(-3, 2), "b_0": 2}),
+    # every variable assigned: a constant, integral or not
+    (Poly.monomial({"a": 1, "b_0": 1}, 4),
+     {"a": Fraction(1, 2), "b_0": Fraction(-1, 2)}),
+    (Poly.monomial({"a": 3}, Fraction(5, 6)), {"a": Fraction(7, 5)}),
+    # a Poly-valued variable, beside a scalar and an unassigned one
+    (Poly.monomial({"a": 1, "t": 2, "zz": 1}, Fraction(-5, 3)),
+     {"a": Fraction(3, 2), "t": Poly.var("x1") + 2 * Poly.var("s")}),
+    (Poly.monomial({"t": 1}, 2), {"t": Poly.var("zz") * Fraction(1, 2)}),
+    # a constant Poly value counts as a scalar
+    (Poly.monomial({"a": 2}, 3), {"a": Poly.const(Fraction(2, 3))}),
+]
+
+
+@pytest.mark.parametrize("p,point", ONE_TERM_CASES)
+def test_one_term_subs_matches_reference(p, point):
+    """A one-term polynomial skips the accumulator of `apply`: its
+    value, term order and coefficient types are those of the term-by-term
+    expansion, alone and among other polynomials."""
+    want = reference_subs(p, point)
+    other = p + Poly.var("a") + 1
+    for got in (p.subs(point),
+                Substitution(point).apply([other, p, Poly.zero(), p])[1]):
+        assert got == want
+        assert [(k, c, type(c)) for k, c in got.packed.items()] == \
+            [(k, c, type(c)) for k, c in want.packed.items()]
+
+
+def test_one_term_values_refuse_a_variable_without_a_scalar():
+    p = Poly.monomial({"a": 1, "t": 1}, 3)
+    for point in ({"a": 2}, {"a": 0}, {"a": 2, "t": Poly.var("zz")}):
+        with pytest.raises(ValueError, match="'t'"):
+            Substitution(point).values([p])
+    assert Substitution({"a": 2, "t": Fraction(1, 6)}).values([p]) == [1]
+
+
 # -- differential tests against sympy -----------------------------------------
 
 

@@ -16,7 +16,8 @@ from g12calc.linalg import (DEFAULT_MAX_MAGNITUDE, PolyMatrix, _Lcg, _pivot,
                             linsolve, matrix_det, matrix_rank_kernel,
                             random_rational_point, rank, solve_sparse,
                             spans_equal)
-from g12calc.poly import Poly, parse_poly
+from g12calc.poly import (Poly, denominator, divexact, numerators,
+                          parse_poly)
 
 
 def rand_const_matrix(rng, n):
@@ -118,17 +119,18 @@ def test_det_of_permuted_diagonal_matrices(perm):
         assert matrix_det(m) == prod(entries) * permutation_sign(perm)
 
 
+def rand_poly(rng):
+    """1-3 terms in p and q with small rational coefficients."""
+    return sum((Poly.monomial({"p": rng.next_int(3), "q": rng.next_int(2)},
+                              Fraction(rng.next_int(9) - 4,
+                                       1 + rng.next_int(3)))
+                for _ in range(1 + rng.next_int(3))), Poly.zero())
+
+
 def rand_sparse_poly_matrix(rng, n):
-    """About half the entries zero, the rest 1-3 terms in p and q with
-    small rational coefficients."""
-    def entry():
-        if rng.next_int(2):
-            return Poly.zero()
-        return sum((Poly.monomial({"p": rng.next_int(3), "q": rng.next_int(2)},
-                                  Fraction(rng.next_int(9) - 4,
-                                           1 + rng.next_int(3)))
-                    for _ in range(1 + rng.next_int(3))), Poly.zero())
-    return PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
+    """About half the entries zero, the rest `rand_poly`."""
+    return PolyMatrix([[Poly.zero() if rng.next_int(2) else rand_poly(rng)
+                        for _ in range(n)] for _ in range(n)])
 
 
 def test_det_of_transpose_on_sparse_polynomial_matrices():
@@ -142,6 +144,115 @@ def test_det_of_transpose_on_sparse_polynomial_matrices():
             assert det == matrix_det(transpose) == leibniz_det(m)
             nonzero += not det.is_zero()
     assert nonzero >= 12
+
+
+def reference_bareiss(m: PolyMatrix):
+    """(det, number of rows updated with a zero multiplier) by the Bareiss
+    elimination of `matrix_det` with every entry updated as
+    piv * x - aik * y, zero multipliers included: the same pivots, row
+    scales and divisions, and the update written out as it reads."""
+    n = m.rows
+    a = []
+    scale = 1
+    for row in m.entries:
+        den = denominator(row)
+        scale *= den
+        a.append([numerators(e, den) for e in row])
+    sign = 1
+    prev = Poly.const(1)
+    zero_multipliers = 0
+    for k in range(n):
+        at = _pivot(a, k)
+        if at is None:
+            return Poly.zero(), zero_multipliers
+        pi, pj = at
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            sign = -sign
+        if pj != k:
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
+        piv = a[k][k]
+        for i in range(k + 1, n):
+            ai, aik = a[i], a[i][k]
+            zero_multipliers += aik.is_zero()
+            for j in range(k + 1, n):
+                ai[j] = divexact(piv * ai[j] - aik * a[k][j], prev)
+        prev = piv
+    det = prev if sign == 1 else -prev
+    return (det if scale == 1 else det * Fraction(1, scale)), zero_multipliers
+
+
+def block_triangular_poly_matrix(rng, n, split):
+    """[[A, B], [0, C]] with A split x split and every entry of A, B and
+    C a `rand_poly`."""
+    return PolyMatrix([[Poly.zero() if i >= split > j else rand_poly(rng)
+                        for j in range(n)] for i in range(n)])
+
+
+def assert_det_matches_reference(m: PolyMatrix) -> int:
+    """matrix_det equals the reference in value and term order; returns
+    the reference's count of zero multipliers."""
+    want, zero_multipliers = reference_bareiss(m)
+    got = matrix_det(m)
+    assert got == want
+    assert list(got.packed.items()) == list(want.packed.items())
+    return zero_multipliers
+
+
+def test_det_update_matches_reference_on_block_triangular_matrices():
+    """A row whose multiplier is zero is only scaled and divided; every
+    other row takes the negated multiplier once.  Block-triangular
+    matrices have zero multipliers at many steps."""
+    rng = _Lcg(77)
+    zero_multipliers = nonzero = 0
+    for n, split in ((2, 1), (3, 1), (4, 2), (5, 2), (6, 3), (6, 4)):
+        for _ in range(3):
+            m = block_triangular_poly_matrix(rng, n, split)
+            zero_multipliers += assert_det_matches_reference(m)
+            nonzero += not matrix_det(m).is_zero()
+    assert zero_multipliers >= 10 and nonzero >= 12
+
+
+def test_det_update_matches_reference_on_jacobian_minors():
+    """J with two symbols left free, as the Jacobian stream takes it: the
+    full (zero) determinant and seeded minors, in value and term order."""
+    jac = _jmatrix_symbolic()
+    syms = K_SYMS + (C_SYM,)
+    nonzero = 0
+    for seed, free in ((3, (C_SYM, "a20_1")), (4, ("a02_0", "a02_1")),
+                       (5, ("b_3", "a20_1"))):
+        point = random_rational_point(
+            [s for s in syms if s not in free], seed)
+        j = jac.subs(point)
+        assert_det_matches_reference(j)
+        rng = _Lcg(seed)
+        for size in (4, 6, 8):
+            rows = sorted(set(rng.next_int(12) for _ in range(3 * size)))
+            cols = sorted(set(rng.next_int(12) for _ in range(3 * size)))
+            k = min(size, len(rows), len(cols))
+            minor = PolyMatrix([[j[r, c] for c in cols[:k]]
+                                for r in rows[:k]])
+            assert_det_matches_reference(minor)
+            nonzero += not matrix_det(minor).is_zero()
+    assert nonzero >= 3
+
+
+def test_det_update_runs_on_poly_mul(monkeypatch):
+    """The Bareiss update multiplies through `Poly.__mul__`, which the
+    benchmark's tracer counts: a 2x2 det makes at least two calls."""
+    x = Poly.var("x")
+    want = x * x - 1
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    assert matrix_det(PolyMatrix([[x, 1], [1, x]])) == want
+    assert len(calls) >= 2
 
 
 def all_ties_det_terms() -> str:
@@ -220,8 +331,10 @@ def test_constant_rows_are_the_stored_values():
     assert rows == [[0, Fraction(1, 2)], [2, -3]]
     assert [[type(x) for x in row] for row in rows] == \
         [[int, Fraction], [int, int]]
-    with pytest.raises(ValueError, match="not a constant"):
-        PolyMatrix([[1, Poly.var("p")]]).constant_rows()
+    # a one-term entry, and a constant term beside another term
+    for entry in (Poly.var("p"), Poly.var("p") + 1):
+        with pytest.raises(ValueError, match="not a constant"):
+            PolyMatrix([[1, entry]]).constant_rows()
 
 
 def test_linsolve_unique_and_inconsistent():
@@ -341,6 +454,37 @@ def test_ragged_rows_rejected_at_every_entry_point():
     # two blocks of even rows but different widths
     with pytest.raises(ValueError, match="ragged"):
         spans_equal([[1, 0, 0]], [[1, 0]], 1)
+
+
+def test_elimination_leaves_its_input_rows_unchanged():
+    """The echelon writes into its own integer rows, never the caller's:
+    rows of primitive ints (which need no scaling), rows with a common
+    factor and rational rows come back as they went in, types included."""
+    rng = _Lcg(12)
+    cases = [
+        [[2, 3, 5], [1, 4, 7], [3, 7, 12]],
+        [[1, 2], [3, 5]],
+        [[2, 4, 6], [6, 3, 9], [0, 0, 0]],
+        rand_rational_rows(rng, 4, 4),
+        rand_low_rank_rows(rng, 4, 4, 2),
+    ]
+
+    def snapshot(rows):
+        return [[(type(x), x) for x in row] for row in rows]
+    for rows in cases:
+        before = snapshot(rows)
+        rank(rows)
+        kernel_basis(rows)
+        linsolve(rows, [1] * len(rows))
+        if rank(rows) == len(rows) == len(rows[0]):
+            invert_rational(rows)
+        assert snapshot(rows) == before
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        sparse_before = [dict(row) for row in sparse]
+        solve_sparse(sparse, len(rows[0]) - 1)
+        assert sparse == sparse_before
+        assert [list(row.items()) for row in sparse] == \
+            [list(row.items()) for row in sparse_before]
 
 
 def test_invert_rational_rejects_non_square():
